@@ -7,15 +7,24 @@ Conventions, fixed once and unit-tested via round-trips:
   - unnormalized Choi matrix C = sum_ij Phi(E_ij) tensor E_ij, so complete
     positivity is equivalent to C being PSD.
 
-Positivity semantics are honest: a certificate is either CompletelyPositive
-(Choi checked at certification time), PositiveByConstruction (a family whose
-positivity is a theorem), Unverified, or Falsified (a stored pure state whose
-image has a negative eigenvalue). Sampling can only falsify, never certify.
+Positivity semantics are honest: a certificate is either CompletelyPositive,
+PositiveByConstruction (a family whose positivity is a theorem), Unverified,
+or Falsified (a stored pure state whose image has a negative eigenvalue).
+CompletelyPositive is issued by theorem for Kraus forms (the Choi matrix
+sum_i vec(K_i) vec(K_i)^dagger is a Gram matrix) and for depolarizing maps
+with lam in [0, 1], and by the exact Choi eigenvalue test in ``classify``
+and ``from_choi`` (and so in ``qdpi check-map``). Sampling can only falsify,
+never certify.
+
+Maps given by Kraus operators evaluate through them; their representation
+matrix is built on first access, as one Gram product of the stacked Kraus
+operators, and cached.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -26,15 +35,12 @@ from .linalg import (
     as_matrix,
     hermitian_part,
     max_eigenvalue,
-    min_eigenvalue,
     operator_norm,
     power_on_support,
     require_projector,
     require_psd,
 )
-from .divergences import weighted_p_norm
 from .sampling import (
-    random_hermitian,
     random_isometry,
     random_projector,
     random_unit_vector,
@@ -55,7 +61,6 @@ __all__ = [
     "trace_behavior",
     "classify",
     "one_to_one_norm_positive",
-    "induced_weighted_norm_lower_bound",
     "gamma_superoperator",
     "identity_map",
     "transpose_map",
@@ -125,22 +130,39 @@ def _unvec(v: np.ndarray, rows: int, cols: int) -> np.ndarray:
     return v.reshape(rows, cols, order="F")
 
 
-@dataclass(frozen=True, eq=False)
 class SuperOperator:
-    """A linear map on matrices, stored as a dim_out^2 x dim_in^2 matrix.
+    """A linear map on matrices with a dim_out^2 x dim_in^2 representation matrix.
 
     ``kraus``, when present, is the evaluation path used by ``apply``; the
     representation matrix always agrees with it on probes within rounding.
+    ``matrix`` may be None only when ``kraus`` is given: the matrix is then
+    built from the Kraus operators on first access and cached.
     ``descriptor`` records a seeded construction recipe when one exists, so
     the map can be serialized by recipe instead of by payload.
     """
 
-    matrix: np.ndarray
-    dim_in: int
-    dim_out: int
-    kraus: tuple[np.ndarray, ...] | None = None
-    certificate: PositivityCertificate = UNVERIFIED
-    descriptor: dict | None = None
+    def __init__(
+        self,
+        matrix: np.ndarray | None,
+        dim_in: int,
+        dim_out: int,
+        kraus: tuple[np.ndarray, ...] | None = None,
+        certificate: PositivityCertificate = UNVERIFIED,
+        descriptor: dict | None = None,
+    ):
+        if matrix is None and kraus is None:
+            raise DomainError("a map needs a representation matrix or Kraus operators")
+        if matrix is not None:
+            self.matrix = matrix  # fills the cached property
+        self.dim_in = dim_in
+        self.dim_out = dim_out
+        self.kraus = kraus
+        self.certificate = certificate
+        self.descriptor = descriptor
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        return _kraus_matrix(self.kraus, self.dim_in, self.dim_out)
 
     def apply(self, X) -> np.ndarray:
         X = as_matrix(X)
@@ -183,24 +205,40 @@ def from_matrix(
     return SuperOperator(M, dim_in, dim_out, kr, certificate, descriptor)
 
 
-def _kraus_matrix(kraus) -> np.ndarray:
-    return sum(np.kron(K.conj(), K) for K in kraus)
+def _kraus_matrix(kraus, dim_in: int, dim_out: int) -> np.ndarray:
+    """sum_i conj(K_i) kron K_i as one Gram product, O(k d_out^2 d_in^2).
+
+    Entry [a + d_out b, c + d_in e] is sum_i K_i[a, c] conj(K_i[b, e]), so
+    with S the k x (d_out d_in) stack of flattened Kraus operators it is a
+    reindexing of S^T conj(S).
+    """
+    S = np.stack(kraus).reshape(len(kraus), dim_out * dim_in)
+    G = (S.T @ S.conj()).reshape(dim_out, dim_in, dim_out, dim_in)
+    return np.ascontiguousarray(G.transpose(2, 0, 3, 1)).reshape(dim_out * dim_out, dim_in * dim_in)
 
 
-def _cp_certificate(M: np.ndarray, dim_in: int, dim_out: int, cfg: ToleranceConfig) -> PositivityCertificate:
-    """Issue a CompletelyPositive certificate only after checking the Choi matrix."""
+_KRAUS_FORM = PositivityCertificate("completely_positive", reason="Kraus form")
+
+
+def _choi_test(M: np.ndarray, dim_in: int, dim_out: int, cfg: ToleranceConfig) -> PositivityCertificate | None:
+    """Exact CP test: a certificate when the Choi matrix is Hermitian and PSD, else None."""
     C = _choi_of_matrix(M, dim_in, dim_out)
     defect = np.abs(C - C.conj().T).max()
-    if defect > cfg.hermiticity_tolerance:
-        raise DomainError(f"Choi matrix is not Hermitian (defect {defect:.3e})")
+    if not defect <= cfg.hermiticity_tolerance:
+        return None
     cmin = float(np.linalg.eigvalsh((C + C.conj().T) / 2)[0])
     if cmin < -cfg.psd_tolerance:
-        raise DomainError(f"Choi matrix is not PSD (min eigenvalue {cmin:.3e})")
+        return None
     return PositivityCertificate("completely_positive", reason=f"choi min eigenvalue {cmin:.3e}")
 
 
 def from_kraus(kraus, dim_in: int | None = None, dim_out: int | None = None,
                cfg: ToleranceConfig = DEFAULT_TOL, descriptor: dict | None = None) -> SuperOperator:
+    """Map X -> sum_i K_i X K_i^dagger, completely positive by Choi's theorem.
+
+    No Choi matrix is formed here; ``cfg`` is accepted for signature
+    compatibility with the other constructors.
+    """
     kr = tuple(as_matrix(K) for K in kraus)
     if not kr:
         raise DomainError("at least one Kraus operator is required")
@@ -208,9 +246,9 @@ def from_kraus(kraus, dim_in: int | None = None, dim_out: int | None = None,
         raise DomainError("all Kraus operators must share one shape")
     if dim_out is None or dim_in is None:
         dim_out, dim_in = kr[0].shape
-    M = _kraus_matrix(kr)
-    cert = _cp_certificate(M, dim_in, dim_out, cfg)
-    return from_matrix(M, dim_in, dim_out, kraus=kr, certificate=cert, descriptor=descriptor)
+    if kr[0].shape != (dim_out, dim_in):
+        raise DomainError(f"Kraus operator shape {kr[0].shape} is not ({dim_out}, {dim_in})")
+    return SuperOperator(None, dim_in, dim_out, kr, _KRAUS_FORM, descriptor)
 
 
 def _choi_of_matrix(M: np.ndarray, dim_in: int, dim_out: int) -> np.ndarray:
@@ -237,10 +275,7 @@ def from_choi(C, dim_in: int, dim_out: int | None = None,
         dim_out * dim_out, dim_in * dim_in, order="F"
     )
     # a PSD Choi certifies complete positivity on the spot
-    try:
-        cert = _cp_certificate(M, dim_in, dim_out, cfg)
-    except DomainError:
-        cert = UNVERIFIED
+    cert = _choi_test(M, dim_in, dim_out, cfg) or UNVERIFIED
     return from_matrix(M, dim_in, dim_out, certificate=cert)
 
 
@@ -254,9 +289,8 @@ def adjoint(phi: SuperOperator) -> SuperOperator:
         cert = PositivityCertificate("positive_by_construction", reason=f"adjoint of: {cert.reason}")
     else:
         cert = UNVERIFIED
-    return SuperOperator(
-        phi.matrix.conj().T, phi.dim_out, phi.dim_in, kr, cert, None
-    )
+    M = phi.matrix.conj().T if kr is None else None
+    return SuperOperator(M, phi.dim_out, phi.dim_in, kr, cert, None)
 
 
 def compose(outer: SuperOperator, inner: SuperOperator) -> SuperOperator:
@@ -280,7 +314,8 @@ def compose(outer: SuperOperator, inner: SuperOperator) -> SuperOperator:
     desc = None
     if outer.descriptor is not None and inner.descriptor is not None:
         desc = {"family": "compose", "params": {"outer": outer.descriptor, "inner": inner.descriptor}}
-    return SuperOperator(outer.matrix @ inner.matrix, inner.dim_in, outer.dim_out, kr, cert, desc)
+    M = outer.matrix @ inner.matrix if kr is None else None
+    return SuperOperator(M, inner.dim_in, outer.dim_out, kr, cert, desc)
 
 
 def _adjoint_unit(phi: SuperOperator) -> np.ndarray:
@@ -317,15 +352,9 @@ def classify(
     -psd_tolerance falsifies, otherwise any construction certificate stands.
     """
     behavior = trace_behavior(phi)
-    C = choi(phi)
-    defect = np.abs(C - C.conj().T).max()
-    if defect <= cfg.hermiticity_tolerance:
-        cmin = float(np.linalg.eigvalsh((C + C.conj().T) / 2)[0])
-        if cmin >= -cfg.psd_tolerance:
-            cert = PositivityCertificate(
-                "completely_positive", reason=f"choi min eigenvalue {cmin:.3e}"
-            )
-            return cert, behavior
+    cert = _choi_test(phi.matrix, phi.dim_in, phi.dim_out, cfg)
+    if cert is not None:
+        return cert, behavior
     worst = np.inf
     worst_psi = None
     for t in range(sample_count):
@@ -353,38 +382,6 @@ def one_to_one_norm_positive(phi: SuperOperator, cfg: ToleranceConfig = DEFAULT_
             f"certificate tag is {phi.certificate.tag!r}"
         )
     return max_eigenvalue(_adjoint_unit(phi), cfg)
-
-
-def induced_weighted_norm_lower_bound(
-    psi_map: SuperOperator,
-    sigma,
-    sigma_prime,
-    p: float,
-    trials: int,
-    seed: int,
-    cfg: ToleranceConfig = DEFAULT_TOL,
-) -> float:
-    """Sampled lower bound on the induced (p, sigma) -> (p, sigma') norm.
-
-    Probes alternate between Gaussian Hermitian matrices and random rank-1
-    matrices; deterministic given (seed, trials).
-    """
-    sigma = require_psd(sigma, cfg)
-    sigma_prime = require_psd(sigma_prime, cfg)
-    d = psi_map.dim_in
-    best = 0.0
-    for t in range(trials):
-        rng = rng_for_trial(seed, t)
-        if t % 2 == 0:
-            X = random_hermitian(rng, d)
-        else:
-            X = np.outer(random_unit_vector(rng, d), random_unit_vector(rng, d).conj())
-        den = weighted_p_norm(X, sigma, p, cfg)
-        if den <= 0.0:
-            continue
-        num = weighted_p_norm(psi_map.apply(X), sigma_prime, p, cfg)
-        best = max(best, num / den)
-    return best
 
 
 def gamma_superoperator(sigma, inverse: bool = False, cfg: ToleranceConfig = DEFAULT_TOL) -> SuperOperator:
@@ -440,18 +437,27 @@ def truncation_map(base: SuperOperator, P, P_prime, cfg: ToleranceConfig = DEFAU
     tr_pp = float(np.trace(P_prime).real)
     if tr_pp <= 0.0:
         raise DomainError("output projector must have positive rank")
-    d_out = base.dim_out
-    compress_in = np.kron(P.conj(), P)
-    compress_out = np.kron(P_prime.conj(), P_prime)
+    d_in, d_out = base.dim_in, base.dim_out
+    M = base.matrix
+    # tr[Y B] = vec(B^T)^T vec(Y), so the reroute term X -> tr[base(P X P) (1 - P')]
+    # is the rank-1 update outer(vec(P'/tr P'), vec(W^T)) with the row vector
+    # vec(W^T)^T = vec((1 - P')^T)^T M (P-bar kron P)
     escape = np.eye(d_out) - P_prime
-    # tr[Y B] = vec(B^T)^T vec(Y), so the reroute term is a rank-1 update
-    reroute = np.outer(_vec(P_prime / tr_pp), _vec(escape.T))
-    M = (compress_out + reroute) @ base.matrix @ compress_in
+    R = _unvec(_vec(escape.T) @ M, d_in, d_in)
+    W_t = P.T @ R @ P.conj()
+    # (P'-bar kron P') M (P-bar kron P) as four d x d mode products on M viewed
+    # as T[b, a, e, c] = M[a + d_out b, c + d_in e], O(d^5) in all; each step
+    # replaces T, so at most two d^2 x d^2 temporaries are alive besides M
+    T = (M.reshape(-1, d_in) @ P).reshape(d_out, d_out, d_in, d_in)
+    T = P.conj().T @ T
+    T = P_prime @ T.reshape(d_out, d_out, d_in * d_in)
+    T = (P_prime.conj() @ T.reshape(d_out, -1)).reshape(d_out * d_out, d_in * d_in)
+    T += np.outer(_vec(P_prime / tr_pp), _vec(W_t))
     if base.certificate.is_positive:
         cert = PositivityCertificate("positive_by_construction", reason="truncation of a positive map")
     else:
         cert = UNVERIFIED
-    return from_matrix(M, base.dim_in, d_out, certificate=cert)
+    return from_matrix(T, d_in, d_out, certificate=cert)
 
 
 def reduction_map(d: int) -> SuperOperator:
@@ -465,7 +471,12 @@ def reduction_map(d: int) -> SuperOperator:
 
 
 def depolarizing_map(d: int, lam: float, cfg: ToleranceConfig = DEFAULT_TOL) -> SuperOperator:
-    """X -> lam X + (1-lam) tr[X] 1/d; CPTP for lam in [0, 1]."""
+    """X -> lam X + (1-lam) tr[X] 1/d; CPTP for lam in [0, 1].
+
+    Its Choi matrix lam |Omega><Omega| + (1-lam) 1/d has eigenvalues
+    (1-lam)/d and (1-lam)/d + lam d, so complete positivity is certified
+    without an eigensolve.
+    """
     lam = float(lam)
     if not 0.0 <= lam <= 1.0:
         raise DomainError(f"mixing parameter must be in [0, 1], got {lam}")
@@ -473,7 +484,9 @@ def depolarizing_map(d: int, lam: float, cfg: ToleranceConfig = DEFAULT_TOL) -> 
         raise DomainError("dimension must be positive")
     v = _vec(np.eye(d))
     M = lam * np.eye(d * d) + ((1.0 - lam) / d) * np.outer(v, v)
-    cert = _cp_certificate(M, d, d, cfg)
+    cert = PositivityCertificate(
+        "completely_positive", reason=f"depolarizing, choi min eigenvalue {(1.0 - lam) / d:.3e}"
+    )
     return from_matrix(
         M, d, d, certificate=cert, descriptor={"family": "depolarizing", "params": {"d": d, "lam": lam}}
     )

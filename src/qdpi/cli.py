@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from . import harness, serialize
-from .channels import adjoint, choi, classify, one_to_one_norm_positive
+from .channels import SuperOperator, adjoint, choi, classify, one_to_one_norm_positive
 from .divergences import old_renyi, relative_entropy, sandwiched_renyi
 from .linalg import DEFAULT_TOL, DomainError, ToleranceConfig, min_eigenvalue
 from .serialize import FormatError
@@ -96,11 +96,18 @@ def _load_matrix(path: str, cfg: ToleranceConfig):
     return matrix
 
 
+def _save(path: str, payload: dict) -> None:
+    try:
+        serialize.save_json(path, payload)
+    except OSError as exc:
+        raise FormatError(f"cannot write {path}: {exc}") from exc
+
+
 def _emit(payload: dict, out: str | None) -> None:
     text = serialize.canonical_json(payload)
     print(text)
     if out:
-        serialize.save_json(out, payload)
+        _save(out, payload)
 
 
 def _cmd_compute(args) -> int:
@@ -135,6 +142,9 @@ def _cmd_check_map(args) -> int:
         raise FormatError(f"cannot read {args.map}: {exc}") from exc
     phi = serialize.channel_from_dict(payload, cfg)
     cert, behavior = classify(phi, cfg, sample_count=args.samples, seed=args.seed)
+    # the 1->1 norm rests on the certificate classify just issued, not on the
+    # one the map was loaded with ("unverified" for a superop_matrix payload)
+    certified = SuperOperator(phi.matrix, phi.dim_in, phi.dim_out, phi.kraus, cert, phi.descriptor)
     C = choi(phi)
     spectrum = np.linalg.eigvalsh(adjoint(phi).apply(np.eye(phi.dim_out)))
     report = {
@@ -147,7 +157,8 @@ def _cmd_check_map(args) -> int:
         "choi_min_eigenvalue": serialize.encode_extended(min_eigenvalue(C, cfg)),
         "adjoint_unit_spectrum": [serialize.encode_extended(float(v)) for v in spectrum],
         "one_to_one_norm": (
-            serialize.encode_extended(one_to_one_norm_positive(phi, cfg)) if cert.is_positive else None
+            serialize.encode_extended(one_to_one_norm_positive(certified, cfg))
+            if cert.is_positive else None
         ),
     }
     _emit(report, args.out)
@@ -228,7 +239,7 @@ def _cmd_suite(args) -> int:
     else:
         ok = report.passed
     if args.out:
-        serialize.save_json(args.out, harness.report_to_dict(report))
+        _save(args.out, harness.report_to_dict(report))
     print(_summary_line(report, ok))
     return EXIT_PASS if ok else EXIT_SUITE_FAILURE
 

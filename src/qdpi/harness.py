@@ -757,10 +757,15 @@ def step2_suite(
     probe_rng = rng_for_trial(seed, 0)
     probes.append(("random", random_density(probe_rng, d)))
 
-    maps_n = [truncation_map(phi, P, P_prime, cfg) for (_, P, P_prime) in projectors]
-    for _, A in probes:
-        image = phi.apply(A)
-        residuals = [trace_norm(m.apply(A) - image) for m in maps_n]
+    # one d^2 x d^2 truncation matrix alive at a time; witnesses stay probe-major
+    images = [phi.apply(A) for _, A in probes]
+    probe_residuals = [[] for _ in probes]
+    for _, P, P_prime in projectors:
+        phi_n = truncation_map(phi, P, P_prime, cfg)
+        for (_, A), image, residuals in zip(probes, images, probe_residuals):
+            residuals.append(trace_norm(phi_n.apply(A) - image))
+        del phi_n
+    for residuals in probe_residuals:
         for k in range(len(residuals) - 1):
             w = _threshold_witness(
                 phi_dict, rho_dict, sigma_dict, None,

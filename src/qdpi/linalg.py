@@ -103,7 +103,8 @@ def require_hermitian(A, cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """Validate Hermiticity in max-entry norm and return the symmetrized copy."""
     A = _require_square(as_matrix(A))
     defect = np.abs(A - A.conj().T).max() if A.size else 0.0
-    if defect > cfg.hermiticity_tolerance:
+    # a NaN defect fails this comparison, so non-finite input is rejected here
+    if not defect <= cfg.hermiticity_tolerance:
         raise DomainError(f"matrix is not Hermitian (defect {defect:.3e})")
     return (A + A.conj().T) / 2
 

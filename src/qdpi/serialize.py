@@ -106,10 +106,14 @@ def save_json(path, obj) -> None:
         fh.write("\n")
 
 
+def _reject_constant(name: str):
+    raise FormatError(f"raw {name} is not legal; infinities are encoded as \"+inf\"/\"-inf\"")
+
+
 def load_json(path):
     with open(path, "r", encoding="ascii") as fh:
         try:
-            return json.load(fh)
+            return json.load(fh, parse_constant=_reject_constant)
         except json.JSONDecodeError as exc:
             raise FormatError(f"not valid JSON: {exc}") from exc
 
@@ -157,6 +161,8 @@ def _matrix_from_payload(payload: dict, rows: int, cols: int, what: str) -> np.n
         raise FormatError(
             f"{what}: expected {rows}x{cols} arrays, got {re.shape} and {im.shape}"
         )
+    if not (np.isfinite(re).all() and np.isfinite(im).all()):
+        raise FormatError(f"{what}: entries must be finite")
     return re + 1j * im
 
 

@@ -104,6 +104,75 @@ def test_kraus_and_matrix_paths_agree():
     assert np.allclose(phi.apply(X), via_matrix.apply(X), atol=1e-12)
 
 
+def test_lazy_kraus_matrix_matches_kron_sum_for_rectangular_maps():
+    rng = rng_for_trial(215, 0)
+    for d_in, d_out, rank in ((3, 2, 3), (2, 5, 2), (4, 4, 1)):
+        phi = random_cptp(d_in, d_out=d_out, kraus_rank=rank, rng=rng)
+        assert "matrix" not in vars(phi)
+        reference = sum(np.kron(K.conj(), K) for K in phi.kraus)
+        assert phi.matrix.shape == (d_out * d_out, d_in * d_in)
+        assert np.allclose(phi.matrix, reference, atol=1e-14)
+        X = random_hermitian(rng, d_in)
+        via_matrix = (phi.matrix @ X.flatten(order="F")).reshape(d_out, d_out, order="F")
+        assert np.allclose(phi.apply(X), via_matrix, atol=1e-12)
+        # adjoints and composites of Kraus maps stay Kraus-only until asked
+        star = adjoint(phi)
+        assert "matrix" not in vars(star)
+        assert np.allclose(star.matrix, reference.conj().T, atol=1e-14)
+        assert "matrix" not in vars(compose(star, phi))
+    with pytest.raises(DomainError):
+        SuperOperator(None, 2, 2)
+
+
+def test_truncation_matrix_matches_dense_formula():
+    # the former O(d^6) construction, kept as the reference
+    def dense(base, P, P_prime):
+        vec = lambda X: X.flatten(order="F")
+        compress_in = np.kron(P.conj(), P)
+        compress_out = np.kron(P_prime.conj(), P_prime)
+        escape = np.eye(base.dim_out) - P_prime
+        reroute = np.outer(vec(P_prime / np.trace(P_prime).real), vec(escape.T))
+        return (compress_out + reroute) @ base.matrix @ compress_in
+
+    rng = rng_for_trial(216, 0)
+    cases = [
+        (random_cptp(5, rng=rng), 5, 5),
+        (transpose_map(5), 5, 5),
+        (random_cptp(4, d_out=3, rng=rng), 4, 3),
+    ]
+    for base, d_in, d_out in cases:
+        P = random_projector(rng, d_in, 2)
+        P_prime = random_projector(rng, d_out, 2)
+        phi = truncation_map(base, P, P_prime)
+        assert np.allclose(phi.matrix, dense(base, P, P_prime), atol=1e-13)
+        assert phi.certificate.tag == "positive_by_construction"
+
+
+def test_kraus_constructors_make_no_eigensolver_call(monkeypatch):
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        original = getattr(np.linalg, name)
+
+        def counted(a, *args, _original=original, **kwargs):
+            calls.append(np.shape(a))
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    rng = rng_for_trial(217, 0)
+    maps = [
+        from_kraus([np.eye(3) / np.sqrt(2.0), np.diag([1.0, 1.0, 0.0]) / np.sqrt(2.0)]),
+        random_cptp(6, rng=rng),
+        random_cptp(4, seed=3),
+        pinching_map(random_projector(rng, 6, 2)),
+        depolarizing_map(6, 0.3),
+    ]
+    assert calls == []
+    for phi in maps:
+        assert phi.certificate.tag == "completely_positive"
+        # the theorem agrees with the exact Choi test
+        assert min_eigenvalue(choi(phi)) >= -1e-12
+
+
 def test_choi_round_trip():
     rng = rng_for_trial(202, 0)
     phi = random_cptp(3, d_out=2, rng=rng)

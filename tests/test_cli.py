@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qdpi import serialize
-from qdpi.channels import counterexample_map, random_cptp, transpose_map
+from qdpi.channels import counterexample_map, from_kraus, random_cptp, transpose_map
 from qdpi.cli import (
     EXIT_INPUT_ERROR,
     EXIT_PASS,
@@ -94,6 +94,38 @@ def test_check_map_on_non_cp_positive_map(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["certificate"] == "positive_by_construction"
     assert payload["choi_min_eigenvalue"] == pytest.approx(-1.0, abs=1e-10)
+
+
+def test_check_map_certifies_cp_map_stored_as_superop_matrix(tmp_path, capsys):
+    p = 0.3
+    phase_flip = from_kraus([np.sqrt(1 - p) * np.eye(2), np.sqrt(p) * np.diag([1.0, -1.0])])
+    path = tmp_path / "phase-flip.json"
+    serialize.save_json(path, serialize.channel_to_dict(phase_flip, "superop_matrix"))
+    assert main(["check-map", "--map", str(path)]) == EXIT_PASS
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["certificate"] == "completely_positive"
+    assert payload["trace_behavior"] == "preserving"
+    assert payload["one_to_one_norm"] == pytest.approx(1.0, abs=1e-12)
+
+
+def test_compute_rejects_nan_entries(tmp_path, state_files, capsys):
+    _, sigma_path = state_files
+    path = tmp_path / "nan.json"
+    payload = serialize.matrix_to_dict(np.eye(2) / 2, "psd")
+    payload["re"][0][0] = math.nan
+    path.write_text(json.dumps(payload))
+    assert "NaN" in path.read_text()
+    assert main(["compute", "--rho", str(path), "--sigma", sigma_path]) == EXIT_INPUT_ERROR
+    captured = capsys.readouterr()
+    assert "input error" in captured.err
+    assert captured.out == ""
+
+
+def test_suite_out_to_missing_directory_is_input_error(tmp_path, capsys):
+    out = tmp_path / "missing" / "report.json"
+    assert main(["suite", "counterexample", "--out", str(out)]) == EXIT_INPUT_ERROR
+    assert "cannot write" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_suite_counterexample_writes_report(tmp_path, capsys):

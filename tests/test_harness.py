@@ -203,6 +203,21 @@ def test_step2_battery_small_dimension():
     assert r.passed, [(w.lhs, w.rhs) for w in r.failures][:4]
 
 
+def test_step2_battery_solves_no_superoperator_sized_eigenproblem(monkeypatch):
+    shapes = []
+    for name in ("eigh", "eigvalsh"):
+        original = getattr(np.linalg, name)
+
+        def counted(a, *args, _original=original, **kwargs):
+            shapes.append(np.shape(a)[-1])
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    r = step2_battery(d=16, seed=4)
+    assert r.passed
+    assert shapes and max(shapes) <= 16
+
+
 def test_step2_suite_validates_sequence():
     phi = random_cptp(4, seed=31)
     rng = rng_for_trial(404, 0)

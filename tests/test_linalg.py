@@ -41,6 +41,10 @@ def test_require_hermitian_rejects_large_defect():
     A = np.array([[0.0, 1.0], [0.0, 0.0]])
     with pytest.raises(DomainError):
         require_hermitian(A)
+    # non-finite entries give a NaN defect, which must not compare as small
+    for bad in (np.nan, np.inf):
+        with np.errstate(invalid="ignore"), pytest.raises(DomainError):
+            require_hermitian(np.array([[bad, 0.0], [0.0, 1.0]]))
 
 
 def test_require_psd_rejects_negative_eigenvalue():

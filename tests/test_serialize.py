@@ -86,6 +86,18 @@ def test_matrix_payload_shape_checks():
     broken["re"] = [[1.0]]
     with pytest.raises(FormatError):
         matrix_from_dict(broken)
+    for bad in (math.nan, math.inf):
+        broken["re"] = [[1.0, 0.0], [0.0, bad]]
+        with pytest.raises(FormatError):
+            matrix_from_dict(broken)
+
+
+def test_load_json_rejects_raw_nonfinite_constants(tmp_path):
+    path = tmp_path / "m.json"
+    for raw in ("NaN", "Infinity", "-Infinity"):
+        path.write_text('{"x": [1.0, %s]}' % raw)
+        with pytest.raises(FormatError):
+            load_json(path)
 
 
 def test_save_and_load_json_round_trip(tmp_path):
