@@ -10,10 +10,11 @@ from .linalg import (
     DomainError,
     EigensolverError,
     ToleranceConfig,
+    ValidatedPSD,
     log_on_support,
-    matrix_function_on_support,
     operator_norm,
     power_on_support,
+    psd,
     schatten_norm,
     support_projector,
     trace_norm,

@@ -23,6 +23,7 @@ operators, and cached.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -36,9 +37,8 @@ from .linalg import (
     hermitian_part,
     max_eigenvalue,
     operator_norm,
-    power_on_support,
+    psd,
     require_projector,
-    require_psd,
 )
 from .sampling import (
     random_isometry,
@@ -88,11 +88,14 @@ class PositivityCertificate:
     tag is one of "completely_positive", "positive_by_construction",
     "unverified", "falsified". For falsified certificates ``witness`` holds a
     unit vector whose image under the map has a negative eigenvalue.
+    ``choi_min`` is the Choi matrix's smallest eigenvalue when ``classify``
+    computed it (None when the Choi matrix is not Hermitian).
     """
 
     tag: str
     reason: str | None = None
     witness: np.ndarray | None = None
+    choi_min: float | None = None
 
     @property
     def is_positive(self) -> bool:
@@ -220,16 +223,20 @@ def _kraus_matrix(kraus, dim_in: int, dim_out: int) -> np.ndarray:
 _KRAUS_FORM = PositivityCertificate("completely_positive", reason="Kraus form")
 
 
-def _choi_test(M: np.ndarray, dim_in: int, dim_out: int, cfg: ToleranceConfig) -> PositivityCertificate | None:
-    """Exact CP test: a certificate when the Choi matrix is Hermitian and PSD, else None."""
+def _choi_test(M: np.ndarray, dim_in: int, dim_out: int, cfg: ToleranceConfig):
+    """Exact CP test: (certificate when the Choi matrix is PSD, else None; its minimum eigenvalue).
+
+    The minimum is None when the Choi matrix is not Hermitian.
+    """
     C = _choi_of_matrix(M, dim_in, dim_out)
     defect = np.abs(C - C.conj().T).max()
     if not defect <= cfg.hermiticity_tolerance:
-        return None
+        return None, None
     cmin = float(np.linalg.eigvalsh((C + C.conj().T) / 2)[0])
     if cmin < -cfg.psd_tolerance:
-        return None
-    return PositivityCertificate("completely_positive", reason=f"choi min eigenvalue {cmin:.3e}")
+        return None, cmin
+    reason = f"choi min eigenvalue {cmin:.3e}"
+    return PositivityCertificate("completely_positive", reason=reason, choi_min=cmin), cmin
 
 
 def from_kraus(kraus, dim_in: int | None = None, dim_out: int | None = None,
@@ -275,7 +282,7 @@ def from_choi(C, dim_in: int, dim_out: int | None = None,
         dim_out * dim_out, dim_in * dim_in, order="F"
     )
     # a PSD Choi certifies complete positivity on the spot
-    cert = _choi_test(M, dim_in, dim_out, cfg) or UNVERIFIED
+    cert = _choi_test(M, dim_in, dim_out, cfg)[0] or UNVERIFIED
     return from_matrix(M, dim_in, dim_out, certificate=cert)
 
 
@@ -347,12 +354,13 @@ def classify(
 ) -> tuple[PositivityCertificate, TraceBehavior]:
     """Re-certify positivity and classify trace behavior.
 
-    CP is decided exactly via the Choi minimum eigenvalue. Non-CP maps are
-    probed with ``sample_count`` random pure states; sampling below
-    -psd_tolerance falsifies, otherwise any construction certificate stands.
+    CP is decided exactly via the Choi minimum eigenvalue, which every
+    returned certificate carries as ``choi_min``. Non-CP maps are probed with
+    ``sample_count`` random pure states; sampling below -psd_tolerance
+    falsifies, otherwise any construction certificate stands.
     """
     behavior = trace_behavior(phi)
-    cert = _choi_test(phi.matrix, phi.dim_in, phi.dim_out, cfg)
+    cert, cmin = _choi_test(phi.matrix, phi.dim_in, phi.dim_out, cfg)
     if cert is not None:
         return cert, behavior
     worst = np.inf
@@ -368,10 +376,11 @@ def classify(
         cert = PositivityCertificate(
             "falsified", reason=f"pure-state image has min eigenvalue {worst:.3e}", witness=worst_psi
         )
-        return cert, behavior
-    if phi.certificate.tag == "positive_by_construction":
-        return phi.certificate, behavior
-    return UNVERIFIED, behavior
+    elif phi.certificate.tag == "positive_by_construction":
+        cert = phi.certificate
+    else:
+        cert = UNVERIFIED
+    return dataclasses.replace(cert, choi_min=cmin), behavior
 
 
 def one_to_one_norm_positive(phi: SuperOperator, cfg: ToleranceConfig = DEFAULT_TOL) -> float:
@@ -386,8 +395,7 @@ def one_to_one_norm_positive(phi: SuperOperator, cfg: ToleranceConfig = DEFAULT_
 
 def gamma_superoperator(sigma, inverse: bool = False, cfg: ToleranceConfig = DEFAULT_TOL) -> SuperOperator:
     """X -> sigma^{1/2} X sigma^{1/2} as a map (inverse powers on the support)."""
-    sigma = require_psd(sigma, cfg)
-    R = power_on_support(sigma, -0.5 if inverse else 0.5, cfg)
+    R = psd(sigma, cfg).power(-0.5 if inverse else 0.5)
     d = R.shape[0]
     return from_kraus([R], d, d, cfg)
 

@@ -1,8 +1,11 @@
 """Command line front end: divergence evaluation, map vetting, suite runs.
 
 Exit codes: 0 success (or suite pass), 1 suite failure, 2 input or format
-error, 3 precondition (domain) error. Reports are canonical JSON, so a rerun
-with the same seed and parameters is byte-identical modulo runtime_ms.
+error, 3 precondition (domain) error, 4 internal numerical error (an
+eigensolver that did not converge, or a witness that did not replay to its
+stored gap). Each error prints one line on stderr. Reports are canonical
+JSON, so a rerun with the same seed and parameters is byte-identical modulo
+runtime_ms.
 """
 
 from __future__ import annotations
@@ -14,15 +17,16 @@ import sys
 import numpy as np
 
 from . import harness, serialize
-from .channels import SuperOperator, adjoint, choi, classify, one_to_one_norm_positive
+from .channels import classify
 from .divergences import old_renyi, relative_entropy, sandwiched_renyi
-from .linalg import DEFAULT_TOL, DomainError, ToleranceConfig, min_eigenvalue
+from .linalg import DEFAULT_TOL, DomainError, EigensolverError, ToleranceConfig
 from .serialize import FormatError
 
 EXIT_PASS = 0
 EXIT_SUITE_FAILURE = 1
 EXIT_INPUT_ERROR = 2
 EXIT_PRECONDITION_ERROR = 3
+EXIT_NUMERICAL_ERROR = 4
 
 SUITE_NAMES = ("dpi", "counterexample", "contraction", "step2", "auxiliary", "alpha-limit", "violation")
 
@@ -142,11 +146,11 @@ def _cmd_check_map(args) -> int:
         raise FormatError(f"cannot read {args.map}: {exc}") from exc
     phi = serialize.channel_from_dict(payload, cfg)
     cert, behavior = classify(phi, cfg, sample_count=args.samples, seed=args.seed)
-    # the 1->1 norm rests on the certificate classify just issued, not on the
-    # one the map was loaded with ("unverified" for a superop_matrix payload)
-    certified = SuperOperator(phi.matrix, phi.dim_in, phi.dim_out, phi.kraus, cert, phi.descriptor)
-    C = choi(phi)
-    spectrum = np.linalg.eigvalsh(adjoint(phi).apply(np.eye(phi.dim_out)))
+    if cert.choi_min is None:
+        raise DomainError("the Choi matrix is not Hermitian")
+    # one spectrum of Phi*(1) gives both the listing and, for a map classify
+    # certified positive, the 1->1 norm ||Phi*(1)||_inf
+    spectrum = np.linalg.eigvalsh(behavior.adjoint_unit)
     report = {
         "schema_version": serialize.SCHEMA_VERSION,
         "dim_in": phi.dim_in,
@@ -154,12 +158,9 @@ def _cmd_check_map(args) -> int:
         "certificate": cert.tag,
         "certificate_reason": cert.reason,
         "trace_behavior": behavior.tag,
-        "choi_min_eigenvalue": serialize.encode_extended(min_eigenvalue(C, cfg)),
+        "choi_min_eigenvalue": serialize.encode_extended(cert.choi_min),
         "adjoint_unit_spectrum": [serialize.encode_extended(float(v)) for v in spectrum],
-        "one_to_one_norm": (
-            serialize.encode_extended(one_to_one_norm_positive(certified, cfg))
-            if cert.is_positive else None
-        ),
+        "one_to_one_norm": serialize.encode_extended(float(spectrum[-1])) if cert.is_positive else None,
     }
     _emit(report, args.out)
     return EXIT_PASS
@@ -300,6 +301,9 @@ def main(argv=None) -> int:
     except DomainError as exc:
         print(f"precondition error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION_ERROR
+    except (EigensolverError, np.linalg.LinAlgError, harness.ReplayMismatch) as exc:
+        print(f"internal numerical error: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL_ERROR
 
 
 if __name__ == "__main__":

@@ -15,18 +15,7 @@ import math
 
 import numpy as np
 
-from .linalg import (
-    DEFAULT_TOL,
-    DomainError,
-    ToleranceConfig,
-    hermitian_eig,
-    log_on_support,
-    operator_norm,
-    power_on_support,
-    require_psd,
-    schatten_norm,
-    support_projector,
-)
+from .linalg import DEFAULT_TOL, DomainError, ToleranceConfig, _solve, operator_norm, psd, schatten_norm
 
 __all__ = [
     "support_contained",
@@ -43,11 +32,20 @@ __all__ = [
 
 
 def _pair(rho, sigma, cfg: ToleranceConfig):
-    rho = require_psd(rho, cfg)
-    sigma = require_psd(sigma, cfg)
-    if rho.shape != sigma.shape:
-        raise DomainError(f"shape mismatch: {rho.shape} vs {sigma.shape}")
+    rho, sigma = psd(rho, cfg), psd(sigma, cfg)
+    if rho.matrix.shape != sigma.matrix.shape:
+        raise DomainError(f"shape mismatch: {rho.matrix.shape} vs {sigma.matrix.shape}")
     return rho, sigma
+
+
+def _trace(A) -> float:
+    return float(np.trace(A.matrix).real)
+
+
+def _xlogx(w: np.ndarray) -> float:
+    """tr[A ln A] from the eigenvalues of A, with 0 ln 0 = 0."""
+    pos = w > 0.0
+    return float((w[pos] * np.log(w[pos])).sum()) if pos.any() else 0.0
 
 
 def support_contained(rho, sigma, cfg: ToleranceConfig = DEFAULT_TOL) -> bool:
@@ -57,20 +55,23 @@ def support_contained(rho, sigma, cfg: ToleranceConfig = DEFAULT_TOL) -> bool:
     projector P of sigma, measured relative to tr[rho].
     """
     rho, sigma = _pair(rho, sigma, cfg)
-    tr_rho = float(np.trace(rho).real)
+    tr_rho = _trace(rho)
     if tr_rho <= 0.0:
         return True
-    P = support_projector(sigma, cfg)
-    leak = tr_rho - float(np.trace(rho @ P).real)
+    leak = tr_rho - float(np.trace(rho.matrix @ sigma.projector()).real)
     return leak <= cfg.containment_tolerance * tr_rho
 
 
 def von_neumann_entropy(rho, cfg: ToleranceConfig = DEFAULT_TOL) -> float:
     """-tr[rho ln rho] in nats."""
-    rho = require_psd(rho, cfg)
-    w, _ = hermitian_eig(rho, cfg)
-    w = w[w > 0.0]
-    return float(-(w * np.log(w)).sum()) if w.size else 0.0
+    return -_xlogx(psd(rho, cfg).w)
+
+
+def _relative_core(rho, sigma, cfg: ToleranceConfig) -> float:
+    """tr[rho ln rho] - tr[rho ln sigma] for validated operators, +inf off the support."""
+    if not support_contained(rho, sigma, cfg):
+        return math.inf
+    return _xlogx(rho.w) - float(np.einsum("ij,ji->", rho.matrix, sigma.log()).real)
 
 
 def relative_entropy(rho, sigma, cfg: ToleranceConfig = DEFAULT_TOL) -> float:
@@ -80,16 +81,9 @@ def relative_entropy(rho, sigma, cfg: ToleranceConfig = DEFAULT_TOL) -> float:
     vanish for the zero operator).
     """
     rho, sigma = _pair(rho, sigma, cfg)
-    if float(np.trace(rho).real) == 0.0:
+    if _trace(rho) == 0.0:
         return 0.0
-    if not support_contained(rho, sigma, cfg):
-        return math.inf
-    log_sigma = log_on_support(sigma, cfg)
-    w, V = hermitian_eig(rho, cfg)
-    pos = w > 0.0
-    tr_rho_log_rho = float((w[pos] * np.log(w[pos])).sum()) if pos.any() else 0.0
-    tr_rho_log_sigma = float(np.einsum("ij,ji->", rho, log_sigma).real)
-    return tr_rho_log_rho - tr_rho_log_sigma
+    return _relative_core(rho, sigma, cfg)
 
 
 def _renyi_pair(rho, sigma, alpha: float, cfg: ToleranceConfig):
@@ -97,7 +91,7 @@ def _renyi_pair(rho, sigma, alpha: float, cfg: ToleranceConfig):
     if not (alpha > 0.0 and alpha != 1.0):
         raise DomainError(f"alpha must be in (0,1) or (1,inf), got {alpha}")
     rho, sigma = _pair(rho, sigma, cfg)
-    if float(np.trace(rho).real) == 0.0:
+    if _trace(rho) == 0.0:
         raise DomainError("Renyi divergence is undefined for rho = 0")
     return rho, sigma, alpha
 
@@ -113,8 +107,11 @@ def sandwiched_renyi(rho, sigma, alpha: float, cfg: ToleranceConfig = DEFAULT_TO
     rho, sigma, alpha = _renyi_pair(rho, sigma, alpha, cfg)
     if alpha > 1.0 and not support_contained(rho, sigma, cfg):
         return math.inf
-    A = power_on_support(sigma, (1.0 - alpha) / (2.0 * alpha), cfg)
-    w, _ = hermitian_eig(A @ rho @ A, cfg)
+    A = sigma.power((1.0 - alpha) / (2.0 * alpha))
+    B = A @ rho.matrix @ A
+    # symmetrized, not validated: the entries of this product can be far above
+    # any absolute Hermiticity tolerance when sigma is nearly singular
+    w, _ = _solve(np.linalg.eigh, (B + B.conj().T) / 2)
     w = w[w > 0.0]
     if w.size == 0:
         return math.inf
@@ -130,9 +127,7 @@ def old_renyi(rho, sigma, alpha: float, cfg: ToleranceConfig = DEFAULT_TOL) -> f
     rho, sigma, alpha = _renyi_pair(rho, sigma, alpha, cfg)
     if alpha > 1.0 and not support_contained(rho, sigma, cfg):
         return math.inf
-    ra = power_on_support(rho, alpha, cfg)
-    sb = power_on_support(sigma, 1.0 - alpha, cfg)
-    q = float(np.einsum("ij,ji->", ra, sb).real)
+    q = float(np.einsum("ij,ji->", rho.power(alpha), sigma.power(1.0 - alpha)).real)
     if q <= 0.0:
         return math.inf
     return math.log(q) / (alpha - 1.0)
@@ -144,23 +139,15 @@ def klein_gap(A, B, cfg: ToleranceConfig = DEFAULT_TOL) -> float:
     +inf when supp(A) is not contained in supp(B).
     """
     A, B = _pair(A, B, cfg)
-    tr_A = float(np.trace(A).real)
-    tr_B = float(np.trace(B).real)
+    tr_A, tr_B = _trace(A), _trace(B)
     if tr_A == 0.0:
         return tr_B
-    if not support_contained(A, B, cfg):
-        return math.inf
-    w, _ = hermitian_eig(A, cfg)
-    pos = w > 0.0
-    tr_A_log_A = float((w[pos] * np.log(w[pos])).sum()) if pos.any() else 0.0
-    tr_A_log_B = float(np.einsum("ij,ji->", A, log_on_support(B, cfg)).real)
-    return tr_A_log_A - tr_A_log_B - tr_A + tr_B
+    return _relative_core(A, B, cfg) - tr_A + tr_B
 
 
 def gamma_map(sigma, X, cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """sigma^{1/2} X sigma^{1/2}."""
-    sigma = require_psd(sigma, cfg)
-    root = power_on_support(sigma, 0.5, cfg)
+    root = psd(sigma, cfg).power(0.5)
     return root @ np.asarray(X, dtype=np.complex128) @ root
 
 
@@ -171,9 +158,9 @@ def gamma_inverse(sigma, X, cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     compared against sqrt(containment_tolerance) * ||X||_inf because mass
     epsilon outside the support shows up as sqrt(epsilon) cross blocks.
     """
-    sigma = require_psd(sigma, cfg)
+    sigma = psd(sigma, cfg)
     X = np.asarray(X, dtype=np.complex128)
-    P = support_projector(sigma, cfg)
+    P = sigma.projector()
     defect = operator_norm(X - P @ X @ P)
     scale = operator_norm(X)
     if scale > 0.0 and defect > math.sqrt(cfg.containment_tolerance) * scale:
@@ -181,34 +168,26 @@ def gamma_inverse(sigma, X, cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
             f"input has components off supp(sigma) (defect {defect:.3e}); "
             "restrict it to the support first"
         )
-    root = power_on_support(sigma, -0.5, cfg)
+    root = sigma.power(-0.5)
     return root @ X @ root
-
-
-def _require_full_rank(sigma: np.ndarray, cfg: ToleranceConfig) -> None:
-    w = np.linalg.eigvalsh(sigma)
-    lmax = float(w[-1]) if w.size else 0.0
-    if lmax <= 0.0 or float(w[0]) <= cfg.support_cutoff * lmax:
-        raise DomainError(
-            "sigma is rank-deficient; restrict to its support before taking "
-            "weighted norms"
-        )
 
 
 def weighted_p_norm(X, sigma, p: float, cfg: ToleranceConfig = DEFAULT_TOL) -> float:
     """Weighted norm ||sigma^{1/2p} X sigma^{1/2p}||_p; plain operator norm at p=inf.
 
     sigma must be full rank (the weights are invertible there); at p = inf the
-    weights drop out and the value is the largest singular value of X.
+    weights drop out and the value is the largest singular value of X. The
+    weight is computed once per validated sigma and p.
     """
     if p == np.inf or p == math.inf:
         return operator_norm(X)
     p = float(p)
     if p < 1.0:
         raise DomainError(f"weighted norm requires p >= 1, got {p}")
-    sigma = require_psd(sigma, cfg)
-    _require_full_rank(sigma, cfg)
-    root = power_on_support(sigma, 1.0 / (2.0 * p), cfg)
+    sigma = psd(sigma, cfg)
+    if not (sigma.w.size and sigma.on.all()):
+        raise DomainError("sigma is rank-deficient; restrict to its support before taking weighted norms")
+    root = sigma.power(1.0 / (2.0 * p))
     return schatten_norm(root @ np.asarray(X, dtype=np.complex128) @ root, p)
 
 
@@ -226,14 +205,12 @@ def renyi_via_norm(rho, sigma, alpha: float, cfg: ToleranceConfig = DEFAULT_TOL)
     rho, sigma = _pair(rho, sigma, cfg)
     if not support_contained(rho, sigma, cfg):
         return math.inf
-    w, V = hermitian_eig(sigma, cfg)
-    lmax = float(w[-1]) if w.size else 0.0
-    on = w > cfg.support_cutoff * lmax if lmax > 0.0 else np.zeros_like(w, dtype=bool)
-    if not on.all():
-        B = V[:, on]
-        sigma = B.conj().T @ sigma @ B
-        rho = B.conj().T @ rho @ B
-    nrm = weighted_p_norm(gamma_inverse(sigma, rho, cfg), sigma, alpha, cfg)
+    X = rho.matrix
+    if not sigma.on.all():
+        B = sigma.V[:, sigma.on]
+        X = B.conj().T @ X @ B
+        sigma = psd(B.conj().T @ sigma.matrix @ B, cfg)
+    nrm = weighted_p_norm(gamma_inverse(sigma, X, cfg), sigma, alpha, cfg)
     if nrm <= 0.0:
         return math.inf
     return (alpha / (alpha - 1.0)) * math.log(nrm)

@@ -34,7 +34,7 @@ from .linalg import (
     log_on_support,
     min_eigenvalue,
     operator_norm,
-    require_psd,
+    psd,
     support_projector,
     trace_norm,
 )
@@ -75,6 +75,7 @@ __all__ = [
     "VIOLATION_MARGIN",
     "Witness",
     "CheckReport",
+    "ReplayMismatch",
     "witness_to_dict",
     "witness_from_dict",
     "report_to_dict",
@@ -106,6 +107,10 @@ TNI_FAMILIES = TP_FAMILIES + ("halving", "counterexample")
 TRACE_MATCH_FAMILIES = ("counterexample", "damped_cptp", "truncation")
 DEFAULT_ALPHAS = (1.1, 1.25, 1.5, 2.0, 3.0, 5.0)
 DEFAULT_EPS_GRID = (1e-1, 1e-2, 1e-3, 1e-4)
+
+
+class ReplayMismatch(RuntimeError):
+    """A stored witness did not replay to its identical gap."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -221,34 +226,72 @@ def _gap_of(lhs: float, rhs: float) -> float:
     return lhs - rhs
 
 
+def _divergence(family: str, alpha: float | None, cfg: ToleranceConfig):
+    if family == "umegaki":
+        return lambda a, b: relative_entropy(a, b, cfg)
+    if family == "sandwiched":
+        return lambda a, b: sandwiched_renyi(a, b, alpha, cfg)
+    if family == "old":
+        return lambda a, b: old_renyi(a, b, alpha, cfg)
+    raise DomainError(f"unknown divergence family {family!r}")
+
+
+def _image_value(fn, phi: SuperOperator, rho, sigma) -> float:
+    """The divergence fn between the images of rho and sigma under phi."""
+    return fn(hermitian_part(phi.apply(rho)), hermitian_part(phi.apply(sigma)))
+
+
 def _evaluate(phi: SuperOperator, rho, sigma, family: str, alpha: float | None, cfg: ToleranceConfig):
     """Both divergence values across the map, plus the gap."""
-    image_rho = hermitian_part(phi.apply(rho))
-    image_sigma = hermitian_part(phi.apply(sigma))
-    if family == "umegaki":
-        fn = lambda a, b: relative_entropy(a, b, cfg)
-    elif family == "sandwiched":
-        fn = lambda a, b: sandwiched_renyi(a, b, alpha, cfg)
-    elif family == "old":
-        fn = lambda a, b: old_renyi(a, b, alpha, cfg)
-    else:
-        raise DomainError(f"unknown divergence family {family!r}")
+    fn = _divergence(family, alpha, cfg)
     lhs = fn(rho, sigma)
-    rhs = fn(image_rho, image_sigma)
+    rhs = _image_value(fn, phi, rho, sigma)
     return lhs, rhs, _gap_of(lhs, rhs)
 
 
-def _monotonicity_witness(phi, rho, sigma, family, alpha, cfg) -> Witness:
-    lhs, rhs, gap = _evaluate(phi, rho, sigma, family, alpha, cfg)
-    return Witness(
-        map_descriptor=serialize.channel_to_dict(phi),
-        rho=serialize.matrix_to_dict(rho, "psd", cfg),
-        sigma=serialize.matrix_to_dict(sigma, "psd", cfg),
-        alpha=alpha,
-        lhs=lhs,
-        rhs=rhs,
-        gap=gap,
+def _serialized(phi, rho, sigma, alpha, cfg) -> tuple:
+    """(map_descriptor, rho, sigma, alpha) of a monotonicity witness."""
+    return (
+        serialize.channel_to_dict(phi),
+        serialize.matrix_to_dict(rho, "psd", cfg),
+        serialize.matrix_to_dict(sigma, "psd", cfg),
+        alpha,
     )
+
+
+def _monotonicity_trial(phi, rho, sigma, family, alpha, cfg):
+    """Check the preconditions of ``monotonicity_check`` and evaluate both sides.
+
+    rho and sigma are validated once. Returns (lhs, rhs, parts), where
+    ``parts()`` serializes the witness fields.
+    """
+    if family == "umegaki":
+        if alpha is not None:
+            raise DomainError("alpha applies only to Renyi families")
+    elif family in ("sandwiched", "old"):
+        if alpha is None:
+            raise DomainError(f"the {family} family requires alpha")
+    else:
+        raise DomainError(f"unknown divergence family {family!r}")
+    if not phi.certificate.is_positive:
+        raise DomainError(
+            f"monotonicity preconditions need a positive map; certificate tag is "
+            f"{phi.certificate.tag!r}"
+        )
+    behavior = trace_behavior(phi)
+    if not behavior.is_nonincreasing:
+        raise DomainError("monotonicity preconditions need a trace-nonincreasing map")
+    rho = psd(rho, cfg)
+    sigma = psd(sigma, cfg)
+    if family == "umegaki" and behavior.tag == "nonincreasing":
+        drift = abs(float(np.trace(phi.apply(rho)).real) - float(np.trace(rho.matrix).real))
+        if drift > TRACE_MATCH_TOLERANCE:
+            raise DomainError(
+                f"relative entropy monotonicity for a non-trace-preserving map needs "
+                f"tr[Phi(rho)] = tr[rho]; drift is {drift:.3e}"
+            )
+    lhs, rhs, _ = _evaluate(phi, rho, sigma, family, alpha, cfg)
+    return lhs, rhs, lambda: _serialized(phi, rho, sigma, alpha, cfg)
 
 
 def monotonicity_check(
@@ -267,32 +310,8 @@ def monotonicity_check(
     suffices (no theorem is asserted for alpha < 1; that regime exists for
     violation searches).
     """
-    if family == "umegaki":
-        if alpha is not None:
-            raise DomainError("alpha applies only to Renyi families")
-    elif family in ("sandwiched", "old"):
-        if alpha is None:
-            raise DomainError(f"the {family} family requires alpha")
-    else:
-        raise DomainError(f"unknown divergence family {family!r}")
-    if not phi.certificate.is_positive:
-        raise DomainError(
-            f"monotonicity preconditions need a positive map; certificate tag is "
-            f"{phi.certificate.tag!r}"
-        )
-    behavior = trace_behavior(phi)
-    if not behavior.is_nonincreasing:
-        raise DomainError("monotonicity preconditions need a trace-nonincreasing map")
-    rho = require_psd(rho, cfg)
-    sigma = require_psd(sigma, cfg)
-    if family == "umegaki" and behavior.tag == "nonincreasing":
-        drift = abs(float(np.trace(phi.apply(rho)).real) - float(np.trace(rho).real))
-        if drift > TRACE_MATCH_TOLERANCE:
-            raise DomainError(
-                f"relative entropy monotonicity for a non-trace-preserving map needs "
-                f"tr[Phi(rho)] = tr[rho]; drift is {drift:.3e}"
-            )
-    return _monotonicity_witness(phi, rho, sigma, family, alpha, cfg)
+    lhs, rhs, parts = _monotonicity_trial(phi, rho, sigma, family, alpha, cfg)
+    return Witness(*parts(), lhs, rhs, _gap_of(lhs, rhs))
 
 
 def replay_witness(
@@ -313,7 +332,11 @@ def replay_witness(
 
 
 class _Tally:
-    """Collects trial outcomes and assembles the report."""
+    """Collects trial outcomes and assembles the report.
+
+    A trial's witness is serialized only when the trial fails: callers pass
+    ``parts``, a callable returning (map_descriptor, rho, sigma, alpha).
+    """
 
     def __init__(self, suite_name: str, seed: int, config: dict):
         self.suite_name = suite_name
@@ -330,27 +353,26 @@ class _Tally:
         if self.min_gap is None or gap < self.min_gap:
             self.min_gap = gap
 
-    def add(self, witness: Witness, passed: bool, gap_recorded: bool = True) -> None:
+    def add(self, lhs: float, rhs: float, passed: bool, parts, gap_recorded: bool = True) -> None:
+        """One check of lhs >= rhs (for a bound: the bound as lhs, the observed value as rhs)."""
+        gap = _gap_of(lhs, rhs)
         self.trials += 1
         if gap_recorded:
-            self.record_gap(witness.gap)
+            self.record_gap(gap)
         if passed:
             self.passes += 1
         else:
-            self.failures.append(witness)
+            self.failures.append(Witness(*parts(), lhs, rhs, gap))
 
-    def add_monotonicity(self, witness: Witness, slack: float) -> None:
-        if witness.both_infinite:
+    def add_monotonicity(self, lhs: float, rhs: float, parts, slack: float) -> None:
+        if math.isinf(lhs) and math.isinf(rhs):
             self.trials += 1
             self.passes += 1
             return
-        if witness.gap >= -slack:
-            self.add(witness, True)
-        elif witness.gap >= -10.0 * slack:
+        gap = _gap_of(lhs, rhs)
+        if -10.0 * slack <= gap < -slack:
             self.escalations += 1
-            self.add(witness, True)
-        else:
-            self.add(witness, False)
+        self.add(lhs, rhs, gap >= -10.0 * slack, parts)
 
     def report(self, outcome: str | None = None, best_witness: Witness | None = None) -> CheckReport:
         runtime_ms = int(round((time.perf_counter() - self.start) * 1000))
@@ -367,18 +389,6 @@ class _Tally:
             outcome=outcome,
             best_witness=best_witness,
         )
-
-
-def _threshold_witness(map_descriptor, rho, sigma, alpha, threshold, observed) -> Witness:
-    return Witness(
-        map_descriptor=map_descriptor,
-        rho=rho,
-        sigma=sigma,
-        alpha=alpha,
-        lhs=float(threshold),
-        rhs=float(observed),
-        gap=_gap_of(float(threshold), float(observed)),
-    )
 
 
 def _sample_family_map(family: str, d: int, rng, cfg: ToleranceConfig) -> SuperOperator:
@@ -445,48 +455,40 @@ def counterexample_suite(cfg: ToleranceConfig = DEFAULT_TOL) -> CheckReport:
     config = {"fixture": "counterexample", "tolerances": _tolerances_dict(cfg)}
     tally = _Tally("counterexample", 0, config)
     phi = counterexample_map(cfg)
-    rho = np.diag([1.0 / 3.0, 2.0 / 3.0]).astype(np.complex128)
-    sigma = np.diag([2.0 / 3.0, 1.0 / 3.0]).astype(np.complex128)
+    rho = psd(np.diag([1.0 / 3.0, 2.0 / 3.0]).astype(np.complex128), cfg)
+    sigma = psd(np.diag([2.0 / 3.0, 1.0 / 3.0]).astype(np.complex128), cfg)
     ln2 = math.log(2.0)
 
+    def parts(rho, sigma, kind):
+        return lambda: (
+            serialize.channel_to_dict(phi),
+            serialize.matrix_to_dict(rho, kind, cfg),
+            serialize.matrix_to_dict(sigma, kind, cfg),
+            None,
+        )
+
     d_before = relative_entropy(rho, sigma, cfg)
-    w = _threshold_witness(
-        serialize.channel_to_dict(phi),
-        serialize.matrix_to_dict(rho, "density", cfg),
-        serialize.matrix_to_dict(sigma, "density", cfg),
-        None,
-        ln2 / 3.0,
-        d_before,
-    )
-    tally.add(w, abs(w.gap) <= 1e-10)
+    tally.add(ln2 / 3.0, d_before, abs(ln2 / 3.0 - d_before) <= 1e-10, parts(rho, sigma, "density"))
 
-    image_rho = hermitian_part(phi.apply(rho))
-    image_sigma = hermitian_part(phi.apply(sigma))
+    image_rho = psd(hermitian_part(phi.apply(rho)), cfg)
+    image_sigma = psd(hermitian_part(phi.apply(sigma)), cfg)
     d_after = relative_entropy(image_rho, image_sigma, cfg)
-    w = _threshold_witness(
-        serialize.channel_to_dict(phi),
-        serialize.matrix_to_dict(image_rho, "psd", cfg),
-        serialize.matrix_to_dict(image_sigma, "psd", cfg),
-        None,
-        ln2 / 2.0,
-        d_after,
-    )
-    tally.add(w, abs(w.gap) <= 1e-10)
+    tally.add(ln2 / 2.0, d_after, abs(ln2 / 2.0 - d_after) <= 1e-10, parts(image_rho, image_sigma, "psd"))
 
-    violation = _monotonicity_witness(phi, rho, sigma, "umegaki", None, cfg)
     behavior = trace_behavior(phi)
     structurally_sound = (
         phi.certificate.tag == "completely_positive" and behavior.tag == "nonincreasing"
     )
-    tally.add(violation, violation.gap < 0.0 and structurally_sound)
+    violated = _gap_of(d_before, d_after) < 0.0 and structurally_sound
+    tally.add(d_before, d_after, violated, parts(rho, sigma, "psd"))
 
     pinch = pinching_map(np.diag([1.0, 0.0]), cfg)
-    w = monotonicity_check(pinch, rho, sigma, "umegaki", None, cfg)
-    tally.add(w, abs(w.gap) <= 1e-9)
+    lhs, rhs, pinch_parts = _monotonicity_trial(pinch, rho, sigma, "umegaki", None, cfg)
+    tally.add(lhs, rhs, abs(_gap_of(lhs, rhs)) <= 1e-9, pinch_parts)
 
     rho_matched = np.diag([0.0, 1.0]).astype(np.complex128)
-    w = monotonicity_check(phi, rho_matched, sigma, "umegaki", None, cfg)
-    tally.add(w, w.gap >= -1e-9)
+    lhs, rhs, matched_parts = _monotonicity_trial(phi, rho_matched, sigma, "umegaki", None, cfg)
+    tally.add(lhs, rhs, _gap_of(lhs, rhs) >= -1e-9, matched_parts)
 
     return tally.report()
 
@@ -547,15 +549,15 @@ def randomized_dpi_suite(
                 sigma = random_rank_deficient_density(rng, d)
             else:
                 sigma = random_density(rng, d)
-            witness = monotonicity_check(phi, rho, sigma, "umegaki", None, cfg)
+            trial = _monotonicity_trial(phi, rho, sigma, "umegaki", None, cfg)
         else:
             rho, sigma = _sample_state_pair(rng, d)
             if mode == "tni":
                 alpha = float(rng.choice(alphas))
-                witness = monotonicity_check(phi, rho, sigma, "sandwiched", alpha, cfg)
+                trial = _monotonicity_trial(phi, rho, sigma, "sandwiched", alpha, cfg)
             else:
-                witness = monotonicity_check(phi, rho, sigma, "umegaki", None, cfg)
-        tally.add_monotonicity(witness, cfg.monotonicity_slack)
+                trial = _monotonicity_trial(phi, rho, sigma, "umegaki", None, cfg)
+        tally.add_monotonicity(*trial, cfg.monotonicity_slack)
     return tally.report()
 
 
@@ -582,14 +584,13 @@ def norm_contraction_suite(
         raise DomainError("norm contraction needs a certified positive map")
     if not trace_behavior(phi).is_nonincreasing:
         raise DomainError("norm contraction needs a trace-nonincreasing map")
-    sigma = require_psd(sigma, cfg)
+    sigma = psd(sigma, cfg)
     d = phi.dim_in
-    if sigma.shape[0] != d:
-        raise DomainError(f"sigma dimension {sigma.shape[0]} != map input dimension {d}")
-    sigma_prime = hermitian_part(phi.apply(sigma))
+    if sigma.matrix.shape[0] != d:
+        raise DomainError(f"sigma dimension {sigma.matrix.shape[0]} != map input dimension {d}")
+    sigma_prime = psd(hermitian_part(phi.apply(sigma)), cfg)
     for name, S in (("sigma", sigma), ("Phi(sigma)", sigma_prime)):
-        w = np.linalg.eigvalsh(S)
-        if float(w[0]) <= cfg.support_cutoff * max(float(w[-1]), 0.0):
+        if not S.on.all():
             raise DomainError(f"{name} is rank-deficient; the weighted norms need full rank")
     alphas = tuple(float(a) for a in alphas)
     config = {
@@ -604,9 +605,17 @@ def norm_contraction_suite(
         gamma_superoperator(sigma_prime, inverse=True, cfg=cfg),
         compose(phi, gamma_superoperator(sigma, cfg=cfg)),
     )
-    psi_dict = serialize.channel_to_dict(psi)
-    sigma_dict = serialize.matrix_to_dict(sigma, "psd", cfg)
 
+    def parts(X, kind, alpha, witness_map=psi):
+        return lambda: (
+            serialize.channel_to_dict(witness_map),
+            serialize.matrix_to_dict(X, kind, cfg),
+            serialize.matrix_to_dict(sigma, "psd", cfg),
+            alpha,
+        )
+
+    # sigma and Phi(sigma) are validated values, so each weight sigma^{1/2alpha}
+    # is computed once per alpha, not once per probe
     for ai, alpha in enumerate(alphas):
         for t in range(trials):
             rng = rng_for_trial(seed, ai * trials + t)
@@ -616,33 +625,18 @@ def norm_contraction_suite(
                 X = np.outer(random_unit_vector(rng, d), random_unit_vector(rng, d).conj())
             den = weighted_p_norm(X, sigma, alpha, cfg)
             if den <= 0.0:
-                tally.add(
-                    _threshold_witness(psi_dict, serialize.matrix_to_dict(X, "general", cfg),
-                                       sigma_dict, alpha, RATIO_BOUND, math.inf),
-                    False,
-                )
+                tally.add(RATIO_BOUND, math.inf, False, parts(X, "general", alpha))
                 continue
             ratio = weighted_p_norm(psi.apply(X), sigma_prime, alpha, cfg) / den
-            w = _threshold_witness(
-                psi_dict, serialize.matrix_to_dict(X, "general", cfg), sigma_dict, alpha,
-                RATIO_BOUND, ratio,
-            )
-            tally.add(w, ratio <= RATIO_BOUND)
+            tally.add(RATIO_BOUND, ratio, ratio <= RATIO_BOUND, parts(X, "general", alpha))
 
     eye = np.eye(d)
     unit_defect = operator_norm(psi.apply(eye) - eye)
-    w = _threshold_witness(
-        psi_dict, serialize.matrix_to_dict(eye, "psd", cfg), sigma_dict, None,
-        UNIT_IMAGE_TOLERANCE, unit_defect,
-    )
-    tally.add(w, unit_defect <= UNIT_IMAGE_TOLERANCE)
+    tally.add(UNIT_IMAGE_TOLERANCE, unit_defect, unit_defect <= UNIT_IMAGE_TOLERANCE,
+              parts(eye, "psd", None))
 
     one_norm = one_to_one_norm_positive(phi, cfg)
-    w = _threshold_witness(
-        serialize.channel_to_dict(phi), serialize.matrix_to_dict(eye, "psd", cfg), sigma_dict,
-        None, ADJOINT_UNIT_BOUND, one_norm,
-    )
-    tally.add(w, one_norm <= ADJOINT_UNIT_BOUND)
+    tally.add(ADJOINT_UNIT_BOUND, one_norm, one_norm <= ADJOINT_UNIT_BOUND, parts(eye, "psd", None, phi))
     return tally.report()
 
 
@@ -692,11 +686,10 @@ def contraction_battery(
     return tally.report()
 
 
-def _descending_projector(A: np.ndarray, n: int, d: int) -> np.ndarray:
-    """Projector onto the top-n eigenvectors of A; exact identity at n = d."""
+def _descending_projector(w: np.ndarray, V: np.ndarray, n: int, d: int) -> np.ndarray:
+    """Projector onto the top-n eigenvectors in (w, V); exact identity at n = d."""
     if n == d:
         return np.eye(d, dtype=np.complex128)
-    w, V = np.linalg.eigh(A)
     top = V[:, np.argsort(w)[::-1][:n]]
     return top @ top.conj().T
 
@@ -730,8 +723,8 @@ def step2_suite(
         raise DomainError(f"n_sequence must lie in [1, {d}] and end at {d}")
     if phi.dim_in != d or phi.dim_out != d:
         raise DomainError("step-2 study needs a square map of the stated dimension")
-    rho = require_psd(rho, cfg)
-    sigma = require_psd(sigma, cfg)
+    rho = psd(rho, cfg)
+    sigma = psd(sigma, cfg)
     config = {
         "d": int(d),
         "n_sequence": list(n_sequence),
@@ -739,18 +732,23 @@ def step2_suite(
         "tolerances": _tolerances_dict(cfg),
     }
     tally = _Tally("step2", seed, config)
-    phi_dict = serialize.channel_to_dict(phi)
-    rho_dict = serialize.matrix_to_dict(rho, "psd", cfg)
-    sigma_dict = serialize.matrix_to_dict(sigma, "psd", cfg)
 
-    image_rho = hermitian_part(phi.apply(rho))
+    def parts():
+        return (
+            serialize.channel_to_dict(phi),
+            serialize.matrix_to_dict(rho, "psd", cfg),
+            serialize.matrix_to_dict(sigma, "psd", cfg),
+            None,
+        )
+
+    image_w, image_V = np.linalg.eigh(hermitian_part(phi.apply(rho)))
     projectors = []
     for n in n_sequence:
-        P = _descending_projector(rho, n, d)
-        commutator = operator_norm(P @ rho - rho @ P)
+        P = _descending_projector(rho.w, rho.V, n, d)
+        commutator = operator_norm(P @ rho.matrix - rho.matrix @ P)
         if commutator > 1e-9:
             raise DomainError(f"P_{n} does not commute with rho (defect {commutator:.3e})")
-        P_prime = _descending_projector(image_rho, n, d)
+        P_prime = _descending_projector(image_w, image_V, n, d)
         projectors.append((n, P, P_prime))
 
     probes = [("rho", rho), ("sigma", sigma)]
@@ -767,48 +765,38 @@ def step2_suite(
         del phi_n
     for residuals in probe_residuals:
         for k in range(len(residuals) - 1):
-            w = _threshold_witness(
-                phi_dict, rho_dict, sigma_dict, None,
-                residuals[k] + STEP2_RESIDUAL_TOLERANCE, residuals[k + 1],
-            )
-            tally.add(w, residuals[k + 1] <= residuals[k] + STEP2_RESIDUAL_TOLERANCE)
-        w = _threshold_witness(
-            phi_dict, rho_dict, sigma_dict, None, STEP2_RESIDUAL_TOLERANCE, residuals[-1]
-        )
-        tally.add(w, residuals[-1] <= STEP2_RESIDUAL_TOLERANCE)
+            bound = residuals[k] + STEP2_RESIDUAL_TOLERANCE
+            tally.add(bound, residuals[k + 1], residuals[k + 1] <= bound, parts)
+        tally.add(STEP2_RESIDUAL_TOLERANCE, residuals[-1], residuals[-1] <= STEP2_RESIDUAL_TOLERANCE, parts)
 
     base_divergence = relative_entropy(rho, sigma, cfg)
-    log_sigma = log_on_support(sigma, cfg)
     for n, P, _ in projectors:
         P_perp = np.eye(d) - P
-        rho_out = hermitian_part(P_perp @ rho @ P_perp)
-        sigma_out = hermitian_part(P_perp @ sigma @ P_perp)
+        rho_out = psd(hermitian_part(P_perp @ rho.matrix @ P_perp), cfg)
+        sigma_out = psd(hermitian_part(P_perp @ sigma.matrix @ P_perp), cfg)
         g = klein_gap(rho_out, sigma_out, cfg)
-        w = Witness(phi_dict, rho_dict, sigma_dict, None, g, 0.0, _gap_of(g, 0.0))
-        tally.add(w, g >= -STEP2_RESIDUAL_TOLERANCE, gap_recorded=not math.isinf(g))
+        tally.add(g, 0.0, g >= -STEP2_RESIDUAL_TOLERANCE, parts, gap_recorded=not math.isinf(g))
 
         pinch = pinching_map(P, cfg)
         pinched_rho = hermitian_part(pinch.apply(rho))
-        pinched_sigma = hermitian_part(pinch.apply(sigma))
+        pinched_sigma = psd(hermitian_part(pinch.apply(sigma)), cfg)
         pinched = relative_entropy(pinched_rho, pinched_sigma, cfg)
-        w = Witness(phi_dict, rho_dict, sigma_dict, None, base_divergence, pinched,
-                    _gap_of(base_divergence, pinched))
-        tally.add(w, w.both_infinite or w.gap >= -STEP2_INEQUALITY_TOLERANCE)
+        # a pair with both values infinite has gap 0 and passes
+        passed = _gap_of(base_divergence, pinched) >= -STEP2_INEQUALITY_TOLERANCE
+        tally.add(base_divergence, pinched, passed, parts)
 
-        rho_in = hermitian_part(P @ rho @ P)
-        sigma_in = hermitian_part(P @ sigma @ P)
+        rho_in = hermitian_part(P @ rho.matrix @ P)
+        sigma_in = hermitian_part(P @ sigma.matrix @ P)
         block_sum = relative_entropy(rho_in, sigma_in, cfg) + relative_entropy(
             rho_out, sigma_out, cfg
         )
-        w = Witness(phi_dict, rho_dict, sigma_dict, None, block_sum, pinched,
-                    _gap_of(block_sum, pinched))
-        tally.add(w, abs(w.gap) <= STEP2_INEQUALITY_TOLERANCE)
+        passed = abs(_gap_of(block_sum, pinched)) <= STEP2_INEQUALITY_TOLERANCE
+        tally.add(block_sum, pinched, passed, parts)
 
         concavity = min_eigenvalue(
-            log_on_support(pinched_sigma, cfg) - hermitian_part(pinch.apply(log_sigma)), cfg
+            pinched_sigma.log() - hermitian_part(pinch.apply(sigma.log())), cfg
         )
-        w = Witness(phi_dict, rho_dict, sigma_dict, None, concavity, 0.0, concavity)
-        tally.add(w, concavity >= -STEP2_INEQUALITY_TOLERANCE)
+        tally.add(concavity, 0.0, concavity >= -STEP2_INEQUALITY_TOLERANCE, parts)
 
     return tally.report()
 
@@ -895,16 +883,12 @@ def auxiliary_inequality_suite(
             (g if not math.isinf(g) else 1.0) + 1e-9,
             0.0 if not ok_d else 1.0,
         )
-        w = Witness(
+        tally.add(margin, 0.0, ok_a and ok_b and ok_c and ok_d, lambda: (
             {"trial": t, "kind": "auxiliary"},
             serialize.matrix_to_dict(rho, "density", cfg),
             serialize.matrix_to_dict(sigma, "density", cfg),
             None,
-            margin,
-            0.0,
-            margin,
-        )
-        tally.add(w, ok_a and ok_b and ok_c and ok_d)
+        ))
     return tally.report()
 
 
@@ -930,21 +914,18 @@ def alpha_limit_suite(
     }
     tally = _Tally("alpha-limit", seed, config)
     for rho, sigma in pairs:
-        rho = require_psd(rho, cfg)
-        sigma = require_psd(sigma, cfg)
+        rho = psd(rho, cfg)
+        sigma = psd(sigma, cfg)
         target = relative_entropy(rho, sigma, cfg)
         errors = [abs(sandwiched_renyi(rho, sigma, 1.0 + e, cfg) - target) for e in eps_grid]
         monotone = all(errors[k + 1] <= errors[k] + 1e-12 for k in range(len(errors) - 1))
         final_ok = errors[-1] <= 1e-3
-        w = _threshold_witness(
+        tally.add(1e-3, errors[-1], monotone and final_ok, lambda: (
             {"kind": "alpha-limit"},
             serialize.matrix_to_dict(rho, "psd", cfg),
             serialize.matrix_to_dict(sigma, "psd", cfg),
             1.0 + eps_grid[-1],
-            1e-3,
-            errors[-1],
-        )
-        tally.add(w, monotone and final_ok)
+        ))
     return tally.report()
 
 
@@ -1005,28 +986,15 @@ def violation_search(
         rho = random_density(rng, d)
         sigma = random_density(rng, d)
         lhs, rhs, gap = _evaluate(phi, rho, sigma, "sandwiched", alpha, cfg)
-        violating = gap < -VIOLATION_MARGIN
         if best is None or gap < best[0]:
             best = (gap, phi, rho, sigma)
-        if violating:
-            w = Witness(
-                serialize.channel_to_dict(phi),
-                serialize.matrix_to_dict(rho, "psd", cfg),
-                serialize.matrix_to_dict(sigma, "psd", cfg),
-                alpha,
-                lhs,
-                rhs,
-                gap,
-            )
-            tally.add(w, False)
-        else:
-            tally.trials += 1
-            tally.passes += 1
-            tally.record_gap(gap)
+        tally.add(lhs, rhs, not gap < -VIOLATION_MARGIN, lambda: _serialized(phi, rho, sigma, alpha, cfg))
 
     best_witness = None
     if best is not None and hill_steps > 0:
         gap, phi, rho, sigma = best
+        fn = _divergence("sandwiched", alpha, cfg)
+        lhs = fn(rho, sigma)  # the climb moves only the map
         V = np.vstack(phi.kraus)
         rng = rng_for_trial(seed, trials)
         step = 0.25
@@ -1034,7 +1002,7 @@ def violation_search(
             V2 = _perturbed_isometry(V, step, rng)
             kraus2 = [V2[i * phi.dim_out : (i + 1) * phi.dim_out, :] for i in range(len(phi.kraus))]
             cand = from_kraus(kraus2, phi.dim_in, phi.dim_out, cfg)
-            _, _, gap2 = _evaluate(cand, rho, sigma, "sandwiched", alpha, cfg)
+            gap2 = _gap_of(lhs, _image_value(fn, cand, rho, sigma))
             if gap2 < gap:
                 V, gap, phi = V2, gap2, cand
             else:
@@ -1043,17 +1011,9 @@ def violation_search(
     if best is not None and best[0] < -VIOLATION_MARGIN:
         gap, phi, rho, sigma = best
         lhs, rhs, gap = _evaluate(phi, rho, sigma, "sandwiched", alpha, cfg)
-        best_witness = Witness(
-            serialize.channel_to_dict(phi),
-            serialize.matrix_to_dict(rho, "psd", cfg),
-            serialize.matrix_to_dict(sigma, "psd", cfg),
-            alpha,
-            lhs,
-            rhs,
-            gap,
-        )
+        best_witness = Witness(*_serialized(phi, rho, sigma, alpha, cfg), lhs, rhs, gap)
         replayed = replay_witness(best_witness, cfg=cfg)
         if replayed.gap != best_witness.gap:
-            raise RuntimeError("stored witness did not replay to the identical gap")
+            raise ReplayMismatch("stored witness did not replay to the identical gap")
     outcome = "violation_found" if best_witness is not None else "inconclusive"
     return tally.report(outcome=outcome, best_witness=best_witness)

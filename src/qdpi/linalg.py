@@ -10,6 +10,10 @@ Support convention: eigenvalues at or below ``support_cutoff * lambda_max``
 count as off-support (strict inequality, so ties break deterministically).
 Matrix functions map off-support eigenvalues to 0, which makes log and
 negative powers total on PSD inputs (pseudo-inverse convention).
+
+A PSD operator is validated once: ``psd`` runs one Hermiticity check and one
+``eigh`` and returns a ``ValidatedPSD``, which every spectral helper and
+divergence accepts in place of an ndarray without validating it again.
 """
 
 from __future__ import annotations
@@ -27,13 +31,14 @@ __all__ = [
     "as_matrix",
     "hermitian_part",
     "require_hermitian",
+    "ValidatedPSD",
+    "psd",
     "require_psd",
     "require_projector",
     "hermitian_eig",
     "min_eigenvalue",
     "max_eigenvalue",
     "support_projector",
-    "matrix_function_on_support",
     "log_on_support",
     "power_on_support",
     "schatten_norm",
@@ -80,7 +85,9 @@ DEFAULT_TOL = ToleranceConfig()
 
 
 def as_matrix(M) -> np.ndarray:
-    """Coerce to a 2-d complex128 array."""
+    """Coerce to a 2-d complex128 array; a ValidatedPSD gives its matrix."""
+    if isinstance(M, ValidatedPSD):
+        return M.matrix
     A = np.asarray(M, dtype=np.complex128)
     if A.ndim != 2:
         raise DomainError(f"expected a matrix, got array of ndim {A.ndim}")
@@ -100,22 +107,85 @@ def hermitian_part(A) -> np.ndarray:
 
 
 def require_hermitian(A, cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """Validate Hermiticity in max-entry norm and return the symmetrized copy."""
+    """Validate finite entries and Hermiticity in max-entry norm; return the symmetrized copy."""
     A = _require_square(as_matrix(A))
+    if not np.isfinite(A).all():
+        raise DomainError("matrix has non-finite entries")
     defect = np.abs(A - A.conj().T).max() if A.size else 0.0
-    # a NaN defect fails this comparison, so non-finite input is rejected here
-    if not defect <= cfg.hermiticity_tolerance:
+    if defect > cfg.hermiticity_tolerance:
         raise DomainError(f"matrix is not Hermitian (defect {defect:.3e})")
     return (A + A.conj().T) / 2
 
 
+def _solve(solver, A: np.ndarray):
+    """Run a numpy Hermitian eigensolver, reporting non-convergence as EigensolverError."""
+    try:
+        return solver(A)
+    except np.linalg.LinAlgError as exc:
+        raise EigensolverError(A.shape[0]) from exc
+
+
+class ValidatedPSD:
+    """A PSD operator validated once, with its one eigendecomposition.
+
+    ``matrix`` is the symmetrized input, ``w``/``V`` its ascending eigenvalues
+    and eigenvectors, and ``on`` the support mask under ``cfg.support_cutoff``.
+    Build it with ``psd``. The support projector and the functions on the
+    support are computed once per value and returned read-only.
+    """
+
+    __slots__ = ("matrix", "w", "V", "on", "cfg", "_cache")
+
+    def __init__(self, matrix: np.ndarray, w: np.ndarray, V: np.ndarray, cfg: ToleranceConfig):
+        self.matrix, self.w, self.V, self.cfg = matrix, w, V, cfg
+        lmax = float(w[-1]) if w.size else 0.0
+        self.on = w > cfg.support_cutoff * lmax if lmax > 0.0 else np.zeros_like(w, dtype=bool)
+        self._cache = {}
+
+    def _cached(self, key, build) -> np.ndarray:
+        if key not in self._cache:
+            out = self._cache[key] = build()
+            out.flags.writeable = False
+        return self._cache[key]
+
+    def projector(self) -> np.ndarray:
+        """Projector onto the support; the zero matrix maps to the zero projector."""
+        Von = self.V[:, self.on]
+        return self._cached("projector", lambda: Von @ Von.conj().T)
+
+    def _on_support(self, scalar_fn) -> np.ndarray:
+        out = np.zeros_like(self.w)
+        out[self.on] = scalar_fn(self.w[self.on])
+        return (self.V * out) @ self.V.conj().T
+
+    def log(self) -> np.ndarray:
+        """Natural logarithm on the support."""
+        return self._cached("log", lambda: self._on_support(np.log))
+
+    def power(self, t: float) -> np.ndarray:
+        """Fractional power on the support."""
+        t = float(t)
+        return self._cached(t, lambda: self._on_support(lambda w: w ** t))
+
+
+def psd(A, cfg: ToleranceConfig = DEFAULT_TOL) -> ValidatedPSD:
+    """Validate Hermiticity plus min eigenvalue >= -psd_tolerance, with one eigh.
+
+    A ValidatedPSD built under the same tolerances is returned unchanged.
+    """
+    if isinstance(A, ValidatedPSD) and (A.cfg is cfg or A.cfg == cfg):
+        return A
+    M = require_hermitian(A, cfg)
+    w, V = _solve(np.linalg.eigh, M)
+    if w.size and w[0] < -cfg.psd_tolerance:
+        raise DomainError(f"matrix is not PSD (min eigenvalue {w[0]:.3e})")
+    return ValidatedPSD(M, w, V, cfg)
+
+
 def require_psd(A, cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """Validate Hermiticity plus min eigenvalue >= -psd_tolerance."""
-    A = require_hermitian(A, cfg)
-    lo = min_eigenvalue(A, cfg, _validated=True)
-    if lo < -cfg.psd_tolerance:
-        raise DomainError(f"matrix is not PSD (min eigenvalue {lo:.3e})")
-    return A
+    """The symmetrized matrix of ``psd(A, cfg)``."""
+    return psd(A, cfg).matrix
+
 
 def require_projector(P, cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """Validate ||P^2 - P||_inf <= projector_tolerance (eigenvalues near {0,1})."""
@@ -128,40 +198,17 @@ def require_projector(P, cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
 
 def hermitian_eig(A, cfg: ToleranceConfig = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix: (ascending eigenvalues, unitary V)."""
-    A = require_hermitian(A, cfg)
-    try:
-        w, V = np.linalg.eigh(A)
-    except np.linalg.LinAlgError as exc:
-        raise EigensolverError(A.shape[0]) from exc
-    return w, V
+    return _solve(np.linalg.eigh, require_hermitian(A, cfg))
 
 
-def min_eigenvalue(A, cfg: ToleranceConfig = DEFAULT_TOL, _validated: bool = False) -> float:
+def min_eigenvalue(A, cfg: ToleranceConfig = DEFAULT_TOL) -> float:
     """Smallest eigenvalue of a Hermitian matrix."""
-    if not _validated:
-        A = require_hermitian(A, cfg)
-    try:
-        w = np.linalg.eigvalsh(A)
-    except np.linalg.LinAlgError as exc:
-        raise EigensolverError(A.shape[0]) from exc
-    return float(w[0])
+    return float(_solve(np.linalg.eigvalsh, require_hermitian(A, cfg))[0])
 
 
 def max_eigenvalue(A, cfg: ToleranceConfig = DEFAULT_TOL) -> float:
     """Largest eigenvalue of a Hermitian matrix."""
-    A = require_hermitian(A, cfg)
-    try:
-        w = np.linalg.eigvalsh(A)
-    except np.linalg.LinAlgError as exc:
-        raise EigensolverError(A.shape[0]) from exc
-    return float(w[-1])
-
-
-def _support_mask(w: np.ndarray, cutoff: float) -> np.ndarray:
-    lmax = float(w[-1]) if w.size else 0.0
-    if lmax <= 0.0:
-        return np.zeros_like(w, dtype=bool)
-    return w > cutoff * lmax
+    return float(_solve(np.linalg.eigvalsh, require_hermitian(A, cfg))[-1])
 
 
 def support_projector(A, cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
@@ -169,43 +216,17 @@ def support_projector(A, cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
 
     The zero matrix maps to the zero projector.
     """
-    A = require_psd(A, cfg)
-    w, V = hermitian_eig(A, cfg)
-    on = _support_mask(w, cfg.support_cutoff)
-    Von = V[:, on]
-    return Von @ Von.conj().T
-
-
-def matrix_function_on_support(A, fn, cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """Spectral function of a PSD matrix, restricted to its support.
-
-    ``fn`` is "log" or ("power", t). Off-support eigenvalues map to 0, so
-    log and negative powers never see a zero eigenvalue.
-    """
-    if fn == "log":
-        return log_on_support(A, cfg)
-    if isinstance(fn, tuple) and len(fn) == 2 and fn[0] == "power":
-        return power_on_support(A, float(fn[1]), cfg)
-    raise DomainError(f"unknown matrix function tag {fn!r}")
-
-
-def _apply_on_support(A, scalar_fn, cfg: ToleranceConfig) -> np.ndarray:
-    A = require_psd(A, cfg)
-    w, V = hermitian_eig(A, cfg)
-    on = _support_mask(w, cfg.support_cutoff)
-    out = np.zeros_like(w)
-    out[on] = scalar_fn(w[on])
-    return (V * out) @ V.conj().T
+    return psd(A, cfg).projector()
 
 
 def log_on_support(A, cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """Natural matrix logarithm on the support of a PSD matrix."""
-    return _apply_on_support(A, np.log, cfg)
+    return psd(A, cfg).log()
 
 
 def power_on_support(A, t: float, cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """Fractional matrix power A^t on the support of a PSD matrix."""
-    return _apply_on_support(A, lambda w: w ** t, cfg)
+    return psd(A, cfg).power(t)
 
 
 def schatten_norm(X, p: float) -> float:

@@ -21,9 +21,9 @@ from .linalg import (
     DomainError,
     ToleranceConfig,
     as_matrix,
+    psd,
     require_hermitian,
     require_projector,
-    require_psd,
 )
 from . import channels
 from .channels import SuperOperator, from_choi, from_kraus, from_matrix
@@ -166,18 +166,19 @@ def _matrix_from_payload(payload: dict, rows: int, cols: int, what: str) -> np.n
     return re + 1j * im
 
 
-def _validate_kind(M: np.ndarray, kind: str, cfg: ToleranceConfig) -> None:
+def _validate_kind(M, kind: str, cfg: ToleranceConfig) -> None:
+    """Check M (an ndarray or a ValidatedPSD, which is not diagonalized again) against kind."""
     try:
         if kind == "general":
             pass
         elif kind == "hermitian":
             require_hermitian(M, cfg)
         elif kind == "psd":
-            require_psd(M, cfg)
+            psd(M, cfg)
         elif kind == "density":
-            require_psd(M, cfg)
-            if abs(float(np.trace(M).real) - 1.0) > 1e-9:
-                raise DomainError(f"trace is {float(np.trace(M).real):.12g}, not 1")
+            trace = float(np.trace(psd(M, cfg).matrix).real)
+            if abs(trace - 1.0) > 1e-9:
+                raise DomainError(f"trace is {trace:.12g}, not 1")
         elif kind == "projector":
             require_projector(M, cfg)
         else:
@@ -187,12 +188,13 @@ def _validate_kind(M: np.ndarray, kind: str, cfg: ToleranceConfig) -> None:
 
 
 def matrix_to_dict(M, kind: str = "general", cfg: ToleranceConfig = DEFAULT_TOL) -> dict:
-    M = as_matrix(M)
-    if M.shape[0] != M.shape[1]:
-        raise FormatError(f"matrix files hold square matrices, got shape {M.shape}")
+    """Payload of an ndarray or a ValidatedPSD, validated against ``kind``."""
+    A = as_matrix(M)
+    if A.shape[0] != A.shape[1]:
+        raise FormatError(f"matrix files hold square matrices, got shape {A.shape}")
     _validate_kind(M, kind, cfg)
-    out = {"schema_version": SCHEMA_VERSION, "kind": kind, "dim": M.shape[0]}
-    out.update(_matrix_payload(M))
+    out = {"schema_version": SCHEMA_VERSION, "kind": kind, "dim": A.shape[0]}
+    out.update(_matrix_payload(A))
     return out
 
 

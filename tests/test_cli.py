@@ -4,15 +4,17 @@ import math
 import numpy as np
 import pytest
 
-from qdpi import serialize
-from qdpi.channels import counterexample_map, from_kraus, random_cptp, transpose_map
+from qdpi import harness, serialize
+from qdpi.channels import counterexample_map, from_kraus, from_matrix, random_cptp, transpose_map
 from qdpi.cli import (
     EXIT_INPUT_ERROR,
+    EXIT_NUMERICAL_ERROR,
     EXIT_PASS,
     EXIT_PRECONDITION_ERROR,
     EXIT_SUITE_FAILURE,
     main,
 )
+from qdpi.divergences import sandwiched_renyi
 from qdpi.harness import report_from_dict
 
 
@@ -229,3 +231,66 @@ def test_compute_equal_states_is_zero(state_files, capsys):
     assert main(["compute", "--rho", rho_path, "--sigma", rho_path]) == EXIT_PASS
     payload = json.loads(capsys.readouterr().out)
     assert payload["value"] == pytest.approx(0.0, abs=1e-12)
+
+
+def test_check_map_solves_each_spectrum_once(tmp_path, capsys, eig_sizes):
+    path = tmp_path / "cptp.json"
+    serialize.save_json(path, serialize.channel_to_dict(random_cptp(4, seed=6), "superop_matrix"))
+    assert main(["check-map", "--map", str(path), "--samples", "0"]) == EXIT_PASS
+    # one Choi spectrum (16 x 16) and one Phi*(1) spectrum (4 x 4)
+    assert sorted(eig_sizes) == [4, 16]
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["certificate"] == "completely_positive"
+    assert payload["one_to_one_norm"] == pytest.approx(1.0, abs=1e-12)
+    assert payload["one_to_one_norm"] == max(payload["adjoint_unit_spectrum"])
+
+
+def test_check_map_with_non_hermitian_choi_is_precondition_error(tmp_path, capsys):
+    A = np.array([[1.0, 1.0], [0.0, 1.0]])
+    left_multiply = from_matrix(np.kron(np.eye(2), A), 2, 2)  # X -> A X
+    path = tmp_path / "left.json"
+    serialize.save_json(path, serialize.channel_to_dict(left_multiply))
+    assert main(["check-map", "--map", str(path), "--samples", "0"]) == EXIT_PRECONDITION_ERROR
+    assert "not Hermitian" in capsys.readouterr().err
+
+
+def test_eigensolver_failure_is_numerical_error(state_files, capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    rho_path, sigma_path = state_files
+    assert main(["compute", "--rho", rho_path, "--sigma", sigma_path]) == EXIT_NUMERICAL_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal numerical error:")
+    assert captured.err.count("\n") == 1
+
+
+def test_replay_mismatch_is_numerical_error(capsys, monkeypatch):
+    real_replay = harness.replay_witness
+
+    def drifting_replay(w, *args, **kwargs):
+        replayed = real_replay(w, *args, **kwargs)
+        return harness.Witness(w.map_descriptor, w.rho, w.sigma, w.alpha, w.lhs, w.rhs, replayed.gap + 1e-3)
+
+    monkeypatch.setattr(harness, "replay_witness", drifting_replay)
+    args = ["suite", "violation", "--trials", "300", "--seed", "1", "--alpha", "0.3", "--hill-steps", "200"]
+    assert main(args) == EXIT_NUMERICAL_ERROR
+    captured = capsys.readouterr()
+    assert captured.err == "internal numerical error: stored witness did not replay to the identical gap\n"
+
+
+@pytest.mark.parametrize("alpha", ["5", "10"])
+def test_compute_sandwiched_on_nearly_singular_sigma(tmp_path, capsys, alpha):
+    dft = np.exp(2j * np.pi * np.outer(np.arange(4), np.arange(4)) / 4) / 2
+    sigma = (dft * np.array([1e-10, 0.2, 0.3, 0.5 - 1e-10])) @ dft.conj().T
+    sigma = (sigma + sigma.conj().T) / 2
+    rho_path, sigma_path = tmp_path / "rho.json", tmp_path / "sigma.json"
+    serialize.save_json(rho_path, serialize.matrix_to_dict(np.diag([0.4, 0.3, 0.2, 0.1]), "psd"))
+    serialize.save_json(sigma_path, serialize.matrix_to_dict(sigma, "psd"))
+    argv = ["compute", "--family", "sandwiched", "--alpha", alpha, "--rho", str(rho_path), "--sigma", str(sigma_path)]
+    assert main(argv) == EXIT_PASS
+    # the library value is pinned to an independent reference in test_divergences
+    want = sandwiched_renyi(np.diag([0.4, 0.3, 0.2, 0.1]), sigma, float(alpha))
+    assert json.loads(capsys.readouterr().out)["value"] == want

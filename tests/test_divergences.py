@@ -16,7 +16,7 @@ from qdpi.divergences import (
     von_neumann_entropy,
     weighted_p_norm,
 )
-from qdpi.linalg import DomainError, operator_norm
+from qdpi.linalg import DomainError, operator_norm, psd
 from qdpi.sampling import random_density, random_hermitian, random_unitary, rng_for_trial
 
 
@@ -338,3 +338,59 @@ def test_weighted_norm_approaches_sup_norm():
         gaps = [abs(weighted_p_norm(X, sigma, p) - sup) for p in (2.0, 8.0, 32.0, 128.0)]
         assert all(gaps[i + 1] <= gaps[i] + 1e-12 for i in range(len(gaps) - 1))
         assert gaps[-1] <= 0.05 * sup
+
+
+def test_divergences_accept_validated_values_with_identical_results():
+    rng = rng_for_trial(77, 0)
+    rho, sigma = random_density(rng, 4), random_density(rng, 4)
+    X = random_hermitian(rng, 4)
+    rho_v, sigma_v = psd(rho), psd(sigma)
+    for fn in (relative_entropy, klein_gap, support_contained):
+        assert fn(rho_v, sigma_v) == fn(rho, sigma)
+    for fn in (sandwiched_renyi, old_renyi, renyi_via_norm):
+        assert fn(rho_v, sigma_v, 2.0) == fn(rho, sigma, 2.0)
+    assert von_neumann_entropy(rho_v) == von_neumann_entropy(rho)
+    assert weighted_p_norm(X, sigma_v, 3.0) == weighted_p_norm(X, sigma, 3.0)
+    assert np.array_equal(gamma_map(sigma_v, X), gamma_map(sigma, X))
+    assert np.array_equal(gamma_inverse(sigma_v, X), gamma_inverse(sigma, X))
+
+
+def test_divergence_eigensolve_counts(eig_sizes):
+    rng = rng_for_trial(78, 0)
+    rho, sigma = random_density(rng, 4), random_density(rng, 4)
+    relative_entropy(rho, sigma)
+    assert len(eig_sizes) <= 2
+    del eig_sizes[:]
+    sandwiched_renyi(rho, sigma, 2.0)
+    assert len(eig_sizes) <= 3
+
+
+# Full-rank d=4 sigmas with smallest eigenvalue 1e-10, rotated by the DFT so
+# that sigma^{(1-alpha)/2alpha} rho sigma^{(1-alpha)/2alpha} has entries near
+# 1e8: far above any absolute Hermiticity tolerance.
+DFT4 = np.exp(2j * np.pi * np.outer(np.arange(4), np.arange(4)) / 4) / 2
+NEAR_SINGULAR_SPECTRA = ((1e-10, 0.2, 0.3, 0.5 - 1e-10), (1e-10, 0.1, 0.4, 0.5 - 1e-10))
+NEAR_SINGULAR_RHO = np.array([0.4, 0.3, 0.2, 0.1])
+
+
+def near_singular_sigma(spectrum):
+    sigma = (DFT4 * np.array(spectrum)) @ DFT4.conj().T
+    return (sigma + sigma.conj().T) / 2
+
+
+def sandwiched_reference(p, sigma, alpha):
+    """Through rho^{1/2} sigma^{(1-alpha)/alpha} rho^{1/2}, which has the same spectrum."""
+    s, V = np.linalg.eigh(sigma)
+    S = (V * s ** ((1.0 - alpha) / alpha)) @ V.conj().T
+    Q = np.sqrt(p)[:, None] * S * np.sqrt(p)[None, :]
+    q = np.linalg.eigvalsh((Q + Q.conj().T) / 2)
+    return math.log(float(np.sum(q**alpha))) / (alpha - 1.0)
+
+
+@pytest.mark.parametrize("alpha", [5.0, 10.0])
+@pytest.mark.parametrize("spectrum", NEAR_SINGULAR_SPECTRA)
+def test_sandwiched_renyi_on_nearly_singular_sigma(spectrum, alpha):
+    sigma = near_singular_sigma(spectrum)
+    want = sandwiched_reference(NEAR_SINGULAR_RHO, sigma, alpha)
+    got = sandwiched_renyi(np.diag(NEAR_SINGULAR_RHO), sigma, alpha)
+    assert got == pytest.approx(want, rel=1e-6)

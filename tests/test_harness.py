@@ -203,19 +203,10 @@ def test_step2_battery_small_dimension():
     assert r.passed, [(w.lhs, w.rhs) for w in r.failures][:4]
 
 
-def test_step2_battery_solves_no_superoperator_sized_eigenproblem(monkeypatch):
-    shapes = []
-    for name in ("eigh", "eigvalsh"):
-        original = getattr(np.linalg, name)
-
-        def counted(a, *args, _original=original, **kwargs):
-            shapes.append(np.shape(a)[-1])
-            return _original(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, name, counted)
+def test_step2_battery_solves_no_superoperator_sized_eigenproblem(eig_sizes):
     r = step2_battery(d=16, seed=4)
     assert r.passed
-    assert shapes and max(shapes) <= 16
+    assert eig_sizes and max(eig_sizes) <= 16
 
 
 def test_step2_suite_validates_sequence():
@@ -313,3 +304,20 @@ def test_dpi_suite_with_zero_trials_is_vacuous_pass():
     assert report.failures == ()
     assert report.min_gap is None
     assert report.passed
+
+
+def test_dpi_tp_trial_runs_at_most_eight_eigensolves(eig_sizes):
+    r = randomized_dpi_suite("tp", dims=(2, 3, 4, 5, 6), trials=200, seed=3)
+    assert r.passed
+    assert len(eig_sizes) <= 8 * 200
+
+
+def test_norm_contraction_eigensolves_do_not_grow_with_trials(eig_sizes):
+    phi = random_cptp(4, seed=2)
+    sigma = random_density(rng_for_trial(8, 0), 4)
+    counts = []
+    for trials in (10, 50):
+        del eig_sizes[:]
+        assert norm_contraction_suite(sigma, phi, trials=trials, seed=1).passed
+        counts.append(len(eig_sizes))
+    assert counts[0] == counts[1]

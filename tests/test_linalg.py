@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,11 +12,11 @@ from qdpi.linalg import (
     hermitian_eig,
     hermitian_part,
     log_on_support,
-    matrix_function_on_support,
     max_eigenvalue,
     min_eigenvalue,
     operator_norm,
     power_on_support,
+    psd,
     require_hermitian,
     require_projector,
     require_psd,
@@ -41,10 +42,12 @@ def test_require_hermitian_rejects_large_defect():
     A = np.array([[0.0, 1.0], [0.0, 0.0]])
     with pytest.raises(DomainError):
         require_hermitian(A)
-    # non-finite entries give a NaN defect, which must not compare as small
+    # non-finite entries are rejected before any arithmetic, so no warning
     for bad in (np.nan, np.inf):
-        with np.errstate(invalid="ignore"), pytest.raises(DomainError):
-            require_hermitian(np.array([[bad, 0.0], [0.0, 1.0]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="non-finite"):
+                require_hermitian(np.array([[bad, 0.0], [0.0, 1.0]]))
 
 
 def test_require_psd_rejects_negative_eigenvalue():
@@ -89,15 +92,6 @@ def test_power_on_support_diagonal_oracle():
     A = np.diag([4.0, 0.0, 9.0])
     R = power_on_support(A, 0.5)
     assert np.allclose(R, np.diag([2.0, 0.0, 3.0]), atol=1e-14)
-
-
-def test_matrix_function_dispatcher_matches_direct_calls():
-    rng = rng_for_trial(1, 1)
-    A = random_psd(rng, 4)
-    assert np.allclose(matrix_function_on_support(A, "log"), log_on_support(A))
-    assert np.allclose(matrix_function_on_support(A, ("power", 0.5)), power_on_support(A, 0.5))
-    with pytest.raises(DomainError):
-        matrix_function_on_support(A, "exp")
 
 
 def test_power_on_support_unitary_covariance():
@@ -210,3 +204,28 @@ def test_trace_norm_duality_lower_bound():
             assert abs(np.trace(U @ X)) <= t1 + 1e-10
         W, _, Vh = np.linalg.svd(X)
         assert abs(np.trace((Vh.conj().T @ W.conj().T) @ X)) == pytest.approx(t1, abs=1e-10)
+
+
+def test_psd_value_is_validated_once_and_reused(eig_sizes):
+    A = random_psd(rng_for_trial(3, 0), 4)
+    v = psd(A)
+    assert len(eig_sizes) == 1
+    assert psd(v) is v
+    assert np.array_equal(require_psd(v), require_psd(A))
+    assert support_projector(v) is support_projector(v)
+    assert np.array_equal(power_on_support(v, 0.3), power_on_support(A, 0.3))
+    assert np.array_equal(log_on_support(v), log_on_support(A))
+    assert len(eig_sizes) == 4  # the three ndarray calls above diagonalize A again
+    with pytest.raises(ValueError):
+        log_on_support(v)[0, 0] = 1.0  # shared results are read-only
+
+
+def test_psd_value_is_revalidated_under_other_tolerances():
+    A = np.diag([1.0, 1e-9])
+    v = psd(A)
+    assert v.on.all()
+    coarse = ToleranceConfig(support_cutoff=1e-6)
+    w = psd(v, coarse)
+    assert w is not v and not w.on.all()
+    with pytest.raises(DomainError, match="not PSD"):
+        psd(np.diag([1.0, -1e-3]))

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qdpi.channels import counterexample_map, from_kraus, from_matrix, random_cptp, transpose_map
-from qdpi.linalg import DomainError
+from qdpi.linalg import DomainError, psd
 from qdpi.sampling import random_density, random_hermitian, rng_for_trial
 from qdpi.serialize import (
     FormatError,
@@ -205,3 +205,12 @@ def test_schema_version_is_one():
     assert SCHEMA_VERSION == "1"
     payload = matrix_to_dict(np.eye(2), "projector")
     assert payload["schema_version"] == "1"
+
+
+def test_matrix_to_dict_of_validated_value_runs_no_eigensolve(eig_sizes):
+    rho = random_density(rng_for_trial(5, 0), 3)
+    v = psd(rho)
+    del eig_sizes[:]
+    payload = matrix_to_dict(v, "density")
+    assert eig_sizes == []
+    assert payload == matrix_to_dict(v.matrix, "density")
