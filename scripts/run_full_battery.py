@@ -1,6 +1,9 @@
 #!/usr/bin/env python3
 """Run every verification suite and write one report file per suite.
 
+Each suite runs through ``qdpi suite``, which prints its summary line and
+decides its pass rule. Exits 1 when any suite fails or errs.
+
 Example:
     python3 scripts/run_full_battery.py --seed 0 --out-dir reports
 """
@@ -9,7 +12,7 @@ import argparse
 import pathlib
 import sys
 
-from qdpi import harness, serialize
+from qdpi import cli
 
 
 def main() -> int:
@@ -30,33 +33,22 @@ def main() -> int:
     out.mkdir(parents=True, exist_ok=True)
 
     runs = [
-        ("counterexample", lambda: harness.counterexample_suite()),
-        ("dpi_tp", lambda: harness.randomized_dpi_suite("tp", trials=args.dpi_trials, seed=args.seed)),
-        ("dpi_tni", lambda: harness.randomized_dpi_suite("tni", trials=args.dpi_trials, seed=args.seed)),
-        ("dpi_trace_match", lambda: harness.randomized_dpi_suite(
-            "trace_match", trials=args.trace_match_trials, seed=args.seed)),
-        ("contraction", lambda: harness.contraction_battery(
-            instances=args.contraction_instances, trials=args.contraction_trials, seed=args.seed)),
-        ("step2", lambda: harness.step2_battery(d=args.step2_dim, seed=args.seed)),
-        ("auxiliary", lambda: harness.auxiliary_inequality_suite(
-            trials=args.auxiliary_trials, seed=args.seed)),
-        ("alpha_limit", lambda: harness.alpha_limit_suite(
-            harness.sample_state_pairs(args.limit_pairs, (2, 3, 4, 5, 6), args.seed), seed=args.seed)),
-        ("violation", lambda: harness.violation_search(
-            0.3, trials=args.violation_trials, seed=args.seed)),
+        ("counterexample", ["counterexample"]),
+        ("dpi_tp", ["dpi", "--mode", "tp", "--trials", args.dpi_trials]),
+        ("dpi_tni", ["dpi", "--mode", "tni", "--trials", args.dpi_trials]),
+        ("dpi_trace_match", ["dpi", "--mode", "trace-match", "--trials", args.trace_match_trials]),
+        ("contraction", ["contraction", "--instances", args.contraction_instances,
+                         "--trials", args.contraction_trials]),
+        ("step2", ["step2", "--dims", args.step2_dim]),
+        ("auxiliary", ["auxiliary", "--trials", args.auxiliary_trials]),
+        ("alpha_limit", ["alpha-limit", "--trials", args.limit_pairs]),
+        ("violation", ["violation", "--alpha", 0.3, "--trials", args.violation_trials]),
     ]
 
     all_ok = True
-    for name, run in runs:
-        report = run()
-        serialize.save_json(out / f"{name}.json", harness.report_to_dict(report))
-        gap = "both-infinite" if report.min_gap is None else f"{report.min_gap:+.3e}"
-        ok = report.passed if report.outcome is None else report.outcome == "violation_found"
-        all_ok = all_ok and ok
-        status = "PASS" if ok else "FAIL"
-        extra = f" outcome={report.outcome}" if report.outcome else ""
-        print(f"{name:16s} {status} {report.passes}/{report.trials} "
-              f"min_gap={gap} escalations={report.escalations}{extra} ({report.runtime_ms} ms)")
+    for name, suite_args in runs:
+        argv = ["suite", *map(str, suite_args), "--seed", str(args.seed), "--out", str(out / f"{name}.json")]
+        all_ok = cli.main(argv) == cli.EXIT_PASS and all_ok
 
     print(f"reports written to {out}/")
     return 0 if all_ok else 1

@@ -2,8 +2,9 @@
 """Sweep the alpha < 1/2 regime for monotonicity violations.
 
 For each alpha on the grid, runs a random search plus hill climb and prints
-the most negative gap found. Witnesses are written as JSON for replay with
-`qdpi compute` or `qdpi.harness.replay_witness`.
+the most negative gap found. Witnesses are written as JSON; load one with
+`qdpi.harness.witness_from_dict` and re-evaluate it with
+`qdpi.harness.replay_witness`.
 
 Example:
     python3 scripts/search_violations.py --alphas 0.1,0.2,0.3,0.4 --trials 20000

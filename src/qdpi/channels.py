@@ -188,7 +188,7 @@ def from_matrix(
     M,
     dim_in: int,
     dim_out: int | None = None,
-    kraus=None,
+    *,
     certificate: PositivityCertificate = UNVERIFIED,
     descriptor: dict | None = None,
 ) -> SuperOperator:
@@ -200,12 +200,7 @@ def from_matrix(
             f"representation matrix shape {M.shape} does not match "
             f"({dim_out * dim_out}, {dim_in * dim_in})"
         )
-    kr = tuple(as_matrix(K) for K in kraus) if kraus is not None else None
-    if kr is not None:
-        for K in kr:
-            if K.shape != (dim_out, dim_in):
-                raise DomainError(f"Kraus operator shape {K.shape} is not ({dim_out}, {dim_in})")
-    return SuperOperator(M, dim_in, dim_out, kr, certificate, descriptor)
+    return SuperOperator(M, dim_in, dim_out, None, certificate, descriptor)
 
 
 def _kraus_matrix(kraus, dim_in: int, dim_out: int) -> np.ndarray:
@@ -240,11 +235,10 @@ def _choi_test(M: np.ndarray, dim_in: int, dim_out: int, cfg: ToleranceConfig):
 
 
 def from_kraus(kraus, dim_in: int | None = None, dim_out: int | None = None,
-               cfg: ToleranceConfig = DEFAULT_TOL, descriptor: dict | None = None) -> SuperOperator:
+               *, descriptor: dict | None = None) -> SuperOperator:
     """Map X -> sum_i K_i X K_i^dagger, completely positive by Choi's theorem.
 
-    No Choi matrix is formed here; ``cfg`` is accepted for signature
-    compatibility with the other constructors.
+    No Choi matrix is formed here.
     """
     kr = tuple(as_matrix(K) for K in kraus)
     if not kr:
@@ -397,17 +391,17 @@ def gamma_superoperator(sigma, inverse: bool = False, cfg: ToleranceConfig = DEF
     """X -> sigma^{1/2} X sigma^{1/2} as a map (inverse powers on the support)."""
     R = psd(sigma, cfg).power(-0.5 if inverse else 0.5)
     d = R.shape[0]
-    return from_kraus([R], d, d, cfg)
+    return from_kraus([R], d, d)
 
 
 # ---------------------------------------------------------------------------
 # map families
 
 
-def identity_map(d: int, cfg: ToleranceConfig = DEFAULT_TOL) -> SuperOperator:
+def identity_map(d: int) -> SuperOperator:
     if d < 1:
         raise DomainError("dimension must be positive")
-    return from_kraus([np.eye(d)], d, d, cfg, descriptor={"family": "identity", "params": {"d": d}})
+    return from_kraus([np.eye(d)], d, d, descriptor={"family": "identity", "params": {"d": d}})
 
 
 def transpose_map(d: int) -> SuperOperator:
@@ -426,7 +420,7 @@ def pinching_map(P, cfg: ToleranceConfig = DEFAULT_TOL) -> SuperOperator:
     """X -> P X P + (1-P) X (1-P) for a projector P; CPTP."""
     P = require_projector(P, cfg)
     d = P.shape[0]
-    return from_kraus([P, np.eye(d) - P], d, d, cfg)
+    return from_kraus([P, np.eye(d) - P], d, d)
 
 
 def truncation_map(base: SuperOperator, P, P_prime, cfg: ToleranceConfig = DEFAULT_TOL) -> SuperOperator:
@@ -478,7 +472,7 @@ def reduction_map(d: int) -> SuperOperator:
     return from_matrix(M, d, d, certificate=cert, descriptor={"family": "reduction", "params": {"d": d}})
 
 
-def depolarizing_map(d: int, lam: float, cfg: ToleranceConfig = DEFAULT_TOL) -> SuperOperator:
+def depolarizing_map(d: int, lam: float) -> SuperOperator:
     """X -> lam X + (1-lam) tr[X] 1/d; CPTP for lam in [0, 1].
 
     Its Choi matrix lam |Omega><Omega| + (1-lam) 1/d has eigenvalues
@@ -500,13 +494,13 @@ def depolarizing_map(d: int, lam: float, cfg: ToleranceConfig = DEFAULT_TOL) -> 
     )
 
 
-def halving_map(d: int, cfg: ToleranceConfig = DEFAULT_TOL) -> SuperOperator:
+def halving_map(d: int) -> SuperOperator:
     """X -> X/2; CP and trace-nonincreasing, not TP."""
     K = np.eye(d) / np.sqrt(2.0)
-    return from_kraus([K], d, d, cfg, descriptor={"family": "halving", "params": {"d": d}})
+    return from_kraus([K], d, d, descriptor={"family": "halving", "params": {"d": d}})
 
 
-def counterexample_map(cfg: ToleranceConfig = DEFAULT_TOL) -> SuperOperator:
+def counterexample_map() -> SuperOperator:
     """The 2x2 map (v w; x y) -> (v/2 0; 0 y).
 
     CP (diagonal Kraus pair) and trace-nonincreasing but not TP; relative
@@ -514,7 +508,19 @@ def counterexample_map(cfg: ToleranceConfig = DEFAULT_TOL) -> SuperOperator:
     """
     K1 = np.diag([1.0 / np.sqrt(2.0), 0.0]).astype(np.complex128)
     K2 = np.diag([0.0, 1.0]).astype(np.complex128)
-    return from_kraus([K1, K2], 2, 2, cfg, descriptor={"family": "counterexample", "params": {}})
+    return from_kraus([K1, K2], 2, 2, descriptor={"family": "counterexample", "params": {}})
+
+
+def _seeded(family: str, params: dict, seed, rng):
+    """(generator, recipe descriptor) of a seeded family.
+
+    An explicit ``rng`` is used as given and leaves no recipe to record.
+    """
+    if rng is not None:
+        return rng, None
+    if seed is None:
+        raise DomainError(f"{family} requires a seed (or an explicit generator)")
+    return np.random.default_rng(seed), {"family": family, "params": params, "seed": int(seed)}
 
 
 def random_cptp(
@@ -522,7 +528,6 @@ def random_cptp(
     d_out: int | None = None,
     kraus_rank: int | None = None,
     seed=None,
-    cfg: ToleranceConfig = DEFAULT_TOL,
     rng: np.random.Generator | None = None,
 ) -> SuperOperator:
     """Seeded CPTP map: Kraus blocks of a QR-orthonormalized Gaussian isometry."""
@@ -534,36 +539,21 @@ def random_cptp(
         raise DomainError("dimensions and Kraus rank must be positive")
     if d_out * kraus_rank < d:
         raise DomainError(f"d_out * kraus_rank = {d_out * kraus_rank} < d = {d}: no isometry exists")
-    desc = None
-    if rng is None:
-        if seed is None:
-            raise DomainError("random_cptp requires a seed (or an explicit generator)")
-        rng = np.random.default_rng(seed)
-        desc = {
-            "family": "random_cptp",
-            "params": {"d": d, "d_out": d_out, "kraus_rank": kraus_rank},
-            "seed": int(seed),
-        }
+    rng, desc = _seeded("random_cptp", {"d": d, "d_out": d_out, "kraus_rank": kraus_rank}, seed, rng)
     V = random_isometry(rng, d_out * kraus_rank, d)
     kraus = [V[i * d_out : (i + 1) * d_out, :] for i in range(kraus_rank)]
-    return from_kraus(kraus, d, d_out, cfg, descriptor=desc)
+    return from_kraus(kraus, d, d_out, descriptor=desc)
 
 
 def random_positive_noncp(
     d: int,
     seed=None,
-    cfg: ToleranceConfig = DEFAULT_TOL,
     rng: np.random.Generator | None = None,
 ) -> SuperOperator:
     """Transpose composed with a random CPTP map (order decided by the seed)."""
-    desc = None
-    if rng is None:
-        if seed is None:
-            raise DomainError("random_positive_noncp requires a seed (or an explicit generator)")
-        rng = np.random.default_rng(seed)
-        desc = {"family": "random_positive_noncp", "params": {"d": d}, "seed": int(seed)}
+    rng, desc = _seeded("random_positive_noncp", {"d": d}, seed, rng)
     transpose_first = bool(rng.integers(2))
-    cptp = random_cptp(d, rng=rng, cfg=cfg)
+    cptp = random_cptp(d, rng=rng)
     T = transpose_map(d)
     out = compose(cptp, T) if transpose_first else compose(T, cptp)
     cert = PositivityCertificate(
@@ -577,7 +567,6 @@ def damped_cptp(
     rank: int,
     mu: float,
     seed=None,
-    cfg: ToleranceConfig = DEFAULT_TOL,
     rng: np.random.Generator | None = None,
 ) -> SuperOperator:
     """Random CPTP map preceded by damping outside a rank-``rank`` subspace.
@@ -591,58 +580,42 @@ def damped_cptp(
         raise DomainError(f"damping parameter must be in [0, 1], got {mu}")
     if not 1 <= rank <= d:
         raise DomainError(f"subspace rank must be in [1, {d}], got {rank}")
-    desc = None
-    if rng is None:
-        if seed is None:
-            raise DomainError("damped_cptp requires a seed (or an explicit generator)")
-        rng = np.random.default_rng(seed)
-        desc = {
-            "family": "damped_cptp",
-            "params": {"d": d, "rank": rank, "mu": mu},
-            "seed": int(seed),
-        }
+    rng, desc = _seeded("damped_cptp", {"d": d, "rank": rank, "mu": mu}, seed, rng)
     Q = random_projector(rng, d, rank)
     W = Q + np.sqrt(mu) * (np.eye(d) - Q)
-    base = random_cptp(d, rng=rng, cfg=cfg)
+    base = random_cptp(d, rng=rng)
     kraus = [K @ W for K in base.kraus]
-    return from_kraus(kraus, d, d, cfg, descriptor=desc)
+    return from_kraus(kraus, d, d, descriptor=desc)
 
 
 _FACTORIES = {
-    "identity": lambda params, seed, cfg: identity_map(params["d"], cfg),
-    "transpose": lambda params, seed, cfg: transpose_map(params["d"]),
-    "reduction": lambda params, seed, cfg: reduction_map(params["d"]),
-    "depolarizing": lambda params, seed, cfg: depolarizing_map(params["d"], params["lam"], cfg),
-    "halving": lambda params, seed, cfg: halving_map(params["d"], cfg),
-    "counterexample": lambda params, seed, cfg: counterexample_map(cfg),
-    "random_cptp": lambda params, seed, cfg: random_cptp(
-        params["d"], params.get("d_out"), params.get("kraus_rank"), seed, cfg
+    "identity": lambda params, seed: identity_map(params["d"]),
+    "transpose": lambda params, seed: transpose_map(params["d"]),
+    "reduction": lambda params, seed: reduction_map(params["d"]),
+    "depolarizing": lambda params, seed: depolarizing_map(params["d"], params["lam"]),
+    "halving": lambda params, seed: halving_map(params["d"]),
+    "counterexample": lambda params, seed: counterexample_map(),
+    "random_cptp": lambda params, seed: random_cptp(
+        params["d"], params.get("d_out"), params.get("kraus_rank"), seed
     ),
-    "random_positive_noncp": lambda params, seed, cfg: random_positive_noncp(params["d"], seed, cfg),
-    "damped_cptp": lambda params, seed, cfg: damped_cptp(
-        params["d"], params["rank"], params["mu"], seed, cfg
-    ),
+    "random_positive_noncp": lambda params, seed: random_positive_noncp(params["d"], seed),
+    "damped_cptp": lambda params, seed: damped_cptp(params["d"], params["rank"], params["mu"], seed),
 }
 
 
-def construct(
-    family: str,
-    params: dict | None = None,
-    seed=None,
-    cfg: ToleranceConfig = DEFAULT_TOL,
-) -> SuperOperator:
+def construct(family: str, params: dict | None = None, seed=None) -> SuperOperator:
     """Build a map from a (family, params, seed) recipe.
 
     Covers every family whose parameters are plain scalars; pinching and
     truncation take operator arguments and have their own constructors.
     """
     if family == "compose":
-        inner = construct(**_descriptor_args(params["inner"]), cfg=cfg)
-        outer = construct(**_descriptor_args(params["outer"]), cfg=cfg)
+        inner = construct(**_descriptor_args(params["inner"]))
+        outer = construct(**_descriptor_args(params["outer"]))
         return compose(outer, inner)
     if family not in _FACTORIES:
         raise DomainError(f"unknown map family {family!r}")
-    return _FACTORIES[family](params or {}, seed, cfg)
+    return _FACTORIES[family](params or {}, seed)
 
 
 def _descriptor_args(desc: dict) -> dict:
@@ -653,7 +626,7 @@ def _descriptor_args(desc: dict) -> dict:
     }
 
 
-def unit_sector_projector(phi: SuperOperator, cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+def unit_sector_projector(phi: SuperOperator) -> np.ndarray:
     """Projector onto the eigenvalue-1 eigenspace of Phi*(1).
 
     States supported here have their trace preserved exactly by a

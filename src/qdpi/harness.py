@@ -38,7 +38,7 @@ from .linalg import (
     support_projector,
     trace_norm,
 )
-from .divergences import klein_gap, relative_entropy, sandwiched_renyi, old_renyi, von_neumann_entropy, support_contained, weighted_p_norm
+from .divergences import klein_gap, relative_entropy, sandwiched_renyi, von_neumann_entropy, support_contained, weighted_p_norm
 from .channels import (
     SuperOperator,
     compose,
@@ -212,10 +212,6 @@ def report_from_dict(d: dict) -> CheckReport:
     )
 
 
-def _tolerances_dict(cfg: ToleranceConfig) -> dict:
-    return {k: float(v) for k, v in dataclasses.asdict(cfg).items()}
-
-
 def _gap_of(lhs: float, rhs: float) -> float:
     if math.isinf(lhs) and math.isinf(rhs):
         return 0.0
@@ -226,14 +222,11 @@ def _gap_of(lhs: float, rhs: float) -> float:
     return lhs - rhs
 
 
-def _divergence(family: str, alpha: float | None, cfg: ToleranceConfig):
-    if family == "umegaki":
+def _divergence(alpha: float | None, cfg: ToleranceConfig):
+    """Relative entropy when alpha is None, else the sandwiched divergence of order alpha."""
+    if alpha is None:
         return lambda a, b: relative_entropy(a, b, cfg)
-    if family == "sandwiched":
-        return lambda a, b: sandwiched_renyi(a, b, alpha, cfg)
-    if family == "old":
-        return lambda a, b: old_renyi(a, b, alpha, cfg)
-    raise DomainError(f"unknown divergence family {family!r}")
+    return lambda a, b: sandwiched_renyi(a, b, alpha, cfg)
 
 
 def _image_value(fn, phi: SuperOperator, rho, sigma) -> float:
@@ -241,38 +234,34 @@ def _image_value(fn, phi: SuperOperator, rho, sigma) -> float:
     return fn(hermitian_part(phi.apply(rho)), hermitian_part(phi.apply(sigma)))
 
 
-def _evaluate(phi: SuperOperator, rho, sigma, family: str, alpha: float | None, cfg: ToleranceConfig):
+def _evaluate(phi: SuperOperator, rho, sigma, alpha: float | None, cfg: ToleranceConfig):
     """Both divergence values across the map, plus the gap."""
-    fn = _divergence(family, alpha, cfg)
+    fn = _divergence(alpha, cfg)
     lhs = fn(rho, sigma)
     rhs = _image_value(fn, phi, rho, sigma)
     return lhs, rhs, _gap_of(lhs, rhs)
 
 
-def _serialized(phi, rho, sigma, alpha, cfg) -> tuple:
-    """(map_descriptor, rho, sigma, alpha) of a monotonicity witness."""
-    return (
-        serialize.channel_to_dict(phi),
-        serialize.matrix_to_dict(rho, "psd", cfg),
-        serialize.matrix_to_dict(sigma, "psd", cfg),
+def _parts(map_or_descriptor, rho, sigma, alpha, cfg, kinds=("psd", "psd")):
+    """A thunk returning the witness fields (map_descriptor, rho, sigma, alpha).
+
+    A SuperOperator is serialized; a dict is stored as the map descriptor as it is.
+    """
+    m = map_or_descriptor
+    return lambda: (
+        serialize.channel_to_dict(m) if isinstance(m, SuperOperator) else m,
+        serialize.matrix_to_dict(rho, kinds[0], cfg),
+        serialize.matrix_to_dict(sigma, kinds[1], cfg),
         alpha,
     )
 
 
-def _monotonicity_trial(phi, rho, sigma, family, alpha, cfg):
+def _monotonicity_trial(phi, rho, sigma, alpha, cfg):
     """Check the preconditions of ``monotonicity_check`` and evaluate both sides.
 
     rho and sigma are validated once. Returns (lhs, rhs, parts), where
     ``parts()`` serializes the witness fields.
     """
-    if family == "umegaki":
-        if alpha is not None:
-            raise DomainError("alpha applies only to Renyi families")
-    elif family in ("sandwiched", "old"):
-        if alpha is None:
-            raise DomainError(f"the {family} family requires alpha")
-    else:
-        raise DomainError(f"unknown divergence family {family!r}")
     if not phi.certificate.is_positive:
         raise DomainError(
             f"monotonicity preconditions need a positive map; certificate tag is "
@@ -283,34 +272,36 @@ def _monotonicity_trial(phi, rho, sigma, family, alpha, cfg):
         raise DomainError("monotonicity preconditions need a trace-nonincreasing map")
     rho = psd(rho, cfg)
     sigma = psd(sigma, cfg)
-    if family == "umegaki" and behavior.tag == "nonincreasing":
+    if alpha is None and behavior.tag == "nonincreasing":
         drift = abs(float(np.trace(phi.apply(rho)).real) - float(np.trace(rho.matrix).real))
         if drift > TRACE_MATCH_TOLERANCE:
             raise DomainError(
                 f"relative entropy monotonicity for a non-trace-preserving map needs "
                 f"tr[Phi(rho)] = tr[rho]; drift is {drift:.3e}"
             )
-    lhs, rhs, _ = _evaluate(phi, rho, sigma, family, alpha, cfg)
-    return lhs, rhs, lambda: _serialized(phi, rho, sigma, alpha, cfg)
+    lhs, rhs, _ = _evaluate(phi, rho, sigma, alpha, cfg)
+    return lhs, rhs, _parts(phi, rho, sigma, alpha, cfg)
 
 
 def monotonicity_check(
     phi: SuperOperator,
     rho,
     sigma,
-    family: str = "umegaki",
     alpha: float | None = None,
     cfg: ToleranceConfig = DEFAULT_TOL,
 ) -> Witness:
     """Evaluate a divergence on both sides of a map and return the witness.
 
-    Preconditions are matched to the inequality being exercised. Umegaki:
-    positive map, trace-preserving, or trace-nonincreasing with the state's
-    trace matched within 1e-9. Renyi families: positive trace-nonincreasing
-    suffices (no theorem is asserted for alpha < 1; that regime exists for
-    violation searches).
+    alpha selects the divergence: relative entropy when it is None, else
+    the sandwiched Renyi divergence of order alpha (the rule ``replay_witness``
+    applies to the stored alpha). Preconditions are matched to the
+    inequality being exercised. Relative entropy: positive map,
+    trace-preserving, or trace-nonincreasing with the state's trace matched
+    within 1e-9. Sandwiched: positive trace-nonincreasing suffices (no
+    theorem is asserted for alpha < 1; that regime exists for violation
+    searches).
     """
-    lhs, rhs, parts = _monotonicity_trial(phi, rho, sigma, family, alpha, cfg)
+    lhs, rhs, parts = _monotonicity_trial(phi, rho, sigma, alpha, cfg)
     return Witness(*parts(), lhs, rhs, _gap_of(lhs, rhs))
 
 
@@ -322,8 +313,7 @@ def replay_witness(
     rho, _ = serialize.matrix_from_dict(w.rho, cfg)
     sigma, _ = serialize.matrix_from_dict(w.sigma, cfg)
     alpha = w.alpha if alpha_override is None else float(alpha_override)
-    family = "umegaki" if alpha is None else "sandwiched"
-    lhs, rhs, gap = _evaluate(phi, rho, sigma, family, alpha, cfg)
+    lhs, rhs, gap = _evaluate(phi, rho, sigma, alpha, cfg)
     return Witness(w.map_descriptor, w.rho, w.sigma, alpha, lhs, rhs, gap)
 
 
@@ -336,12 +326,16 @@ class _Tally:
 
     A trial's witness is serialized only when the trial fails: callers pass
     ``parts``, a callable returning (map_descriptor, rho, sigma, alpha).
+    The tolerances of ``cfg`` are appended to ``config`` as its last key.
     """
 
-    def __init__(self, suite_name: str, seed: int, config: dict):
+    def __init__(self, suite_name: str, seed: int, config: dict, cfg: ToleranceConfig):
         self.suite_name = suite_name
         self.seed = seed
-        self.config = config
+        self.config = {
+            **config,
+            "tolerances": {k: float(v) for k, v in dataclasses.asdict(cfg).items()},
+        }
         self.trials = 0
         self.passes = 0
         self.escalations = 0
@@ -393,23 +387,23 @@ class _Tally:
 
 def _sample_family_map(family: str, d: int, rng, cfg: ToleranceConfig) -> SuperOperator:
     if family == "random_cptp":
-        return random_cptp(d, rng=rng, cfg=cfg)
+        return random_cptp(d, rng=rng)
     if family == "random_positive_noncp":
-        return random_positive_noncp(d, rng=rng, cfg=cfg)
+        return random_positive_noncp(d, rng=rng)
     if family == "reduction":
         return reduction_map(d)
     if family == "pinching":
         return pinching_map(random_projector(rng, d, int(rng.integers(1, d))), cfg)
     if family == "depolarizing":
-        return depolarizing_map(d, float(rng.uniform(0.0, 1.0)), cfg)
+        return depolarizing_map(d, float(rng.uniform(0.0, 1.0)))
     if family == "halving":
-        return halving_map(d, cfg)
+        return halving_map(d)
     if family == "counterexample":
-        return counterexample_map(cfg)
+        return counterexample_map()
     if family == "damped_cptp":
-        return damped_cptp(d, int(rng.integers(1, d)), float(rng.uniform(0.2, 0.9)), rng=rng, cfg=cfg)
+        return damped_cptp(d, int(rng.integers(1, d)), float(rng.uniform(0.2, 0.9)), rng=rng)
     if family == "truncation":
-        base = random_cptp(d, rng=rng, cfg=cfg)
+        base = random_cptp(d, rng=rng)
         P = random_projector(rng, d, int(rng.integers(1, d + 1)))
         P_prime = random_projector(rng, d, int(rng.integers(1, d + 1)))
         return truncation_map(base, P, P_prime, cfg)
@@ -452,42 +446,35 @@ def counterexample_suite(cfg: ToleranceConfig = DEFAULT_TOL) -> CheckReport:
     violation by a CP trace-nonincreasing (non-TP) map, the vacuous pinching
     case, and the trace-matched state for which monotonicity is restored.
     """
-    config = {"fixture": "counterexample", "tolerances": _tolerances_dict(cfg)}
-    tally = _Tally("counterexample", 0, config)
-    phi = counterexample_map(cfg)
+    tally = _Tally("counterexample", 0, {"fixture": "counterexample"}, cfg)
+    phi = counterexample_map()
     rho = psd(np.diag([1.0 / 3.0, 2.0 / 3.0]).astype(np.complex128), cfg)
     sigma = psd(np.diag([2.0 / 3.0, 1.0 / 3.0]).astype(np.complex128), cfg)
     ln2 = math.log(2.0)
 
-    def parts(rho, sigma, kind):
-        return lambda: (
-            serialize.channel_to_dict(phi),
-            serialize.matrix_to_dict(rho, kind, cfg),
-            serialize.matrix_to_dict(sigma, kind, cfg),
-            None,
-        )
-
     d_before = relative_entropy(rho, sigma, cfg)
-    tally.add(ln2 / 3.0, d_before, abs(ln2 / 3.0 - d_before) <= 1e-10, parts(rho, sigma, "density"))
+    tally.add(ln2 / 3.0, d_before, abs(ln2 / 3.0 - d_before) <= 1e-10,
+              _parts(phi, rho, sigma, None, cfg, ("density", "density")))
 
     image_rho = psd(hermitian_part(phi.apply(rho)), cfg)
     image_sigma = psd(hermitian_part(phi.apply(sigma)), cfg)
     d_after = relative_entropy(image_rho, image_sigma, cfg)
-    tally.add(ln2 / 2.0, d_after, abs(ln2 / 2.0 - d_after) <= 1e-10, parts(image_rho, image_sigma, "psd"))
+    tally.add(ln2 / 2.0, d_after, abs(ln2 / 2.0 - d_after) <= 1e-10,
+              _parts(phi, image_rho, image_sigma, None, cfg))
 
     behavior = trace_behavior(phi)
     structurally_sound = (
         phi.certificate.tag == "completely_positive" and behavior.tag == "nonincreasing"
     )
     violated = _gap_of(d_before, d_after) < 0.0 and structurally_sound
-    tally.add(d_before, d_after, violated, parts(rho, sigma, "psd"))
+    tally.add(d_before, d_after, violated, _parts(phi, rho, sigma, None, cfg))
 
     pinch = pinching_map(np.diag([1.0, 0.0]), cfg)
-    lhs, rhs, pinch_parts = _monotonicity_trial(pinch, rho, sigma, "umegaki", None, cfg)
+    lhs, rhs, pinch_parts = _monotonicity_trial(pinch, rho, sigma, None, cfg)
     tally.add(lhs, rhs, abs(_gap_of(lhs, rhs)) <= 1e-9, pinch_parts)
 
     rho_matched = np.diag([0.0, 1.0]).astype(np.complex128)
-    lhs, rhs, matched_parts = _monotonicity_trial(phi, rho_matched, sigma, "umegaki", None, cfg)
+    lhs, rhs, matched_parts = _monotonicity_trial(phi, rho_matched, sigma, None, cfg)
     tally.add(lhs, rhs, _gap_of(lhs, rhs) >= -1e-9, matched_parts)
 
     return tally.report()
@@ -532,9 +519,8 @@ def randomized_dpi_suite(
         "alphas": None if alphas is None else list(alphas),
         "trials": int(trials),
         "seed": int(seed),
-        "tolerances": _tolerances_dict(cfg),
     }
-    tally = _Tally(f"dpi-{mode}", seed, config)
+    tally = _Tally(f"dpi-{mode}", seed, config, cfg)
     for t in range(trials):
         rng = rng_for_trial(seed, t)
         d = int(rng.choice(dims))
@@ -543,20 +529,17 @@ def randomized_dpi_suite(
             d = 2
         phi = _sample_family_map(family, d, rng, cfg)
         if mode == "trace_match":
-            Q = unit_sector_projector(phi, cfg)
+            Q = unit_sector_projector(phi)
             rho = _sector_state(rng, Q)
             if float(rng.random()) < 0.15:
                 sigma = random_rank_deficient_density(rng, d)
             else:
                 sigma = random_density(rng, d)
-            trial = _monotonicity_trial(phi, rho, sigma, "umegaki", None, cfg)
+            alpha = None
         else:
             rho, sigma = _sample_state_pair(rng, d)
-            if mode == "tni":
-                alpha = float(rng.choice(alphas))
-                trial = _monotonicity_trial(phi, rho, sigma, "sandwiched", alpha, cfg)
-            else:
-                trial = _monotonicity_trial(phi, rho, sigma, "umegaki", None, cfg)
+            alpha = float(rng.choice(alphas)) if mode == "tni" else None
+        trial = _monotonicity_trial(phi, rho, sigma, alpha, cfg)
         tally.add_monotonicity(*trial, cfg.monotonicity_slack)
     return tally.report()
 
@@ -598,21 +581,12 @@ def norm_contraction_suite(
         "trials": int(trials),
         "seed": int(seed),
         "dim": int(d),
-        "tolerances": _tolerances_dict(cfg),
     }
-    tally = _Tally("norm-contraction", seed, config)
+    tally = _Tally("norm-contraction", seed, config, cfg)
     psi = compose(
         gamma_superoperator(sigma_prime, inverse=True, cfg=cfg),
         compose(phi, gamma_superoperator(sigma, cfg=cfg)),
     )
-
-    def parts(X, kind, alpha, witness_map=psi):
-        return lambda: (
-            serialize.channel_to_dict(witness_map),
-            serialize.matrix_to_dict(X, kind, cfg),
-            serialize.matrix_to_dict(sigma, "psd", cfg),
-            alpha,
-        )
 
     # sigma and Phi(sigma) are validated values, so each weight sigma^{1/2alpha}
     # is computed once per alpha, not once per probe
@@ -623,20 +597,22 @@ def norm_contraction_suite(
                 X = random_hermitian(rng, d)
             else:
                 X = np.outer(random_unit_vector(rng, d), random_unit_vector(rng, d).conj())
+            parts = _parts(psi, X, sigma, alpha, cfg, ("general", "psd"))
             den = weighted_p_norm(X, sigma, alpha, cfg)
             if den <= 0.0:
-                tally.add(RATIO_BOUND, math.inf, False, parts(X, "general", alpha))
+                tally.add(RATIO_BOUND, math.inf, False, parts)
                 continue
             ratio = weighted_p_norm(psi.apply(X), sigma_prime, alpha, cfg) / den
-            tally.add(RATIO_BOUND, ratio, ratio <= RATIO_BOUND, parts(X, "general", alpha))
+            tally.add(RATIO_BOUND, ratio, ratio <= RATIO_BOUND, parts)
 
     eye = np.eye(d)
     unit_defect = operator_norm(psi.apply(eye) - eye)
     tally.add(UNIT_IMAGE_TOLERANCE, unit_defect, unit_defect <= UNIT_IMAGE_TOLERANCE,
-              parts(eye, "psd", None))
+              _parts(psi, eye, sigma, None, cfg))
 
     one_norm = one_to_one_norm_positive(phi, cfg)
-    tally.add(ADJOINT_UNIT_BOUND, one_norm, one_norm <= ADJOINT_UNIT_BOUND, parts(eye, "psd", None, phi))
+    tally.add(ADJOINT_UNIT_BOUND, one_norm, one_norm <= ADJOINT_UNIT_BOUND,
+              _parts(phi, eye, sigma, None, cfg))
     return tally.report()
 
 
@@ -661,19 +637,18 @@ def contraction_battery(
         "alphas": list(alphas),
         "trials": int(trials),
         "seed": int(seed),
-        "tolerances": _tolerances_dict(cfg),
     }
-    tally = _Tally("norm-contraction", seed, config)
+    tally = _Tally("norm-contraction", seed, config, cfg)
     for i in range(instances):
         rng = rng_for_trial(seed, 1_000_000 + i)
         d = int(rng.choice(dims))
         kind = i % 3
         if kind == 0:
-            phi = random_positive_noncp(d, rng=rng, cfg=cfg)
+            phi = random_positive_noncp(d, rng=rng)
         elif kind == 1:
-            phi = random_cptp(d, rng=rng, cfg=cfg)
+            phi = random_cptp(d, rng=rng)
         else:
-            phi = depolarizing_map(d, float(rng.uniform(0.1, 0.9)), cfg)
+            phi = depolarizing_map(d, float(rng.uniform(0.1, 0.9)))
         sigma = random_density(rng, d)
         sub_seed = int(rng.integers(0, 2**31))
         sub = norm_contraction_suite(sigma, phi, alphas, trials, sub_seed, cfg)
@@ -729,17 +704,9 @@ def step2_suite(
         "d": int(d),
         "n_sequence": list(n_sequence),
         "seed": int(seed),
-        "tolerances": _tolerances_dict(cfg),
     }
-    tally = _Tally("step2", seed, config)
-
-    def parts():
-        return (
-            serialize.channel_to_dict(phi),
-            serialize.matrix_to_dict(rho, "psd", cfg),
-            serialize.matrix_to_dict(sigma, "psd", cfg),
-            None,
-        )
+    tally = _Tally("step2", seed, config, cfg)
+    parts = _parts(phi, rho, sigma, None, cfg)
 
     image_w, image_V = np.linalg.eigh(hermitian_part(phi.apply(rho)))
     projectors = []
@@ -812,7 +779,7 @@ def step2_battery(
     if n_sequence is None:
         n_sequence = sorted({max(1, d // 8), max(1, d // 4), max(1, d // 2), max(1, (3 * d) // 4), d})
     rng = rng_for_trial(seed, 1)
-    phi = random_cptp(d, rng=rng, cfg=cfg)
+    phi = random_cptp(d, rng=rng)
     rho = random_density(rng, d)
     sigma = random_density(rng, d)
     return step2_suite(d, n_sequence, phi, rho, sigma, seed, cfg)
@@ -836,9 +803,8 @@ def auxiliary_inequality_suite(
         "trials": int(trials),
         "seed": int(seed),
         "dims": list(dims),
-        "tolerances": _tolerances_dict(cfg),
     }
-    tally = _Tally("auxiliary", seed, config)
+    tally = _Tally("auxiliary", seed, config, cfg)
     for t in range(trials):
         rng = rng_for_trial(seed, t)
         d = int(rng.choice(dims))
@@ -883,12 +849,8 @@ def auxiliary_inequality_suite(
             (g if not math.isinf(g) else 1.0) + 1e-9,
             0.0 if not ok_d else 1.0,
         )
-        tally.add(margin, 0.0, ok_a and ok_b and ok_c and ok_d, lambda: (
-            {"trial": t, "kind": "auxiliary"},
-            serialize.matrix_to_dict(rho, "density", cfg),
-            serialize.matrix_to_dict(sigma, "density", cfg),
-            None,
-        ))
+        tally.add(margin, 0.0, ok_a and ok_b and ok_c and ok_d,
+                  _parts({"trial": t, "kind": "auxiliary"}, rho, sigma, None, cfg, ("density", "density")))
     return tally.report()
 
 
@@ -910,9 +872,8 @@ def alpha_limit_suite(
         "eps_grid": list(eps_grid),
         "pairs": len(pairs),
         "seed": int(seed),
-        "tolerances": _tolerances_dict(cfg),
     }
-    tally = _Tally("alpha-limit", seed, config)
+    tally = _Tally("alpha-limit", seed, config, cfg)
     for rho, sigma in pairs:
         rho = psd(rho, cfg)
         sigma = psd(sigma, cfg)
@@ -920,12 +881,8 @@ def alpha_limit_suite(
         errors = [abs(sandwiched_renyi(rho, sigma, 1.0 + e, cfg) - target) for e in eps_grid]
         monotone = all(errors[k + 1] <= errors[k] + 1e-12 for k in range(len(errors) - 1))
         final_ok = errors[-1] <= 1e-3
-        tally.add(1e-3, errors[-1], monotone and final_ok, lambda: (
-            {"kind": "alpha-limit"},
-            serialize.matrix_to_dict(rho, "psd", cfg),
-            serialize.matrix_to_dict(sigma, "psd", cfg),
-            1.0 + eps_grid[-1],
-        ))
+        tally.add(1e-3, errors[-1], monotone and final_ok,
+                  _parts({"kind": "alpha-limit"}, rho, sigma, 1.0 + eps_grid[-1], cfg))
     return tally.report()
 
 
@@ -975,25 +932,24 @@ def violation_search(
         "trials": int(trials),
         "seed": int(seed),
         "hill_steps": int(hill_steps),
-        "tolerances": _tolerances_dict(cfg),
     }
-    tally = _Tally("violation-search", seed, config)
+    tally = _Tally("violation-search", seed, config, cfg)
     best = None  # (gap, phi, rho, sigma)
     for t in range(trials):
         rng = rng_for_trial(seed, t)
         d = int(rng.choice(dims))
-        phi = random_cptp(d, rng=rng, cfg=cfg)
+        phi = random_cptp(d, rng=rng)
         rho = random_density(rng, d)
         sigma = random_density(rng, d)
-        lhs, rhs, gap = _evaluate(phi, rho, sigma, "sandwiched", alpha, cfg)
+        lhs, rhs, gap = _evaluate(phi, rho, sigma, alpha, cfg)
         if best is None or gap < best[0]:
             best = (gap, phi, rho, sigma)
-        tally.add(lhs, rhs, not gap < -VIOLATION_MARGIN, lambda: _serialized(phi, rho, sigma, alpha, cfg))
+        tally.add(lhs, rhs, not gap < -VIOLATION_MARGIN, _parts(phi, rho, sigma, alpha, cfg))
 
     best_witness = None
     if best is not None and hill_steps > 0:
         gap, phi, rho, sigma = best
-        fn = _divergence("sandwiched", alpha, cfg)
+        fn = _divergence(alpha, cfg)
         lhs = fn(rho, sigma)  # the climb moves only the map
         V = np.vstack(phi.kraus)
         rng = rng_for_trial(seed, trials)
@@ -1001,7 +957,7 @@ def violation_search(
         for _ in range(hill_steps):
             V2 = _perturbed_isometry(V, step, rng)
             kraus2 = [V2[i * phi.dim_out : (i + 1) * phi.dim_out, :] for i in range(len(phi.kraus))]
-            cand = from_kraus(kraus2, phi.dim_in, phi.dim_out, cfg)
+            cand = from_kraus(kraus2, phi.dim_in, phi.dim_out)
             gap2 = _gap_of(lhs, _image_value(fn, cand, rho, sigma))
             if gap2 < gap:
                 V, gap, phi = V2, gap2, cand
@@ -1010,8 +966,8 @@ def violation_search(
         best = (gap, phi, rho, sigma)
     if best is not None and best[0] < -VIOLATION_MARGIN:
         gap, phi, rho, sigma = best
-        lhs, rhs, gap = _evaluate(phi, rho, sigma, "sandwiched", alpha, cfg)
-        best_witness = Witness(*_serialized(phi, rho, sigma, alpha, cfg), lhs, rhs, gap)
+        lhs, rhs, gap = _evaluate(phi, rho, sigma, alpha, cfg)
+        best_witness = Witness(*_parts(phi, rho, sigma, alpha, cfg)(), lhs, rhs, gap)
         replayed = replay_witness(best_witness, cfg=cfg)
         if replayed.gap != best_witness.gap:
             raise ReplayMismatch("stored witness did not replay to the identical gap")

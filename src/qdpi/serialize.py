@@ -266,7 +266,7 @@ def channel_from_dict(d: dict, cfg: ToleranceConfig = DEFAULT_TOL) -> SuperOpera
     rep = d.get("representation")
     try:
         if rep == "family":
-            phi = channels.construct(d["family"], d.get("params") or {}, d.get("seed"), cfg)
+            phi = channels.construct(d["family"], d.get("params") or {}, d.get("seed"))
         elif rep == "kraus":
             payloads = d.get("kraus")
             if not isinstance(payloads, list) or not payloads:
@@ -275,13 +275,13 @@ def channel_from_dict(d: dict, cfg: ToleranceConfig = DEFAULT_TOL) -> SuperOpera
                 _matrix_from_payload(p, dim_out, dim_in, f"kraus[{i}]")
                 for i, p in enumerate(payloads)
             ]
-            phi = from_kraus(kraus, dim_in, dim_out, cfg)
+            phi = from_kraus(kraus, dim_in, dim_out)
         elif rep == "superop_matrix":
             M = _matrix_from_payload(d, dim_out * dim_out, dim_in * dim_in, "superop matrix")
             phi = from_matrix(M, dim_in, dim_out)
         elif rep == "choi":
             C = _matrix_from_payload(d, dim_out * dim_in, dim_out * dim_in, "choi matrix")
-            phi = from_choi(C, dim_in, dim_out)
+            phi = from_choi(C, dim_in, dim_out, cfg)
         else:
             raise FormatError(f"unknown channel representation {rep!r}")
     except KeyError as exc:

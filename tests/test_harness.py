@@ -84,29 +84,28 @@ def test_monotonicity_check_requires_trace_match_for_tni_umegaki():
     rho = np.diag([0.5, 0.5])  # trace drops under phi
     sigma = np.diag([0.25, 0.75])
     with pytest.raises(DomainError):
-        monotonicity_check(phi, rho, sigma, "umegaki")
-    # the sandwiched family accepts trace-nonincreasing maps directly
-    w = monotonicity_check(phi, rho, sigma, "sandwiched", 2.0)
+        monotonicity_check(phi, rho, sigma)
+    # the sandwiched divergence accepts trace-nonincreasing maps directly
+    w = monotonicity_check(phi, rho, sigma, 2.0)
     assert w.gap >= -1e-10
 
 
-def test_monotonicity_check_alpha_argument_validation():
+@pytest.mark.parametrize("alpha", [1.0, 0.0, -2.0])
+def test_monotonicity_check_alpha_argument_validation(alpha):
     phi = identity_map(2)
     rho = np.diag([0.5, 0.5])
     with pytest.raises(DomainError):
-        monotonicity_check(phi, rho, rho, "umegaki", alpha=2.0)
-    with pytest.raises(DomainError):
-        monotonicity_check(phi, rho, rho, "sandwiched")
-    with pytest.raises(DomainError):
-        monotonicity_check(phi, rho, rho, "tilted", 2.0)
+        monotonicity_check(phi, rho, rho, alpha)
 
 
-def test_witness_round_trip_and_replay_are_exact():
+@pytest.mark.parametrize("alpha", [None, 0.7, 2.0])
+def test_witness_round_trip_and_replay_are_exact(alpha):
     rng = rng_for_trial(402, 0)
     phi = random_cptp(3, rng=rng)
     rho = random_density(rng, 3)
     sigma = random_density(rng, 3)
-    w = monotonicity_check(phi, rho, sigma, "sandwiched", 2.0)
+    w = monotonicity_check(phi, rho, sigma, alpha)
+    assert w.alpha == alpha
     w2 = witness_from_dict(json.loads(canonical_json(witness_to_dict(w))))
     replayed = replay_witness(w2)
     assert replayed.lhs == w.lhs and replayed.rhs == w.rhs and replayed.gap == w.gap
@@ -116,7 +115,7 @@ def test_replay_witness_alpha_override():
     phi = counterexample_map()
     rho = np.diag([1 / 3, 2 / 3])
     sigma = np.diag([2 / 3, 1 / 3])
-    w = monotonicity_check(phi, rho, sigma, "sandwiched", 2.0)
+    w = monotonicity_check(phi, rho, sigma, 2.0)
     at_three = replay_witness(w, alpha_override=3.0)
     assert at_three.alpha == 3.0
     assert at_three.gap != w.gap

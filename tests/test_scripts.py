@@ -1,0 +1,56 @@
+"""The runner scripts at tiny sizes: they write what they say, and exit as they say."""
+
+import os
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+from qdpi.harness import replay_witness, report_from_dict, witness_from_dict
+from qdpi.serialize import load_json
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+BATTERY_REPORTS = (
+    "counterexample", "dpi_tp", "dpi_tni", "dpi_trace_match", "contraction",
+    "step2", "auxiliary", "alpha_limit", "violation",
+)
+
+
+def run_script(name, *args):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    cmd = [sys.executable, str(ROOT / "scripts" / name), *map(str, args)]
+    return subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=120)
+
+
+# a violation search of 0 trials is inconclusive, which fails that suite
+@pytest.mark.parametrize("violation_trials", [20, 0])
+def test_full_battery_writes_one_report_per_suite(tmp_path, violation_trials):
+    proc = run_script(
+        "run_full_battery.py", "--seed", 1, "--out-dir", tmp_path, "--dpi-trials", 5,
+        "--trace-match-trials", 5, "--contraction-instances", 1, "--contraction-trials", 2,
+        "--step2-dim", 4, "--auxiliary-trials", 3, "--limit-pairs", 2,
+        "--violation-trials", violation_trials,
+    )
+    assert sorted(p.stem for p in tmp_path.glob("*.json")) == sorted(BATTERY_REPORTS)
+    reports = {name: report_from_dict(load_json(tmp_path / f"{name}.json")) for name in BATTERY_REPORTS}
+    passed = all(
+        r.outcome == "violation_found" if name == "violation" else r.passed
+        for name, r in reports.items()
+    )
+    assert passed == (violation_trials > 0)
+    assert proc.returncode == (0 if passed else 1), proc.stderr
+
+
+def test_violation_search_witnesses_replay_to_their_stored_gap(tmp_path):
+    proc = run_script(
+        "search_violations.py", "--alphas", "0.2,0.3", "--dims", 2, "--trials", 100,
+        "--hill-steps", 200, "--seed", 1, "--out-dir", tmp_path,
+    )
+    assert proc.returncode == 0, proc.stderr
+    paths = sorted(tmp_path.glob("witness_alpha_*.json"))
+    assert paths
+    for path in paths:
+        w = witness_from_dict(load_json(path))
+        assert w.gap < 0.0
+        assert replay_witness(w).gap == w.gap

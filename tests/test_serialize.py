@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -5,8 +6,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qdpi.channels import counterexample_map, from_kraus, from_matrix, random_cptp, transpose_map
-from qdpi.linalg import DomainError, psd
+from qdpi.channels import (
+    choi,
+    counterexample_map,
+    from_choi,
+    from_kraus,
+    from_matrix,
+    identity_map,
+    random_cptp,
+    transpose_map,
+)
+from qdpi.linalg import DEFAULT_TOL, DomainError, psd
 from qdpi.sampling import random_density, random_hermitian, rng_for_trial
 from qdpi.serialize import (
     FormatError,
@@ -156,6 +166,17 @@ def test_channel_choi_representation_round_trip():
     back = channel_from_dict(payload)
     assert np.allclose(back.matrix, phi.matrix, atol=1e-12)
     assert back.certificate.tag == "completely_positive"
+
+
+def test_choi_payload_is_certified_under_the_given_tolerances():
+    # smallest Choi eigenvalue -5e-10: below the default psd_tolerance, within 1e-8
+    C = choi(identity_map(2)) - 5e-10 * np.eye(4)
+    payload = {"schema_version": SCHEMA_VERSION, "dim_in": 2, "dim_out": 2, "representation": "choi",
+               "re": C.real.tolist(), "im": C.imag.tolist()}
+    loose = dataclasses.replace(DEFAULT_TOL, psd_tolerance=1e-8)
+    assert channel_from_dict(payload).certificate.tag == "unverified"
+    assert channel_from_dict(payload, loose).certificate.tag == "completely_positive"
+    assert from_choi(C, 2, 2, loose).certificate.tag == "completely_positive"
 
 
 def test_channel_from_dict_validates_schema_and_dims():
