@@ -11,12 +11,9 @@ from .linalg import (
     EigensolverError,
     ToleranceConfig,
     ValidatedPSD,
-    log_on_support,
     operator_norm,
-    power_on_support,
     psd,
     schatten_norm,
-    support_projector,
     trace_norm,
 )
 from .divergences import (
@@ -57,7 +54,6 @@ from .channels import (
     trace_behavior,
     transpose_map,
     truncation_map,
-    unit_sector_projector,
 )
 from .serialize import (
     FormatError,

@@ -19,6 +19,12 @@ never certify.
 Maps given by Kraus operators evaluate through them; their representation
 matrix is built on first access, as one Gram product of the stacked Kraus
 operators, and cached.
+
+Every trace fact is read off Phi*(1), eigendecomposed once per map and
+cached as the map's ``TraceBehavior``: the trace tag (Phi*(1) = 1 or
+Phi*(1) <= 1), the unit sector where a trace-nonincreasing map preserves
+the trace (``sector()``), and the 1->1 norm of a positive map, its largest
+eigenvalue (Russo-Dye).
 """
 
 from __future__ import annotations
@@ -35,8 +41,6 @@ from .linalg import (
     ToleranceConfig,
     as_matrix,
     hermitian_part,
-    max_eigenvalue,
-    operator_norm,
     psd,
     require_projector,
 )
@@ -74,7 +78,6 @@ __all__ = [
     "random_positive_noncp",
     "damped_cptp",
     "construct",
-    "unit_sector_projector",
 ]
 
 # thresholds fixed by the trace-behavior contract, independent of ToleranceConfig
@@ -109,12 +112,17 @@ UNVERIFIED = PositivityCertificate("unverified")
 class TraceBehavior:
     """Trace classification of a map, decided exactly through Phi*(1).
 
-    tag is "preserving" when ||Phi*(1) - 1||_inf <= 1e-9, else "nonincreasing"
-    when min_eig(1 - Phi*(1)) >= -1e-9, else "neither".
+    ``w``/``V`` are the ascending eigenvalues and eigenvectors of
+    ``adjoint_unit`` = Phi*(1), from its one eigendecomposition. tag is
+    "preserving" when max|w - 1| <= 1e-9, else "nonincreasing" when
+    max(w) <= 1 + 1e-9, else "neither". For a positive map max(w) is the
+    1->1 norm (Russo-Dye).
     """
 
     tag: str
     adjoint_unit: np.ndarray
+    w: np.ndarray
+    V: np.ndarray
 
     @property
     def is_preserving(self) -> bool:
@@ -123,6 +131,17 @@ class TraceBehavior:
     @property
     def is_nonincreasing(self) -> bool:
         return self.tag in ("preserving", "nonincreasing")
+
+    def sector(self) -> np.ndarray:
+        """Orthonormal basis (columns) of the eigenvalue-1 eigenspace of Phi*(1).
+
+        States supported here have their trace preserved exactly by a
+        trace-nonincreasing map. Raises when the sector is trivial.
+        """
+        B = self.V[:, self.w >= 1.0 - TRACE_TOLERANCE]
+        if B.shape[1] == 0:
+            raise DomainError("Phi*(1) has no eigenvalue-1 sector")
+        return B
 
 
 def _vec(X: np.ndarray) -> np.ndarray:
@@ -166,6 +185,10 @@ class SuperOperator:
     @cached_property
     def matrix(self) -> np.ndarray:
         return _kraus_matrix(self.kraus, self.dim_in, self.dim_out)
+
+    @cached_property
+    def _trace_behavior(self) -> TraceBehavior:
+        return _classify_trace(self)
 
     def apply(self, X) -> np.ndarray:
         X = as_matrix(X)
@@ -319,25 +342,27 @@ def compose(outer: SuperOperator, inner: SuperOperator) -> SuperOperator:
     return SuperOperator(M, inner.dim_in, outer.dim_out, kr, cert, desc)
 
 
-def _adjoint_unit(phi: SuperOperator) -> np.ndarray:
+def _classify_trace(phi: SuperOperator) -> TraceBehavior:
     if phi.kraus is not None:
         A = sum(K.conj().T @ K for K in phi.kraus)
     else:
         A = _unvec(
             phi.matrix.conj().T @ _vec(np.eye(phi.dim_out)), phi.dim_in, phi.dim_in
         )
-    return hermitian_part(A)
+    A = hermitian_part(A)
+    w, V = np.linalg.eigh(A)
+    for M in (A, w, V):
+        M.flags.writeable = False
+    if np.abs(w - 1.0).max() <= TRACE_TOLERANCE:
+        return TraceBehavior("preserving", A, w, V)
+    if w[-1] <= 1.0 + TRACE_TOLERANCE:
+        return TraceBehavior("nonincreasing", A, w, V)
+    return TraceBehavior("neither", A, w, V)
 
 
 def trace_behavior(phi: SuperOperator) -> TraceBehavior:
-    """Exact trace classification through Phi*(1)."""
-    A = _adjoint_unit(phi)
-    eye = np.eye(phi.dim_in)
-    if operator_norm(A - eye) <= TRACE_TOLERANCE:
-        return TraceBehavior("preserving", A)
-    if float(np.linalg.eigvalsh(eye - A)[0]) >= -TRACE_TOLERANCE:
-        return TraceBehavior("nonincreasing", A)
-    return TraceBehavior("neither", A)
+    """Exact trace classification through Phi*(1), computed once per map."""
+    return phi._trace_behavior
 
 
 def classify(
@@ -377,14 +402,14 @@ def classify(
     return dataclasses.replace(cert, choi_min=cmin), behavior
 
 
-def one_to_one_norm_positive(phi: SuperOperator, cfg: ToleranceConfig = DEFAULT_TOL) -> float:
+def one_to_one_norm_positive(phi: SuperOperator) -> float:
     """1->1 norm of a certified positive map, equal to ||Phi*(1)||_inf."""
     if not phi.certificate.is_positive:
         raise DomainError(
             "the 1->1 norm formula ||Phi*(1)||_inf is only valid for positive maps; "
             f"certificate tag is {phi.certificate.tag!r}"
         )
-    return max_eigenvalue(_adjoint_unit(phi), cfg)
+    return float(trace_behavior(phi).w[-1])
 
 
 def gamma_superoperator(sigma, inverse: bool = False, cfg: ToleranceConfig = DEFAULT_TOL) -> SuperOperator:
@@ -625,17 +650,3 @@ def _descriptor_args(desc: dict) -> dict:
         "seed": desc.get("seed"),
     }
 
-
-def unit_sector_projector(phi: SuperOperator) -> np.ndarray:
-    """Projector onto the eigenvalue-1 eigenspace of Phi*(1).
-
-    States supported here have their trace preserved exactly by a
-    trace-nonincreasing map. Raises when the sector is trivial.
-    """
-    A = _adjoint_unit(phi)
-    w, V = np.linalg.eigh(A)
-    on = w >= 1.0 - TRACE_TOLERANCE
-    if not on.any():
-        raise DomainError("Phi*(1) has no eigenvalue-1 sector")
-    Von = V[:, on]
-    return Von @ Von.conj().T

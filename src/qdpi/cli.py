@@ -148,9 +148,8 @@ def _cmd_check_map(args) -> int:
     cert, behavior = classify(phi, cfg, sample_count=args.samples, seed=args.seed)
     if cert.choi_min is None:
         raise DomainError("the Choi matrix is not Hermitian")
-    # one spectrum of Phi*(1) gives both the listing and, for a map classify
+    # the spectrum of Phi*(1) gives both the listing and, for a map classify
     # certified positive, the 1->1 norm ||Phi*(1)||_inf
-    spectrum = np.linalg.eigvalsh(behavior.adjoint_unit)
     report = {
         "schema_version": serialize.SCHEMA_VERSION,
         "dim_in": phi.dim_in,
@@ -159,8 +158,8 @@ def _cmd_check_map(args) -> int:
         "certificate_reason": cert.reason,
         "trace_behavior": behavior.tag,
         "choi_min_eigenvalue": serialize.encode_extended(cert.choi_min),
-        "adjoint_unit_spectrum": [serialize.encode_extended(float(v)) for v in spectrum],
-        "one_to_one_norm": serialize.encode_extended(float(spectrum[-1])) if cert.is_positive else None,
+        "adjoint_unit_spectrum": [serialize.encode_extended(float(v)) for v in behavior.w],
+        "one_to_one_norm": serialize.encode_extended(float(behavior.w[-1])) if cert.is_positive else None,
     }
     _emit(report, args.out)
     return EXIT_PASS
@@ -176,61 +175,55 @@ def _summary_line(report, ok: bool) -> str:
     )
 
 
-def _cmd_suite(args) -> int:
+def _suite_options(args) -> dict:
+    """The suite options given on the command line; the harness defaults the rest."""
     cfg = _config_from_args(args)
-    name = args.name
     dims = _parse_dims(args.dims) if args.dims else None
-    alphas = _parse_alphas(args.alpha) if args.alpha else None
+    options = {
+        "seed": args.seed,
+        "trials": args.trials,
+        "dims": dims,
+        "d": dims[0] if dims else None,  # step2 runs at one dimension
+        "alphas": _parse_alphas(args.alpha) if args.alpha else None,
+        "instances": args.instances,
+        "n_sequence": _parse_ns(args.n_sequence) if args.n_sequence else None,
+        "hill_steps": args.hill_steps,
+        "cfg": None if cfg is DEFAULT_TOL else cfg,
+    }
+    return {k: v for k, v in options.items() if v is not None}
+
+
+def _cmd_suite(args) -> int:
+    name = args.name
+    options = _suite_options(args)
+
+    def given(*keys):
+        return {k: options[k] for k in keys if k in options}
 
     if name == "dpi":
-        mode = args.mode.replace("-", "_")
         report = harness.randomized_dpi_suite(
-            mode,
-            dims=dims or (2, 3, 4),
-            trials=args.trials if args.trials is not None else 1000,
-            seed=args.seed,
-            cfg=cfg,
-            alphas=alphas,
+            args.mode.replace("-", "_"), **given("dims", "trials", "seed", "cfg", "alphas")
         )
     elif name == "counterexample":
-        report = harness.counterexample_suite(cfg)
+        report = harness.counterexample_suite(**given("cfg"))
     elif name == "contraction":
         report = harness.contraction_battery(
-            instances=args.instances,
-            dims=dims or (2, 3, 4),
-            alphas=alphas or (1.5, 2.0, 3.0),
-            trials=args.trials if args.trials is not None else 200,
-            seed=args.seed,
-            cfg=cfg,
+            **given("instances", "dims", "alphas", "trials", "seed", "cfg")
         )
     elif name == "step2":
-        d = (dims or (32,))[0]
-        report = harness.step2_battery(
-            d=d,
-            n_sequence=_parse_ns(args.n_sequence) if args.n_sequence else None,
-            seed=args.seed,
-            cfg=cfg,
-        )
+        report = harness.step2_battery(**given("d", "n_sequence", "seed", "cfg"))
     elif name == "auxiliary":
-        report = harness.auxiliary_inequality_suite(
-            trials=args.trials if args.trials is not None else 200,
-            seed=args.seed,
-            cfg=cfg,
-            dims=dims or (2, 3, 4, 5, 6),
-        )
+        report = harness.auxiliary_inequality_suite(**given("trials", "seed", "cfg", "dims"))
     elif name == "alpha-limit":
+        # the pair sampler has no defaults of its own
         pairs = harness.sample_state_pairs(
-            args.trials if args.trials is not None else 50, dims or (2, 3, 4, 5, 6), args.seed
+            options.get("trials", 50), options.get("dims", (2, 3, 4, 5, 6)), options.get("seed", 0)
         )
-        report = harness.alpha_limit_suite(pairs, cfg=cfg, seed=args.seed)
+        report = harness.alpha_limit_suite(pairs, **given("cfg", "seed"))
     elif name == "violation":
         report = harness.violation_search(
-            alpha=float(alphas[0]) if alphas else 0.3,
-            dims=dims or (2,),
-            trials=args.trials if args.trials is not None else 100_000,
-            seed=args.seed,
-            cfg=cfg,
-            hill_steps=args.hill_steps,
+            alpha=options["alphas"][0] if "alphas" in options else 0.3,
+            **given("dims", "trials", "seed", "cfg", "hill_steps"),
         )
     else:
         raise FormatError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
@@ -273,13 +266,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("name", choices=SUITE_NAMES)
     p.add_argument("--mode", choices=("tp", "tni", "trace-match"), default="tp",
                    help="theorem variant for the dpi suite")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--trials", type=int, default=None)
     p.add_argument("--dims", default=None, help="comma separated dimensions, e.g. 2,3,4")
     p.add_argument("--alpha", default=None, help="comma separated alpha values")
-    p.add_argument("--instances", type=int, default=20, help="(contraction) number of map/state instances")
+    p.add_argument("--instances", type=int, default=None, help="(contraction) number of map/state instances")
     p.add_argument("--n-sequence", default=None, help="(step2) comma separated truncation ranks")
-    p.add_argument("--hill-steps", type=int, default=1500,
+    p.add_argument("--hill-steps", type=int, default=None,
                    help="(violation) local refinement steps after the random search")
     p.add_argument("--allow-inconclusive", action="store_true",
                    help="(violation) exit 0 even when no violating witness is found")

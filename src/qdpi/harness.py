@@ -31,11 +31,9 @@ from .linalg import (
     DomainError,
     ToleranceConfig,
     hermitian_part,
-    log_on_support,
     min_eigenvalue,
     operator_norm,
     psd,
-    support_projector,
     trace_norm,
 )
 from .divergences import klein_gap, relative_entropy, sandwiched_renyi, von_neumann_entropy, support_contained, weighted_p_norm
@@ -55,7 +53,6 @@ from .channels import (
     reduction_map,
     trace_behavior,
     truncation_map,
-    unit_sector_projector,
 )
 from .sampling import (
     random_complex_gaussian,
@@ -424,10 +421,8 @@ def _sample_state_pair(rng, d: int):
     return rho, sigma
 
 
-def _sector_state(rng, Q: np.ndarray) -> np.ndarray:
-    """Random density supported on the range of the projector Q."""
-    w, V = np.linalg.eigh(Q)
-    B = V[:, w > 0.5]
+def _sector_state(rng, B: np.ndarray) -> np.ndarray:
+    """Random density supported on the span of the orthonormal columns of B."""
     r = B.shape[1]
     G = random_complex_gaussian(rng, (r, r))
     W = G @ G.conj().T
@@ -529,8 +524,7 @@ def randomized_dpi_suite(
             d = 2
         phi = _sample_family_map(family, d, rng, cfg)
         if mode == "trace_match":
-            Q = unit_sector_projector(phi)
-            rho = _sector_state(rng, Q)
+            rho = _sector_state(rng, trace_behavior(phi).sector())
             if float(rng.random()) < 0.15:
                 sigma = random_rank_deficient_density(rng, d)
             else:
@@ -610,7 +604,7 @@ def norm_contraction_suite(
     tally.add(UNIT_IMAGE_TOLERANCE, unit_defect, unit_defect <= UNIT_IMAGE_TOLERANCE,
               _parts(psi, eye, sigma, None, cfg))
 
-    one_norm = one_to_one_norm_positive(phi, cfg)
+    one_norm = one_to_one_norm_positive(phi)
     tally.add(ADJOINT_UNIT_BOUND, one_norm, one_norm <= ADJOINT_UNIT_BOUND,
               _parts(phi, eye, sigma, None, cfg))
     return tally.report()
@@ -814,8 +808,7 @@ def auxiliary_inequality_suite(
         pinched_sigma = hermitian_part(pinch.apply(sigma))
 
         concavity = min_eigenvalue(
-            log_on_support(pinched_sigma, cfg)
-            - hermitian_part(pinch.apply(log_on_support(sigma, cfg))),
+            psd(pinched_sigma, cfg).log() - hermitian_part(pinch.apply(psd(sigma, cfg).log())),
             cfg,
         )
         ok_a = concavity >= -STEP2_INEQUALITY_TOLERANCE
@@ -831,7 +824,7 @@ def auxiliary_inequality_suite(
 
         r = int(rng.integers(1, d + 1))
         sigma_small = random_density(rng, d, rank=r)
-        Q = support_projector(sigma_small, cfg)
+        Q = psd(sigma_small, cfg).projector()
         inner = random_density(rng, d)
         rho_small = Q @ inner @ Q
         tr = float(np.trace(rho_small).real)

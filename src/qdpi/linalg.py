@@ -3,8 +3,8 @@
 Operators are plain complex ndarrays. The helpers here enforce the
 Hermiticity / positivity / projector contracts at API boundaries and provide
 the spectral building blocks everything else is made of: eigendecompositions,
-support projectors, matrix functions restricted to the support, and Schatten
-norms.
+validated PSD values (support projector and matrix functions restricted to
+the support), and Schatten norms.
 
 Support convention: eigenvalues at or below ``support_cutoff * lambda_max``
 count as off-support (strict inequality, so ties break deterministically).
@@ -12,8 +12,8 @@ Matrix functions map off-support eigenvalues to 0, which makes log and
 negative powers total on PSD inputs (pseudo-inverse convention).
 
 A PSD operator is validated once: ``psd`` runs one Hermiticity check and one
-``eigh`` and returns a ``ValidatedPSD``, which every spectral helper and
-divergence accepts in place of an ndarray without validating it again.
+``eigh`` and returns a ``ValidatedPSD``, which every divergence and weighted
+norm accepts in place of an ndarray without validating it again.
 """
 
 from __future__ import annotations
@@ -33,14 +33,9 @@ __all__ = [
     "require_hermitian",
     "ValidatedPSD",
     "psd",
-    "require_psd",
     "require_projector",
     "hermitian_eig",
     "min_eigenvalue",
-    "max_eigenvalue",
-    "support_projector",
-    "log_on_support",
-    "power_on_support",
     "schatten_norm",
     "trace_norm",
     "operator_norm",
@@ -182,11 +177,6 @@ def psd(A, cfg: ToleranceConfig = DEFAULT_TOL) -> ValidatedPSD:
     return ValidatedPSD(M, w, V, cfg)
 
 
-def require_psd(A, cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """The symmetrized matrix of ``psd(A, cfg)``."""
-    return psd(A, cfg).matrix
-
-
 def require_projector(P, cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """Validate ||P^2 - P||_inf <= projector_tolerance (eigenvalues near {0,1})."""
     P = require_hermitian(P, cfg)
@@ -206,34 +196,13 @@ def min_eigenvalue(A, cfg: ToleranceConfig = DEFAULT_TOL) -> float:
     return float(_solve(np.linalg.eigvalsh, require_hermitian(A, cfg))[0])
 
 
-def max_eigenvalue(A, cfg: ToleranceConfig = DEFAULT_TOL) -> float:
-    """Largest eigenvalue of a Hermitian matrix."""
-    return float(_solve(np.linalg.eigvalsh, require_hermitian(A, cfg))[-1])
-
-
-def support_projector(A, cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """Projector onto the span of eigenvectors above the support cutoff.
-
-    The zero matrix maps to the zero projector.
-    """
-    return psd(A, cfg).projector()
-
-
-def log_on_support(A, cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """Natural matrix logarithm on the support of a PSD matrix."""
-    return psd(A, cfg).log()
-
-
-def power_on_support(A, t: float, cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """Fractional matrix power A^t on the support of a PSD matrix."""
-    return psd(A, cfg).power(t)
-
-
 def schatten_norm(X, p: float) -> float:
     """Schatten p-norm of a square matrix for p in [1, inf]."""
     X = _require_square(as_matrix(X))
     if not (p == np.inf or p >= 1):
         raise DomainError(f"Schatten norm requires p >= 1, got {p}")
+    if not np.isfinite(X).all():
+        raise DomainError("matrix has non-finite entries")
     s = np.linalg.svd(X, compute_uv=False)
     if s.size == 0:
         return 0.0

@@ -29,16 +29,14 @@ from qdpi.channels import (
     trace_behavior,
     transpose_map,
     truncation_map,
-    unit_sector_projector,
 )
 from qdpi.divergences import gamma_inverse, gamma_map, support_contained
 from qdpi.linalg import (
     DEFAULT_TOL,
     DomainError,
-    max_eigenvalue,
     min_eigenvalue,
     operator_norm,
-    support_projector,
+    psd,
 )
 from qdpi.sampling import (
     random_density,
@@ -220,6 +218,12 @@ def test_trace_behavior_classification():
     assert trace_behavior(halving_map(2)).tag == "nonincreasing"
     inflating = from_matrix(2.0 * identity_map(2).matrix, 2, 2)
     assert trace_behavior(inflating).tag == "neither"
+    # the tag is read off the one eigendecomposition of Phi*(1), cached on the map
+    phi = damped_cptp(4, 2, 0.3, seed=6)
+    b = trace_behavior(phi)
+    assert trace_behavior(phi) is b
+    assert np.allclose((b.V * b.w) @ b.V.conj().T, adjoint(phi).apply(np.eye(4)), atol=1e-12)
+    assert np.all(np.diff(b.w) >= 0.0)
 
 
 def test_classify_confirms_cp_and_falsifies_negative_map():
@@ -301,26 +305,17 @@ def test_truncation_rejects_zero_target_projector():
 
 
 def test_unit_sector_projector_cases():
-    assert np.allclose(unit_sector_projector(counterexample_map()), np.diag([0.0, 1.0]), atol=1e-9)
-    assert np.allclose(unit_sector_projector(random_cptp(3, seed=6)), np.eye(3), atol=1e-9)
-    phi = damped_cptp(4, 2, 0.3, seed=6)
-    Q = unit_sector_projector(phi)
-    assert np.trace(Q).real == pytest.approx(2.0, abs=1e-9)
+    def projector(phi):
+        B = trace_behavior(phi).sector()
+        return B @ B.conj().T
+
+    assert np.allclose(projector(counterexample_map()), np.diag([0.0, 1.0]), atol=1e-9)
+    assert np.allclose(projector(random_cptp(3, seed=6)), np.eye(3), atol=1e-9)
+    B = trace_behavior(damped_cptp(4, 2, 0.3, seed=6)).sector()
+    assert B.shape == (4, 2)
+    assert np.allclose(B.conj().T @ B, np.eye(2), atol=1e-12)
     with pytest.raises(DomainError):
-        unit_sector_projector(halving_map(2))
-
-
-def test_damped_cptp_preserves_trace_on_sector_only():
-    phi = damped_cptp(3, 2, 0.4, seed=7)
-    Q = unit_sector_projector(phi)
-    rng = rng_for_trial(208, 0)
-    inner = random_density(rng, 3)
-    rho = Q @ inner @ Q
-    rho = rho / np.trace(rho).real
-    assert np.trace(phi.apply(rho)).real == pytest.approx(1.0, abs=1e-10)
-    off = random_density(rng, 3)
-    assert np.trace(phi.apply(off)).real < 1.0 - 1e-3
-    assert trace_behavior(phi).tag == "nonincreasing"
+        trace_behavior(halving_map(2)).sector()
 
 
 def test_gamma_superoperator_matches_direct_conjugation():
@@ -408,7 +403,7 @@ def test_russo_dye_one_to_one_norm_equals_adjoint_unit_norm():
     # for positive maps the 1->1 norm is attained at the identity
     for seed in range(4):
         phi = random_positive_noncp(3, seed=seed)
-        unit_norm = max_eigenvalue(adjoint(phi).apply(np.eye(3)))
+        unit_norm = float(np.linalg.eigvalsh(adjoint(phi).apply(np.eye(3)))[-1])
         assert one_to_one_norm_positive(phi) == pytest.approx(unit_norm, abs=1e-12)
         rng = rng_for_trial(214, seed)
         for trial in range(6):
@@ -443,7 +438,7 @@ def test_positive_maps_preserve_support_inclusion():
         d = int(rng.integers(2, 5))
         sigma = random_psd(rng, d, rank=max(1, d - 1))
         # compress a random state into supp(sigma)
-        Q = support_projector(sigma)
+        Q = psd(sigma).projector()
         rho = Q @ random_psd(rng, d) @ Q
         phi = (random_cptp, random_positive_noncp)[trial % 2](d, seed=trial)
         assert support_contained(rho, sigma)

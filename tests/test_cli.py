@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 
@@ -188,6 +189,36 @@ def test_suite_violation_found_witness_exits_zero(tmp_path, capsys):
 def test_suite_violation_alpha_out_of_range(capsys):
     rc = main(["suite", "violation", "--trials", "2", "--alpha", "0.7"])
     assert rc == EXIT_PRECONDITION_ERROR
+
+
+SUITE_ENTRY_POINTS = {
+    "dpi": "randomized_dpi_suite",
+    "counterexample": "counterexample_suite",
+    "contraction": "contraction_battery",
+    "step2": "step2_battery",
+    "auxiliary": "auxiliary_inequality_suite",
+    "alpha-limit": "alpha_limit_suite",
+    "violation": "violation_search",
+}
+
+
+class _Called(Exception):
+    pass
+
+
+@pytest.mark.parametrize("name", sorted(SUITE_ENTRY_POINTS))
+def test_flagless_suite_leaves_defaults_to_the_harness(monkeypatch, name):
+    entry = getattr(harness, SUITE_ENTRY_POINTS[name])
+
+    def record(*args, **kwargs):
+        raise _Called(inspect.signature(entry).bind(*args, **kwargs).arguments)
+
+    monkeypatch.setattr(harness, SUITE_ENTRY_POINTS[name], record)
+    with pytest.raises(_Called) as called:
+        main(["suite", name])
+    params = inspect.signature(entry).parameters
+    restated = [k for k in called.value.args[0] if params[k].default is not inspect.Parameter.empty]
+    assert restated == []
 
 
 def test_tolerance_flags_propagate_to_report_config(tmp_path):

@@ -245,6 +245,13 @@ def test_weighted_norm_requires_full_rank_sigma():
         weighted_p_norm(np.eye(2), np.diag([1.0, 0.0]), 2.0)
 
 
+def test_weighted_norm_rejects_non_finite_input():
+    X = np.array([[np.nan, 0.0], [0.0, 1.0]])
+    for p in (2.0, math.inf):
+        with pytest.raises(DomainError, match="non-finite"):
+            weighted_p_norm(X, np.eye(2) / 2.0, p)
+
+
 def test_weighted_norm_p_infinity_and_identity_weight():
     rng = rng_for_trial(109, 0)
     X = random_hermitian(rng, 3)

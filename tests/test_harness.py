@@ -5,16 +5,22 @@ import numpy as np
 import pytest
 
 from qdpi.channels import (
+    adjoint,
+    classify,
     counterexample_map,
+    damped_cptp,
     from_matrix,
     halving_map,
     identity_map,
+    one_to_one_norm_positive,
     random_cptp,
     reduction_map,
+    trace_behavior,
     transpose_map,
 )
 from qdpi.harness import (
     CheckReport,
+    TRACE_MATCH_FAMILIES,
     TRACE_MATCH_TOLERANCE,
     Witness,
     alpha_limit_suite,
@@ -34,8 +40,8 @@ from qdpi.harness import (
     witness_from_dict,
     witness_to_dict,
 )
-from qdpi.harness import _sample_state_pair
-from qdpi.linalg import DomainError
+from qdpi.harness import _sample_family_map, _sample_state_pair, _sector_state
+from qdpi.linalg import DEFAULT_TOL, DomainError
 from qdpi.sampling import random_density, rng_for_trial
 from qdpi.serialize import canonical_json
 
@@ -312,11 +318,53 @@ def test_dpi_tp_trial_runs_at_most_eight_eigensolves(eig_sizes):
 
 
 def test_norm_contraction_eigensolves_do_not_grow_with_trials(eig_sizes):
-    phi = random_cptp(4, seed=2)
     sigma = random_density(rng_for_trial(8, 0), 4)
     counts = []
     for trials in (10, 50):
+        # a fresh map per run, so its cached Phi*(1) spectrum is not carried over
+        phi = random_cptp(4, seed=2)
         del eig_sizes[:]
         assert norm_contraction_suite(sigma, phi, trials=trials, seed=1).passed
         counts.append(len(eig_sizes))
     assert counts[0] == counts[1]
+
+
+# solver calls (eigh + eigvalsh + svd) over 200 trials: at most 5.8 per
+# trace-match trial and 5.49 per tp trial
+@pytest.mark.parametrize("mode, budget", [("trace_match", 1160), ("tp", 1098)])
+def test_dpi_solver_calls_per_trial(solver_calls, mode, budget):
+    r = randomized_dpi_suite(mode, dims=(2, 3, 4, 5, 6), trials=200, seed=3)
+    assert r.passed
+    assert len(solver_calls) <= budget
+
+
+def test_adjoint_unit_is_diagonalized_once_per_map(solver_calls):
+    phi = damped_cptp(3, 2, 0.5, seed=4)
+    rng = rng_for_trial(402, 0)
+    rho, sigma = random_density(rng, 3), random_density(rng, 3)
+    cert, behavior = classify(phi)
+    assert cert.tag == "completely_positive" and behavior.tag == "nonincreasing"
+    assert one_to_one_norm_positive(phi) == pytest.approx(1.0, abs=1e-12)
+    assert monotonicity_check(phi, rho, sigma, 2.0).gap >= -1e-9
+    unit = adjoint(phi).apply(np.eye(3))
+    solves = [a for _, a in solver_calls if a.shape == unit.shape and np.allclose(a, unit, atol=1e-12)]
+    assert len(solves) == 1
+
+
+@pytest.mark.parametrize("family", TRACE_MATCH_FAMILIES)
+def test_trace_preserved_on_sector_only(family):
+    for trial in range(10):
+        rng = rng_for_trial(208, trial)
+        phi = _sample_family_map(family, int(rng.integers(2, 6)), rng, DEFAULT_TOL)
+        behavior = trace_behavior(phi)
+        B = behavior.sector()
+        assert np.allclose(B.conj().T @ B, np.eye(B.shape[1]), atol=1e-12)
+        rho = _sector_state(rng, B)
+        assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
+        assert np.trace(phi.apply(rho)).real == pytest.approx(1.0, abs=1e-10)
+        # off the sector the trace shrinks: tr Phi(v v*) = <v|Phi*(1)|v>
+        v = behavior.V[:, 0]
+        lost = np.trace(phi.apply(np.outer(v, v.conj()))).real
+        assert lost == pytest.approx(behavior.w[0], abs=1e-10)
+        if behavior.tag == "nonincreasing":
+            assert lost < 1.0 - 1e-9

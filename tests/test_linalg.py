@@ -11,17 +11,12 @@ from qdpi.linalg import (
     ToleranceConfig,
     hermitian_eig,
     hermitian_part,
-    log_on_support,
-    max_eigenvalue,
     min_eigenvalue,
     operator_norm,
-    power_on_support,
     psd,
     require_hermitian,
     require_projector,
-    require_psd,
     schatten_norm,
-    support_projector,
     trace_norm,
 )
 from qdpi.sampling import random_hermitian, random_psd, random_unitary, rng_for_trial
@@ -52,7 +47,7 @@ def test_require_hermitian_rejects_large_defect():
 
 def test_require_psd_rejects_negative_eigenvalue():
     with pytest.raises(DomainError):
-        require_psd(np.diag([1.0, -1e-3]))
+        psd(np.diag([1.0, -1e-3]))
 
 
 def test_require_projector_accepts_exact_and_rejects_scaled():
@@ -72,25 +67,25 @@ def test_hermitian_eig_is_ascending():
 
 
 def test_support_projector_of_diagonal():
-    P = support_projector(np.diag([0.0, 2.0, 0.0, 1e-3]))
+    P = psd(np.diag([0.0, 2.0, 0.0, 1e-3])).projector()
     assert np.allclose(P, np.diag([0.0, 1.0, 0.0, 1.0]))
 
 
 def test_support_projector_of_zero_matrix_is_zero():
-    P = support_projector(np.zeros((3, 3)))
+    P = psd(np.zeros((3, 3))).projector()
     assert np.allclose(P, 0.0)
 
 
 def test_log_on_support_diagonal_oracle():
     # off-support entries map to 0, on-support entries to their log
     A = np.diag([math.e, 0.0, 1.0])
-    L = log_on_support(A)
+    L = psd(A).log()
     assert np.allclose(L, np.diag([1.0, 0.0, 0.0]), atol=1e-14)
 
 
 def test_power_on_support_diagonal_oracle():
     A = np.diag([4.0, 0.0, 9.0])
-    R = power_on_support(A, 0.5)
+    R = psd(A).power(0.5)
     assert np.allclose(R, np.diag([2.0, 0.0, 3.0]), atol=1e-14)
 
 
@@ -98,8 +93,8 @@ def test_power_on_support_unitary_covariance():
     rng = rng_for_trial(2, 0)
     A = random_psd(rng, 4)
     U = random_unitary(rng, 4)
-    lhs = power_on_support(U @ A @ U.conj().T, 0.3)
-    rhs = U @ power_on_support(A, 0.3) @ U.conj().T
+    lhs = psd(U @ A @ U.conj().T).power(0.3)
+    rhs = U @ psd(A).power(0.3) @ U.conj().T
     assert np.allclose(lhs, rhs, atol=1e-11)
 
 
@@ -115,6 +110,12 @@ def test_schatten_norm_known_values():
 def test_schatten_norm_rejects_p_below_one():
     with pytest.raises(DomainError):
         schatten_norm(np.eye(2), 0.5)
+    # non-finite entries are a domain error, not a failed SVD
+    for bad in (np.nan, np.inf, -np.inf):
+        X = np.array([[bad, 0.0], [0.0, 1.0]])
+        for norm in (trace_norm, operator_norm, lambda X: schatten_norm(X, 3)):
+            with pytest.raises(DomainError, match="non-finite"):
+                norm(X)
 
 
 def test_schatten_norm_overflow_safe():
@@ -145,7 +146,7 @@ def test_schatten_norm_triangle_inequality(trial):
 def test_min_max_eigenvalue_consistency():
     A = np.diag([-2.0, 5.0, 0.5])
     assert min_eigenvalue(A) == pytest.approx(-2.0, abs=1e-12)
-    assert max_eigenvalue(A) == pytest.approx(5.0, abs=1e-12)
+    assert min_eigenvalue(-A) == pytest.approx(-5.0, abs=1e-12)
 
 
 def test_hermitian_part_projects_onto_hermitian_matrices():
@@ -158,7 +159,7 @@ def test_hermitian_part_projects_onto_hermitian_matrices():
 def test_support_projector_respects_relative_cutoff():
     # 1e-6 is above the default relative cutoff, so it stays in the support
     A = np.diag([1.0, 1e-6])
-    P = support_projector(A, DEFAULT_TOL)
+    P = psd(A, DEFAULT_TOL).projector()
     assert np.allclose(P, np.eye(2))
 
 
@@ -177,7 +178,7 @@ def test_support_projector_idempotent_compression():
         rng = rng_for_trial(12, trial)
         d = int(rng.integers(2, 7))
         A = random_psd(rng, d, rank=int(rng.integers(1, d + 1)))
-        P = support_projector(A)
+        P = psd(A).projector()
         assert np.max(np.abs(P @ A @ P - A)) <= 1e-10
 
 
@@ -187,8 +188,8 @@ def test_power_on_support_composes():
         rng = rng_for_trial(13, trial)
         d = int(rng.integers(2, 6))
         A = random_psd(rng, d, rank=int(rng.integers(1, d + 1)))
-        half = power_on_support(A, 0.5)
-        assert np.max(np.abs(power_on_support(half, 0.5) - power_on_support(A, 0.25))) <= 1e-9
+        half = psd(A).power(0.5)
+        assert np.max(np.abs(psd(half).power(0.5) - psd(A).power(0.25))) <= 1e-9
 
 
 def test_trace_norm_duality_lower_bound():
@@ -211,13 +212,13 @@ def test_psd_value_is_validated_once_and_reused(eig_sizes):
     v = psd(A)
     assert len(eig_sizes) == 1
     assert psd(v) is v
-    assert np.array_equal(require_psd(v), require_psd(A))
-    assert support_projector(v) is support_projector(v)
-    assert np.array_equal(power_on_support(v, 0.3), power_on_support(A, 0.3))
-    assert np.array_equal(log_on_support(v), log_on_support(A))
+    assert np.array_equal(psd(v).matrix, psd(A).matrix)
+    assert psd(v).projector() is v.projector()
+    assert np.array_equal(psd(v).power(0.3), psd(A).power(0.3))
+    assert np.array_equal(psd(v).log(), psd(A).log())
     assert len(eig_sizes) == 4  # the three ndarray calls above diagonalize A again
     with pytest.raises(ValueError):
-        log_on_support(v)[0, 0] = 1.0  # shared results are read-only
+        v.log()[0, 0] = 1.0  # shared results are read-only
 
 
 def test_psd_value_is_revalidated_under_other_tolerances():
