@@ -47,7 +47,9 @@ def main() -> int:
 
     all_ok = True
     for name, suite_args in runs:
-        argv = ["suite", *map(str, suite_args), "--seed", str(args.seed), "--out", str(out / f"{name}.json")]
+        # the counterexample suite is a fixed instance and reads no seed
+        seed = [] if name == "counterexample" else ["--seed", str(args.seed)]
+        argv = ["suite", *map(str, suite_args), *seed, "--out", str(out / f"{name}.json")]
         all_ok = cli.main(argv) == cli.EXIT_PASS and all_ok
 
     print(f"reports written to {out}/")

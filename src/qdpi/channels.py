@@ -112,15 +112,13 @@ UNVERIFIED = PositivityCertificate("unverified")
 class TraceBehavior:
     """Trace classification of a map, decided exactly through Phi*(1).
 
-    ``w``/``V`` are the ascending eigenvalues and eigenvectors of
-    ``adjoint_unit`` = Phi*(1), from its one eigendecomposition. tag is
-    "preserving" when max|w - 1| <= 1e-9, else "nonincreasing" when
-    max(w) <= 1 + 1e-9, else "neither". For a positive map max(w) is the
-    1->1 norm (Russo-Dye).
+    ``w``/``V`` are the ascending eigenvalues and eigenvectors of Phi*(1),
+    from its one eigendecomposition. tag is "preserving" when
+    max|w - 1| <= 1e-9, else "nonincreasing" when max(w) <= 1 + 1e-9, else
+    "neither". For a positive map max(w) is the 1->1 norm (Russo-Dye).
     """
 
     tag: str
-    adjoint_unit: np.ndarray
     w: np.ndarray
     V: np.ndarray
 
@@ -196,15 +194,14 @@ class SuperOperator:
             raise DomainError(
                 f"input shape {X.shape} does not match map input dimension {self.dim_in}"
             )
+        if not np.isfinite(X).all():
+            raise DomainError("map input has non-finite entries")
         if self.kraus is not None:
             out = np.zeros((self.dim_out, self.dim_out), dtype=np.complex128)
             for K in self.kraus:
                 out += K @ X @ K.conj().T
             return out
         return _unvec(self.matrix @ _vec(X), self.dim_out, self.dim_out)
-
-    def __call__(self, X) -> np.ndarray:
-        return self.apply(X)
 
 
 def from_matrix(
@@ -335,11 +332,8 @@ def compose(outer: SuperOperator, inner: SuperOperator) -> SuperOperator:
         )
     else:
         cert = UNVERIFIED
-    desc = None
-    if outer.descriptor is not None and inner.descriptor is not None:
-        desc = {"family": "compose", "params": {"outer": outer.descriptor, "inner": inner.descriptor}}
     M = outer.matrix @ inner.matrix if kr is None else None
-    return SuperOperator(M, inner.dim_in, outer.dim_out, kr, cert, desc)
+    return SuperOperator(M, inner.dim_in, outer.dim_out, kr, cert, None)
 
 
 def _classify_trace(phi: SuperOperator) -> TraceBehavior:
@@ -351,13 +345,13 @@ def _classify_trace(phi: SuperOperator) -> TraceBehavior:
         )
     A = hermitian_part(A)
     w, V = np.linalg.eigh(A)
-    for M in (A, w, V):
+    for M in (w, V):
         M.flags.writeable = False
     if np.abs(w - 1.0).max() <= TRACE_TOLERANCE:
-        return TraceBehavior("preserving", A, w, V)
+        return TraceBehavior("preserving", w, V)
     if w[-1] <= 1.0 + TRACE_TOLERANCE:
-        return TraceBehavior("nonincreasing", A, w, V)
-    return TraceBehavior("neither", A, w, V)
+        return TraceBehavior("nonincreasing", w, V)
+    return TraceBehavior("neither", w, V)
 
 
 def trace_behavior(phi: SuperOperator) -> TraceBehavior:
@@ -370,18 +364,17 @@ def classify(
     cfg: ToleranceConfig = DEFAULT_TOL,
     sample_count: int = 0,
     seed: int = 0,
-) -> tuple[PositivityCertificate, TraceBehavior]:
-    """Re-certify positivity and classify trace behavior.
+) -> PositivityCertificate:
+    """Re-certify positivity.
 
     CP is decided exactly via the Choi minimum eigenvalue, which every
     returned certificate carries as ``choi_min``. Non-CP maps are probed with
     ``sample_count`` random pure states; sampling below -psd_tolerance
     falsifies, otherwise any construction certificate stands.
     """
-    behavior = trace_behavior(phi)
     cert, cmin = _choi_test(phi.matrix, phi.dim_in, phi.dim_out, cfg)
     if cert is not None:
-        return cert, behavior
+        return cert
     worst = np.inf
     worst_psi = None
     for t in range(sample_count):
@@ -399,7 +392,7 @@ def classify(
         cert = phi.certificate
     else:
         cert = UNVERIFIED
-    return dataclasses.replace(cert, choi_min=cmin), behavior
+    return dataclasses.replace(cert, choi_min=cmin)
 
 
 def one_to_one_norm_positive(phi: SuperOperator) -> float:
@@ -628,25 +621,32 @@ _FACTORIES = {
 }
 
 
+_INTEGER_PARAMS = ("d", "d_out", "kraus_rank", "rank")
+_REAL_PARAMS = ("lam", "mu")
+
+
+def _is_number(value, types) -> bool:
+    return isinstance(value, types) and not isinstance(value, bool)
+
+
 def construct(family: str, params: dict | None = None, seed=None) -> SuperOperator:
     """Build a map from a (family, params, seed) recipe.
 
     Covers every family whose parameters are plain scalars; pinching and
     truncation take operator arguments and have their own constructors.
+    Recipes come from files, so each parameter and the seed are type-checked.
     """
-    if family == "compose":
-        inner = construct(**_descriptor_args(params["inner"]))
-        outer = construct(**_descriptor_args(params["outer"]))
-        return compose(outer, inner)
     if family not in _FACTORIES:
         raise DomainError(f"unknown map family {family!r}")
-    return _FACTORIES[family](params or {}, seed)
-
-
-def _descriptor_args(desc: dict) -> dict:
-    return {
-        "family": desc["family"],
-        "params": desc.get("params") or {},
-        "seed": desc.get("seed"),
-    }
+    params = params or {}
+    if not isinstance(params, dict):
+        raise DomainError(f"params must be an object, got {params!r}")
+    for key, value in params.items():
+        if key in _INTEGER_PARAMS and not (_is_number(value, (int, np.integer)) and value >= 1):
+            raise DomainError(f"{key} must be a positive integer, got {value!r}")
+        if key in _REAL_PARAMS and not _is_number(value, (int, float, np.integer, np.floating)):
+            raise DomainError(f"{key} must be a real number, got {value!r}")
+    if seed is not None and not (_is_number(seed, (int, np.integer)) and seed >= 0):
+        raise DomainError(f"seed must be a nonnegative integer, got {seed!r}")
+    return _FACTORIES[family](params, seed)
 

@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import harness, serialize
-from .channels import classify
+from .channels import classify, trace_behavior
 from .divergences import old_renyi, relative_entropy, sandwiched_renyi
 from .linalg import DEFAULT_TOL, DomainError, EigensolverError, ToleranceConfig
 from .serialize import FormatError
@@ -28,7 +28,17 @@ EXIT_INPUT_ERROR = 2
 EXIT_PRECONDITION_ERROR = 3
 EXIT_NUMERICAL_ERROR = 4
 
-SUITE_NAMES = ("dpi", "counterexample", "contraction", "step2", "auxiliary", "alpha-limit", "violation")
+# the suite flags (argparse dests) each suite reads; every suite also reads
+# --out and the --tolerance-* flags, and any other flag given is an input error
+SUITE_FLAGS = {
+    "dpi": ("mode", "dims", "trials", "seed", "alpha"),
+    "counterexample": (),
+    "contraction": ("instances", "dims", "alpha", "trials", "seed"),
+    "step2": ("dims", "n_sequence", "seed"),
+    "auxiliary": ("trials", "dims", "seed"),
+    "alpha-limit": ("trials", "dims", "seed"),
+    "violation": ("alpha", "dims", "trials", "seed", "hill_steps", "allow_inconclusive"),
+}
 
 _TOLERANCE_FLAGS = {
     "tolerance_support_cutoff": "support_cutoff",
@@ -64,31 +74,21 @@ def _config_from_args(args) -> ToleranceConfig:
     return dataclasses.replace(DEFAULT_TOL, **overrides) if overrides else DEFAULT_TOL
 
 
-def _parse_dims(text: str):
+def _parse_list(text: str, flag: str, convert) -> tuple:
+    """A comma separated list of at least one value of the given type."""
     try:
-        dims = tuple(int(p) for p in text.split(",") if p.strip())
+        values = tuple(convert(p) for p in text.split(",") if p.strip())
     except ValueError as exc:
-        raise FormatError(f"bad --dims value {text!r}") from exc
-    if not dims:
-        raise FormatError("--dims needs at least one dimension")
-    return dims
+        raise FormatError(f"bad {flag} value {text!r}") from exc
+    if not values:
+        raise FormatError(f"{flag} needs at least one value")
+    return values
 
 
-def _parse_alphas(text: str):
-    try:
-        alphas = tuple(float(p) for p in text.split(",") if p.strip())
-    except ValueError as exc:
-        raise FormatError(f"bad --alpha value {text!r}") from exc
-    if not alphas:
-        raise FormatError("--alpha needs at least one value")
-    return alphas
-
-
-def _parse_ns(text: str):
-    try:
-        return tuple(int(p) for p in text.split(",") if p.strip())
-    except ValueError as exc:
-        raise FormatError(f"bad --n-sequence value {text!r}") from exc
+def _single(values: tuple, flag: str, name: str):
+    if len(values) != 1:
+        raise FormatError(f"suite {name} takes one {flag} value, got {len(values)}")
+    return values[0]
 
 
 def _load_matrix(path: str, cfg: ToleranceConfig):
@@ -96,8 +96,9 @@ def _load_matrix(path: str, cfg: ToleranceConfig):
         payload = serialize.load_json(path)
     except OSError as exc:
         raise FormatError(f"cannot read {path}: {exc}") from exc
-    matrix, _ = serialize.matrix_from_dict(payload, cfg)
-    return matrix
+    # the validated value, so each operator is diagonalized once
+    _, value = serialize.matrix_from_dict(payload, cfg)
+    return value
 
 
 def _save(path: str, payload: dict) -> None:
@@ -145,7 +146,8 @@ def _cmd_check_map(args) -> int:
     except OSError as exc:
         raise FormatError(f"cannot read {args.map}: {exc}") from exc
     phi = serialize.channel_from_dict(payload, cfg)
-    cert, behavior = classify(phi, cfg, sample_count=args.samples, seed=args.seed)
+    cert = classify(phi, cfg, sample_count=args.samples, seed=args.seed)
+    behavior = trace_behavior(phi)
     if cert.choi_min is None:
         raise DomainError("the Choi matrix is not Hermitian")
     # the spectrum of Phi*(1) gives both the listing and, for a map classify
@@ -176,17 +178,20 @@ def _summary_line(report, ok: bool) -> str:
 
 
 def _suite_options(args) -> dict:
-    """The suite options given on the command line; the harness defaults the rest."""
+    """The suite options given on the command line, which the named suite must read."""
+    unread = set().union(*SUITE_FLAGS.values()) - set(SUITE_FLAGS[args.name])
+    for flag in sorted(unread):
+        value = getattr(args, flag)
+        if value is not None and value is not False:
+            raise FormatError(f"suite {args.name} does not read --{flag.replace('_', '-')}")
     cfg = _config_from_args(args)
-    dims = _parse_dims(args.dims) if args.dims else None
     options = {
         "seed": args.seed,
         "trials": args.trials,
-        "dims": dims,
-        "d": dims[0] if dims else None,  # step2 runs at one dimension
-        "alphas": _parse_alphas(args.alpha) if args.alpha else None,
+        "dims": _parse_list(args.dims, "--dims", int) if args.dims else None,
+        "alphas": _parse_list(args.alpha, "--alpha", float) if args.alpha else None,
         "instances": args.instances,
-        "n_sequence": _parse_ns(args.n_sequence) if args.n_sequence else None,
+        "n_sequence": _parse_list(args.n_sequence, "--n-sequence", int) if args.n_sequence else None,
         "hill_steps": args.hill_steps,
         "cfg": None if cfg is DEFAULT_TOL else cfg,
     }
@@ -195,38 +200,28 @@ def _suite_options(args) -> dict:
 
 def _cmd_suite(args) -> int:
     name = args.name
-    options = _suite_options(args)
-
-    def given(*keys):
-        return {k: options[k] for k in keys if k in options}
-
+    options = _suite_options(args)  # the harness defaults the rest
     if name == "dpi":
-        report = harness.randomized_dpi_suite(
-            args.mode.replace("-", "_"), **given("dims", "trials", "seed", "cfg", "alphas")
-        )
+        report = harness.randomized_dpi_suite((args.mode or "tp").replace("-", "_"), **options)
     elif name == "counterexample":
-        report = harness.counterexample_suite(**given("cfg"))
+        report = harness.counterexample_suite(**options)
     elif name == "contraction":
-        report = harness.contraction_battery(
-            **given("instances", "dims", "alphas", "trials", "seed", "cfg")
-        )
+        report = harness.contraction_battery(**options)
     elif name == "step2":
-        report = harness.step2_battery(**given("d", "n_sequence", "seed", "cfg"))
+        if "dims" in options:
+            options["d"] = _single(options.pop("dims"), "--dims", name)
+        report = harness.step2_battery(**options)
     elif name == "auxiliary":
-        report = harness.auxiliary_inequality_suite(**given("trials", "seed", "cfg", "dims"))
+        report = harness.auxiliary_inequality_suite(**options)
     elif name == "alpha-limit":
         # the pair sampler has no defaults of its own
         pairs = harness.sample_state_pairs(
-            options.get("trials", 50), options.get("dims", (2, 3, 4, 5, 6)), options.get("seed", 0)
+            options.pop("trials", 50), options.pop("dims", (2, 3, 4, 5, 6)), options.get("seed", 0)
         )
-        report = harness.alpha_limit_suite(pairs, **given("cfg", "seed"))
-    elif name == "violation":
-        report = harness.violation_search(
-            alpha=options["alphas"][0] if "alphas" in options else 0.3,
-            **given("dims", "trials", "seed", "cfg", "hill_steps"),
-        )
-    else:
-        raise FormatError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
+        report = harness.alpha_limit_suite(pairs, **options)
+    else:  # violation
+        alpha = _single(options.pop("alphas"), "--alpha", name) if "alphas" in options else 0.3
+        report = harness.violation_search(alpha, **options)
 
     if name == "violation":
         ok = report.outcome == "violation_found" or args.allow_inconclusive
@@ -263,9 +258,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_check_map)
 
     p = sub.add_parser("suite", help="run a named verification suite")
-    p.add_argument("name", choices=SUITE_NAMES)
-    p.add_argument("--mode", choices=("tp", "tni", "trace-match"), default="tp",
-                   help="theorem variant for the dpi suite")
+    p.add_argument("name", choices=SUITE_FLAGS)
+    p.add_argument("--mode", choices=("tp", "tni", "trace-match"), default=None,
+                   help="(dpi) theorem variant, tp when not given")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--trials", type=int, default=None)
     p.add_argument("--dims", default=None, help="comma separated dimensions, e.g. 2,3,4")

@@ -55,6 +55,7 @@ from .channels import (
     truncation_map,
 )
 from .sampling import (
+    phase_fixed_q,
     random_complex_gaussian,
     random_density,
     random_hermitian,
@@ -307,11 +308,14 @@ def replay_witness(
 ) -> Witness:
     """Re-evaluate a serialized witness; same inputs reproduce the gap exactly."""
     phi = serialize.channel_from_dict(w.map_descriptor, cfg)
-    rho, _ = serialize.matrix_from_dict(w.rho, cfg)
-    sigma, _ = serialize.matrix_from_dict(w.sigma, cfg)
+    rho, rho_value = serialize.matrix_from_dict(w.rho, cfg)
+    sigma, sigma_value = serialize.matrix_from_dict(w.sigma, cfg)
     alpha = w.alpha if alpha_override is None else float(alpha_override)
-    lhs, rhs, gap = _evaluate(phi, rho, sigma, alpha, cfg)
-    return Witness(w.map_descriptor, w.rho, w.sigma, alpha, lhs, rhs, gap)
+    fn = _divergence(alpha, cfg)
+    # the map acts on the stored bits, the divergence reuses their validation
+    lhs = fn(rho_value, sigma_value)
+    rhs = _image_value(fn, phi, rho, sigma)
+    return Witness(w.map_descriptor, w.rho, w.sigma, alpha, lhs, rhs, _gap_of(lhs, rhs))
 
 
 # ---------------------------------------------------------------------------
@@ -340,16 +344,12 @@ class _Tally:
         self.min_gap: float | None = None
         self.start = time.perf_counter()
 
-    def record_gap(self, gap: float) -> None:
-        if self.min_gap is None or gap < self.min_gap:
-            self.min_gap = gap
-
     def add(self, lhs: float, rhs: float, passed: bool, parts, gap_recorded: bool = True) -> None:
         """One check of lhs >= rhs (for a bound: the bound as lhs, the observed value as rhs)."""
         gap = _gap_of(lhs, rhs)
         self.trials += 1
-        if gap_recorded:
-            self.record_gap(gap)
+        if gap_recorded and (self.min_gap is None or gap < self.min_gap):
+            self.min_gap = gap
         if passed:
             self.passes += 1
         else:
@@ -481,7 +481,6 @@ def randomized_dpi_suite(
     trials: int = 1000,
     seed: int = 0,
     cfg: ToleranceConfig = DEFAULT_TOL,
-    families=None,
     alphas=None,
 ) -> CheckReport:
     """Randomized monotonicity trials in one of three theorem modes.
@@ -492,15 +491,15 @@ def randomized_dpi_suite(
     with rho supported where the map preserves trace.
     """
     if mode == "tp":
-        families = tuple(families) if families is not None else TP_FAMILIES
+        families = TP_FAMILIES
         alphas = None
     elif mode == "tni":
-        families = tuple(families) if families is not None else TNI_FAMILIES
+        families = TNI_FAMILIES
         alphas = tuple(float(a) for a in (alphas if alphas is not None else DEFAULT_ALPHAS))
         if any(a <= 1.0 for a in alphas):
             raise DomainError("tni mode exercises alpha > 1 only")
     elif mode == "trace_match":
-        families = tuple(families) if families is not None else TRACE_MATCH_FAMILIES
+        families = TRACE_MATCH_FAMILIES
         alphas = None
     else:
         raise DomainError(f"unknown mode {mode!r}")
@@ -543,20 +542,9 @@ UNIT_IMAGE_TOLERANCE = 1e-9
 ADJOINT_UNIT_BOUND = 1.0 + 1e-10
 
 
-def norm_contraction_suite(
-    sigma,
-    phi: SuperOperator,
-    alphas=(1.5, 2.0, 3.0),
-    trials: int = 200,
-    seed: int = 0,
-    cfg: ToleranceConfig = DEFAULT_TOL,
-) -> CheckReport:
-    """Sampled contraction of Psi = Gamma^{-1}_{Phi(sigma)} o Phi o Gamma_sigma.
-
-    For each probe X and each alpha, asserts the weighted-norm ratio
-    ||Psi(X)||_{alpha,Phi(sigma)} / ||X||_{alpha,sigma} <= 1 + 1e-8; plus the
-    two endpoint facts: Psi(1) = 1 within 1e-9 and ||Phi*(1)||_inf <= 1 + 1e-10.
-    """
+def _contraction_checks(tally: _Tally, sigma, phi: SuperOperator, alphas, trials: int, seed: int,
+                        cfg: ToleranceConfig) -> None:
+    """Add the norm-contraction checks of one (sigma, Phi) instance to ``tally``."""
     if not phi.certificate.is_positive:
         raise DomainError("norm contraction needs a certified positive map")
     if not trace_behavior(phi).is_nonincreasing:
@@ -569,14 +557,6 @@ def norm_contraction_suite(
     for name, S in (("sigma", sigma), ("Phi(sigma)", sigma_prime)):
         if not S.on.all():
             raise DomainError(f"{name} is rank-deficient; the weighted norms need full rank")
-    alphas = tuple(float(a) for a in alphas)
-    config = {
-        "alphas": list(alphas),
-        "trials": int(trials),
-        "seed": int(seed),
-        "dim": int(d),
-    }
-    tally = _Tally("norm-contraction", seed, config, cfg)
     psi = compose(
         gamma_superoperator(sigma_prime, inverse=True, cfg=cfg),
         compose(phi, gamma_superoperator(sigma, cfg=cfg)),
@@ -607,6 +587,31 @@ def norm_contraction_suite(
     one_norm = one_to_one_norm_positive(phi)
     tally.add(ADJOINT_UNIT_BOUND, one_norm, one_norm <= ADJOINT_UNIT_BOUND,
               _parts(phi, eye, sigma, None, cfg))
+
+
+def norm_contraction_suite(
+    sigma,
+    phi: SuperOperator,
+    alphas=(1.5, 2.0, 3.0),
+    trials: int = 200,
+    seed: int = 0,
+    cfg: ToleranceConfig = DEFAULT_TOL,
+) -> CheckReport:
+    """Sampled contraction of Psi = Gamma^{-1}_{Phi(sigma)} o Phi o Gamma_sigma.
+
+    For each probe X and each alpha, asserts the weighted-norm ratio
+    ||Psi(X)||_{alpha,Phi(sigma)} / ||X||_{alpha,sigma} <= 1 + 1e-8; plus the
+    two endpoint facts: Psi(1) = 1 within 1e-9 and ||Phi*(1)||_inf <= 1 + 1e-10.
+    """
+    alphas = tuple(float(a) for a in alphas)
+    config = {
+        "alphas": list(alphas),
+        "trials": int(trials),
+        "seed": int(seed),
+        "dim": int(phi.dim_in),
+    }
+    tally = _Tally("norm-contraction", seed, config, cfg)
+    _contraction_checks(tally, sigma, phi, alphas, trials, seed, cfg)
     return tally.report()
 
 
@@ -618,7 +623,7 @@ def contraction_battery(
     seed: int = 0,
     cfg: ToleranceConfig = DEFAULT_TOL,
 ) -> CheckReport:
-    """Norm-contraction suite over seeded (map, sigma) instances.
+    """Norm-contraction checks over seeded (map, sigma) instances, in one report.
 
     Instances rotate through CPTP, positive non-CP, and depolarizing maps so
     the contraction is exercised beyond the completely positive cone.
@@ -645,13 +650,7 @@ def contraction_battery(
             phi = depolarizing_map(d, float(rng.uniform(0.1, 0.9)))
         sigma = random_density(rng, d)
         sub_seed = int(rng.integers(0, 2**31))
-        sub = norm_contraction_suite(sigma, phi, alphas, trials, sub_seed, cfg)
-        tally.trials += sub.trials
-        tally.passes += sub.passes
-        tally.escalations += sub.escalations
-        tally.failures.extend(sub.failures)
-        if sub.min_gap is not None:
-            tally.record_gap(sub.min_gap)
+        _contraction_checks(tally, sigma, phi, alphas, trials, sub_seed, cfg)
     return tally.report()
 
 
@@ -879,25 +878,17 @@ def alpha_limit_suite(
     return tally.report()
 
 
-def sample_state_pairs(count: int, dims, seed: int, full_rank: bool = True):
-    """Seeded (rho, sigma) density pairs for limit and contraction studies."""
+def sample_state_pairs(count: int, dims, seed: int):
+    """Seeded full-rank (rho, sigma) density pairs for limit and contraction studies."""
     dims = tuple(int(d) for d in dims)
     pairs = []
     for i in range(count):
         rng = rng_for_trial(seed, i)
         d = int(rng.choice(dims))
         rho = random_density(rng, d)
-        sigma = random_density(rng, d) if full_rank else random_rank_deficient_density(rng, d)
+        sigma = random_density(rng, d)
         pairs.append((rho, sigma))
     return pairs
-
-
-def _perturbed_isometry(V: np.ndarray, step: float, rng) -> np.ndarray:
-    G = random_complex_gaussian(rng, V.shape)
-    Q, R = np.linalg.qr(V + step * G)
-    phases = np.diag(R).copy()
-    phases /= np.abs(phases)
-    return Q * phases
 
 
 def violation_search(
@@ -948,7 +939,7 @@ def violation_search(
         rng = rng_for_trial(seed, trials)
         step = 0.25
         for _ in range(hill_steps):
-            V2 = _perturbed_isometry(V, step, rng)
+            V2 = phase_fixed_q(V + step * random_complex_gaussian(rng, V.shape))
             kraus2 = [V2[i * phi.dim_out : (i + 1) * phi.dim_out, :] for i in range(len(phi.kraus))]
             cand = from_kraus(kraus2, phi.dim_in, phi.dim_out)
             gap2 = _gap_of(lhs, _image_value(fn, cand, rho, sigma))

@@ -34,7 +34,6 @@ __all__ = [
     "ValidatedPSD",
     "psd",
     "require_projector",
-    "hermitian_eig",
     "min_eigenvalue",
     "schatten_norm",
     "trace_norm",
@@ -184,11 +183,6 @@ def require_projector(P, cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     if defect > cfg.projector_tolerance:
         raise DomainError(f"matrix is not a projector (||P^2 - P|| = {defect:.3e})")
     return P
-
-
-def hermitian_eig(A, cfg: ToleranceConfig = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix: (ascending eigenvalues, unitary V)."""
-    return _solve(np.linalg.eigh, require_hermitian(A, cfg))
 
 
 def min_eigenvalue(A, cfg: ToleranceConfig = DEFAULT_TOL) -> float:

@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import DomainError, hermitian_eig
+from .linalg import DomainError, psd
 
 __all__ = [
     "rng_for_trial",
     "random_complex_gaussian",
     "random_unit_vector",
+    "phase_fixed_q",
     "random_isometry",
     "random_unitary",
     "random_hermitian",
@@ -40,15 +41,19 @@ def random_unit_vector(rng: np.random.Generator, d: int) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
+def phase_fixed_q(A: np.ndarray) -> np.ndarray:
+    """Q of A = QR with column phases fixed so that R has a positive diagonal."""
+    Q, R = np.linalg.qr(A)
+    phases = np.diag(R).copy()
+    phases /= np.abs(phases)
+    return Q * phases
+
+
 def random_isometry(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
     """QR-orthonormalized Gaussian isometry V with V^dagger V = identity."""
     if rows < cols:
         raise DomainError(f"isometry needs rows >= cols, got {rows} < {cols}")
-    G = random_complex_gaussian(rng, (rows, cols))
-    Q, R = np.linalg.qr(G)
-    phases = np.diag(R).copy()
-    phases /= np.abs(phases)
-    return Q * phases
+    return phase_fixed_q(random_complex_gaussian(rng, (rows, cols)))
 
 
 def random_unitary(rng: np.random.Generator, d: int) -> np.ndarray:
@@ -81,9 +86,8 @@ def random_rank_deficient_density(rng: np.random.Generator, d: int) -> np.ndarra
     """Full-dimension state with its smallest eigenvalue zeroed out exactly."""
     if d < 2:
         raise DomainError("rank-deficient state needs d >= 2")
-    rho = random_density(rng, d)
-    w, V = hermitian_eig(rho)
-    w = w.copy()
+    rho = psd(random_density(rng, d))
+    w, V = rho.w.copy(), rho.V
     w[0] = 0.0
     w /= w.sum()
     return (V * w) @ V.conj().T

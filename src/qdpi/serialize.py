@@ -166,18 +166,20 @@ def _matrix_from_payload(payload: dict, rows: int, cols: int, what: str) -> np.n
     return re + 1j * im
 
 
-def _validate_kind(M, kind: str, cfg: ToleranceConfig) -> None:
-    """Check M (an ndarray or a ValidatedPSD, which is not diagonalized again) against kind."""
+def _validate_kind(M, kind: str, cfg: ToleranceConfig):
+    """Check M (an ndarray or a ValidatedPSD, which is not diagonalized again) against kind.
+
+    Returns the validated value: a ValidatedPSD for the psd and density kinds, else M.
+    """
     try:
         if kind == "general":
             pass
         elif kind == "hermitian":
             require_hermitian(M, cfg)
-        elif kind == "psd":
-            psd(M, cfg)
-        elif kind == "density":
-            trace = float(np.trace(psd(M, cfg).matrix).real)
-            if abs(trace - 1.0) > 1e-9:
+        elif kind in ("psd", "density"):
+            M = psd(M, cfg)
+            trace = float(np.trace(M.matrix).real)
+            if kind == "density" and abs(trace - 1.0) > 1e-9:
                 raise DomainError(f"trace is {trace:.12g}, not 1")
         elif kind == "projector":
             require_projector(M, cfg)
@@ -185,6 +187,7 @@ def _validate_kind(M, kind: str, cfg: ToleranceConfig) -> None:
             raise FormatError(f"unknown matrix kind {kind!r}")
     except DomainError as exc:
         raise FormatError(f"matrix does not satisfy declared kind {kind!r}: {exc}") from exc
+    return M
 
 
 def matrix_to_dict(M, kind: str = "general", cfg: ToleranceConfig = DEFAULT_TOL) -> dict:
@@ -198,8 +201,8 @@ def matrix_to_dict(M, kind: str = "general", cfg: ToleranceConfig = DEFAULT_TOL)
     return out
 
 
-def matrix_from_dict(d: dict, cfg: ToleranceConfig = DEFAULT_TOL) -> tuple[np.ndarray, str]:
-    """Parse and re-validate a matrix payload; returns the matrix unmodified."""
+def matrix_from_dict(d: dict, cfg: ToleranceConfig = DEFAULT_TOL):
+    """Parse and re-validate a matrix payload: (the stored matrix unmodified, its validated value)."""
     if not isinstance(d, dict):
         raise FormatError("matrix payload must be an object")
     if d.get("schema_version") != SCHEMA_VERSION:
@@ -211,8 +214,7 @@ def matrix_from_dict(d: dict, cfg: ToleranceConfig = DEFAULT_TOL) -> tuple[np.nd
     if not isinstance(dim, int) or dim < 1:
         raise FormatError(f"dim must be a positive integer, got {dim!r}")
     M = _matrix_from_payload(d, dim, dim, "matrix file")
-    _validate_kind(M, kind, cfg)
-    return M, kind
+    return M, _validate_kind(M, kind, cfg)
 
 
 def channel_to_dict(phi: SuperOperator, representation: str | None = None) -> dict:

@@ -227,19 +227,18 @@ def test_trace_behavior_classification():
 
 
 def test_classify_confirms_cp_and_falsifies_negative_map():
-    cert, behavior = classify(random_cptp(2, seed=2))
+    cert = classify(random_cptp(2, seed=2))
     assert cert.tag == "completely_positive"
-    assert behavior.tag == "preserving"
+    assert trace_behavior(random_cptp(2, seed=2)).tag == "preserving"
     negate = from_matrix(-identity_map(2).matrix, 2, 2)
-    cert, _ = classify(negate, sample_count=64, seed=0)
+    cert = classify(negate, sample_count=64, seed=0)
     assert cert.tag == "falsified"
     assert cert.witness is not None
 
 
 def test_classify_keeps_by_construction_tag_for_transpose():
-    cert, behavior = classify(transpose_map(2))
-    assert cert.tag == "positive_by_construction"
-    assert behavior.tag == "preserving"
+    assert classify(transpose_map(2)).tag == "positive_by_construction"
+    assert trace_behavior(transpose_map(2)).tag == "preserving"
 
 
 def test_one_to_one_norm_for_positive_tni_maps_is_at_most_one():
@@ -359,6 +358,15 @@ def test_random_positive_noncp_is_positive_but_not_cp():
 def test_construct_rejects_unknown_family():
     with pytest.raises(DomainError):
         construct("teleporter", {}, 0)
+
+
+@pytest.mark.parametrize("path", ["kraus", "matrix"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_apply_rejects_non_finite_input(path, bad):
+    phi = random_cptp(2, seed=1) if path == "kraus" else transpose_map(2)
+    assert (phi.kraus is not None) == (path == "kraus")
+    with pytest.raises(DomainError):
+        phi.apply(np.array([[0.5, 0.0], [0.0, bad]]))
 
 
 def test_from_kraus_dimension_checks():

@@ -17,6 +17,7 @@ from qdpi.cli import (
 )
 from qdpi.divergences import sandwiched_renyi
 from qdpi.harness import report_from_dict
+from qdpi.sampling import random_density, rng_for_trial
 
 
 @pytest.fixture
@@ -221,6 +222,33 @@ def test_flagless_suite_leaves_defaults_to_the_harness(monkeypatch, name):
     assert restated == []
 
 
+def _fail_if_called(*args, **kwargs):
+    raise _Called(args, kwargs)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "step2 --dims 8,12",
+        "violation --alpha 0.3,0.4",
+        "step2 --trials 1000",
+        "counterexample --seed 3",
+        "auxiliary --mode tni",
+        "dpi --hill-steps 0",
+        "contraction --allow-inconclusive",
+    ],
+)
+def test_suite_rejects_flags_it_does_not_read(monkeypatch, capsys, argv):
+    for entry in SUITE_ENTRY_POINTS.values():
+        monkeypatch.setattr(harness, entry, _fail_if_called)
+    assert main(["suite", *argv.split()]) == EXIT_INPUT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    flag = argv.split()[1]
+    assert captured.err.startswith("input error:") and flag in captured.err
+    assert captured.err.count("\n") == 1
+
+
 def test_tolerance_flags_propagate_to_report_config(tmp_path):
     out = tmp_path / "report.json"
     rc = main([
@@ -310,6 +338,44 @@ def test_replay_mismatch_is_numerical_error(capsys, monkeypatch):
     assert main(args) == EXIT_NUMERICAL_ERROR
     captured = capsys.readouterr()
     assert captured.err == "internal numerical error: stored witness did not replay to the identical gap\n"
+
+
+@pytest.mark.parametrize("family, alpha, solves", [("umegaki", None, 2), ("sandwiched", "2", 3)])
+def test_compute_diagonalizes_each_operator_once(tmp_path, capsys, eig_sizes, family, alpha, solves):
+    rng = rng_for_trial(17, 0)
+    paths = []
+    for name in ("rho", "sigma"):
+        path = tmp_path / f"{name}.json"
+        serialize.save_json(path, serialize.matrix_to_dict(random_density(rng, 3), "density"))
+        paths.append(str(path))
+    argv = ["compute", "--family", family, "--rho", paths[0], "--sigma", paths[1]]
+    if alpha is not None:
+        argv += ["--alpha", alpha]
+    eig_sizes.clear()  # writing the files validated them
+    assert main(argv) == EXIT_PASS
+    # one eigh per operator, plus the sandwiched product's
+    assert eig_sizes == [3] * solves
+
+
+@pytest.mark.parametrize(
+    "dim, family, params, seed",
+    [
+        (3, "reduction", {"d": "3"}, None),
+        (3, "reduction", {"d": 2.5}, None),
+        (1, "random_cptp", {"d": True}, 1),
+        (3, "random_cptp", {"d": 3}, "x"),
+        (3, "random_cptp", {"d": 3}, -1),
+        (2, "depolarizing", {"d": 2, "lam": "x"}, None),
+    ],
+)
+def test_check_map_rejects_malformed_family_recipe(tmp_path, capsys, dim, family, params, seed):
+    path = tmp_path / "recipe.json"
+    payload = {"schema_version": serialize.SCHEMA_VERSION, "dim_in": dim, "dim_out": dim,
+               "representation": "family", "family": family, "params": params, "seed": seed}
+    path.write_text(json.dumps(payload))
+    assert main(["check-map", "--map", str(path)]) == EXIT_INPUT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("alpha", ["5", "10"])

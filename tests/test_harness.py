@@ -342,8 +342,8 @@ def test_adjoint_unit_is_diagonalized_once_per_map(solver_calls):
     phi = damped_cptp(3, 2, 0.5, seed=4)
     rng = rng_for_trial(402, 0)
     rho, sigma = random_density(rng, 3), random_density(rng, 3)
-    cert, behavior = classify(phi)
-    assert cert.tag == "completely_positive" and behavior.tag == "nonincreasing"
+    assert classify(phi).tag == "completely_positive"
+    assert trace_behavior(phi).tag == "nonincreasing"
     assert one_to_one_norm_positive(phi) == pytest.approx(1.0, abs=1e-12)
     assert monotonicity_check(phi, rho, sigma, 2.0).gap >= -1e-9
     unit = adjoint(phi).apply(np.eye(3))

@@ -9,7 +9,6 @@ from qdpi.linalg import (
     DEFAULT_TOL,
     DomainError,
     ToleranceConfig,
-    hermitian_eig,
     hermitian_part,
     min_eigenvalue,
     operator_norm,
@@ -57,9 +56,10 @@ def test_require_projector_accepts_exact_and_rejects_scaled():
         require_projector(0.5 * P)
 
 
-def test_hermitian_eig_is_ascending():
+def test_psd_eigenvalues_are_ascending():
     rng = rng_for_trial(0, 0)
-    w, V = hermitian_eig(random_hermitian(rng, 5))
+    value = psd(random_psd(rng, 5))
+    w, V = value.w, value.V
     assert np.all(np.diff(w) >= 0)
     # eigenvector reconstruction
     A = (V * w) @ V.conj().T
@@ -163,12 +163,13 @@ def test_support_projector_respects_relative_cutoff():
     assert np.allclose(P, np.eye(2))
 
 
-def test_hermitian_eig_reconstructs_input():
+def test_psd_eigendecomposition_reconstructs_input():
     for trial in range(20):
         rng = rng_for_trial(11, trial)
         d = int(rng.integers(2, 7))
-        A = random_hermitian(rng, d)
-        w, V = hermitian_eig(A)
+        A = random_psd(rng, d, rank=int(rng.integers(1, d + 1)))
+        value = psd(A)
+        w, V = value.w, value.V
         assert np.max(np.abs((V * w) @ V.conj().T - A)) <= 1e-10
 
 
