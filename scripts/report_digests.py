@@ -1,0 +1,69 @@
+#!/usr/bin/env python3
+"""Print the exit code and report digest of `qdpi suite` commands.
+
+Each argument is one `qdpi suite` command line without the leading
+`qdpi suite`, for example "dpi --mode tp --trials 300 --seed 44". With no
+arguments the script runs a fixed set of acceptance commands. For each
+command it prints one line: the exit code, the sha256 of the canonical
+report with `runtime_ms` set to 0 ("-" when the command wrote no report),
+and the command. Two checkouts whose reports agree byte for byte, apart from
+`runtime_ms`, print the same lines, so comparing the output of
+
+    PYTHONPATH=src python3 scripts/report_digests.py
+
+on both checks that a change left every report as it was.
+"""
+
+import argparse
+import contextlib
+import hashlib
+import io
+import pathlib
+import shlex
+import sys
+import tempfile
+
+from qdpi import cli, serialize
+
+ACCEPTANCE_COMMANDS = (
+    "dpi --mode tp --dims 2,3,4,5,6 --trials 300 --seed 44",
+    "dpi --mode tni --dims 2,3,4,5,6 --trials 300 --seed 44",
+    "dpi --mode trace-match --dims 2,3,4,5,6 --trials 300 --seed 44",
+    "contraction --instances 6 --trials 20 --dims 2,3,4,5,6 --seed 44",
+    "auxiliary --trials 50 --seed 44",
+    "step2 --dims 16 --seed 44",
+    "counterexample",
+    "violation --alpha 0.3 --dims 2 --trials 2000 --hill-steps 1500 --seed 44",
+    "alpha-limit --trials 20 --seed 44",
+    "dpi --mode tni --dims 2,3 --trials 200 --seed 5 --tolerance-slack 1e-18",
+)
+
+
+def digest(command: str, out: pathlib.Path) -> tuple[int, str]:
+    """(exit code, report digest or "-") of one suite command."""
+    out.unlink(missing_ok=True)
+    # the summary line carries the runtime, so it is not part of the digest
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(["suite", *shlex.split(command), "--out", str(out)])
+    if not out.exists():
+        return code, "-"
+    report = serialize.load_json(out)
+    report["runtime_ms"] = 0
+    return code, hashlib.sha256(serialize.canonical_json(report).encode("ascii")).hexdigest()
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("commands", nargs="*", default=ACCEPTANCE_COMMANDS,
+                        help="suite command lines, each one argument")
+    args = parser.parse_args()
+    with tempfile.TemporaryDirectory() as tmp:
+        out = pathlib.Path(tmp) / "report.json"
+        for command in args.commands:
+            code, sha = digest(command, out)
+            print(f"{code} {sha} {command}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

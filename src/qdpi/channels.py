@@ -30,6 +30,7 @@ eigenvalue (Russo-Dye).
 from __future__ import annotations
 
 import dataclasses
+import inspect
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -123,10 +124,6 @@ class TraceBehavior:
     V: np.ndarray
 
     @property
-    def is_preserving(self) -> bool:
-        return self.tag == "preserving"
-
-    @property
     def is_nonincreasing(self) -> bool:
         return self.tag in ("preserving", "nonincreasing")
 
@@ -188,6 +185,17 @@ class SuperOperator:
     def _trace_behavior(self) -> TraceBehavior:
         return _classify_trace(self)
 
+    # Choi facts free of tolerances, each computed at most once per map
+    @cached_property
+    def _choi_defect(self) -> float:
+        C = choi(self)
+        return float(np.abs(C - C.conj().T).max())
+
+    @cached_property
+    def _choi_min(self) -> float:
+        C = choi(self)
+        return float(np.linalg.eigvalsh((C + C.conj().T) / 2)[0])
+
     def apply(self, X) -> np.ndarray:
         X = as_matrix(X)
         if X.shape != (self.dim_in, self.dim_in):
@@ -238,16 +246,14 @@ def _kraus_matrix(kraus, dim_in: int, dim_out: int) -> np.ndarray:
 _KRAUS_FORM = PositivityCertificate("completely_positive", reason="Kraus form")
 
 
-def _choi_test(M: np.ndarray, dim_in: int, dim_out: int, cfg: ToleranceConfig):
+def _choi_test(phi: SuperOperator, cfg: ToleranceConfig):
     """Exact CP test: (certificate when the Choi matrix is PSD, else None; its minimum eigenvalue).
 
     The minimum is None when the Choi matrix is not Hermitian.
     """
-    C = _choi_of_matrix(M, dim_in, dim_out)
-    defect = np.abs(C - C.conj().T).max()
-    if not defect <= cfg.hermiticity_tolerance:
+    if not phi._choi_defect <= cfg.hermiticity_tolerance:
         return None, None
-    cmin = float(np.linalg.eigvalsh((C + C.conj().T) / 2)[0])
+    cmin = phi._choi_min
     if cmin < -cfg.psd_tolerance:
         return None, cmin
     reason = f"choi min eigenvalue {cmin:.3e}"
@@ -295,9 +301,10 @@ def from_choi(C, dim_in: int, dim_out: int | None = None,
     M = np.asfortranarray(U.transpose(0, 2, 1, 3)).reshape(
         dim_out * dim_out, dim_in * dim_in, order="F"
     )
-    # a PSD Choi certifies complete positivity on the spot
-    cert = _choi_test(M, dim_in, dim_out, cfg)[0] or UNVERIFIED
-    return from_matrix(M, dim_in, dim_out, certificate=cert)
+    phi = from_matrix(M, dim_in, dim_out)
+    # a PSD Choi certifies complete positivity on the spot (classify reuses the solve)
+    phi.certificate = _choi_test(phi, cfg)[0] or UNVERIFIED
+    return phi
 
 
 def adjoint(phi: SuperOperator) -> SuperOperator:
@@ -372,7 +379,7 @@ def classify(
     ``sample_count`` random pure states; sampling below -psd_tolerance
     falsifies, otherwise any construction certificate stands.
     """
-    cert, cmin = _choi_test(phi.matrix, phi.dim_in, phi.dim_out, cfg)
+    cert, cmin = _choi_test(phi, cfg)
     if cert is not None:
         return cert
     worst = np.inf
@@ -606,18 +613,17 @@ def damped_cptp(
     return from_kraus(kraus, d, d, descriptor=desc)
 
 
-_FACTORIES = {
-    "identity": lambda params, seed: identity_map(params["d"]),
-    "transpose": lambda params, seed: transpose_map(params["d"]),
-    "reduction": lambda params, seed: reduction_map(params["d"]),
-    "depolarizing": lambda params, seed: depolarizing_map(params["d"], params["lam"]),
-    "halving": lambda params, seed: halving_map(params["d"]),
-    "counterexample": lambda params, seed: counterexample_map(),
-    "random_cptp": lambda params, seed: random_cptp(
-        params["d"], params.get("d_out"), params.get("kraus_rank"), seed
-    ),
-    "random_positive_noncp": lambda params, seed: random_positive_noncp(params["d"], seed),
-    "damped_cptp": lambda params, seed: damped_cptp(params["d"], params["rank"], params["mu"], seed),
+# recipe name -> constructor; a recipe's params (and seed) are its keyword arguments
+_FAMILIES = {
+    "identity": identity_map,
+    "transpose": transpose_map,
+    "reduction": reduction_map,
+    "depolarizing": depolarizing_map,
+    "halving": halving_map,
+    "counterexample": counterexample_map,
+    "random_cptp": random_cptp,
+    "random_positive_noncp": random_positive_noncp,
+    "damped_cptp": damped_cptp,
 }
 
 
@@ -634,19 +640,29 @@ def construct(family: str, params: dict | None = None, seed=None) -> SuperOperat
 
     Covers every family whose parameters are plain scalars; pinching and
     truncation take operator arguments and have their own constructors.
-    Recipes come from files, so each parameter and the seed are type-checked.
+    Recipes come from files, so each parameter and the seed are type-checked,
+    then bound to the constructor's keyword arguments: a parameter the family
+    lacks, a missing one, or a seed for a seedless family is an error.
     """
-    if family not in _FACTORIES:
+    fn = _FAMILIES.get(family)
+    if fn is None:
         raise DomainError(f"unknown map family {family!r}")
-    params = params or {}
+    params = {} if params is None else params
     if not isinstance(params, dict):
         raise DomainError(f"params must be an object, got {params!r}")
     for key, value in params.items():
+        if key not in _INTEGER_PARAMS + _REAL_PARAMS:
+            raise DomainError(f"unknown map parameter {key!r}")
         if key in _INTEGER_PARAMS and not (_is_number(value, (int, np.integer)) and value >= 1):
             raise DomainError(f"{key} must be a positive integer, got {value!r}")
         if key in _REAL_PARAMS and not _is_number(value, (int, float, np.integer, np.floating)):
             raise DomainError(f"{key} must be a real number, got {value!r}")
     if seed is not None and not (_is_number(seed, (int, np.integer)) and seed >= 0):
         raise DomainError(f"seed must be a nonnegative integer, got {seed!r}")
-    return _FACTORIES[family](params, seed)
+    kwargs = params if seed is None else {**params, "seed": seed}
+    try:
+        inspect.signature(fn).bind(**kwargs)
+    except TypeError as exc:
+        raise DomainError(f"{family} recipe does not fit its constructor: {exc}") from exc
+    return fn(**kwargs)
 

@@ -40,38 +40,34 @@ SUITE_FLAGS = {
     "violation": ("alpha", "dims", "trials", "seed", "hill_steps", "allow_inconclusive"),
 }
 
+# argparse dest of each --tolerance-* flag: (the ToleranceConfig field it sets, help)
 _TOLERANCE_FLAGS = {
-    "tolerance_support_cutoff": "support_cutoff",
-    "tolerance_psd": "psd_tolerance",
-    "tolerance_slack": "monotonicity_slack",
-    "tolerance_hermiticity": "hermiticity_tolerance",
-    "tolerance_containment": "containment_tolerance",
-    "tolerance_projector": "projector_tolerance",
+    "tolerance_support_cutoff": ("support_cutoff", "relative eigenvalue cutoff defining numerical support"),
+    "tolerance_psd": ("psd_tolerance", "allowed negative eigenvalue magnitude in PSD validation"),
+    "tolerance_slack": ("monotonicity_slack", "slack applied to monotonicity gaps before failing a trial"),
+    "tolerance_hermiticity": ("hermiticity_tolerance", "allowed Hermiticity defect on inputs"),
+    "tolerance_containment": ("containment_tolerance", "relative leaked mass allowed by the support containment test"),
+    "tolerance_projector": ("projector_tolerance", "allowed deviation from idempotence for projectors"),
 }
 
 
 def _add_tolerance_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--tolerance-support-cutoff", type=float, default=None,
-                        help="relative eigenvalue cutoff defining numerical support")
-    parser.add_argument("--tolerance-psd", type=float, default=None,
-                        help="allowed negative eigenvalue magnitude in PSD validation")
-    parser.add_argument("--tolerance-slack", type=float, default=None,
-                        help="slack applied to monotonicity gaps before failing a trial")
-    parser.add_argument("--tolerance-hermiticity", type=float, default=None,
-                        help="allowed Hermiticity defect on inputs")
-    parser.add_argument("--tolerance-containment", type=float, default=None,
-                        help="relative leaked mass allowed by the support containment test")
-    parser.add_argument("--tolerance-projector", type=float, default=None,
-                        help="allowed deviation from idempotence for projectors")
+    for dest, (_, help_text) in _TOLERANCE_FLAGS.items():
+        parser.add_argument("--" + dest.replace("_", "-"), type=float, default=None, help=help_text)
 
 
 def _config_from_args(args) -> ToleranceConfig:
-    overrides = {}
-    for flag, field in _TOLERANCE_FLAGS.items():
-        value = getattr(args, flag, None)
-        if value is not None:
-            overrides[field] = float(value)
+    overrides = {field: getattr(args, dest) for dest, (field, _) in _TOLERANCE_FLAGS.items()
+                 if getattr(args, dest) is not None}
     return dataclasses.replace(DEFAULT_TOL, **overrides) if overrides else DEFAULT_TOL
+
+
+def _require_nonnegative(args, *dests) -> None:
+    """Counts and seeds given on the command line must be nonnegative."""
+    for dest in dests:
+        value = getattr(args, dest)
+        if value is not None and value < 0:
+            raise FormatError(f"--{dest.replace('_', '-')} must be nonnegative, got {value}")
 
 
 def _parse_list(text: str, flag: str, convert) -> tuple:
@@ -91,13 +87,16 @@ def _single(values: tuple, flag: str, name: str):
     return values[0]
 
 
-def _load_matrix(path: str, cfg: ToleranceConfig):
+def _load_json(path: str):
     try:
-        payload = serialize.load_json(path)
+        return serialize.load_json(path)
     except OSError as exc:
         raise FormatError(f"cannot read {path}: {exc}") from exc
+
+
+def _load_matrix(path: str, cfg: ToleranceConfig):
     # the validated value, so each operator is diagonalized once
-    _, value = serialize.matrix_from_dict(payload, cfg)
+    _, value = serialize.matrix_from_dict(_load_json(path), cfg)
     return value
 
 
@@ -140,12 +139,9 @@ def _cmd_compute(args) -> int:
 
 
 def _cmd_check_map(args) -> int:
+    _require_nonnegative(args, "samples", "seed")
     cfg = _config_from_args(args)
-    try:
-        payload = serialize.load_json(args.map)
-    except OSError as exc:
-        raise FormatError(f"cannot read {args.map}: {exc}") from exc
-    phi = serialize.channel_from_dict(payload, cfg)
+    phi = serialize.channel_from_dict(_load_json(args.map), cfg)
     cert = classify(phi, cfg, sample_count=args.samples, seed=args.seed)
     behavior = trace_behavior(phi)
     if cert.choi_min is None:
@@ -184,6 +180,7 @@ def _suite_options(args) -> dict:
         value = getattr(args, flag)
         if value is not None and value is not False:
             raise FormatError(f"suite {args.name} does not read --{flag.replace('_', '-')}")
+    _require_nonnegative(args, "seed", "trials", "instances", "hill_steps")
     cfg = _config_from_args(args)
     options = {
         "seed": args.seed,

@@ -123,10 +123,6 @@ class Witness:
     rhs: float
     gap: float
 
-    @property
-    def both_infinite(self) -> bool:
-        return math.isinf(self.lhs) and math.isinf(self.rhs)
-
 
 @dataclass(frozen=True, eq=False)
 class CheckReport:
@@ -407,6 +403,13 @@ def _sample_family_map(family: str, d: int, rng, cfg: ToleranceConfig) -> SuperO
     raise DomainError(f"unknown map family {family!r}")
 
 
+def _suite_dims(dims) -> tuple:
+    dims = tuple(int(d) for d in dims)
+    if any(d < 2 for d in dims):
+        raise DomainError("suite dimensions must be >= 2")
+    return dims
+
+
 def _sample_state_pair(rng, d: int):
     u = float(rng.random())
     if u < 0.15:
@@ -503,9 +506,7 @@ def randomized_dpi_suite(
         alphas = None
     else:
         raise DomainError(f"unknown mode {mode!r}")
-    dims = tuple(int(d) for d in dims)
-    if any(d < 2 for d in dims):
-        raise DomainError("suite dimensions must be >= 2")
+    dims = _suite_dims(dims)
     config = {
         "mode": mode,
         "dims": list(dims),
@@ -791,7 +792,7 @@ def auxiliary_inequality_suite(
     a random PSD pair with compatible supports, (d) support inclusion is
     preserved by a random positive map.
     """
-    dims = tuple(int(d) for d in dims)
+    dims = _suite_dims(dims)
     config = {
         "trials": int(trials),
         "seed": int(seed),
@@ -848,20 +849,17 @@ def auxiliary_inequality_suite(
 
 def alpha_limit_suite(
     pairs,
-    eps_grid=DEFAULT_EPS_GRID,
+    *,
     cfg: ToleranceConfig = DEFAULT_TOL,
     seed: int = 0,
 ) -> CheckReport:
     """Convergence of the sandwiched divergence to relative entropy as alpha -> 1.
 
     For each (rho, sigma) pair the error |D_{1+eps} - D| must be nonincreasing
-    along the epsilon grid and at most 1e-3 at the final epsilon.
+    along DEFAULT_EPS_GRID and at most 1e-3 at its final epsilon.
     """
-    eps_grid = tuple(float(e) for e in eps_grid)
-    if list(eps_grid) != sorted(eps_grid, reverse=True):
-        raise DomainError("eps grid must be decreasing")
     config = {
-        "eps_grid": list(eps_grid),
+        "eps_grid": list(DEFAULT_EPS_GRID),
         "pairs": len(pairs),
         "seed": int(seed),
     }
@@ -870,11 +868,11 @@ def alpha_limit_suite(
         rho = psd(rho, cfg)
         sigma = psd(sigma, cfg)
         target = relative_entropy(rho, sigma, cfg)
-        errors = [abs(sandwiched_renyi(rho, sigma, 1.0 + e, cfg) - target) for e in eps_grid]
+        errors = [abs(sandwiched_renyi(rho, sigma, 1.0 + e, cfg) - target) for e in DEFAULT_EPS_GRID]
         monotone = all(errors[k + 1] <= errors[k] + 1e-12 for k in range(len(errors) - 1))
         final_ok = errors[-1] <= 1e-3
         tally.add(1e-3, errors[-1], monotone and final_ok,
-                  _parts({"kind": "alpha-limit"}, rho, sigma, 1.0 + eps_grid[-1], cfg))
+                  _parts({"kind": "alpha-limit"}, rho, sigma, 1.0 + DEFAULT_EPS_GRID[-1], cfg))
     return tally.report()
 
 

@@ -71,8 +71,8 @@ class ToleranceConfig:
 
     def __post_init__(self):
         for field in dataclasses.fields(self):
-            if getattr(self, field.name) < 0:
-                raise DomainError(f"{field.name} must be nonnegative")
+            if not 0 <= getattr(self, field.name) < np.inf:
+                raise DomainError(f"{field.name} must be finite and nonnegative")
 
 
 DEFAULT_TOL = ToleranceConfig()

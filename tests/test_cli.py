@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qdpi import harness, serialize
-from qdpi.channels import counterexample_map, from_kraus, from_matrix, random_cptp, transpose_map
+from qdpi.channels import choi, counterexample_map, from_kraus, from_matrix, random_cptp, transpose_map
 from qdpi.cli import (
     EXIT_INPUT_ERROR,
     EXIT_NUMERICAL_ERROR,
@@ -104,7 +104,7 @@ def test_check_map_certifies_cp_map_stored_as_superop_matrix(tmp_path, capsys):
     p = 0.3
     phase_flip = from_kraus([np.sqrt(1 - p) * np.eye(2), np.sqrt(p) * np.diag([1.0, -1.0])])
     path = tmp_path / "phase-flip.json"
-    serialize.save_json(path, serialize.channel_to_dict(phase_flip, "superop_matrix"))
+    serialize.save_json(path, serialize.channel_to_dict(from_matrix(phase_flip.matrix, 2)))
     assert main(["check-map", "--map", str(path)]) == EXIT_PASS
     payload = json.loads(capsys.readouterr().out)
     assert payload["certificate"] == "completely_positive"
@@ -249,6 +249,43 @@ def test_suite_rejects_flags_it_does_not_read(monkeypatch, capsys, argv):
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "suite dpi --seed -1",
+        "suite dpi --trials -3",
+        "suite contraction --instances -1",
+        "suite violation --hill-steps -1",
+        "check-map --map transpose.json --seed -1",
+        "check-map --map transpose.json --samples -1",
+    ],
+)
+def test_negative_counts_and_seeds_are_input_errors(tmp_path, monkeypatch, capsys, argv):
+    for entry in SUITE_ENTRY_POINTS.values():
+        monkeypatch.setattr(harness, entry, _fail_if_called)
+    serialize.save_json(tmp_path / "transpose.json", serialize.channel_to_dict(transpose_map(2)))
+    monkeypatch.chdir(tmp_path)
+    assert main(argv.split()) == EXIT_INPUT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error:") and argv.split()[-2] in captured.err
+    assert captured.err.count("\n") == 1
+
+
+def test_auxiliary_dimension_one_is_precondition_error(capsys):
+    # the same error as dpi's, where the sampler would otherwise raise from numpy
+    assert main(["suite", "auxiliary", "--dims", "1", "--trials", "2"]) == EXIT_PRECONDITION_ERROR
+    err = capsys.readouterr().err
+    assert err == "precondition error: suite dimensions must be >= 2\n"
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_tolerance_is_precondition_error(capsys, value):
+    assert main(["suite", "dpi", "--trials", "2", "--tolerance-slack", value]) == EXIT_PRECONDITION_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("precondition error: monotonicity_slack") and err.count("\n") == 1
+
+
 def test_tolerance_flags_propagate_to_report_config(tmp_path):
     out = tmp_path / "report.json"
     rc = main([
@@ -293,15 +330,21 @@ def test_compute_equal_states_is_zero(state_files, capsys):
 
 
 def test_check_map_solves_each_spectrum_once(tmp_path, capsys, eig_sizes):
-    path = tmp_path / "cptp.json"
-    serialize.save_json(path, serialize.channel_to_dict(random_cptp(4, seed=6), "superop_matrix"))
-    assert main(["check-map", "--map", str(path), "--samples", "0"]) == EXIT_PASS
-    # one Choi spectrum (16 x 16) and one Phi*(1) spectrum (4 x 4)
-    assert sorted(eig_sizes) == [4, 16]
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["certificate"] == "completely_positive"
-    assert payload["one_to_one_norm"] == pytest.approx(1.0, abs=1e-12)
-    assert payload["one_to_one_norm"] == max(payload["adjoint_unit_spectrum"])
+    phi = random_cptp(4, seed=6)
+    # a choi payload is solved when loaded; classify reuses that spectrum
+    for representation, M in (("superop_matrix", phi.matrix), ("choi", choi(phi))):
+        payload = {"schema_version": serialize.SCHEMA_VERSION, "dim_in": 4, "dim_out": 4,
+                   "representation": representation, "re": M.real.tolist(), "im": M.imag.tolist()}
+        path = tmp_path / f"{representation}.json"
+        path.write_text(json.dumps(payload))
+        eig_sizes.clear()
+        assert main(["check-map", "--map", str(path), "--samples", "0"]) == EXIT_PASS
+        # one Choi spectrum (16 x 16) and one Phi*(1) spectrum (4 x 4)
+        assert sorted(eig_sizes) == [4, 16], representation
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["certificate"] == "completely_positive"
+        assert payload["one_to_one_norm"] == pytest.approx(1.0, abs=1e-12)
+        assert payload["one_to_one_norm"] == max(payload["adjoint_unit_spectrum"])
 
 
 def test_check_map_with_non_hermitian_choi_is_precondition_error(tmp_path, capsys):
@@ -366,6 +409,13 @@ def test_compute_diagonalizes_each_operator_once(tmp_path, capsys, eig_sizes, fa
         (3, "random_cptp", {"d": 3}, "x"),
         (3, "random_cptp", {"d": 3}, -1),
         (2, "depolarizing", {"d": 2, "lam": "x"}, None),
+        (3, "reduction", {"d": 3, "lam": 0.5, "typo": 1}, 9),
+        (3, "random_cptp", {"d": 3, "kraus_rnak": 2}, 1),
+        (3, "random_cptp", {}, 1),
+        (3, "reduction", {"d": 3}, 9),
+        (3, "reduction", {"d": 3, "lam": 0.5}, None),
+        (3, "random_cptp", {"d": 3, "rng": 1}, 1),
+        (2, "counterexample", False, None),
     ],
 )
 def test_check_map_rejects_malformed_family_recipe(tmp_path, capsys, dim, family, params, seed):

@@ -134,7 +134,7 @@ def test_both_infinite_is_vacuous_pass():
     rho = np.diag([0.5, 0.5])
     sigma = np.diag([1.0, 0.0])
     w = monotonicity_check(phi, rho, sigma)
-    assert w.both_infinite and w.gap == 0.0
+    assert math.isinf(w.lhs) and math.isinf(w.rhs) and w.gap == 0.0
 
 
 def test_dpi_suite_modes_pass_briefly():
@@ -235,12 +235,6 @@ def test_alpha_limit_suite_detects_monotone_convergence():
     r = alpha_limit_suite(pairs, seed=19)
     assert r.passed
     assert r.trials == 10
-
-
-def test_alpha_limit_suite_rejects_increasing_grid():
-    pairs = sample_state_pairs(2, (2,), 0)
-    with pytest.raises(DomainError):
-        alpha_limit_suite(pairs, eps_grid=(1e-4, 1e-3))
 
 
 def test_sample_state_pairs_shapes():

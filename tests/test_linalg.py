@@ -22,8 +22,9 @@ from qdpi.sampling import random_hermitian, random_psd, random_unitary, rng_for_
 
 
 def test_tolerance_config_rejects_negative_values():
-    with pytest.raises(DomainError):
-        ToleranceConfig(support_cutoff=-1e-12)
+    for value in (-1e-12, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            ToleranceConfig(support_cutoff=value)
 
 
 def test_require_hermitian_accepts_and_symmetrizes():

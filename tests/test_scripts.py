@@ -54,3 +54,16 @@ def test_violation_search_witnesses_replay_to_their_stored_gap(tmp_path):
         w = witness_from_dict(load_json(path))
         assert w.gap < 0.0
         assert replay_witness(w).gap == w.gap
+
+
+def test_report_digests_are_stable_across_runs():
+    commands = ("counterexample", "dpi --trials 5 --dims 2,3 --seed 2", "auxiliary --dims 1 --trials 2")
+    runs = [run_script("report_digests.py", *commands) for _ in range(2)]
+    for proc in runs:
+        assert proc.returncode == 0, proc.stderr
+    lines = runs[0].stdout.splitlines()
+    assert runs[1].stdout.splitlines() == lines
+    assert [line.split(" ", 2)[2] for line in lines] == list(commands)
+    # exit code and digest; a suite that stops on a precondition writes no report
+    assert [line.split()[0] for line in lines] == ["0", "0", "3"]
+    assert len(lines[0].split()[1]) == 64 and lines[2].split()[1] == "-"

@@ -162,7 +162,9 @@ def test_channel_round_trip_matrix_path():
 
 def test_channel_choi_representation_round_trip():
     phi = random_cptp(2, seed=14)
-    payload = channel_to_dict(phi, representation="choi")
+    C = choi(phi)  # maps are never written as choi, but the form is still read
+    payload = {"schema_version": SCHEMA_VERSION, "dim_in": 2, "dim_out": 2, "representation": "choi",
+               "re": C.real.tolist(), "im": C.imag.tolist()}
     back = channel_from_dict(payload)
     assert np.allclose(back.matrix, phi.matrix, atol=1e-12)
     assert back.certificate.tag == "completely_positive"
