@@ -34,6 +34,8 @@ ACCEPTANCE_COMMANDS = (
     "step2 --dims 16 --seed 44",
     "counterexample",
     "violation --alpha 0.3 --dims 2 --trials 2000 --hill-steps 1500 --seed 44",
+    "violation --alpha 0.3 --dims 2,3 --trials 600 --hill-steps 100 --seed 7",
+    "violation --alpha 0.2 --dims 3 --trials 300 --hill-steps 0 --seed 9",
     "alpha-limit --trials 20 --seed 44",
     "dpi --mode tni --dims 2,3 --trials 200 --seed 5 --tolerance-slack 1e-18",
 )

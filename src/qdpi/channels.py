@@ -46,7 +46,8 @@ from .linalg import (
     require_projector,
 )
 from .sampling import (
-    random_isometry,
+    phase_fixed_q,
+    random_complex_gaussian,
     random_projector,
     random_unit_vector,
     rng_for_trial,
@@ -59,6 +60,9 @@ __all__ = [
     "SuperOperator",
     "from_matrix",
     "from_kraus",
+    "kraus_blocks",
+    "from_isometry",
+    "apply_kraus_stack",
     "choi",
     "from_choi",
     "adjoint",
@@ -75,6 +79,7 @@ __all__ = [
     "depolarizing_map",
     "halving_map",
     "counterexample_map",
+    "cptp_draw",
     "random_cptp",
     "random_positive_noncp",
     "damped_cptp",
@@ -197,19 +202,37 @@ class SuperOperator:
         return float(np.linalg.eigvalsh((C + C.conj().T) / 2)[0])
 
     def apply(self, X) -> np.ndarray:
-        X = as_matrix(X)
-        if X.shape != (self.dim_in, self.dim_in):
-            raise DomainError(
-                f"input shape {X.shape} does not match map input dimension {self.dim_in}"
-            )
-        if not np.isfinite(X).all():
-            raise DomainError("map input has non-finite entries")
+        X = _require_input(as_matrix(X), self.dim_in)
         if self.kraus is not None:
-            out = np.zeros((self.dim_out, self.dim_out), dtype=np.complex128)
-            for K in self.kraus:
-                out += K @ X @ K.conj().T
-            return out
+            return _kraus_sum(self.kraus, X)
         return _unvec(self.matrix @ _vec(X), self.dim_out, self.dim_out)
+
+
+def _require_input(X: np.ndarray, dim_in: int) -> np.ndarray:
+    """A map input (a matrix, or a stack of them) of the input dimension with finite entries."""
+    if X.shape[-2:] != (dim_in, dim_in):
+        raise DomainError(f"input shape {X.shape} does not match map input dimension {dim_in}")
+    if not np.isfinite(X).all():
+        raise DomainError("map input has non-finite entries")
+    return X
+
+
+def _kraus_sum(kraus, X: np.ndarray) -> np.ndarray:
+    """sum_i K_i X K_i^dagger, matrix by matrix when X and the K_i are stacks."""
+    dim_out = kraus[0].shape[-2]
+    out = np.zeros(X.shape[:-2] + (dim_out, dim_out), dtype=np.complex128)
+    for K in kraus:
+        out += K @ X @ K.conj().mT
+    return out
+
+
+def apply_kraus_stack(kraus, X) -> np.ndarray:
+    """Apply n Kraus maps to n inputs at once: ``apply`` of each, with its checks.
+
+    X is an (n, d_in, d_in) stack and each K_i an (n, d_out, d_in) stack;
+    matrix j of the result is sum_i K_i[j] X[j] K_i[j]^dagger.
+    """
+    return _kraus_sum(kraus, _require_input(np.asarray(X, dtype=np.complex128), kraus[0].shape[-1]))
 
 
 def from_matrix(
@@ -276,6 +299,16 @@ def from_kraus(kraus, dim_in: int | None = None, dim_out: int | None = None,
     if kr[0].shape != (dim_out, dim_in):
         raise DomainError(f"Kraus operator shape {kr[0].shape} is not ({dim_out}, {dim_in})")
     return SuperOperator(None, dim_in, dim_out, kr, _KRAUS_FORM, descriptor)
+
+
+def kraus_blocks(V: np.ndarray, dim_out: int) -> list:
+    """The consecutive dim_out-row blocks of V, or of each matrix of a stack V."""
+    return [V[..., i * dim_out : (i + 1) * dim_out, :] for i in range(V.shape[-2] // dim_out)]
+
+
+def from_isometry(V, dim_in: int, dim_out: int, *, descriptor: dict | None = None) -> SuperOperator:
+    """The Kraus map whose operators are stacked in V: X -> tr_K[V X V^dagger]."""
+    return from_kraus(kraus_blocks(as_matrix(V), dim_out), dim_in, dim_out, descriptor=descriptor)
 
 
 def _choi_of_matrix(M: np.ndarray, dim_in: int, dim_out: int) -> np.ndarray:
@@ -548,14 +581,8 @@ def _seeded(family: str, params: dict, seed, rng):
     return np.random.default_rng(seed), {"family": family, "params": params, "seed": int(seed)}
 
 
-def random_cptp(
-    d: int,
-    d_out: int | None = None,
-    kraus_rank: int | None = None,
-    seed=None,
-    rng: np.random.Generator | None = None,
-) -> SuperOperator:
-    """Seeded CPTP map: Kraus blocks of a QR-orthonormalized Gaussian isometry."""
+def _cptp_dims(d: int, d_out: int | None, kraus_rank: int | None) -> tuple[int, int]:
+    """random_cptp's output dimension and Kraus rank, defaulting to d."""
     if d_out is None:
         d_out = d
     if kraus_rank is None:
@@ -564,10 +591,32 @@ def random_cptp(
         raise DomainError("dimensions and Kraus rank must be positive")
     if d_out * kraus_rank < d:
         raise DomainError(f"d_out * kraus_rank = {d_out * kraus_rank} < d = {d}: no isometry exists")
+    return d_out, kraus_rank
+
+
+def cptp_draw(rng: np.random.Generator, d: int, d_out: int | None = None,
+              kraus_rank: int | None = None) -> np.ndarray:
+    """The Gaussian random_cptp draws: its phase-fixed Q stacks the Kraus operators.
+
+    ``sampling.phase_fixed_q`` finishes one draw or a stack of them. The
+    dimensions default as in random_cptp, which validates them.
+    """
+    rows = (d if d_out is None else d_out) * (d if kraus_rank is None else kraus_rank)
+    return random_complex_gaussian(rng, (rows, d))
+
+
+def random_cptp(
+    d: int,
+    d_out: int | None = None,
+    kraus_rank: int | None = None,
+    seed=None,
+    rng: np.random.Generator | None = None,
+) -> SuperOperator:
+    """Seeded CPTP map: Kraus blocks of a QR-orthonormalized Gaussian isometry."""
+    d_out, kraus_rank = _cptp_dims(d, d_out, kraus_rank)
     rng, desc = _seeded("random_cptp", {"d": d, "d_out": d_out, "kraus_rank": kraus_rank}, seed, rng)
-    V = random_isometry(rng, d_out * kraus_rank, d)
-    kraus = [V[i * d_out : (i + 1) * d_out, :] for i in range(kraus_rank)]
-    return from_kraus(kraus, d, d_out, descriptor=desc)
+    V = phase_fixed_q(cptp_draw(rng, d, d_out, kraus_rank))
+    return from_isometry(V, d, d_out, descriptor=desc)
 
 
 def random_positive_noncp(

@@ -22,6 +22,7 @@ __all__ = [
     "von_neumann_entropy",
     "relative_entropy",
     "sandwiched_renyi",
+    "sandwiched_renyi_stack",
     "old_renyi",
     "klein_gap",
     "gamma_map",
@@ -48,18 +49,20 @@ def _xlogx(w: np.ndarray) -> float:
     return float((w[pos] * np.log(w[pos])).sum()) if pos.any() else 0.0
 
 
+def _contained(rho, sigma, cfg: ToleranceConfig):
+    """supp(rho) within supp(sigma) for validated operators: one bool per matrix of a stack."""
+    tr_rho = rho.matrix.trace(axis1=-2, axis2=-1).real
+    leak = tr_rho - (rho.matrix @ sigma.projector()).trace(axis1=-2, axis2=-1).real
+    return (tr_rho <= 0.0) | (leak <= cfg.containment_tolerance * tr_rho)
+
+
 def support_contained(rho, sigma, cfg: ToleranceConfig = DEFAULT_TOL) -> bool:
     """Whether supp(rho) is contained in supp(sigma), up to tolerance.
 
     Uses ||(1 - P) rho (1 - P)||_1 = tr[rho] - tr[rho P] for the support
     projector P of sigma, measured relative to tr[rho].
     """
-    rho, sigma = _pair(rho, sigma, cfg)
-    tr_rho = _trace(rho)
-    if tr_rho <= 0.0:
-        return True
-    leak = tr_rho - float(np.trace(rho.matrix @ sigma.projector()).real)
-    return leak <= cfg.containment_tolerance * tr_rho
+    return bool(_contained(*_pair(rho, sigma, cfg), cfg))
 
 
 def von_neumann_entropy(rho, cfg: ToleranceConfig = DEFAULT_TOL) -> float:
@@ -69,7 +72,7 @@ def von_neumann_entropy(rho, cfg: ToleranceConfig = DEFAULT_TOL) -> float:
 
 def _relative_core(rho, sigma, cfg: ToleranceConfig) -> float:
     """tr[rho ln rho] - tr[rho ln sigma] for validated operators, +inf off the support."""
-    if not support_contained(rho, sigma, cfg):
+    if not _contained(rho, sigma, cfg):
         return math.inf
     return _xlogx(rho.w) - float(np.einsum("ij,ji->", rho.matrix, sigma.log()).real)
 
@@ -91,9 +94,52 @@ def _renyi_pair(rho, sigma, alpha: float, cfg: ToleranceConfig):
     if not (alpha > 0.0 and alpha != 1.0):
         raise DomainError(f"alpha must be in (0,1) or (1,inf), got {alpha}")
     rho, sigma = _pair(rho, sigma, cfg)
-    if _trace(rho) == 0.0:
+    if 0.0 in rho.matrix.trace(axis1=-2, axis2=-1).real.reshape(-1).tolist():
         raise DomainError("Renyi divergence is undefined for rho = 0")
     return rho, sigma, alpha
+
+
+def _renyi_of_spectra(w: np.ndarray, alpha: float) -> list[float]:
+    """(1/(alpha-1)) ln sum_{w > 0} w^alpha of each row of ascending spectra w.
+
+    A row without a positive entry gives +inf. Rows are grouped by their
+    count k of positive entries, which are their last k, so each row is
+    reduced exactly as it would be alone.
+    """
+    if all(lowest > 0.0 for lowest in w[:, 0].tolist()):  # reduce them all at once
+        return _log_power_sums(w, alpha)
+    values = [math.inf] * len(w)
+    counts = np.count_nonzero(w > 0.0, axis=1)
+    for k in set(counts.tolist()) - {0}:
+        rows = np.flatnonzero(counts == k)
+        for i, value in zip(rows.tolist(), _log_power_sums(w[rows, -k:], alpha)):
+            values[i] = value
+    return values
+
+
+def _log_power_sums(w: np.ndarray, alpha: float) -> list[float]:
+    """(1/(alpha-1)) ln sum w^alpha of each row of positive spectra w."""
+    # log-sum-exp form keeps large alpha from overflowing
+    logs = np.log(w)
+    logs *= alpha
+    m = np.maximum.reduce(logs, axis=1)
+    logs -= m[:, None]
+    sums = np.add.reduce(np.exp(logs, out=logs), axis=1)
+    return [(m_i + math.log(sum_i)) / (alpha - 1.0) for m_i, sum_i in zip(m.tolist(), sums.tolist())]
+
+
+def _sandwiched(rho, sigma, alpha: float) -> list[float]:
+    """The sandwiched formula for validated operators: one value per matrix of a stack.
+
+    (1/(alpha-1)) ln tr[(sigma^{(1-alpha)/2a} rho sigma^{(1-alpha)/2a})^alpha];
+    a single matrix is a stack of one.
+    """
+    A = sigma.power((1.0 - alpha) / (2.0 * alpha))
+    B = A @ rho.matrix @ A
+    # symmetrized, not validated: the entries of this product can be far above
+    # any absolute Hermiticity tolerance when sigma is nearly singular
+    w, _ = _solve(np.linalg.eigh, (B + B.conj().mT) / 2)
+    return _renyi_of_spectra(w.reshape(-1, w.shape[-1]), alpha)
 
 
 def sandwiched_renyi(rho, sigma, alpha: float, cfg: ToleranceConfig = DEFAULT_TOL) -> float:
@@ -105,21 +151,21 @@ def sandwiched_renyi(rho, sigma, alpha: float, cfg: ToleranceConfig = DEFAULT_TO
     exactly when the trace vanishes (orthogonal supports).
     """
     rho, sigma, alpha = _renyi_pair(rho, sigma, alpha, cfg)
-    if alpha > 1.0 and not support_contained(rho, sigma, cfg):
+    if alpha > 1.0 and not _contained(rho, sigma, cfg):
         return math.inf
-    A = sigma.power((1.0 - alpha) / (2.0 * alpha))
-    B = A @ rho.matrix @ A
-    # symmetrized, not validated: the entries of this product can be far above
-    # any absolute Hermiticity tolerance when sigma is nearly singular
-    w, _ = _solve(np.linalg.eigh, (B + B.conj().T) / 2)
-    w = w[w > 0.0]
-    if w.size == 0:
-        return math.inf
-    # log-sum-exp form keeps large alpha from overflowing
-    logs = alpha * np.log(w)
-    m = float(logs.max())
-    log_q = m + math.log(float(np.exp(logs - m).sum()))
-    return log_q / (alpha - 1.0)
+    return _sandwiched(rho, sigma, alpha)[0]
+
+
+def sandwiched_renyi_stack(rho, sigma, alpha: float, cfg: ToleranceConfig = DEFAULT_TOL) -> list[float]:
+    """``sandwiched_renyi`` of each pair of matrices of two stacks built by ``psd_stack``.
+
+    Each value carries the same bits as ``sandwiched_renyi`` of that pair alone.
+    """
+    rho, sigma, alpha = _renyi_pair(rho, sigma, alpha, cfg)
+    values = _sandwiched(rho, sigma, alpha)
+    if alpha > 1.0:
+        values = [v if ok else math.inf for v, ok in zip(values, _contained(rho, sigma, cfg).tolist())]
+    return values
 
 
 def old_renyi(rho, sigma, alpha: float, cfg: ToleranceConfig = DEFAULT_TOL) -> float:

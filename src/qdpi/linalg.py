@@ -14,6 +14,9 @@ negative powers total on PSD inputs (pseudo-inverse convention).
 A PSD operator is validated once: ``psd`` runs one Hermiticity check and one
 ``eigh`` and returns a ``ValidatedPSD``, which every divergence and weighted
 norm accepts in place of an ndarray without validating it again.
+``psd_stack`` validates an (n, d, d) stack the same way, each check per
+matrix, with one stacked ``eigh``; its ``ValidatedPSD`` carries the leading
+axis through every method.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ __all__ = [
     "require_hermitian",
     "ValidatedPSD",
     "psd",
+    "psd_stack",
     "require_projector",
     "min_eigenvalue",
     "schatten_norm",
@@ -89,26 +93,42 @@ def as_matrix(M) -> np.ndarray:
 
 
 def _require_square(A: np.ndarray) -> np.ndarray:
-    if A.shape[0] != A.shape[1]:
+    if A.shape[-1] != A.shape[-2]:
         raise DomainError(f"expected a square matrix, got shape {A.shape}")
     return A
 
 
+def _first(values, bad) -> float:
+    """The first entry of values, in stack order, where bad holds."""
+    return float(np.asarray(values)[bad].flat[0])
+
+
 def hermitian_part(A) -> np.ndarray:
-    """(A + A^dagger) / 2."""
-    A = _require_square(as_matrix(A))
-    return (A + A.conj().T) / 2
+    """(A + A^dagger) / 2 of a matrix, or of each matrix in an (n, d, d) stack."""
+    A = A.matrix if isinstance(A, ValidatedPSD) else np.asarray(A, dtype=np.complex128)
+    if A.ndim not in (2, 3):
+        raise DomainError(f"expected a matrix, got array of ndim {A.ndim}")
+    A = _require_square(A)
+    return (A + A.conj().mT) / 2
+
+
+def _checked_hermitian(A: np.ndarray, cfg: ToleranceConfig) -> np.ndarray:
+    """Finite entries and Hermiticity of a matrix or of each matrix of a stack; the symmetrized copy."""
+    if not np.isfinite(A).all():
+        raise DomainError("matrix has non-finite entries")
+    A_dagger = A.conj().mT
+    diff = np.abs(A - A_dagger)
+    if A.size and diff.max() > cfg.hermiticity_tolerance:
+        defect = diff.max(axis=(-2, -1))
+        raise DomainError(
+            f"matrix is not Hermitian (defect {_first(defect, defect > cfg.hermiticity_tolerance):.3e})"
+        )
+    return (A + A_dagger) / 2
 
 
 def require_hermitian(A, cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """Validate finite entries and Hermiticity in max-entry norm; return the symmetrized copy."""
-    A = _require_square(as_matrix(A))
-    if not np.isfinite(A).all():
-        raise DomainError("matrix has non-finite entries")
-    defect = np.abs(A - A.conj().T).max() if A.size else 0.0
-    if defect > cfg.hermiticity_tolerance:
-        raise DomainError(f"matrix is not Hermitian (defect {defect:.3e})")
-    return (A + A.conj().T) / 2
+    return _checked_hermitian(_require_square(as_matrix(A)), cfg)
 
 
 def _solve(solver, A: np.ndarray):
@@ -116,24 +136,26 @@ def _solve(solver, A: np.ndarray):
     try:
         return solver(A)
     except np.linalg.LinAlgError as exc:
-        raise EigensolverError(A.shape[0]) from exc
+        raise EigensolverError(A.shape[-1]) from exc
 
 
 class ValidatedPSD:
     """A PSD operator validated once, with its one eigendecomposition.
 
     ``matrix`` is the symmetrized input, ``w``/``V`` its ascending eigenvalues
-    and eigenvectors, and ``on`` the support mask under ``cfg.support_cutoff``.
-    Build it with ``psd``. The support projector and the functions on the
-    support are computed once per value and returned read-only.
+    and eigenvectors, and ``on`` the support mask under ``cfg.support_cutoff``
+    (built on first use).
+    Built by ``psd`` for one matrix, or by ``psd_stack`` for a stack, whose
+    leading axis every field and method keeps. The support projector and the
+    functions on the support are computed once per value and returned
+    read-only.
     """
 
-    __slots__ = ("matrix", "w", "V", "on", "cfg", "_cache")
+    __slots__ = ("matrix", "w", "V", "cfg", "_on", "_cache")
 
     def __init__(self, matrix: np.ndarray, w: np.ndarray, V: np.ndarray, cfg: ToleranceConfig):
         self.matrix, self.w, self.V, self.cfg = matrix, w, V, cfg
-        lmax = float(w[-1]) if w.size else 0.0
-        self.on = w > cfg.support_cutoff * lmax if lmax > 0.0 else np.zeros_like(w, dtype=bool)
+        self._on = None
         self._cache = {}
 
     def _cached(self, key, build) -> np.ndarray:
@@ -142,15 +164,31 @@ class ValidatedPSD:
             out.flags.writeable = False
         return self._cache[key]
 
+    @property
+    def on(self) -> np.ndarray:
+        if self._on is None:
+            # every eigenvalue is <= lambda_max, so a lambda_max <= 0 or a cutoff
+            # of 1 or more leaves an empty support
+            self._on = self.w > min(self.cfg.support_cutoff, 1.0) * self.w[..., -1:]
+        return self._on
+
     def projector(self) -> np.ndarray:
         """Projector onto the support; the zero matrix maps to the zero projector."""
-        Von = self.V[:, self.on]
-        return self._cached("projector", lambda: Von @ Von.conj().T)
+        return self._cached("projector", self._projector)
+
+    def _projector(self) -> np.ndarray:
+        on = self.on
+        if on.ndim == 1:
+            Von = self.V[:, on]
+        else:  # the matrices of a stack differ in rank: zero the off-support columns
+            Von = self.V * on[..., None, :]
+        return Von @ Von.conj().mT
 
     def _on_support(self, scalar_fn) -> np.ndarray:
-        out = np.zeros_like(self.w)
-        out[self.on] = scalar_fn(self.w[self.on])
-        return (self.V * out) @ self.V.conj().T
+        on = self.on
+        out = np.zeros(self.w.shape)
+        out[on] = scalar_fn(self.w[on])
+        return (self.V * out[..., None, :]) @ self.V.conj().mT
 
     def log(self) -> np.ndarray:
         """Natural logarithm on the support."""
@@ -162,6 +200,17 @@ class ValidatedPSD:
         return self._cached(t, lambda: self._on_support(lambda w: w ** t))
 
 
+def _validated_psd(M: np.ndarray, cfg: ToleranceConfig) -> ValidatedPSD:
+    """One eigh of symmetrized M (a matrix or a stack) and the min-eigenvalue check of each matrix."""
+    w, V = _solve(np.linalg.eigh, M)
+    if w.size and w.min() < -cfg.psd_tolerance:
+        lowest = w[..., 0]  # eigh sorts ascending
+        raise DomainError(
+            f"matrix is not PSD (min eigenvalue {_first(lowest, lowest < -cfg.psd_tolerance):.3e})"
+        )
+    return ValidatedPSD(M, w, V, cfg)
+
+
 def psd(A, cfg: ToleranceConfig = DEFAULT_TOL) -> ValidatedPSD:
     """Validate Hermiticity plus min eigenvalue >= -psd_tolerance, with one eigh.
 
@@ -169,11 +218,19 @@ def psd(A, cfg: ToleranceConfig = DEFAULT_TOL) -> ValidatedPSD:
     """
     if isinstance(A, ValidatedPSD) and (A.cfg is cfg or A.cfg == cfg):
         return A
-    M = require_hermitian(A, cfg)
-    w, V = _solve(np.linalg.eigh, M)
-    if w.size and w[0] < -cfg.psd_tolerance:
-        raise DomainError(f"matrix is not PSD (min eigenvalue {w[0]:.3e})")
-    return ValidatedPSD(M, w, V, cfg)
+    return _validated_psd(require_hermitian(A, cfg), cfg)
+
+
+def psd_stack(A, cfg: ToleranceConfig = DEFAULT_TOL) -> ValidatedPSD:
+    """``psd`` of each matrix in an (n, d, d) stack, with one stacked eigh.
+
+    Every check of ``psd`` runs on every matrix; the first failing matrix
+    raises the error ``psd`` raises for it.
+    """
+    A = np.asarray(A, dtype=np.complex128)
+    if A.ndim != 3:
+        raise DomainError(f"expected a stack of matrices, got array of ndim {A.ndim}")
+    return _validated_psd(_checked_hermitian(_require_square(A), cfg), cfg)
 
 
 def require_projector(P, cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:

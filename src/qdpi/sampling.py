@@ -16,6 +16,8 @@ __all__ = [
     "random_complex_gaussian",
     "random_unit_vector",
     "phase_fixed_q",
+    "gaussian_factor",
+    "density_of_factor",
     "random_isometry",
     "random_unitary",
     "random_hermitian",
@@ -42,11 +44,14 @@ def random_unit_vector(rng: np.random.Generator, d: int) -> np.ndarray:
 
 
 def phase_fixed_q(A: np.ndarray) -> np.ndarray:
-    """Q of A = QR with column phases fixed so that R has a positive diagonal."""
+    """Q of A = QR with column phases fixed so that R has a positive diagonal.
+
+    A may be an (n, r, c) stack; one stacked QR then finishes every matrix.
+    """
     Q, R = np.linalg.qr(A)
-    phases = np.diag(R).copy()
+    phases = np.diagonal(R, axis1=-2, axis2=-1).copy()
     phases /= np.abs(phases)
-    return Q * phases
+    return Q * phases[..., None, :]
 
 
 def random_isometry(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
@@ -66,20 +71,30 @@ def random_hermitian(rng: np.random.Generator, d: int) -> np.ndarray:
     return (G + G.conj().T) / 2
 
 
-def random_psd(rng: np.random.Generator, d: int, rank: int | None = None) -> np.ndarray:
-    """Wishart matrix G G^dagger with G of shape (d, rank)."""
+def gaussian_factor(rng: np.random.Generator, d: int, rank: int | None = None) -> np.ndarray:
+    """The (d, rank) Gaussian G that random_psd and random_density draw."""
     if rank is None:
         rank = d
     if not 1 <= rank <= d:
         raise DomainError(f"rank must be in [1, {d}], got {rank}")
-    G = random_complex_gaussian(rng, (d, rank))
+    return random_complex_gaussian(rng, (d, rank))
+
+
+def random_psd(rng: np.random.Generator, d: int, rank: int | None = None) -> np.ndarray:
+    """Wishart matrix G G^dagger with G of shape (d, rank)."""
+    G = gaussian_factor(rng, d, rank)
     return G @ G.conj().T
+
+
+def density_of_factor(G: np.ndarray) -> np.ndarray:
+    """G G^dagger / tr[G G^dagger] of a matrix G, or of each matrix of an (n, d, r) stack."""
+    W = G @ G.conj().mT
+    return W / W.trace(axis1=-2, axis2=-1).real[..., None, None]
 
 
 def random_density(rng: np.random.Generator, d: int, rank: int | None = None) -> np.ndarray:
     """Unit-trace Wishart state, full rank by default."""
-    W = random_psd(rng, d, rank)
-    return W / np.trace(W).real
+    return density_of_factor(gaussian_factor(rng, d, rank))
 
 
 def random_rank_deficient_density(rng: np.random.Generator, d: int) -> np.ndarray:

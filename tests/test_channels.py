@@ -8,19 +8,23 @@ from hypothesis import given, settings, strategies as st
 from qdpi.channels import (
     SuperOperator,
     adjoint,
+    apply_kraus_stack,
     choi,
     classify,
     compose,
     construct,
     counterexample_map,
+    cptp_draw,
     damped_cptp,
     depolarizing_map,
     from_choi,
+    from_isometry,
     from_kraus,
     from_matrix,
     gamma_superoperator,
     halving_map,
     identity_map,
+    kraus_blocks,
     one_to_one_norm_positive,
     pinching_map,
     random_cptp,
@@ -39,6 +43,9 @@ from qdpi.linalg import (
     psd,
 )
 from qdpi.sampling import (
+    density_of_factor,
+    gaussian_factor,
+    phase_fixed_q,
     random_density,
     random_hermitian,
     random_projector,
@@ -451,3 +458,36 @@ def test_positive_maps_preserve_support_inclusion():
         phi = (random_cptp, random_positive_noncp)[trial % 2](d, seed=trial)
         assert support_contained(rho, sigma)
         assert support_contained(phi.apply(rho), phi.apply(sigma), relaxed)
+
+
+def test_stacked_sampling_finish_equals_the_scalar_samplers():
+    d, n = 3, 5
+    iso, rho_factors, maps, states = [], [], [], []
+    for t in range(n):
+        rng = rng_for_trial(12, t)
+        iso.append(cptp_draw(rng, d))
+        rho_factors.append(gaussian_factor(rng, d))
+        rng = rng_for_trial(12, t)
+        maps.append(random_cptp(d, rng=rng))
+        states.append(random_density(rng, d))
+    V = phase_fixed_q(np.stack(iso))
+    rho = density_of_factor(np.stack(rho_factors))
+    for i in range(n):
+        assert np.array_equal(V[i], np.vstack(maps[i].kraus))
+        assert np.array_equal(rho[i], states[i])
+
+
+def test_apply_kraus_stack_equals_apply_of_each_map():
+    d, n = 3, 4
+    rng = np.random.default_rng(2)
+    V = phase_fixed_q(np.stack([cptp_draw(rng, d) for _ in range(n)]))
+    X = np.stack([random_density(rng, d) for _ in range(n)])
+    out = apply_kraus_stack(kraus_blocks(V, d), X)
+    for i in range(n):
+        assert np.array_equal(out[i], from_isometry(V[i], d, d).apply(X[i]))
+    bad = X.copy()
+    bad[2, 1, 1] = np.inf
+    with pytest.raises(DomainError, match="non-finite"):
+        apply_kraus_stack(kraus_blocks(V, d), bad)
+    with pytest.raises(DomainError, match="input dimension"):
+        apply_kraus_stack(kraus_blocks(V, d), X[:, :2, :2])

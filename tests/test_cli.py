@@ -279,6 +279,13 @@ def test_auxiliary_dimension_one_is_precondition_error(capsys):
     assert err == "precondition error: suite dimensions must be >= 2\n"
 
 
+def test_violation_dimension_one_is_precondition_error(capsys):
+    # 1x1 states are all equal, so the search could never find anything
+    assert main(["suite", "violation", "--dims", "1", "--trials", "2"]) == EXIT_PRECONDITION_ERROR
+    err = capsys.readouterr().err
+    assert err == "precondition error: suite dimensions must be >= 2\n"
+
+
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_non_finite_tolerance_is_precondition_error(capsys, value):
     assert main(["suite", "dpi", "--trials", "2", "--tolerance-slack", value]) == EXIT_PRECONDITION_ERROR

@@ -12,11 +12,12 @@ from qdpi.divergences import (
     relative_entropy,
     renyi_via_norm,
     sandwiched_renyi,
+    sandwiched_renyi_stack,
     support_contained,
     von_neumann_entropy,
     weighted_p_norm,
 )
-from qdpi.linalg import DomainError, operator_norm, psd
+from qdpi.linalg import DomainError, operator_norm, psd, psd_stack
 from qdpi.sampling import random_density, random_hermitian, random_unitary, rng_for_trial
 
 
@@ -401,3 +402,39 @@ def test_sandwiched_renyi_on_nearly_singular_sigma(spectrum, alpha):
     want = sandwiched_reference(NEAR_SINGULAR_RHO, sigma, alpha)
     got = sandwiched_renyi(np.diag(NEAR_SINGULAR_RHO), sigma, alpha)
     assert got == pytest.approx(want, rel=1e-6)
+
+
+def _stack_cases(d: int, n: int = 8):
+    """Density pairs with full-rank, rank-deficient and orthogonal members."""
+    rhos, sigmas = [], []
+    for t in range(n):
+        rng = rng_for_trial(88, t)
+        rank_rho = d if t % 3 else 1
+        rank_sigma = d if t % 4 else max(1, d - 1)
+        rhos.append(random_density(rng, d, rank_rho))
+        sigmas.append(random_density(rng, d, rank_sigma))
+    e = np.eye(d, dtype=complex)
+    rhos.append(np.outer(e[0], e[0]))
+    sigmas.append(np.outer(e[1], e[1]))
+    return np.stack(rhos), np.stack(sigmas)
+
+
+@pytest.mark.parametrize("alpha", [0.2, 0.5, 0.9, 1.5, 3.0])
+@pytest.mark.parametrize("d", [2, 3, 9])
+def test_sandwiched_renyi_stack_carries_the_scalar_bits(alpha, d):
+    rhos, sigmas = _stack_cases(d)
+    values = sandwiched_renyi_stack(psd_stack(rhos), psd_stack(sigmas), alpha)
+    assert values == [sandwiched_renyi(r, s, alpha) for r, s in zip(rhos, sigmas)]
+    assert math.isinf(values[-1])
+
+
+def test_sandwiched_renyi_stack_checks_its_inputs():
+    rhos, sigmas = _stack_cases(2)
+    with pytest.raises(DomainError, match="rho = 0"):
+        zero = rhos.copy()
+        zero[3] = 0.0
+        sandwiched_renyi_stack(psd_stack(zero), psd_stack(sigmas), 0.5)
+    with pytest.raises(DomainError, match="alpha"):
+        sandwiched_renyi_stack(psd_stack(rhos), psd_stack(sigmas), 1.0)
+    with pytest.raises(DomainError, match="shape mismatch"):
+        sandwiched_renyi_stack(psd_stack(rhos), psd_stack(sigmas[:-1]), 0.5)

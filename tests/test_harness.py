@@ -40,7 +40,17 @@ from qdpi.harness import (
     witness_from_dict,
     witness_to_dict,
 )
-from qdpi.harness import _sample_family_map, _sample_state_pair, _sector_state
+from qdpi import harness
+from qdpi.divergences import relative_entropy, sandwiched_renyi
+from qdpi.harness import (
+    ALPHA_LIMIT_RESIDUAL,
+    _evaluate,
+    _gap_of,
+    _sample_family_map,
+    _sample_state_pair,
+    _sector_state,
+    _violation_trials,
+)
 from qdpi.linalg import DEFAULT_TOL, DomainError
 from qdpi.sampling import random_density, rng_for_trial
 from qdpi.serialize import canonical_json
@@ -158,6 +168,8 @@ def test_dpi_suite_rejects_bad_arguments():
         randomized_dpi_suite("tni", alphas=(0.5, 2.0))
     with pytest.raises(DomainError):
         randomized_dpi_suite("tp", dims=(1,))
+    with pytest.raises(DomainError):
+        randomized_dpi_suite("tp", dims=())
 
 
 def test_state_sampler_hits_rank_deficient_branches():
@@ -237,6 +249,26 @@ def test_alpha_limit_suite_detects_monotone_convergence():
     assert r.trials == 10
 
 
+@pytest.mark.parametrize("seed, d", [(17, 4), (24, 3), (26, 6), (30, 6), (31, 4)])
+def test_alpha_limit_checks_the_slope_not_an_absolute_error(seed, d):
+    # these pairs have |D_{1+eps} - D| above 1e-3 at eps = 1e-4: the error is
+    # eps V / 2 with a large variance V, and the expansion holds to second order
+    pairs = sample_state_pairs(10, (d,), seed)
+    errors = [abs(sandwiched_renyi(r, s, 1.0 + 1e-4) - relative_entropy(r, s)) for r, s in pairs]
+    assert max(errors) > 1e-3
+    report = alpha_limit_suite(pairs, seed=seed)
+    assert report.passed and report.trials == 10
+    # the largest residual |D_{1+eps} - D - eps V / 2| is far inside the bound
+    assert ALPHA_LIMIT_RESIDUAL - report.min_gap < 1e-6 / 4
+
+
+def test_alpha_limit_fails_when_the_support_condition_fails():
+    rho = np.diag([0.5, 0.5]).astype(complex)
+    sigma = np.diag([1.0, 0.0]).astype(complex)
+    report = alpha_limit_suite([(rho, sigma)])
+    assert not report.passed and len(report.failures) == 1
+
+
 def test_sample_state_pairs_shapes():
     pairs = sample_state_pairs(5, (2, 3), 7)
     assert len(pairs) == 5
@@ -246,14 +278,56 @@ def test_sample_state_pairs_shapes():
 
 
 def test_violation_search_finds_and_replays_witness():
-    r = violation_search(0.3, dims=(2,), trials=400, seed=1, hill_steps=300)
-    assert r.outcome == "violation_found"
-    w = r.best_witness
-    assert w is not None and w.gap < -1e-6
-    assert replay_witness(w).gap == w.gap
-    # the violation disappears in the alpha > 1 regime
-    assert replay_witness(w, alpha_override=2.0).gap >= -1e-8
-    assert r.passes + len(r.failures) == r.trials
+    # (2, 3) mixes dimensions within each chunk of stacked trials
+    for dims in ((2,), (2, 3)):
+        r = violation_search(0.3, dims=dims, trials=400, seed=1, hill_steps=300)
+        assert r.outcome == "violation_found"
+        w = r.best_witness
+        assert w is not None and w.gap < -1e-6
+        assert replay_witness(w).gap == w.gap
+        # the violation disappears in the alpha > 1 regime
+        assert replay_witness(w, alpha_override=2.0).gap >= -1e-8
+        assert r.passes + len(r.failures) == r.trials
+        # every stored trial witness replays to its stored values, bit for bit
+        assert r.failures
+        for failure in r.failures:
+            replayed = replay_witness(failure)
+            assert (replayed.lhs, replayed.rhs, replayed.gap) == (failure.lhs, failure.rhs, failure.gap)
+
+
+@pytest.mark.parametrize("alpha", [0.3, 1.5])
+@pytest.mark.parametrize("dims", [(2,), (2, 3), (4,)])
+def test_stacked_trials_equal_scalar_evaluation(monkeypatch, dims, alpha):
+    # chunks of 7 trials: each search below spans several chunks
+    monkeypatch.setattr(harness, "TRIAL_CHUNK", 7)
+    for seed in (0, 3, 11):
+        trials = list(_violation_trials(alpha, dims, seed, 30, DEFAULT_TOL))
+        assert len(trials) == 30
+        for t, (lhs, rhs, V, rho, sigma) in enumerate(trials):
+            rng = rng_for_trial(seed, t)
+            d = int(rng.choice(dims))
+            phi = random_cptp(d, rng=rng)
+            r, s = random_density(rng, d), random_density(rng, d)
+            assert np.array_equal(V, np.vstack(phi.kraus))
+            assert np.array_equal(rho, r) and np.array_equal(sigma, s)
+            assert (lhs, rhs, _gap_of(lhs, rhs)) == _evaluate(phi, r, s, alpha, DEFAULT_TOL)
+
+
+def test_violation_report_does_not_depend_on_chunk_size(monkeypatch):
+    a = violation_search(0.3, dims=(2, 3), trials=120, seed=6, hill_steps=20)
+    monkeypatch.setattr(harness, "TRIAL_CHUNK", 5)
+    b = violation_search(0.3, dims=(2, 3), trials=120, seed=6, hill_steps=20)
+    assert frozen_report_text(a) == frozen_report_text(b)
+
+
+def test_violation_trials_solve_in_stacks(monkeypatch, eig_sizes):
+    # psd of rho, sigma and both images, and one sandwiched eigh per side:
+    # six stacked solves per dimension and chunk, however many trials it holds
+    monkeypatch.setattr(harness, "TRIAL_CHUNK", 150)
+    for trials, chunks in ((100, 1), (150, 1), (300, 2)):
+        eig_sizes.clear()
+        assert len(list(_violation_trials(0.3, (2, 3), 4, trials, DEFAULT_TOL))) == trials
+        assert sorted(eig_sizes) == [2] * (6 * chunks) + [3] * (6 * chunks)
 
 
 def test_violation_search_inconclusive_path():
@@ -267,6 +341,15 @@ def test_violation_search_rejects_alpha_outside_regime():
         violation_search(0.7, trials=1)
     with pytest.raises(DomainError):
         violation_search(0.0, trials=1)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"dims": ()}, {"dims": (1,)}, {"dims": (2, 1)}, {"trials": -5}, {"hill_steps": -3}],
+)
+def test_violation_search_rejects_bad_arguments(kwargs):
+    with pytest.raises(DomainError):
+        violation_search(0.3, **{"trials": 1, **kwargs})
 
 
 def test_violation_reports_are_deterministic():

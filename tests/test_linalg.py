@@ -13,6 +13,7 @@ from qdpi.linalg import (
     min_eigenvalue,
     operator_norm,
     psd,
+    psd_stack,
     require_hermitian,
     require_projector,
     schatten_norm,
@@ -232,3 +233,74 @@ def test_psd_value_is_revalidated_under_other_tolerances():
     assert w is not v and not w.on.all()
     with pytest.raises(DomainError, match="not PSD"):
         psd(np.diag([1.0, -1e-3]))
+
+
+def _mixed_rank_stack(d: int = 3, n: int = 6) -> np.ndarray:
+    """PSD matrices of full and deficient rank, plus the zero matrix."""
+    mats = []
+    for t in range(n):
+        rng = rng_for_trial(71, t)
+        mats.append(random_psd(rng, d, rank=1 + t % d))
+    mats.append(np.zeros((d, d), dtype=complex))
+    return np.stack(mats)
+
+
+def test_psd_stack_equals_psd_of_each_matrix():
+    stack = _mixed_rank_stack()
+    v = psd_stack(stack)
+    for i, A in enumerate(stack):
+        one = psd(A)
+        assert np.array_equal(v.matrix[i], one.matrix)
+        assert np.array_equal(v.w[i], one.w) and np.array_equal(v.V[i], one.V)
+        assert np.array_equal(v.on[i], one.on)
+        for t in (0.5, -0.5, 2.0):
+            assert np.array_equal(v.power(t)[i], one.power(t))
+        assert np.array_equal(v.log()[i], one.log())
+        assert np.allclose(v.projector()[i], one.projector(), atol=1e-14)
+
+
+def test_psd_stack_checks_every_matrix():
+    stack = _mixed_rank_stack()
+    bad_cases = []
+    nonfinite = stack.copy()
+    nonfinite[4, 0, 0] = np.nan
+    bad_cases.append(nonfinite)
+    skewed = stack.copy()
+    skewed[2, 0, 1] += 1e-3
+    bad_cases.append(skewed)
+    negative = stack.copy()
+    negative[5] -= 1e-3 * np.eye(3)
+    negative[3] -= 1e-2 * np.eye(3)
+    bad_cases.append(negative)
+    for bad in bad_cases:
+        first = next(A for A in bad if _psd_error(A) is not None)
+        with pytest.raises(DomainError) as err:
+            psd_stack(bad)
+        assert str(err.value) == _psd_error(first)
+    with pytest.raises(DomainError):
+        psd_stack(stack[0])
+    with pytest.raises(DomainError):
+        psd_stack(np.zeros((2, 3, 2)))
+
+
+def _psd_error(A):
+    try:
+        psd(A)
+    except DomainError as exc:
+        return str(exc)
+    return None
+
+
+def test_hermitian_part_of_a_stack_is_taken_per_matrix():
+    stack = np.stack([random_hermitian(rng_for_trial(5, t), 3) + 1j * np.eye(3) * t for t in range(3)])
+    assert np.array_equal(hermitian_part(stack), np.stack([hermitian_part(A) for A in stack]))
+
+
+@pytest.mark.parametrize("cutoff", [0.0, 0.5, 1.0, 2.0])
+def test_support_mask_is_empty_without_a_positive_top_eigenvalue(cutoff):
+    cfg = ToleranceConfig(support_cutoff=cutoff)
+    for A in (np.zeros((3, 3)), -1e-12 * np.eye(3), np.diag([-1e-12, -2e-12, 0.0])):
+        assert not psd(A, cfg).on.any()
+        assert not psd_stack(np.stack([A, A]), cfg).on.any()
+    v = psd(np.diag([0.0, 0.25, 0.75]), cfg)
+    assert v.on.tolist() == [False, cutoff < 1 / 3, cutoff < 1.0]
