@@ -40,6 +40,7 @@ from .linalg import (
     DEFAULT_TOL,
     DomainError,
     ToleranceConfig,
+    _dagger,
     as_matrix,
     hermitian_part,
     psd,
@@ -222,7 +223,7 @@ def _kraus_sum(kraus, X: np.ndarray) -> np.ndarray:
     dim_out = kraus[0].shape[-2]
     out = np.zeros(X.shape[:-2] + (dim_out, dim_out), dtype=np.complex128)
     for K in kraus:
-        out += K @ X @ K.conj().mT
+        out += K @ X @ _dagger(K)
     return out
 
 
@@ -599,10 +600,10 @@ def cptp_draw(rng: np.random.Generator, d: int, d_out: int | None = None,
     """The Gaussian random_cptp draws: its phase-fixed Q stacks the Kraus operators.
 
     ``sampling.phase_fixed_q`` finishes one draw or a stack of them. The
-    dimensions default as in random_cptp, which validates them.
+    dimensions default and are validated as in random_cptp.
     """
-    rows = (d if d_out is None else d_out) * (d if kraus_rank is None else kraus_rank)
-    return random_complex_gaussian(rng, (rows, d))
+    d_out, kraus_rank = _cptp_dims(d, d_out, kraus_rank)
+    return random_complex_gaussian(rng, (d_out * kraus_rank, d))
 
 
 def random_cptp(

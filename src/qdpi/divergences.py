@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, DomainError, ToleranceConfig, _solve, operator_norm, psd, schatten_norm
+from .linalg import DEFAULT_TOL, DomainError, ToleranceConfig, _dagger, _solve, operator_norm, psd, schatten_norm
 
 __all__ = [
     "support_contained",
@@ -94,52 +94,68 @@ def _renyi_pair(rho, sigma, alpha: float, cfg: ToleranceConfig):
     if not (alpha > 0.0 and alpha != 1.0):
         raise DomainError(f"alpha must be in (0,1) or (1,inf), got {alpha}")
     rho, sigma = _pair(rho, sigma, cfg)
-    if 0.0 in rho.matrix.trace(axis1=-2, axis2=-1).real.reshape(-1).tolist():
+    if rho.matrix.ndim == 2:
+        undefined = _trace(rho) == 0.0
+    else:  # a stack: any matrix of trace 0
+        undefined = 0.0 in rho.matrix.trace(axis1=1, axis2=2).real.tolist()
+    if undefined:
         raise DomainError("Renyi divergence is undefined for rho = 0")
     return rho, sigma, alpha
 
 
-def _renyi_of_spectra(w: np.ndarray, alpha: float) -> list[float]:
-    """(1/(alpha-1)) ln sum_{w > 0} w^alpha of each row of ascending spectra w.
+def _power_sum_terms(w: np.ndarray, alpha: float):
+    """m and s with sum w^alpha = e^m s, along the last axis of positive spectra w."""
+    # log-sum-exp form keeps large alpha from overflowing
+    logs = np.log(w)
+    logs *= alpha
+    m = np.maximum.reduce(logs, axis=-1)
+    logs -= m[..., None]
+    return m, np.add.reduce(np.exp(logs, out=logs), axis=-1)
 
-    A row without a positive entry gives +inf. Rows are grouped by their
-    count k of positive entries, which are their last k, so each row is
-    reduced exactly as it would be alone.
+
+def _renyi_value(m: float, s: float, alpha: float) -> float:
+    """(1/(alpha-1)) ln (e^m s)."""
+    return (m + math.log(s)) / (alpha - 1.0)
+
+
+def _renyi_of_spectrum(w: np.ndarray, alpha: float) -> float:
+    """(1/(alpha-1)) ln sum_{w > 0} w^alpha of one ascending spectrum; +inf without a positive entry."""
+    if not w[0] > 0.0:
+        w = w[w > 0.0]
+        if w.size == 0:
+            return math.inf
+    m, s = _power_sum_terms(w, alpha)
+    return _renyi_value(float(m), float(s), alpha)
+
+
+def _renyi_of_spectra(w: np.ndarray, alpha: float) -> list[float]:
+    """``_renyi_of_spectrum`` of each row of an (n, d) stack of ascending spectra.
+
+    Rows are grouped by their count k of positive entries, which are their
+    last k, so each row is reduced exactly as it would be alone.
     """
-    if all(lowest > 0.0 for lowest in w[:, 0].tolist()):  # reduce them all at once
-        return _log_power_sums(w, alpha)
     values = [math.inf] * len(w)
     counts = np.count_nonzero(w > 0.0, axis=1)
     for k in set(counts.tolist()) - {0}:
         rows = np.flatnonzero(counts == k)
-        for i, value in zip(rows.tolist(), _log_power_sums(w[rows, -k:], alpha)):
-            values[i] = value
+        m, s = _power_sum_terms(w[rows, -k:], alpha)
+        for i, m_i, s_i in zip(rows.tolist(), m.tolist(), s.tolist()):
+            values[i] = _renyi_value(m_i, s_i, alpha)
     return values
 
 
-def _log_power_sums(w: np.ndarray, alpha: float) -> list[float]:
-    """(1/(alpha-1)) ln sum w^alpha of each row of positive spectra w."""
-    # log-sum-exp form keeps large alpha from overflowing
-    logs = np.log(w)
-    logs *= alpha
-    m = np.maximum.reduce(logs, axis=1)
-    logs -= m[:, None]
-    sums = np.add.reduce(np.exp(logs, out=logs), axis=1)
-    return [(m_i + math.log(sum_i)) / (alpha - 1.0) for m_i, sum_i in zip(m.tolist(), sums.tolist())]
+def _sandwiched_spectra(rho, sigma, alpha: float) -> np.ndarray:
+    """Ascending spectra of sigma^{(1-alpha)/2a} rho sigma^{(1-alpha)/2a}, one row per matrix of a stack.
 
-
-def _sandwiched(rho, sigma, alpha: float) -> list[float]:
-    """The sandwiched formula for validated operators: one value per matrix of a stack.
-
-    (1/(alpha-1)) ln tr[(sigma^{(1-alpha)/2a} rho sigma^{(1-alpha)/2a})^alpha];
-    a single matrix is a stack of one.
+    The sandwiched divergence is (1/(alpha-1)) ln of the sum of their
+    alpha-th powers, for one matrix and for each matrix of a stack.
     """
     A = sigma.power((1.0 - alpha) / (2.0 * alpha))
     B = A @ rho.matrix @ A
     # symmetrized, not validated: the entries of this product can be far above
     # any absolute Hermiticity tolerance when sigma is nearly singular
-    w, _ = _solve(np.linalg.eigh, (B + B.conj().mT) / 2)
-    return _renyi_of_spectra(w.reshape(-1, w.shape[-1]), alpha)
+    w, _ = _solve(np.linalg.eigh, (B + _dagger(B)) / 2)
+    return w
 
 
 def sandwiched_renyi(rho, sigma, alpha: float, cfg: ToleranceConfig = DEFAULT_TOL) -> float:
@@ -153,7 +169,7 @@ def sandwiched_renyi(rho, sigma, alpha: float, cfg: ToleranceConfig = DEFAULT_TO
     rho, sigma, alpha = _renyi_pair(rho, sigma, alpha, cfg)
     if alpha > 1.0 and not _contained(rho, sigma, cfg):
         return math.inf
-    return _sandwiched(rho, sigma, alpha)[0]
+    return _renyi_of_spectrum(_sandwiched_spectra(rho, sigma, alpha), alpha)
 
 
 def sandwiched_renyi_stack(rho, sigma, alpha: float, cfg: ToleranceConfig = DEFAULT_TOL) -> list[float]:
@@ -162,7 +178,7 @@ def sandwiched_renyi_stack(rho, sigma, alpha: float, cfg: ToleranceConfig = DEFA
     Each value carries the same bits as ``sandwiched_renyi`` of that pair alone.
     """
     rho, sigma, alpha = _renyi_pair(rho, sigma, alpha, cfg)
-    values = _sandwiched(rho, sigma, alpha)
+    values = _renyi_of_spectra(_sandwiched_spectra(rho, sigma, alpha), alpha)
     if alpha > 1.0:
         values = [v if ok else math.inf for v, ok in zip(values, _contained(rho, sigma, cfg).tolist())]
     return values

@@ -98,6 +98,11 @@ def _require_square(A: np.ndarray) -> np.ndarray:
     return A
 
 
+def _dagger(A: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a matrix, or of each matrix of a stack."""
+    return A.conj().swapaxes(-1, -2)
+
+
 def _first(values, bad) -> float:
     """The first entry of values, in stack order, where bad holds."""
     return float(np.asarray(values)[bad].flat[0])
@@ -109,14 +114,14 @@ def hermitian_part(A) -> np.ndarray:
     if A.ndim not in (2, 3):
         raise DomainError(f"expected a matrix, got array of ndim {A.ndim}")
     A = _require_square(A)
-    return (A + A.conj().mT) / 2
+    return (A + _dagger(A)) / 2
 
 
 def _checked_hermitian(A: np.ndarray, cfg: ToleranceConfig) -> np.ndarray:
     """Finite entries and Hermiticity of a matrix or of each matrix of a stack; the symmetrized copy."""
     if not np.isfinite(A).all():
         raise DomainError("matrix has non-finite entries")
-    A_dagger = A.conj().mT
+    A_dagger = _dagger(A)
     diff = np.abs(A - A_dagger)
     if A.size and diff.max() > cfg.hermiticity_tolerance:
         defect = diff.max(axis=(-2, -1))
@@ -167,9 +172,14 @@ class ValidatedPSD:
     @property
     def on(self) -> np.ndarray:
         if self._on is None:
+            w = self.w
+            if w.ndim == 1:  # one matrix; a 0 x 0 one has an empty support
+                lambda_max = w[-1] if w.size else 0.0
+            else:
+                lambda_max = w[:, -1:]
             # every eigenvalue is <= lambda_max, so a lambda_max <= 0 or a cutoff
             # of 1 or more leaves an empty support
-            self._on = self.w > min(self.cfg.support_cutoff, 1.0) * self.w[..., -1:]
+            self._on = w > min(self.cfg.support_cutoff, 1.0) * lambda_max
         return self._on
 
     def projector(self) -> np.ndarray:
@@ -180,15 +190,20 @@ class ValidatedPSD:
         on = self.on
         if on.ndim == 1:
             Von = self.V[:, on]
-        else:  # the matrices of a stack differ in rank: zero the off-support columns
-            Von = self.V * on[..., None, :]
-        return Von @ Von.conj().mT
+            return Von @ _dagger(Von)
+        # a stack: full-support matrices at once, the others from their own
+        # support columns, so each matrix gets the bits psd(matrix).projector() has
+        P = self.V @ _dagger(self.V)
+        for i in np.flatnonzero(~on.all(axis=-1)).tolist():
+            Von = self.V[i][:, on[i]]
+            P[i] = Von @ _dagger(Von)
+        return P
 
     def _on_support(self, scalar_fn) -> np.ndarray:
         on = self.on
         out = np.zeros(self.w.shape)
         out[on] = scalar_fn(self.w[on])
-        return (self.V * out[..., None, :]) @ self.V.conj().mT
+        return (self.V * out[..., None, :]) @ _dagger(self.V)
 
     def log(self) -> np.ndarray:
         """Natural logarithm on the support."""
@@ -203,8 +218,9 @@ class ValidatedPSD:
 def _validated_psd(M: np.ndarray, cfg: ToleranceConfig) -> ValidatedPSD:
     """One eigh of symmetrized M (a matrix or a stack) and the min-eigenvalue check of each matrix."""
     w, V = _solve(np.linalg.eigh, M)
-    if w.size and w.min() < -cfg.psd_tolerance:
-        lowest = w[..., 0]  # eigh sorts ascending
+    # eigh sorts ascending: the first eigenvalue of each matrix is its lowest
+    if w.size and (w[0] if w.ndim == 1 else w[:, 0].min()) < -cfg.psd_tolerance:
+        lowest = w[..., 0]
         raise DomainError(
             f"matrix is not PSD (min eigenvalue {_first(lowest, lowest < -cfg.psd_tolerance):.3e})"
         )

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import DomainError, psd
+from .linalg import DomainError, _dagger, psd
 
 __all__ = [
     "rng_for_trial",
@@ -88,7 +88,7 @@ def random_psd(rng: np.random.Generator, d: int, rank: int | None = None) -> np.
 
 def density_of_factor(G: np.ndarray) -> np.ndarray:
     """G G^dagger / tr[G G^dagger] of a matrix G, or of each matrix of an (n, d, r) stack."""
-    W = G @ G.conj().mT
+    W = G @ _dagger(G)
     return W / W.trace(axis1=-2, axis2=-1).real[..., None, None]
 
 

@@ -475,6 +475,12 @@ def test_stacked_sampling_finish_equals_the_scalar_samplers():
     for i in range(n):
         assert np.array_equal(V[i], np.vstack(maps[i].kraus))
         assert np.array_equal(rho[i], states[i])
+    # the draw validates its dimensions as random_cptp does
+    for dims in ((0,), (3, 1, 2), (2, 0)):
+        with pytest.raises(DomainError):
+            cptp_draw(np.random.default_rng(0), *dims)
+        with pytest.raises(DomainError):
+            random_cptp(*dims, seed=0)
 
 
 def test_apply_kraus_stack_equals_apply_of_each_map():

@@ -17,7 +17,7 @@ from qdpi.divergences import (
     von_neumann_entropy,
     weighted_p_norm,
 )
-from qdpi.linalg import DomainError, operator_norm, psd, psd_stack
+from qdpi.linalg import DomainError, ToleranceConfig, operator_norm, psd, psd_stack
 from qdpi.sampling import random_density, random_hermitian, random_unitary, rng_for_trial
 
 
@@ -426,6 +426,23 @@ def test_sandwiched_renyi_stack_carries_the_scalar_bits(alpha, d):
     values = sandwiched_renyi_stack(psd_stack(rhos), psd_stack(sigmas), alpha)
     assert values == [sandwiched_renyi(r, s, alpha) for r, s in zip(rhos, sigmas)]
     assert math.isinf(values[-1])
+
+
+def test_sandwiched_renyi_stack_decides_support_as_the_scalar_path():
+    # the containment tolerance sits exactly at each pair's own leak ratio, so
+    # the +inf/finite decision turns on the last bit of the leak
+    rhos, sigmas = _stack_cases(3)
+    leaking = 0
+    for i, (r, s) in enumerate(zip(rhos, sigmas)):
+        tr = np.trace(r).real
+        leak = tr - np.trace(r @ psd(s).projector()).real
+        if leak <= 0.0:
+            continue
+        leaking += 1
+        cfg = ToleranceConfig(containment_tolerance=leak / tr)
+        values = sandwiched_renyi_stack(psd_stack(rhos, cfg), psd_stack(sigmas, cfg), 2.0, cfg)
+        assert values[i] == sandwiched_renyi(r, s, 2.0, cfg)
+    assert leaking >= 2
 
 
 def test_sandwiched_renyi_stack_checks_its_inputs():

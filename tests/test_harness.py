@@ -43,7 +43,6 @@ from qdpi.harness import (
 from qdpi import harness
 from qdpi.divergences import relative_entropy, sandwiched_renyi
 from qdpi.harness import (
-    ALPHA_LIMIT_RESIDUAL,
     _evaluate,
     _gap_of,
     _sample_family_map,
@@ -258,8 +257,18 @@ def test_alpha_limit_checks_the_slope_not_an_absolute_error(seed, d):
     assert max(errors) > 1e-3
     report = alpha_limit_suite(pairs, seed=seed)
     assert report.passed and report.trials == 10
-    # the largest residual |D_{1+eps} - D - eps V / 2| is far inside the bound
-    assert ALPHA_LIMIT_RESIDUAL - report.min_gap < 1e-6 / 4
+
+
+def test_alpha_limit_detects_a_wrong_slope(monkeypatch):
+    # evaluating at alpha = 1 + 1.01 eps puts 1% on the slope: a first-order
+    # residual of eps V / 200, far above the second-order bound
+    pairs = sample_state_pairs(10, (2, 3, 4), 19)
+    exact = harness.sandwiched_renyi
+    monkeypatch.setattr(
+        harness, "sandwiched_renyi", lambda r, s, a, cfg: exact(r, s, 1.0 + 1.01 * (a - 1.0), cfg)
+    )
+    report = alpha_limit_suite(pairs, seed=19)
+    assert report.trials == 10 and len(report.failures) == 10
 
 
 def test_alpha_limit_fails_when_the_support_condition_fails():
@@ -267,6 +276,8 @@ def test_alpha_limit_fails_when_the_support_condition_fails():
     sigma = np.diag([1.0, 0.0]).astype(complex)
     report = alpha_limit_suite([(rho, sigma)])
     assert not report.passed and len(report.failures) == 1
+    # D = +inf has no expansion: the residual is +inf, and the report serializes
+    assert report_to_dict(report)["failures"][0]["rhs"] == "+inf"
 
 
 def test_sample_state_pairs_shapes():

@@ -256,7 +256,7 @@ def test_psd_stack_equals_psd_of_each_matrix():
         for t in (0.5, -0.5, 2.0):
             assert np.array_equal(v.power(t)[i], one.power(t))
         assert np.array_equal(v.log()[i], one.log())
-        assert np.allclose(v.projector()[i], one.projector(), atol=1e-14)
+        assert np.array_equal(v.projector()[i], one.projector())
 
 
 def test_psd_stack_checks_every_matrix():
