@@ -38,6 +38,11 @@ ACCEPTANCE_COMMANDS = (
     "violation --alpha 0.2 --dims 3 --trials 300 --hill-steps 0 --seed 9",
     "alpha-limit --trials 20 --seed 44",
     "dpi --mode tni --dims 2,3 --trials 200 --seed 5 --tolerance-slack 1e-18",
+    # every pick from a list that is not its suite's default
+    "dpi --mode tni --dims 3,5 --alpha 1.5,2,4 --trials 200 --seed 12",
+    "alpha-limit --dims 2,5 --trials 30 --seed 8",
+    "contraction --instances 4 --dims 3,4 --alpha 1.5,2 --trials 10 --seed 8",
+    "auxiliary --dims 3,4 --trials 40 --seed 12",
 )
 
 

@@ -2,9 +2,10 @@
 
 Each suite turns an inequality into deterministic pass/fail trials with a
 structured, serializable report. Determinism contract: identical (seed,
-parameters) produce bit-identical reports modulo runtime_ms. Per-trial
-randomness comes from counter-derived sub-streams (``rng_for_trial``), so
-any single trial can be replayed without running the ones before it.
+parameters) produce bit-identical reports modulo runtime_ms. The one trial
+source, ``_seeded_trials``, checks a suite's inputs and gives each trial its
+own stream ``rng_for_trial(seed, t)`` and dimension, so any single trial can
+be replayed without running the ones before it.
 
 Witness gap semantics: monotonicity witnesses store the two divergence
 values and gap = lhs - rhs; the inequality asserts lhs >= rhs, and a pair
@@ -23,6 +24,7 @@ import dataclasses
 import math
 import time
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -417,13 +419,26 @@ def _sample_family_map(family: str, d: int, rng, cfg: ToleranceConfig) -> SuperO
     raise DomainError(f"unknown map family {family!r}")
 
 
-def _suite_dims(dims) -> tuple:
+def _pick(rng, options):
+    """The option ``rng.choice`` picks, by the same single draw, without its array conversion."""
+    return options[int(rng.integers(len(options)))]
+
+
+def _seeded_trials(seed: int, count: int, dims, first: int = 0):
+    """(dims, draws) of a seeded suite, its inputs checked before any draw.
+
+    draws yields (rng, d) for trial t = first, ..., first + count - 1: its own
+    stream rng = ``rng_for_trial(seed, t)`` and its dimension d, rng's first pick.
+    """
     dims = tuple(int(d) for d in dims)
     if not dims:
         raise DomainError("suite dimensions must not be empty")
     if any(d < 2 for d in dims):
         raise DomainError("suite dimensions must be >= 2")
-    return dims
+    if count < 0 or seed < 0:
+        raise DomainError(f"trial count and seed must be nonnegative, got {count} and {seed}")
+    streams = (rng_for_trial(seed, t) for t in range(first, first + count))
+    return dims, ((rng, _pick(rng, dims)) for rng in streams)
 
 
 def _sample_state_pair(rng, d: int):
@@ -509,20 +524,16 @@ def randomized_dpi_suite(
     families. "trace_match": relative entropy under trace-nonincreasing maps
     with rho supported where the map preserves trace.
     """
-    if mode == "tp":
-        families = TP_FAMILIES
-        alphas = None
-    elif mode == "tni":
-        families = TNI_FAMILIES
+    families = {"tp": TP_FAMILIES, "tni": TNI_FAMILIES, "trace_match": TRACE_MATCH_FAMILIES}.get(mode)
+    if families is None:
+        raise DomainError(f"unknown mode {mode!r}")
+    if mode == "tni":
         alphas = tuple(float(a) for a in (alphas if alphas is not None else DEFAULT_ALPHAS))
         if any(a <= 1.0 for a in alphas):
             raise DomainError("tni mode exercises alpha > 1 only")
-    elif mode == "trace_match":
-        families = TRACE_MATCH_FAMILIES
-        alphas = None
     else:
-        raise DomainError(f"unknown mode {mode!r}")
-    dims = _suite_dims(dims)
+        alphas = None
+    dims, draws = _seeded_trials(seed, trials, dims)
     config = {
         "mode": mode,
         "dims": list(dims),
@@ -532,13 +543,9 @@ def randomized_dpi_suite(
         "seed": int(seed),
     }
     tally = _Tally(f"dpi-{mode}", seed, config, cfg)
-    for t in range(trials):
-        rng = rng_for_trial(seed, t)
-        d = int(rng.choice(dims))
-        family = str(rng.choice(families))
-        if family == "counterexample":
-            d = 2
-        phi = _sample_family_map(family, d, rng, cfg)
+    for rng, d in draws:
+        phi = _sample_family_map(_pick(rng, families), d, rng, cfg)
+        d = phi.dim_in  # the counterexample map is 2x2 whatever d was drawn
         if mode == "trace_match":
             rho = _sector_state(rng, trace_behavior(phi).sector())
             if float(rng.random()) < 0.15:
@@ -548,7 +555,7 @@ def randomized_dpi_suite(
             alpha = None
         else:
             rho, sigma = _sample_state_pair(rng, d)
-            alpha = float(rng.choice(alphas)) if mode == "tni" else None
+            alpha = _pick(rng, alphas) if mode == "tni" else None
         trial = _monotonicity_trial(phi, rho, sigma, alpha, cfg)
         tally.add_monotonicity(*trial, cfg.monotonicity_slack)
     return tally.report()
@@ -562,6 +569,8 @@ ADJOINT_UNIT_BOUND = 1.0 + 1e-10
 def _contraction_checks(tally: _Tally, sigma, phi: SuperOperator, alphas, trials: int, seed: int,
                         cfg: ToleranceConfig) -> None:
     """Add the norm-contraction checks of one (sigma, Phi) instance to ``tally``."""
+    if trials < 0 or seed < 0:
+        raise DomainError(f"trials and seed must be nonnegative, got {trials} and {seed}")
     if not phi.certificate.is_positive:
         raise DomainError("norm contraction needs a certified positive map")
     if not trace_behavior(phi).is_nonincreasing:
@@ -645,7 +654,7 @@ def contraction_battery(
     Instances rotate through CPTP, positive non-CP, and depolarizing maps so
     the contraction is exercised beyond the completely positive cone.
     """
-    dims = tuple(int(d) for d in dims)
+    dims, draws = _seeded_trials(seed, instances, dims, first=1_000_000)
     alphas = tuple(float(a) for a in alphas)
     config = {
         "instances": int(instances),
@@ -655,9 +664,7 @@ def contraction_battery(
         "seed": int(seed),
     }
     tally = _Tally("norm-contraction", seed, config, cfg)
-    for i in range(instances):
-        rng = rng_for_trial(seed, 1_000_000 + i)
-        d = int(rng.choice(dims))
+    for i, (rng, d) in enumerate(draws):
         kind = i % 3
         if kind == 0:
             phi = random_positive_noncp(d, rng=rng)
@@ -702,10 +709,12 @@ def step2_suite(
     concavity of log holds on the pinched sigma.
     """
     n_sequence = tuple(int(n) for n in n_sequence)
-    if not n_sequence or list(n_sequence) != sorted(n_sequence):
-        raise DomainError("n_sequence must be ascending and nonempty")
+    if not n_sequence or any(a >= b for a, b in zip(n_sequence, n_sequence[1:])):
+        raise DomainError("n_sequence must be strictly ascending and nonempty")
     if n_sequence[0] < 1 or n_sequence[-1] != d:
         raise DomainError(f"n_sequence must lie in [1, {d}] and end at {d}")
+    if seed < 0:
+        raise DomainError(f"seed must be nonnegative, got {seed}")
     if phi.dim_in != d or phi.dim_out != d:
         raise DomainError("step-2 study needs a square map of the stated dimension")
     rho = psd(rho, cfg)
@@ -785,10 +794,10 @@ def step2_battery(
     cfg: ToleranceConfig = DEFAULT_TOL,
 ) -> CheckReport:
     """step2_suite on a seeded CPTP map and full-rank state pair."""
-    d = int(d)
+    (d,), draws = _seeded_trials(seed, 1, (d,), first=1)
     if n_sequence is None:
         n_sequence = sorted({max(1, d // 8), max(1, d // 4), max(1, d // 2), max(1, (3 * d) // 4), d})
-    rng = rng_for_trial(seed, 1)
+    rng, _ = next(draws)
     phi = random_cptp(d, rng=rng)
     rho = random_density(rng, d)
     sigma = random_density(rng, d)
@@ -808,16 +817,14 @@ def auxiliary_inequality_suite(
     a random PSD pair with compatible supports, (d) support inclusion is
     preserved by a random positive map.
     """
-    dims = _suite_dims(dims)
+    dims, draws = _seeded_trials(seed, trials, dims)
     config = {
         "trials": int(trials),
         "seed": int(seed),
         "dims": list(dims),
     }
     tally = _Tally("auxiliary", seed, config, cfg)
-    for t in range(trials):
-        rng = rng_for_trial(seed, t)
-        d = int(rng.choice(dims))
+    for t, (rng, d) in enumerate(draws):
         sigma = random_density(rng, d)
         P = random_projector(rng, d, int(rng.integers(1, d)))
         pinch = pinching_map(P, cfg)
@@ -845,7 +852,7 @@ def auxiliary_inequality_suite(
         rho_small = Q @ inner @ Q
         tr = float(np.trace(rho_small).real)
         rho_small = rho_small / tr if tr > 0.0 else sigma_small
-        positive_fam = str(rng.choice(("random_cptp", "random_positive_noncp", "reduction")))
+        positive_fam = _pick(rng, ("random_cptp", "random_positive_noncp", "reduction"))
         psi = _sample_family_map(positive_fam, d, rng, cfg)
         relaxed = dataclasses.replace(cfg, containment_tolerance=1e-6)
         ok_d = support_contained(
@@ -872,7 +879,8 @@ def alpha_limit_suite(
     """Convergence of the sandwiched divergence to relative entropy as alpha -> 1, with its slope.
 
     For each (rho, sigma) pair the error |D_{1+eps} - D| must be nonincreasing
-    along DEFAULT_EPS_GRID. At the final eps the first-order expansion
+    along DEFAULT_EPS_GRID, up to a rise of 64 u / eps (u the machine epsilon)
+    that rounding alone can cause. At the final eps the first-order expansion
     D_{1+eps} = D + eps V / 2 must hold up to a second-order residual:
 
         |D_{1+eps} - D - eps V / 2| <= eps^2 (1 + ||L - D|| V),
@@ -898,7 +906,8 @@ def alpha_limit_suite(
         target = relative_entropy(rho, sigma, cfg)
         values = [sandwiched_renyi(rho, sigma, 1.0 + e, cfg) for e in DEFAULT_EPS_GRID]
         errors = [abs(v - target) for v in values]
-        monotone = all(errors[k + 1] <= errors[k] + 1e-12 for k in range(len(errors) - 1))
+        monotone = all(errors[k + 1] <= errors[k] + 64 * np.finfo(float).eps / DEFAULT_EPS_GRID[k + 1]
+                       for k in range(len(errors) - 1))
         bound, residual = eps**2, math.inf
         if math.isfinite(target):
             log_ratio = rho.log() - sigma.log()
@@ -913,25 +922,18 @@ def alpha_limit_suite(
 
 def sample_state_pairs(count: int, dims, seed: int):
     """Seeded full-rank (rho, sigma) density pairs for limit and contraction studies."""
-    dims = tuple(int(d) for d in dims)
-    pairs = []
-    for i in range(count):
-        rng = rng_for_trial(seed, i)
-        d = int(rng.choice(dims))
-        rho = random_density(rng, d)
-        sigma = random_density(rng, d)
-        pairs.append((rho, sigma))
-    return pairs
+    _, draws = _seeded_trials(seed, count, dims)
+    return [(random_density(rng, d), random_density(rng, d)) for rng, d in draws]
 
 
 # trials drawn and evaluated together by the violation search; bounds its memory at any trial count
 TRIAL_CHUNK = 256
 
 
-def _violation_trials(alpha: float, dims: tuple, seed: int, trials: int, cfg: ToleranceConfig):
+def _violation_trials(alpha: float, draws, cfg: ToleranceConfig):
     """Yield (lhs, rhs, V, rho, sigma) of each violation-search trial, in index order.
 
-    Trial t draws from its own ``rng_for_trial(seed, t)`` what
+    Each (rng, d) of ``draws`` (from ``_seeded_trials``) goes on to draw what
     ``random_cptp(d, rng=rng)`` and two ``random_density(rng, d)`` calls draw,
     in that order, so any trial replays alone. Within each chunk of
     TRIAL_CHUNK trials, those of one dimension are finished and evaluated
@@ -939,18 +941,15 @@ def _violation_trials(alpha: float, dims: tuple, seed: int, trials: int, cfg: To
     state, one Kraus application per state and one sandwiched evaluation per
     side, each value carrying the bits of the scalar path (``_evaluate``).
     """
-    for start in range(0, trials, TRIAL_CHUNK):
-        chunk = range(start, min(start + TRIAL_CHUNK, trials))
-        draws = {}  # d -> [(t, isometry Gaussian, rho factor, sigma factor)]
-        for t in chunk:
-            rng = rng_for_trial(seed, t)
-            d = int(rng.choice(dims))
-            draws.setdefault(d, []).append(
-                (t, cptp_draw(rng, d), gaussian_factor(rng, d), gaussian_factor(rng, d))
+    while chunk := list(islice(draws, TRIAL_CHUNK)):
+        groups = {}  # d -> [(place in chunk, isometry Gaussian, rho factor, sigma factor)]
+        for i, (rng, d) in enumerate(chunk):
+            groups.setdefault(d, []).append(
+                (i, cptp_draw(rng, d), gaussian_factor(rng, d), gaussian_factor(rng, d))
             )
-        results = {}
-        for d, group in draws.items():
-            ts, iso, rho_factors, sigma_factors = zip(*group)
+        results = [None] * len(chunk)
+        for d, group in groups.items():
+            places, iso, rho_factors, sigma_factors = zip(*group)
             V = phase_fixed_q(np.stack(iso))
             rho = density_of_factor(np.stack(rho_factors))
             sigma = density_of_factor(np.stack(sigma_factors))
@@ -958,9 +957,9 @@ def _violation_trials(alpha: float, dims: tuple, seed: int, trials: int, cfg: To
             kraus = kraus_blocks(V, d)
             images = [psd_stack(hermitian_part(apply_kraus_stack(kraus, X)), cfg) for X in (rho, sigma)]
             rhs = sandwiched_renyi_stack(*images, alpha, cfg)
-            for i, t in enumerate(ts):
-                results[t] = (lhs[i], rhs[i], V[i], rho[i], sigma[i])
-        yield from (results[t] for t in chunk)
+            for k, i in enumerate(places):
+                results[i] = (lhs[k], rhs[k], V[k], rho[k], sigma[k])
+        yield from results
 
 
 def violation_search(
@@ -987,9 +986,9 @@ def violation_search(
     alpha = float(alpha)
     if not 0.0 < alpha < 0.5:
         raise DomainError(f"the violation regime is alpha in (0, 1/2); got {alpha}")
-    dims = _suite_dims(dims)
-    if trials < 0 or hill_steps < 0:
-        raise DomainError(f"trials and hill_steps must be nonnegative, got {trials} and {hill_steps}")
+    dims, draws = _seeded_trials(seed, trials, dims)
+    if hill_steps < 0:
+        raise DomainError(f"hill_steps must be nonnegative, got {hill_steps}")
     config = {
         "alpha": alpha,
         "dims": list(dims),
@@ -999,7 +998,7 @@ def violation_search(
     }
     tally = _Tally("violation-search", seed, config, cfg)
     best = None  # (gap, V, rho, sigma)
-    for lhs, rhs, V, rho, sigma in _violation_trials(alpha, dims, seed, trials, cfg):
+    for lhs, rhs, V, rho, sigma in _violation_trials(alpha, draws, cfg):
         gap = _gap_of(lhs, rhs)
         if best is None or gap < best[0]:
             best = (gap, V, rho, sigma)

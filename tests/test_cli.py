@@ -272,18 +272,13 @@ def test_negative_counts_and_seeds_are_input_errors(tmp_path, monkeypatch, capsy
     assert captured.err.count("\n") == 1
 
 
-def test_auxiliary_dimension_one_is_precondition_error(capsys):
-    # the same error as dpi's, where the sampler would otherwise raise from numpy
-    assert main(["suite", "auxiliary", "--dims", "1", "--trials", "2"]) == EXIT_PRECONDITION_ERROR
-    err = capsys.readouterr().err
-    assert err == "precondition error: suite dimensions must be >= 2\n"
-
-
-def test_violation_dimension_one_is_precondition_error(capsys):
-    # 1x1 states are all equal, so the search could never find anything
-    assert main(["suite", "violation", "--dims", "1", "--trials", "2"]) == EXIT_PRECONDITION_ERROR
-    err = capsys.readouterr().err
-    assert err == "precondition error: suite dimensions must be >= 2\n"
+@pytest.mark.parametrize("name", ["dpi", "auxiliary", "violation", "contraction", "alpha-limit", "step2"])
+def test_dimension_one_is_precondition_error(capsys, name):
+    # 1x1 states are all equal: every suite rejects them instead of passing vacuously
+    assert main(["suite", name, "--dims", "1"]) == EXIT_PRECONDITION_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "precondition error: suite dimensions must be >= 2\n"
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])

@@ -48,6 +48,7 @@ from qdpi.harness import (
     _sample_family_map,
     _sample_state_pair,
     _sector_state,
+    _seeded_trials,
     _violation_trials,
 )
 from qdpi.linalg import DEFAULT_TOL, DomainError
@@ -169,6 +170,53 @@ def test_dpi_suite_rejects_bad_arguments():
         randomized_dpi_suite("tp", dims=(1,))
     with pytest.raises(DomainError):
         randomized_dpi_suite("tp", dims=())
+    with pytest.raises(DomainError):
+        randomized_dpi_suite("tp", trials=-3)
+    with pytest.raises(DomainError):
+        randomized_dpi_suite("tp", trials=2, seed=-1)
+    # the inputs are checked even when no trial runs
+    with pytest.raises(DomainError):
+        randomized_dpi_suite("tp", trials=0, dims=(1,))
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda: auxiliary_inequality_suite(trials=-1),
+        lambda: auxiliary_inequality_suite(trials=2, seed=-4),
+        lambda: auxiliary_inequality_suite(trials=0, dims=(1,)),
+        lambda: contraction_battery(instances=-2),
+        lambda: contraction_battery(instances=1, trials=-1),
+        lambda: contraction_battery(instances=1, seed=-1),
+        lambda: contraction_battery(instances=0, dims=(2, 1)),
+        lambda: sample_state_pairs(-1, (2,), 0),
+        lambda: sample_state_pairs(2, (2,), -3),
+        lambda: sample_state_pairs(0, (), 0),
+        lambda: step2_battery(d=1),
+        lambda: step2_battery(d=4, seed=-1),
+        lambda: step2_suite(2, (1, 2), identity_map(2), np.eye(2) / 2, np.eye(2) / 2, seed=-1),
+        lambda: norm_contraction_suite(np.eye(2) / 2, identity_map(2), trials=2, seed=-1),
+        lambda: norm_contraction_suite(np.eye(2) / 2, identity_map(2), trials=-1),
+    ],
+    ids=[
+        "auxiliary-trials", "auxiliary-seed", "auxiliary-dims-no-trials",
+        "contraction-instances", "contraction-trials", "contraction-seed", "contraction-dims-no-instances",
+        "pairs-count", "pairs-seed", "pairs-dims-no-count", "step2-dims", "step2-seed",
+        "step2-suite-seed", "norm-contraction-seed", "norm-contraction-trials",
+    ],
+)
+def test_seeded_suites_reject_bad_arguments(run):
+    with pytest.raises(DomainError):
+        run()
+
+
+@pytest.mark.parametrize("options", [(3, 5, 7), (1.5, 2.0, 4.0), ("tp", "tni", "trace_match"), (11,)])
+def test_pick_draws_what_choice_draws(options):
+    for t in range(200):
+        a, b = rng_for_trial(t, 3), rng_for_trial(t, 3)
+        picked = harness._pick(a, options)
+        assert picked == b.choice(options) and type(picked) is type(options[0])
+        assert a.bit_generator.state == b.bit_generator.state
 
 
 def test_state_sampler_hits_rank_deficient_branches():
@@ -234,6 +282,8 @@ def test_step2_suite_validates_sequence():
         step2_suite(4, (3, 2, 4), phi, rho, sigma)
     with pytest.raises(DomainError):
         step2_suite(4, (2, 3), phi, rho, sigma)
+    with pytest.raises(DomainError):
+        step2_suite(4, (2, 4, 4), phi, rho, sigma)
 
 
 def test_auxiliary_suite_passes():
@@ -269,6 +319,30 @@ def test_alpha_limit_detects_a_wrong_slope(monkeypatch):
     )
     report = alpha_limit_suite(pairs, seed=19)
     assert report.trials == 10 and len(report.failures) == 10
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 6, 8])
+def test_alpha_limit_passes_equal_and_nearly_equal_states(d):
+    # D_{1+eps} of equal states is rounding alone, and that grows like u / eps
+    for seed in range(4):
+        rng = rng_for_trial(seed, d)
+        rho, tau = random_density(rng, d), random_density(rng, d)
+        report = alpha_limit_suite([(rho, rho), (rho, rho + 1e-9 * (tau - rho))])
+        assert report.passed, (seed, [(w.lhs, w.rhs) for w in report.failures])
+
+
+def test_alpha_limit_fails_a_rise_above_rounding(monkeypatch):
+    # a rise of 4e-9 at eps = 1e-4 is about 28 times the rounding allowance
+    # there, while |D_{1+eps}| stays within the slope bound eps^2 of rho = sigma
+    rho = random_density(rng_for_trial(5, 0), 3)
+    assert alpha_limit_suite([(rho, rho)]).passed
+    exact = harness.sandwiched_renyi
+    monkeypatch.setattr(
+        harness, "sandwiched_renyi",
+        lambda r, s, a, cfg: exact(r, s, a, cfg) + (4e-9 if a == 1.0 + 1e-4 else 0.0),
+    )
+    report = alpha_limit_suite([(rho, rho)])
+    assert len(report.failures) == 1 and report.failures[0].rhs <= report.failures[0].lhs
 
 
 def test_alpha_limit_fails_when_the_support_condition_fails():
@@ -312,7 +386,7 @@ def test_stacked_trials_equal_scalar_evaluation(monkeypatch, dims, alpha):
     # chunks of 7 trials: each search below spans several chunks
     monkeypatch.setattr(harness, "TRIAL_CHUNK", 7)
     for seed in (0, 3, 11):
-        trials = list(_violation_trials(alpha, dims, seed, 30, DEFAULT_TOL))
+        trials = list(_violation_trials(alpha, _seeded_trials(seed, 30, dims)[1], DEFAULT_TOL))
         assert len(trials) == 30
         for t, (lhs, rhs, V, rho, sigma) in enumerate(trials):
             rng = rng_for_trial(seed, t)
@@ -337,7 +411,8 @@ def test_violation_trials_solve_in_stacks(monkeypatch, eig_sizes):
     monkeypatch.setattr(harness, "TRIAL_CHUNK", 150)
     for trials, chunks in ((100, 1), (150, 1), (300, 2)):
         eig_sizes.clear()
-        assert len(list(_violation_trials(0.3, (2, 3), 4, trials, DEFAULT_TOL))) == trials
+        draws = _seeded_trials(4, trials, (2, 3))[1]
+        assert len(list(_violation_trials(0.3, draws, DEFAULT_TOL))) == trials
         assert sorted(eig_sizes) == [2] * (6 * chunks) + [3] * (6 * chunks)
 
 
@@ -356,7 +431,8 @@ def test_violation_search_rejects_alpha_outside_regime():
 
 @pytest.mark.parametrize(
     "kwargs",
-    [{"dims": ()}, {"dims": (1,)}, {"dims": (2, 1)}, {"trials": -5}, {"hill_steps": -3}],
+    [{"dims": ()}, {"dims": (1,)}, {"dims": (2, 1)}, {"trials": -5}, {"hill_steps": -3}, {"seed": -1},
+     {"trials": 0, "dims": (1,)}],
 )
 def test_violation_search_rejects_bad_arguments(kwargs):
     with pytest.raises(DomainError):
