@@ -43,6 +43,11 @@ ACCEPTANCE_COMMANDS = (
     "alpha-limit --dims 2,5 --trials 30 --seed 8",
     "contraction --instances 4 --dims 3,4 --alpha 1.5,2 --trials 10 --seed 8",
     "auxiliary --dims 3,4 --trials 40 --seed 12",
+    # a default the harness holds: dpi's mode, violation's alpha, alpha-limit's pairs
+    "dpi --trials 50 --seed 3",
+    "violation --trials 300 --hill-steps 50 --seed 3",
+    "alpha-limit",
+    "alpha-limit --dims 3 --seed 5",
 )
 
 

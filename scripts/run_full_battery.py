@@ -2,7 +2,9 @@
 """Run every verification suite and write one report file per suite.
 
 Each suite runs through ``qdpi suite``, which prints its summary line and
-decides its pass rule. Exits 1 when any suite fails or errs.
+decides its pass rule. A size or seed left out is the suite's own default,
+except the trace-match trial count, which is this script's. Exits 1 when
+any suite fails or errs.
 
 Example:
     python3 scripts/run_full_battery.py --seed 0 --out-dir reports
@@ -17,39 +19,42 @@ from qdpi import cli
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--out-dir", default="reports")
-    parser.add_argument("--dpi-trials", type=int, default=1000)
+    parser.add_argument("--dpi-trials", type=int, default=None)
     parser.add_argument("--trace-match-trials", type=int, default=500)
-    parser.add_argument("--contraction-instances", type=int, default=20)
-    parser.add_argument("--contraction-trials", type=int, default=200)
-    parser.add_argument("--step2-dim", type=int, default=32)
-    parser.add_argument("--auxiliary-trials", type=int, default=200)
-    parser.add_argument("--limit-pairs", type=int, default=50)
-    parser.add_argument("--violation-trials", type=int, default=100_000)
+    parser.add_argument("--contraction-instances", type=int, default=None)
+    parser.add_argument("--contraction-trials", type=int, default=None)
+    parser.add_argument("--step2-dim", type=int, default=None)
+    parser.add_argument("--auxiliary-trials", type=int, default=None)
+    parser.add_argument("--limit-pairs", type=int, default=None)
+    parser.add_argument("--violation-trials", type=int, default=None)
     args = parser.parse_args()
 
     out = pathlib.Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
+    # (report name, suite, {flag: value}); a flag whose value is None is not passed
     runs = [
-        ("counterexample", ["counterexample"]),
-        ("dpi_tp", ["dpi", "--mode", "tp", "--trials", args.dpi_trials]),
-        ("dpi_tni", ["dpi", "--mode", "tni", "--trials", args.dpi_trials]),
-        ("dpi_trace_match", ["dpi", "--mode", "trace-match", "--trials", args.trace_match_trials]),
-        ("contraction", ["contraction", "--instances", args.contraction_instances,
-                         "--trials", args.contraction_trials]),
-        ("step2", ["step2", "--dims", args.step2_dim]),
-        ("auxiliary", ["auxiliary", "--trials", args.auxiliary_trials]),
-        ("alpha_limit", ["alpha-limit", "--trials", args.limit_pairs]),
-        ("violation", ["violation", "--alpha", 0.3, "--trials", args.violation_trials]),
+        ("counterexample", "counterexample", {}),
+        ("dpi_tp", "dpi", {"--mode": "tp", "--trials": args.dpi_trials}),
+        ("dpi_tni", "dpi", {"--mode": "tni", "--trials": args.dpi_trials}),
+        ("dpi_trace_match", "dpi", {"--mode": "trace-match", "--trials": args.trace_match_trials}),
+        ("contraction", "contraction", {"--instances": args.contraction_instances,
+                                        "--trials": args.contraction_trials}),
+        ("step2", "step2", {"--dims": args.step2_dim}),
+        ("auxiliary", "auxiliary", {"--trials": args.auxiliary_trials}),
+        ("alpha_limit", "alpha-limit", {"--trials": args.limit_pairs}),
+        ("violation", "violation", {"--trials": args.violation_trials}),
     ]
 
     all_ok = True
-    for name, suite_args in runs:
+    for name, suite, flags in runs:
         # the counterexample suite is a fixed instance and reads no seed
-        seed = [] if name == "counterexample" else ["--seed", str(args.seed)]
-        argv = ["suite", *map(str, suite_args), *seed, "--out", str(out / f"{name}.json")]
+        if suite != "counterexample":
+            flags["--seed"] = args.seed
+        given = [str(word) for flag, value in flags.items() if value is not None for word in (flag, value)]
+        argv = ["suite", suite, *given, "--out", str(out / f"{name}.json")]
         all_ok = cli.main(argv) == cli.EXIT_PASS and all_ok
 
     print(f"reports written to {out}/")

@@ -1,10 +1,16 @@
 #!/usr/bin/env python3
 """Sweep the alpha < 1/2 regime for monotonicity violations.
 
-For each alpha on the grid, runs a random search plus hill climb and prints
-the most negative gap found. Witnesses are written as JSON; load one with
-`qdpi.harness.witness_from_dict` and re-evaluate it with
+For each alpha on the grid, runs ``qdpi suite violation`` (a random search
+plus hill climb), which prints its summary line and writes its report to
+``<out-dir>/violation_alpha_<alpha>.json``. For each witness found, the
+script also prints the gap the witness has at alpha = 2, where the sandwiched
+divergence is monotone. A report's ``best_witness`` loads with
+`qdpi.harness.report_from_dict` and re-evaluates with
 `qdpi.harness.replay_witness`.
+
+Exits 0 when some alpha found a violation and 1 when none did. A bad
+argument stops the sweep with the CLI's one-line error and exit code.
 
 Example:
     python3 scripts/search_violations.py --alphas 0.1,0.2,0.3,0.4 --trials 20000
@@ -14,7 +20,7 @@ import argparse
 import pathlib
 import sys
 
-from qdpi import harness, serialize
+from qdpi import cli, harness, serialize
 
 
 def main() -> int:
@@ -27,27 +33,22 @@ def main() -> int:
     parser.add_argument("--out-dir", default="violation_witnesses")
     args = parser.parse_args()
 
-    alphas = [float(a) for a in args.alphas.split(",") if a.strip()]
-    dims = tuple(int(d) for d in args.dims.split(",") if d.strip())
     out = pathlib.Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
     found_any = False
-    for alpha in alphas:
-        report = harness.violation_search(
-            alpha, dims=dims, trials=args.trials, seed=args.seed, hill_steps=args.hill_steps
-        )
-        if report.best_witness is not None:
+    for alpha in (a.strip() for a in args.alphas.split(",") if a.strip()):
+        path = out / f"violation_alpha_{alpha}.json"
+        code = cli.main(["suite", "violation", "--alpha", alpha, "--dims", args.dims,
+                         "--trials", str(args.trials), "--hill-steps", str(args.hill_steps),
+                         "--seed", str(args.seed), "--out", str(path)])
+        if code not in (cli.EXIT_PASS, cli.EXIT_SUITE_FAILURE):
+            return code
+        w = harness.report_from_dict(serialize.load_json(path)).best_witness
+        if w is not None:
             found_any = True
-            w = report.best_witness
-            path = out / f"witness_alpha_{alpha:.3f}.json"
-            serialize.save_json(path, harness.witness_to_dict(w))
             check = harness.replay_witness(w, alpha_override=2.0)
-            print(f"alpha={alpha:.3f}: {len(report.failures)} violations in {report.trials} trials, "
-                  f"best gap {w.gap:+.6f} (at alpha=2 the gap is {check.gap:+.6f}); wrote {path}")
-        else:
-            print(f"alpha={alpha:.3f}: inconclusive "
-                  f"(best gap {report.min_gap:+.6f} over {report.trials} trials)")
+            print(f"alpha={alpha}: best gap {w.gap:+.6f} (at alpha=2 the gap is {check.gap:+.6f}); wrote {path}")
 
     return 0 if found_any else 1
 

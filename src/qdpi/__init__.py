@@ -69,6 +69,7 @@ from .serialize import (
 from .harness import (
     CheckReport,
     Witness,
+    alpha_limit_battery,
     alpha_limit_suite,
     auxiliary_inequality_suite,
     contraction_battery,

@@ -28,16 +28,17 @@ EXIT_INPUT_ERROR = 2
 EXIT_PRECONDITION_ERROR = 3
 EXIT_NUMERICAL_ERROR = 4
 
-# the suite flags (argparse dests) each suite reads; every suite also reads
-# --out and the --tolerance-* flags, and any other flag given is an input error
-SUITE_FLAGS = {
-    "dpi": ("mode", "dims", "trials", "seed", "alpha"),
-    "counterexample": (),
-    "contraction": ("instances", "dims", "alpha", "trials", "seed"),
-    "step2": ("dims", "n_sequence", "seed"),
-    "auxiliary": ("trials", "dims", "seed"),
-    "alpha-limit": ("trials", "dims", "seed"),
-    "violation": ("alpha", "dims", "trials", "seed", "hill_steps", "allow_inconclusive"),
+# each suite's harness entry point, looked up when the suite runs, and the suite
+# flags (argparse dests) it reads; every suite also reads --out and the
+# --tolerance-* flags, and any other flag given is an input error
+SUITES = {
+    "dpi": ("randomized_dpi_suite", ("mode", "dims", "trials", "seed", "alpha")),
+    "counterexample": ("counterexample_suite", ()),
+    "contraction": ("contraction_battery", ("instances", "dims", "alpha", "trials", "seed")),
+    "step2": ("step2_battery", ("dims", "n_sequence", "seed")),
+    "auxiliary": ("auxiliary_inequality_suite", ("trials", "dims", "seed")),
+    "alpha-limit": ("alpha_limit_battery", ("trials", "dims", "seed")),
+    "violation": ("violation_search", ("alpha", "dims", "trials", "seed", "hill_steps", "allow_inconclusive")),
 }
 
 # argparse dest of each --tolerance-* flag: (the ToleranceConfig field it sets, help)
@@ -175,7 +176,7 @@ def _summary_line(report, ok: bool) -> str:
 
 def _suite_options(args) -> dict:
     """The suite options given on the command line, which the named suite must read."""
-    unread = set().union(*SUITE_FLAGS.values()) - set(SUITE_FLAGS[args.name])
+    unread = set().union(*(flags for _, flags in SUITES.values())) - set(SUITES[args.name][1])
     for flag in sorted(unread):
         value = getattr(args, flag)
         if value is not None and value is not False:
@@ -183,6 +184,7 @@ def _suite_options(args) -> dict:
     _require_nonnegative(args, "seed", "trials", "instances", "hill_steps")
     cfg = _config_from_args(args)
     options = {
+        "mode": args.mode.replace("-", "_") if args.mode else None,
         "seed": args.seed,
         "trials": args.trials,
         "dims": _parse_list(args.dims, "--dims", int) if args.dims else None,
@@ -198,27 +200,11 @@ def _suite_options(args) -> dict:
 def _cmd_suite(args) -> int:
     name = args.name
     options = _suite_options(args)  # the harness defaults the rest
-    if name == "dpi":
-        report = harness.randomized_dpi_suite((args.mode or "tp").replace("-", "_"), **options)
-    elif name == "counterexample":
-        report = harness.counterexample_suite(**options)
-    elif name == "contraction":
-        report = harness.contraction_battery(**options)
-    elif name == "step2":
-        if "dims" in options:
-            options["d"] = _single(options.pop("dims"), "--dims", name)
-        report = harness.step2_battery(**options)
-    elif name == "auxiliary":
-        report = harness.auxiliary_inequality_suite(**options)
-    elif name == "alpha-limit":
-        # the pair sampler has no defaults of its own
-        pairs = harness.sample_state_pairs(
-            options.pop("trials", 50), options.pop("dims", (2, 3, 4, 5, 6)), options.get("seed", 0)
-        )
-        report = harness.alpha_limit_suite(pairs, **options)
-    else:  # violation
-        alpha = _single(options.pop("alphas"), "--alpha", name) if "alphas" in options else 0.3
-        report = harness.violation_search(alpha, **options)
+    if name == "step2" and "dims" in options:
+        options["d"] = _single(options.pop("dims"), "--dims", name)
+    if name == "violation" and "alphas" in options:
+        options["alpha"] = _single(options.pop("alphas"), "--alpha", name)
+    report = getattr(harness, SUITES[name][0])(**options)
 
     if name == "violation":
         ok = report.outcome == "violation_found" or args.allow_inconclusive
@@ -255,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_check_map)
 
     p = sub.add_parser("suite", help="run a named verification suite")
-    p.add_argument("name", choices=SUITE_FLAGS)
+    p.add_argument("name", choices=SUITES)
     p.add_argument("--mode", choices=("tp", "tni", "trace-match"), default=None,
                    help="(dpi) theorem variant, tp when not given")
     p.add_argument("--seed", type=int, default=None)

@@ -104,6 +104,7 @@ __all__ = [
     "step2_battery",
     "auxiliary_inequality_suite",
     "alpha_limit_suite",
+    "alpha_limit_battery",
     "violation_search",
     "sample_state_pairs",
     "TP_FAMILIES",
@@ -510,7 +511,7 @@ def counterexample_suite(cfg: ToleranceConfig = DEFAULT_TOL) -> CheckReport:
 
 
 def randomized_dpi_suite(
-    mode: str,
+    mode: str = "tp",
     dims=(2, 3, 4),
     trials: int = 1000,
     seed: int = 0,
@@ -522,7 +523,9 @@ def randomized_dpi_suite(
     "tp": relative entropy under positive trace-preserving families.
     "tni": sandwiched divergence (alpha > 1) under positive trace-nonincreasing
     families. "trace_match": relative entropy under trace-nonincreasing maps
-    with rho supported where the map preserves trace.
+    with rho supported where the map preserves trace. Defaults: tp mode,
+    1000 trials over d in (2, 3, 4), seed 0, and in tni mode DEFAULT_ALPHAS;
+    alphas given in another mode are a DomainError.
     """
     families = {"tp": TP_FAMILIES, "tni": TNI_FAMILIES, "trace_match": TRACE_MATCH_FAMILIES}.get(mode)
     if families is None:
@@ -531,8 +534,8 @@ def randomized_dpi_suite(
         alphas = tuple(float(a) for a in (alphas if alphas is not None else DEFAULT_ALPHAS))
         if any(a <= 1.0 for a in alphas):
             raise DomainError("tni mode exercises alpha > 1 only")
-    else:
-        alphas = None
+    elif alphas is not None:
+        raise DomainError(f"alpha applies in tni mode only, not in {mode} mode")
     dims, draws = _seeded_trials(seed, trials, dims)
     config = {
         "mode": mode,
@@ -926,6 +929,12 @@ def sample_state_pairs(count: int, dims, seed: int):
     return [(random_density(rng, d), random_density(rng, d)) for rng, d in draws]
 
 
+def alpha_limit_battery(trials: int = 50, dims=(2, 3, 4, 5, 6), seed: int = 0,
+                        cfg: ToleranceConfig = DEFAULT_TOL) -> CheckReport:
+    """alpha_limit_suite on seeded pairs (sample_state_pairs); defaults: 50 pairs over d = 2..6, seed 0."""
+    return alpha_limit_suite(sample_state_pairs(trials, dims, seed), cfg=cfg, seed=seed)
+
+
 # trials drawn and evaluated together by the violation search; bounds its memory at any trial count
 TRIAL_CHUNK = 256
 
@@ -963,7 +972,7 @@ def _violation_trials(alpha: float, draws, cfg: ToleranceConfig):
 
 
 def violation_search(
-    alpha: float,
+    alpha: float = 0.3,
     dims=(2,),
     trials: int = 100_000,
     seed: int = 0,
@@ -981,7 +990,8 @@ def violation_search(
     then perturbs the stacked Kraus isometry of the best candidate. A
     violating witness (gap < -1e-6) is re-verified by exact replay before
     being reported; finding none is reported as inconclusive, never as a
-    refutation.
+    refutation. Defaults: alpha 0.3, 100 000 trials at d = 2, seed 0 and
+    1500 hill-climb steps.
     """
     alpha = float(alpha)
     if not 0.0 < alpha < 0.5:

@@ -198,7 +198,7 @@ SUITE_ENTRY_POINTS = {
     "contraction": "contraction_battery",
     "step2": "step2_battery",
     "auxiliary": "auxiliary_inequality_suite",
-    "alpha-limit": "alpha_limit_suite",
+    "alpha-limit": "alpha_limit_battery",
     "violation": "violation_search",
 }
 
@@ -220,6 +220,18 @@ def test_flagless_suite_leaves_defaults_to_the_harness(monkeypatch, name):
     params = inspect.signature(entry).parameters
     restated = [k for k in called.value.args[0] if params[k].default is not inspect.Parameter.empty]
     assert restated == []
+
+
+@pytest.mark.parametrize("mode, alpha", [("tp", "0.5"), ("trace-match", "0.5,7")])
+def test_dpi_alpha_outside_tni_mode_is_precondition_error(tmp_path, capsys, mode, alpha):
+    out = tmp_path / "report.json"
+    argv = ["suite", "dpi", "--mode", mode, "--alpha", alpha, "--trials", "3", "--out", str(out)]
+    assert main(argv) == EXIT_PRECONDITION_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("precondition error: alpha applies in tni mode only")
+    assert captured.err.count("\n") == 1
+    assert not out.exists()
 
 
 def _fail_if_called(*args, **kwargs):
@@ -443,3 +455,44 @@ def test_compute_sandwiched_on_nearly_singular_sigma(tmp_path, capsys, alpha):
     # the library value is pinned to an independent reference in test_divergences
     want = sandwiched_renyi(np.diag([0.4, 0.3, 0.2, 0.1]), sigma, float(alpha))
     assert json.loads(capsys.readouterr().out)["value"] == want
+
+
+_MATRIX_FILE = {"schema_version": serialize.SCHEMA_VERSION, "kind": "density", "dim": 2,
+                "re": [[0.5, 0.0], [0.0, 0.5]], "im": [[0.0, 0.0], [0.0, 0.0]]}
+_MAP_FILE = {"schema_version": serialize.SCHEMA_VERSION, "dim_in": 2, "dim_out": 2, "representation": "kraus",
+             "kraus": [{"re": [[1.0, 0.0], [0.0, 1.0]], "im": [[0.0, 0.0], [0.0, 0.0]]}]}
+
+
+@pytest.mark.parametrize(
+    "command, payload, message",
+    [
+        ("compute", "{not json", "not valid JSON"),
+        ("compute", [1, 2], "matrix payload must be an object"),
+        ("compute", {**_MATRIX_FILE, "schema_version": "0"}, "unsupported schema_version"),
+        ("compute", {**_MATRIX_FILE, "kind": "unitary"}, "unknown matrix kind"),
+        ("compute", {**_MATRIX_FILE, "dim": 0}, "dim must be a positive integer"),
+        ("compute", {k: v for k, v in _MATRIX_FILE.items() if k != "re"}, "malformed re/im arrays"),
+        ("check-map", [], "channel payload must be an object"),
+        ("check-map", {**_MAP_FILE, "dim_in": 0}, "dim_in must be a positive integer"),
+        ("check-map", {**_MAP_FILE, "kraus": []}, "kraus payload must be a nonempty list"),
+        ("check-map", {**_MAP_FILE, "representation": "stinespring"}, "unknown channel representation"),
+        ("check-map", {**_MAP_FILE, "representation": "family"}, "missing field 'family'"),
+    ],
+    ids=[
+        "not-json", "matrix-not-object", "matrix-schema", "matrix-kind", "matrix-dim", "matrix-no-re",
+        "map-not-object", "map-dim-in", "map-empty-kraus", "map-representation", "map-no-family",
+    ],
+)
+def test_malformed_input_file_is_input_error(tmp_path, state_files, capsys, command, payload, message):
+    # each reader check that guards a file from outside the program exits 2 with one line
+    path = tmp_path / "input.json"
+    path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
+    if command == "compute":
+        argv = ["compute", "--rho", str(path), "--sigma", state_files[1]]
+    else:
+        argv = ["check-map", "--map", str(path)]
+    assert main(argv) == EXIT_INPUT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error:") and message in captured.err
+    assert captured.err.count("\n") == 1

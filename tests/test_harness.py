@@ -23,6 +23,7 @@ from qdpi.harness import (
     TRACE_MATCH_FAMILIES,
     TRACE_MATCH_TOLERANCE,
     Witness,
+    alpha_limit_battery,
     alpha_limit_suite,
     auxiliary_inequality_suite,
     contraction_battery,
@@ -177,6 +178,14 @@ def test_dpi_suite_rejects_bad_arguments():
     # the inputs are checked even when no trial runs
     with pytest.raises(DomainError):
         randomized_dpi_suite("tp", trials=0, dims=(1,))
+
+
+@pytest.mark.parametrize("mode", ["tp", "trace_match"])
+@pytest.mark.parametrize("alphas", [(0.5,), (0.5, 7.0), (2.0,)])
+def test_dpi_suite_reads_alpha_in_tni_mode_only(mode, alphas):
+    # relative entropy is the divergence of these modes; an alpha would go untested
+    with pytest.raises(DomainError, match="tni mode only"):
+        randomized_dpi_suite(mode, trials=3, alphas=alphas)
 
 
 @pytest.mark.parametrize(
@@ -360,6 +369,13 @@ def test_sample_state_pairs_shapes():
     for rho, sigma in pairs:
         assert rho.shape == sigma.shape
         assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
+
+
+def test_alpha_limit_battery_runs_the_suite_on_sampled_pairs():
+    report = alpha_limit_battery(trials=4, dims=(2, 3), seed=6)
+    assert report.passed and report.trials == 4
+    expected = alpha_limit_suite(sample_state_pairs(4, (2, 3), 6), seed=6)
+    assert frozen_report_text(report) == frozen_report_text(expected)
 
 
 def test_violation_search_finds_and_replays_witness():

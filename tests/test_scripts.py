@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from qdpi.harness import replay_witness, report_from_dict, witness_from_dict
+from qdpi.harness import replay_witness, report_from_dict
 from qdpi.serialize import load_json
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -48,12 +48,20 @@ def test_violation_search_witnesses_replay_to_their_stored_gap(tmp_path):
         "--hill-steps", 200, "--seed", 1, "--out-dir", tmp_path,
     )
     assert proc.returncode == 0, proc.stderr
-    paths = sorted(tmp_path.glob("witness_alpha_*.json"))
-    assert paths
+    paths = sorted(tmp_path.glob("violation_alpha_*.json"))
+    assert [p.name for p in paths] == ["violation_alpha_0.2.json", "violation_alpha_0.3.json"]
     for path in paths:
-        w = witness_from_dict(load_json(path))
-        assert w.gap < 0.0
+        w = report_from_dict(load_json(path)).best_witness
+        assert w is not None and w.gap < 0.0
         assert replay_witness(w).gap == w.gap
+
+
+def test_violation_search_bad_alpha_is_one_line_error(tmp_path):
+    proc = run_script("search_violations.py", "--alphas", "0.7", "--trials", 2, "--out-dir", tmp_path)
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("precondition error:") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr and proc.stdout == ""
+    assert not list(tmp_path.glob("*.json"))
 
 
 def test_report_digests_are_stable_across_runs():
