@@ -32,6 +32,7 @@ ACCEPTANCE_COMMANDS = (
     "contraction --instances 6 --trials 20 --dims 2,3,4,5,6 --seed 44",
     "auxiliary --trials 50 --seed 44",
     "step2 --dims 16 --seed 44",
+    "step2 --dims 32 --seed 0",
     "counterexample",
     "violation --alpha 0.3 --dims 2 --trials 2000 --hill-steps 1500 --seed 44",
     "violation --alpha 0.3 --dims 2,3 --trials 600 --hill-steps 100 --seed 7",

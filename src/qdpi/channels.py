@@ -18,7 +18,9 @@ never certify.
 
 Maps given by Kraus operators evaluate through them; their representation
 matrix is built on first access, as one Gram product of the stacked Kraus
-operators, and cached.
+operators, and cached. A truncation's terms come from this algebra
+(``truncation_parts``): its compression is a composite, a Kraus map for a
+Kraus base; ``truncation_map`` adds the rank-1 reroute to its matrix.
 
 Every trace fact is read off Phi*(1), eigendecomposed once per map and
 cached as the map's ``TraceBehavior``: the trace tag (Phi*(1) = 1 or
@@ -75,6 +77,7 @@ __all__ = [
     "identity_map",
     "transpose_map",
     "pinching_map",
+    "truncation_parts",
     "truncation_map",
     "reduction_map",
     "depolarizing_map",
@@ -482,12 +485,12 @@ def pinching_map(P, cfg: ToleranceConfig = DEFAULT_TOL) -> SuperOperator:
     return from_kraus([P, np.eye(d) - P], d, d)
 
 
-def truncation_map(base: SuperOperator, P, P_prime, cfg: ToleranceConfig = DEFAULT_TOL) -> SuperOperator:
-    """Compress ``base`` between projectors, rerouting the escaped weight.
+def truncation_parts(base: SuperOperator, P, P_prime, cfg: ToleranceConfig = DEFAULT_TOL):
+    """The terms (kept, W, tau) of the truncation Phi_n(A) = kept(A) + tr[A W] tau.
 
-    A -> P' base(P A P) P' + (P'/tr[P']) tr[base(P A P) (1 - P')].
-    Positive and trace-preserving on inputs supported under P when the base
-    map is positive and trace-preserving.
+    kept(A) = P' base(P A P) P' is the compression, a Kraus map when ``base``
+    is one; W = P base*(1 - P')^dagger P gives the weight tr[base(P A P) (1 - P')]
+    that escapes P', rerouted to tau = P'/tr[P'].
     """
     P = require_projector(P, cfg)
     P_prime = require_projector(P_prime, cfg)
@@ -498,27 +501,26 @@ def truncation_map(base: SuperOperator, P, P_prime, cfg: ToleranceConfig = DEFAU
     tr_pp = float(np.trace(P_prime).real)
     if tr_pp <= 0.0:
         raise DomainError("output projector must have positive rank")
-    d_in, d_out = base.dim_in, base.dim_out
-    M = base.matrix
-    # tr[Y B] = vec(B^T)^T vec(Y), so the reroute term X -> tr[base(P X P) (1 - P')]
-    # is the rank-1 update outer(vec(P'/tr P'), vec(W^T)) with the row vector
-    # vec(W^T)^T = vec((1 - P')^T)^T M (P-bar kron P)
-    escape = np.eye(d_out) - P_prime
-    R = _unvec(_vec(escape.T) @ M, d_in, d_in)
-    W_t = P.T @ R @ P.conj()
-    # (P'-bar kron P') M (P-bar kron P) as four d x d mode products on M viewed
-    # as T[b, a, e, c] = M[a + d_out b, c + d_in e], O(d^5) in all; each step
-    # replaces T, so at most two d^2 x d^2 temporaries are alive besides M
-    T = (M.reshape(-1, d_in) @ P).reshape(d_out, d_out, d_in, d_in)
-    T = P.conj().T @ T
-    T = P_prime @ T.reshape(d_out, d_out, d_in * d_in)
-    T = (P_prime.conj() @ T.reshape(d_out, -1)).reshape(d_out * d_out, d_in * d_in)
-    T += np.outer(_vec(P_prime / tr_pp), _vec(W_t))
+    kept = compose(from_kraus([P_prime]), compose(base, from_kraus([P])))
+    escape = adjoint(base).apply(np.eye(base.dim_out) - P_prime)
+    return kept, P @ _dagger(escape) @ P, P_prime / tr_pp
+
+
+def truncation_map(base: SuperOperator, P, P_prime, cfg: ToleranceConfig = DEFAULT_TOL) -> SuperOperator:
+    """Compress ``base`` between projectors, rerouting the escaped weight.
+
+    A -> P' base(P A P) P' + (P'/tr[P']) tr[base(P A P) (1 - P')].
+    Positive and trace-preserving on inputs supported under P when the base
+    map is positive and trace-preserving. The matrix is the compression's
+    plus the rank-1 reroute outer(vec(tau), vec(W^T)), from ``truncation_parts``.
+    """
+    kept, W, tau = truncation_parts(base, P, P_prime, cfg)
     if base.certificate.is_positive:
         cert = PositivityCertificate("positive_by_construction", reason="truncation of a positive map")
     else:
         cert = UNVERIFIED
-    return from_matrix(T, d_in, d_out, certificate=cert)
+    M = kept.matrix + np.outer(_vec(tau), _vec(W.T))
+    return from_matrix(M, base.dim_in, base.dim_out, certificate=cert)
 
 
 def reduction_map(d: int) -> SuperOperator:

@@ -187,10 +187,10 @@ def _suite_options(args) -> dict:
         "mode": args.mode.replace("-", "_") if args.mode else None,
         "seed": args.seed,
         "trials": args.trials,
-        "dims": _parse_list(args.dims, "--dims", int) if args.dims else None,
-        "alphas": _parse_list(args.alpha, "--alpha", float) if args.alpha else None,
+        "dims": _parse_list(args.dims, "--dims", int) if args.dims is not None else None,
+        "alphas": _parse_list(args.alpha, "--alpha", float) if args.alpha is not None else None,
         "instances": args.instances,
-        "n_sequence": _parse_list(args.n_sequence, "--n-sequence", int) if args.n_sequence else None,
+        "n_sequence": _parse_list(args.n_sequence, "--n-sequence", int) if args.n_sequence is not None else None,
         "hill_steps": args.hill_steps,
         "cfg": None if cfg is DEFAULT_TOL else cfg,
     }

@@ -67,6 +67,7 @@ from .channels import (
     reduction_map,
     trace_behavior,
     truncation_map,
+    truncation_parts,
 )
 from .sampling import (
     density_of_factor,
@@ -738,21 +739,13 @@ def step2_suite(
         if commutator > 1e-9:
             raise DomainError(f"P_{n} does not commute with rho (defect {commutator:.3e})")
         P_prime = _descending_projector(image_w, image_V, n, d)
-        projectors.append((n, P, P_prime))
+        projectors.append((n, P, truncation_parts(phi, P, P_prime, cfg)))
 
-    probes = [("rho", rho), ("sigma", sigma)]
-    probe_rng = rng_for_trial(seed, 0)
-    probes.append(("random", random_density(probe_rng, d)))
-
-    # one d^2 x d^2 truncation matrix alive at a time; witnesses stay probe-major
-    images = [phi.apply(A) for _, A in probes]
-    probe_residuals = [[] for _ in probes]
-    for _, P, P_prime in projectors:
-        phi_n = truncation_map(phi, P, P_prime, cfg)
-        for (_, A), image, residuals in zip(probes, images, probe_residuals):
-            residuals.append(trace_norm(phi_n.apply(A) - image))
-        del phi_n
-    for residuals in probe_residuals:
+    # Phi_n(A) = kept(A) + tr[A W] tau is never formed as a map; witnesses stay probe-major
+    for A in (rho.matrix, sigma.matrix, random_density(rng_for_trial(seed, 0), d)):
+        image = phi.apply(A)
+        residuals = [trace_norm(kept.apply(A) + np.sum(A * W.T) * tau - image)
+                     for _, _, (kept, W, tau) in projectors]
         for k in range(len(residuals) - 1):
             bound = residuals[k] + STEP2_RESIDUAL_TOLERANCE
             tally.add(bound, residuals[k + 1], residuals[k + 1] <= bound, parts)

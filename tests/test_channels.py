@@ -33,6 +33,7 @@ from qdpi.channels import (
     trace_behavior,
     transpose_map,
     truncation_map,
+    truncation_parts,
 )
 from qdpi.divergences import gamma_inverse, gamma_map, support_contained
 from qdpi.linalg import (
@@ -140,17 +141,26 @@ def test_truncation_matrix_matches_dense_formula():
         return (compress_out + reroute) @ base.matrix @ compress_in
 
     rng = rng_for_trial(216, 0)
+    K, L = random_hermitian(rng, 4) + 1j * random_hermitian(rng, 4), random_hermitian(rng, 4)
     cases = [
-        (random_cptp(5, rng=rng), 5, 5),
-        (transpose_map(5), 5, 5),
-        (random_cptp(4, d_out=3, rng=rng), 4, 3),
+        (random_cptp(5, rng=rng), 5, 5, "positive_by_construction"),
+        (transpose_map(5), 5, 5, "positive_by_construction"),
+        (random_cptp(4, d_out=3, rng=rng), 4, 3, "positive_by_construction"),
+        # X -> K X L^dagger does not preserve Hermiticity
+        (from_matrix(np.kron(L.conj(), K), 4), 4, 4, "unverified"),
     ]
-    for base, d_in, d_out in cases:
+    for base, d_in, d_out, tag in cases:
         P = random_projector(rng, d_in, 2)
         P_prime = random_projector(rng, d_out, 2)
         phi = truncation_map(base, P, P_prime)
-        assert np.allclose(phi.matrix, dense(base, P, P_prime), atol=1e-13)
-        assert phi.certificate.tag == "positive_by_construction"
+        oracle = dense(base, P, P_prime)
+        assert np.allclose(phi.matrix, oracle, atol=1e-13)
+        assert phi.certificate.tag == tag
+        # the two terms alone, without the d^2 x d^2 matrix
+        kept, W, tau = truncation_parts(base, P, P_prime)
+        A = random_hermitian(rng, d_in) + 1j * random_hermitian(rng, d_in)
+        expected = (oracle @ A.flatten(order="F")).reshape(d_out, d_out, order="F")
+        assert np.allclose(kept.apply(A) + np.trace(A @ W) * tau, expected, atol=1e-13)
 
 
 def test_kraus_constructors_make_no_eigensolver_call(monkeypatch):

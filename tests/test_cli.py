@@ -311,8 +311,21 @@ def test_tolerance_flags_propagate_to_report_config(tmp_path):
     assert payload["config"]["tolerances"]["monotonicity_slack"] == 1e-6
 
 
-def test_bad_dims_is_input_error(capsys):
-    assert main(["suite", "dpi", "--trials", "2", "--dims", "two,three"]) == EXIT_INPUT_ERROR
+@pytest.mark.parametrize("argv, message", [
+    (["dpi", "--trials", "2", "--dims", "two,three"], "bad --dims value"),
+    (["dpi", "--trials", "2", "--dims", ","], "--dims needs at least one value"),
+    # an empty value is given, so it is read, not dropped for the default
+    (["alpha-limit", "--trials", "2", "--dims", ""], "--dims needs at least one value"),
+    (["violation", "--trials", "2", "--hill-steps", "0", "--allow-inconclusive", "--alpha", ""],
+     "--alpha needs at least one value"),
+    (["step2", "--dims", "4", "--n-sequence", ""], "--n-sequence needs at least one value"),
+], ids=["dims-not-integer", "dims-comma", "dims-empty", "alpha-empty", "n-sequence-empty"])
+def test_bad_list_value_is_input_error(argv, message, capsys):
+    assert main(["suite", *argv]) == EXIT_INPUT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"input error: {message}")
+    assert captured.err.count("\n") == 1
 
 
 def test_suite_failure_exit_code(tmp_path):

@@ -41,7 +41,7 @@ from qdpi.harness import (
     witness_from_dict,
     witness_to_dict,
 )
-from qdpi import harness
+from qdpi import channels, harness
 from qdpi.divergences import relative_entropy, sandwiched_renyi
 from qdpi.harness import (
     _evaluate,
@@ -280,6 +280,16 @@ def test_step2_battery_solves_no_superoperator_sized_eigenproblem(eig_sizes):
     r = step2_battery(d=16, seed=4)
     assert r.passed
     assert eig_sizes and max(eig_sizes) <= 16
+
+
+def test_step2_battery_builds_no_superoperator_matrix(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("step2 built a d^2 x d^2 superoperator matrix")
+
+    monkeypatch.setattr(channels, "_kraus_matrix", forbidden)
+    monkeypatch.setattr(channels, "from_matrix", forbidden)
+    r = step2_battery(d=8, seed=4)
+    assert r.passed and r.trials > 0
 
 
 def test_step2_suite_validates_sequence():
