@@ -557,6 +557,8 @@ def depolarizing_map(d: int, lam: float) -> SuperOperator:
 
 def halving_map(d: int) -> SuperOperator:
     """X -> X/2; CP and trace-nonincreasing, not TP."""
+    if d < 1:
+        raise DomainError("dimension must be positive")
     K = np.eye(d) / np.sqrt(2.0)
     return from_kraus([K], d, d, descriptor={"family": "halving", "params": {"d": d}})
 

@@ -91,7 +91,7 @@ def relative_entropy(rho, sigma, cfg: ToleranceConfig = DEFAULT_TOL) -> float:
 
 def _renyi_pair(rho, sigma, alpha: float, cfg: ToleranceConfig):
     alpha = float(alpha)
-    if not (alpha > 0.0 and alpha != 1.0):
+    if not (0.0 < alpha < math.inf and alpha != 1.0):
         raise DomainError(f"alpha must be in (0,1) or (1,inf), got {alpha}")
     rho, sigma = _pair(rho, sigma, cfg)
     if rho.matrix.ndim == 2:
@@ -262,8 +262,8 @@ def renyi_via_norm(rho, sigma, alpha: float, cfg: ToleranceConfig = DEFAULT_TOL)
     operators to supp(sigma) first.
     """
     alpha = float(alpha)
-    if alpha <= 1.0:
-        raise DomainError(f"norm form needs alpha > 1, got {alpha}")
+    if not 1.0 < alpha < math.inf:
+        raise DomainError(f"norm form needs finite alpha > 1, got {alpha}")
     rho, sigma = _pair(rho, sigma, cfg)
     if not support_contained(rho, sigma, cfg):
         return math.inf

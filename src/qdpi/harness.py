@@ -533,8 +533,8 @@ def randomized_dpi_suite(
         raise DomainError(f"unknown mode {mode!r}")
     if mode == "tni":
         alphas = tuple(float(a) for a in (alphas if alphas is not None else DEFAULT_ALPHAS))
-        if any(a <= 1.0 for a in alphas):
-            raise DomainError("tni mode exercises alpha > 1 only")
+        if not all(1.0 < a < math.inf for a in alphas):
+            raise DomainError("tni mode exercises finite alpha > 1 only")
     elif alphas is not None:
         raise DomainError(f"alpha applies in tni mode only, not in {mode} mode")
     dims, draws = _seeded_trials(seed, trials, dims)
@@ -575,6 +575,8 @@ def _contraction_checks(tally: _Tally, sigma, phi: SuperOperator, alphas, trials
     """Add the norm-contraction checks of one (sigma, Phi) instance to ``tally``."""
     if trials < 0 or seed < 0:
         raise DomainError(f"trials and seed must be nonnegative, got {trials} and {seed}")
+    if not all(1.0 <= a < math.inf for a in alphas):
+        raise DomainError(f"weighted norms need finite alpha >= 1, got {list(alphas)}")
     if not phi.certificate.is_positive:
         raise DomainError("norm contraction needs a certified positive map")
     if not trace_behavior(phi).is_nonincreasing:

@@ -1,9 +1,11 @@
 """Stable JSON file formats for operators and maps.
 
-The emitter is canonical: fixed field order (insertion order of the writer),
-floats rendered with 17 significant digits (round-trip exact for doubles),
-negative zero normalized to zero, no whitespace variation. save -> load ->
-save is therefore byte-identical, which is what makes witness replay exact.
+The emitter is ``json.dumps`` and is canonical: fixed field order (insertion
+order of the writer), ", " and ": " separators, ASCII output, and each float
+written as its shortest round-trip repr (``0.1``, ``1.0``, ``-0.0``: a float
+stays a float and zero keeps its sign). Reading a file back gives the same
+doubles, so save -> load -> save is byte-identical, which is what makes
+witness replay exact.
 
 Infinities never appear as raw JSON numbers; fields that can be infinite are
 encoded as the strings "+inf" / "-inf" by ``encode_extended``.
@@ -26,7 +28,7 @@ from .linalg import (
     require_projector,
 )
 from . import channels
-from .channels import SuperOperator, from_choi, from_kraus, from_matrix
+from .channels import SuperOperator, _is_number, from_choi, from_kraus, from_matrix
 
 __all__ = [
     "FormatError",
@@ -51,53 +53,20 @@ class FormatError(ValueError):
     """A file or payload does not conform to the declared schema."""
 
 
-def _format_float(x: float) -> str:
-    if math.isnan(x) or math.isinf(x):
-        raise FormatError("non-finite floats must be encoded with encode_extended")
-    if x == 0.0:
-        return "0"
-    return format(x, ".17g")
-
-
-def _emit(obj, out: list) -> None:
-    if obj is None:
-        out.append("null")
-    elif obj is True:
-        out.append("true")
-    elif obj is False:
-        out.append("false")
-    elif isinstance(obj, (int, np.integer)):
-        out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        out.append(_format_float(float(obj)))
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj))
-    elif isinstance(obj, (list, tuple)):
-        out.append("[")
-        for i, item in enumerate(obj):
-            if i:
-                out.append(", ")
-            _emit(item, out)
-        out.append("]")
-    elif isinstance(obj, dict):
-        out.append("{")
-        for i, (key, value) in enumerate(obj.items()):
-            if not isinstance(key, str):
-                raise FormatError(f"object keys must be strings, got {type(key).__name__}")
-            if i:
-                out.append(", ")
-            out.append(json.dumps(key))
-            out.append(": ")
-            _emit(value, out)
-        out.append("}")
-    else:
-        raise FormatError(f"cannot serialize value of type {type(obj).__name__}")
+def _plain(obj):
+    """The Python value of a NumPy scalar, for the encoder; anything else is not serializable."""
+    if isinstance(obj, np.generic):
+        return obj.item()
+    raise TypeError(f"cannot serialize value of type {type(obj).__name__}")
 
 
 def canonical_json(obj) -> str:
-    out: list = []
-    _emit(obj, out)
-    return "".join(out)
+    try:
+        return json.dumps(obj, allow_nan=False, default=_plain)
+    except ValueError as exc:
+        raise FormatError("non-finite floats must be encoded with encode_extended") from exc
+    except TypeError as exc:
+        raise FormatError(str(exc)) from exc
 
 
 def save_json(path, obj) -> None:
@@ -116,6 +85,8 @@ def load_json(path):
             return json.load(fh, parse_constant=_reject_constant)
         except json.JSONDecodeError as exc:
             raise FormatError(f"not valid JSON: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"not an ASCII file: {exc}") from exc
 
 
 def encode_extended(x: float):
@@ -135,7 +106,7 @@ def decode_extended(v) -> float:
         return math.inf
     if v == "-inf":
         return -math.inf
-    if isinstance(v, (int, float)) and not isinstance(v, bool):
+    if _is_number(v, (int, float)):
         x = float(v)
         if math.isnan(x) or math.isinf(x):
             raise FormatError("raw non-finite numbers are not legal; use \"+inf\"/\"-inf\"")
@@ -211,7 +182,7 @@ def matrix_from_dict(d: dict, cfg: ToleranceConfig = DEFAULT_TOL):
     if kind not in MATRIX_KINDS:
         raise FormatError(f"unknown matrix kind {kind!r}")
     dim = d.get("dim")
-    if not isinstance(dim, int) or dim < 1:
+    if not _is_number(dim, int) or dim < 1:
         raise FormatError(f"dim must be a positive integer, got {dim!r}")
     M = _matrix_from_payload(d, dim, dim, "matrix file")
     return M, _validate_kind(M, kind, cfg)
@@ -246,7 +217,7 @@ def channel_from_dict(d: dict, cfg: ToleranceConfig = DEFAULT_TOL) -> SuperOpera
         raise FormatError(f"unsupported schema_version {d.get('schema_version')!r}")
     dim_in, dim_out = d.get("dim_in"), d.get("dim_out")
     for name, value in (("dim_in", dim_in), ("dim_out", dim_out)):
-        if not isinstance(value, int) or value < 1:
+        if not _is_number(value, int) or value < 1:
             raise FormatError(f"{name} must be a positive integer, got {value!r}")
     rep = d.get("representation")
     try:

@@ -394,6 +394,40 @@ def test_from_kraus_dimension_checks():
         from_kraus([np.eye(2), np.eye(3)])
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: from_matrix(np.eye(3), 2),
+        lambda: from_kraus([]),
+        lambda: from_kraus([np.eye(2), np.eye(3)]),
+        lambda: from_kraus([np.eye(2)], 3, 3),
+        lambda: from_choi(np.eye(5), 2),
+        lambda: from_choi(np.eye(4), 2, 3),
+        lambda: compose(identity_map(2), identity_map(3)),
+        lambda: identity_map(0),
+        lambda: transpose_map(0),
+        lambda: reduction_map(1),
+        lambda: depolarizing_map(0, 0.5),
+        lambda: truncation_map(identity_map(2), np.eye(3), np.eye(2)),
+        lambda: truncation_map(identity_map(2), np.eye(2), np.eye(3)),
+        lambda: random_cptp(2),
+        lambda: damped_cptp(2, 1, 1.5, seed=0),
+        lambda: damped_cptp(2, 3, 0.5, seed=0),
+        lambda: halving_map(0),
+        lambda: halving_map(-1),
+    ],
+    ids=[
+        "from_matrix-shape", "from_kraus-empty", "from_kraus-mixed", "from_kraus-dims",
+        "from_choi-multiple", "from_choi-shape", "compose-dims", "identity-0", "transpose-0",
+        "reduction-1", "depolarizing-0", "truncation-P", "truncation-P-prime", "random_cptp-no-seed",
+        "damped-mu", "damped-rank", "halving-0", "halving-negative",
+    ],
+)
+def test_constructors_reject_bad_arguments(build):
+    with pytest.raises(DomainError):
+        build()
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000))
 def test_positive_maps_preserve_psd_cone(trial):

@@ -80,6 +80,37 @@ def test_compute_missing_alpha_is_precondition_error(state_files, capsys):
     assert "precondition error" in capsys.readouterr().err
 
 
+def test_compute_on_equal_states_prints_a_float_zero(state_files, capsys):
+    rho_path, _ = state_files
+    assert main(["compute", "--rho", rho_path, "--sigma", rho_path]) == EXIT_PASS
+    out = capsys.readouterr().out
+    assert '"value": 0.0' in out
+    assert isinstance(json.loads(out)["value"], float)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["suite", "dpi", "--mode", "tni", "--alpha", "inf", "--trials", "3"],
+        ["suite", "contraction", "--alpha", "inf", "--instances", "1", "--trials", "2"],
+        ["compute", "--family", "sandwiched", "--alpha", "inf"],
+        ["compute", "--family", "old", "--alpha", "inf"],
+        ["compute", "--family", "umegaki", "--alpha", "2"],
+    ],
+    ids=["dpi-tni", "contraction", "compute-sandwiched", "compute-old", "compute-umegaki"],
+)
+def test_out_of_domain_alpha_is_precondition_error(state_files, tmp_path, capsys, argv):
+    # a non-finite alpha, or one given to relative entropy, is rejected before any evaluation
+    out = tmp_path / "out.json"
+    if argv[0] == "compute":
+        argv = argv + ["--rho", state_files[0], "--sigma", state_files[1]]
+    assert main(argv + ["--out", str(out)]) == EXIT_PRECONDITION_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("precondition error:") and captured.err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_check_map_reports_certificate_and_trace_behavior(tmp_path, capsys):
     path = tmp_path / "map.json"
     serialize.save_json(path, serialize.channel_to_dict(counterexample_map()))
@@ -490,10 +521,16 @@ _MAP_FILE = {"schema_version": serialize.SCHEMA_VERSION, "dim_in": 2, "dim_out":
         ("check-map", {**_MAP_FILE, "kraus": []}, "kraus payload must be a nonempty list"),
         ("check-map", {**_MAP_FILE, "representation": "stinespring"}, "unknown channel representation"),
         ("check-map", {**_MAP_FILE, "representation": "family"}, "missing field 'family'"),
+        ("compute", '{"kind": "caf\u00e9"}', "not an ASCII file"),
+        ("compute", {**_MATRIX_FILE, "kind": "general", "dim": True, "re": [[1.0]], "im": [[0.0]]},
+         "dim must be a positive integer"),
+        ("check-map", {**_MAP_FILE, "dim_in": True, "dim_out": True, "kraus": [{"re": [[1.0]], "im": [[0.0]]}]},
+         "dim_in must be a positive integer"),
     ],
     ids=[
         "not-json", "matrix-not-object", "matrix-schema", "matrix-kind", "matrix-dim", "matrix-no-re",
         "map-not-object", "map-dim-in", "map-empty-kraus", "map-representation", "map-no-family",
+        "non-ascii", "matrix-dim-bool", "map-dims-bool",
     ],
 )
 def test_malformed_input_file_is_input_error(tmp_path, state_files, capsys, command, payload, message):

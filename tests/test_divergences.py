@@ -134,6 +134,17 @@ def test_renyi_rejects_zero_rho_and_bad_alpha():
             sandwiched_renyi(sigma, sigma, alpha)
 
 
+@pytest.mark.parametrize("alpha", [math.inf, math.nan])
+@pytest.mark.parametrize("fn", [sandwiched_renyi, old_renyi, renyi_via_norm, "stack"])
+def test_renyi_forms_reject_non_finite_alpha(fn, alpha):
+    rho, sigma = np.diag([0.9, 0.1]), np.eye(2) / 2
+    if fn == "stack":
+        rho, sigma = psd_stack(rho[None]), psd_stack(sigma[None])
+        fn = sandwiched_renyi_stack
+    with pytest.raises(DomainError, match="alpha"):
+        fn(rho, sigma, alpha)
+
+
 def test_sandwiched_support_rules_differ_across_one():
     rho = np.diag([0.5, 0.5])
     sigma = np.diag([1.0, 0.0])

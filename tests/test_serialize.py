@@ -34,10 +34,10 @@ from qdpi.serialize import (
 
 
 def test_canonical_float_formatting():
-    assert canonical_json({"x": 0.0}) == '{"x": 0}'
-    assert canonical_json({"x": -0.0}) == '{"x": 0}'
-    assert canonical_json({"x": 1.0}) == '{"x": 1}'
-    assert canonical_json({"x": 0.1}) == '{"x": 0.10000000000000001}'
+    assert canonical_json({"x": 0.0}) == '{"x": 0.0}'
+    assert canonical_json({"x": -0.0}) == '{"x": -0.0}'
+    assert canonical_json({"x": 1.0}) == '{"x": 1.0}'
+    assert canonical_json({"x": 0.1}) == '{"x": 0.1}'
 
 
 def test_canonical_json_preserves_insertion_order():
@@ -119,6 +119,14 @@ def test_save_and_load_json_round_trip(tmp_path):
     again = load_json(path)
     save_json(path, again)
     assert path.read_bytes() == raw
+
+
+def test_save_and_load_json_keep_the_sign_of_zero(tmp_path):
+    path = tmp_path / "m.json"
+    save_json(path, matrix_to_dict(np.array([[1.0, -0.0], [-0.0, 0.0]]), "hermitian"))
+    re = load_json(path)["re"]
+    assert re == [[1.0, 0.0], [0.0, 0.0]]
+    assert np.signbit(re).tolist() == [[False, True], [True, False]]
 
 
 def test_channel_round_trip_prefers_family_descriptor():
