@@ -3,11 +3,14 @@
 
 Each argument is one `qdpi suite` command line without the leading
 `qdpi suite`, for example "dpi --mode tp --trials 300 --seed 44". With no
-arguments the script runs a fixed set of acceptance commands. For each
-command it prints one line: the exit code, the sha256 of the canonical
+arguments the script runs a fixed set of acceptance commands, then writes a
+fixed set of map files (every representation, a map that sampling
+falsifies, the d = 16 reduction map) and runs `qdpi check-map` on each. For
+each command it prints one line: the exit code, the sha256 of the canonical
 report with `runtime_ms` set to 0 ("-" when the command wrote no report),
-and the command. Two checkouts whose reports agree byte for byte, apart from
-`runtime_ms`, print the same lines, so comparing the output of
+and the command, or `check-map <map name>`. Two checkouts whose reports agree
+byte for byte, apart from `runtime_ms`, print the same lines, so comparing
+the output of
 
     PYTHONPATH=src python3 scripts/report_digests.py
 
@@ -24,6 +27,16 @@ import sys
 import tempfile
 
 from qdpi import cli, serialize
+from qdpi.channels import (
+    choi,
+    from_kraus,
+    from_matrix,
+    identity_map,
+    random_cptp,
+    random_positive_noncp,
+    reduction_map,
+    transpose_map,
+)
 
 ACCEPTANCE_COMMANDS = (
     "dpi --mode tp --dims 2,3,4,5,6 --trials 300 --seed 44",
@@ -52,29 +65,58 @@ ACCEPTANCE_COMMANDS = (
 )
 
 
-def digest(command: str, out: pathlib.Path) -> tuple[int, str]:
-    """(exit code, report digest or "-") of one suite command."""
+def _choi_payload(phi) -> dict:
+    """A map as a `choi` payload, the one form `channel_to_dict` does not write."""
+    C = serialize.matrix_to_dict(choi(phi), "general")
+    return {"schema_version": serialize.SCHEMA_VERSION, "dim_in": phi.dim_in, "dim_out": phi.dim_out,
+            "representation": "choi", "re": C["re"], "im": C["im"]}
+
+
+def check_map_inputs() -> dict:
+    """{map name: (map payload, --seed)} of the `check-map` runs."""
+    transpose_minus_half = transpose_map(5).matrix - 0.5 * identity_map(5).matrix
+    return {
+        "family-noncp-d3": (serialize.channel_to_dict(random_positive_noncp(3, seed=2)), 0),
+        "family-reduction-d16": (serialize.channel_to_dict(reduction_map(16)), 1),
+        "kraus-cptp-d4": (serialize.channel_to_dict(from_kraus(random_cptp(4, seed=5).kraus, 4)), 0),
+        "superop-transpose-d3": (serialize.channel_to_dict(from_matrix(transpose_map(3).matrix, 3)), 2),
+        # X -> X^T - X/2 sends some pure states to a negative eigenvalue
+        "superop-falsified-d5": (serialize.channel_to_dict(from_matrix(transpose_minus_half, 5)), 3),
+        "choi-reduction-d4": (_choi_payload(reduction_map(4)), 4),
+    }
+
+
+def digest(argv: list, out: pathlib.Path) -> tuple[int, str]:
+    """(exit code, report digest or "-") of one qdpi command that writes its report to out."""
     out.unlink(missing_ok=True)
-    # the summary line carries the runtime, so it is not part of the digest
+    # a suite's summary line carries the runtime, so it is not part of the digest
     with contextlib.redirect_stdout(io.StringIO()):
-        code = cli.main(["suite", *shlex.split(command), "--out", str(out)])
+        code = cli.main([*argv, "--out", str(out)])
     if not out.exists():
         return code, "-"
     report = serialize.load_json(out)
-    report["runtime_ms"] = 0
+    if "runtime_ms" in report:
+        report["runtime_ms"] = 0
     return code, hashlib.sha256(serialize.canonical_json(report).encode("ascii")).hexdigest()
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("commands", nargs="*", default=ACCEPTANCE_COMMANDS,
-                        help="suite command lines, each one argument")
+    parser.add_argument("commands", nargs="*",
+                        help="suite command lines, each one argument (default: the fixed set, then check-map)")
     args = parser.parse_args()
     with tempfile.TemporaryDirectory() as tmp:
         out = pathlib.Path(tmp) / "report.json"
-        for command in args.commands:
-            code, sha = digest(command, out)
+        for command in args.commands or ACCEPTANCE_COMMANDS:
+            code, sha = digest(["suite", *shlex.split(command)], out)
             print(f"{code} {sha} {command}", flush=True)
+        if args.commands:
+            return 0
+        for name, (payload, seed) in check_map_inputs().items():
+            path = pathlib.Path(tmp) / f"{name}.json"
+            serialize.save_json(path, payload)
+            code, sha = digest(["check-map", "--map", str(path), "--seed", str(seed)], out)
+            print(f"{code} {sha} check-map {name}", flush=True)
     return 0
 
 

@@ -42,6 +42,7 @@ from .linalg import (
     DEFAULT_TOL,
     DomainError,
     ToleranceConfig,
+    ValidatedPSD,
     _dagger,
     as_matrix,
     hermitian_part,
@@ -206,15 +207,22 @@ class SuperOperator:
         return float(np.linalg.eigvalsh((C + C.conj().T) / 2)[0])
 
     def apply(self, X) -> np.ndarray:
-        X = _require_input(as_matrix(X), self.dim_in)
+        """Phi(X) of a matrix, or of each matrix of an (n, dim_in, dim_in) stack."""
+        X = _require_input(X, self.dim_in)
         if self.kraus is not None:
             return _kraus_sum(self.kraus, X)
-        return _unvec(self.matrix @ _vec(X), self.dim_out, self.dim_out)
+        if X.ndim == 2:
+            return _unvec(self.matrix @ _vec(X), self.dim_out, self.dim_out)
+        # one matrix-vector product per matrix (not one matrix product for the
+        # stack), so each image has the bits of the 2-d apply of its matrix
+        v = X.swapaxes(1, 2).reshape(len(X), self.dim_in * self.dim_in, 1)
+        return (self.matrix @ v).reshape(len(X), self.dim_out, self.dim_out).swapaxes(1, 2)
 
 
-def _require_input(X: np.ndarray, dim_in: int) -> np.ndarray:
-    """A map input (a matrix, or a stack of them) of the input dimension with finite entries."""
-    if X.shape[-2:] != (dim_in, dim_in):
+def _require_input(X, dim_in: int) -> np.ndarray:
+    """A map input of the input dimension with finite entries: a matrix or a stack, or its ValidatedPSD."""
+    X = X.matrix if isinstance(X, ValidatedPSD) else np.asarray(X, dtype=np.complex128)
+    if X.ndim not in (2, 3) or X.shape[-2:] != (dim_in, dim_in):
         raise DomainError(f"input shape {X.shape} does not match map input dimension {dim_in}")
     if not np.isfinite(X).all():
         raise DomainError("map input has non-finite entries")
@@ -236,7 +244,7 @@ def apply_kraus_stack(kraus, X) -> np.ndarray:
     X is an (n, d_in, d_in) stack and each K_i an (n, d_out, d_in) stack;
     matrix j of the result is sum_i K_i[j] X[j] K_i[j]^dagger.
     """
-    return _kraus_sum(kraus, _require_input(np.asarray(X, dtype=np.complex128), kraus[0].shape[-1]))
+    return _kraus_sum(kraus, _require_input(X, kraus[0].shape[-1]))
 
 
 def from_matrix(
@@ -403,6 +411,10 @@ def trace_behavior(phi: SuperOperator) -> TraceBehavior:
     return phi._trace_behavior
 
 
+# probes per stacked evaluation in classify, which bounds its memory for any sample_count
+_PROBE_CHUNK = 256
+
+
 def classify(
     phi: SuperOperator,
     cfg: ToleranceConfig = DEFAULT_TOL,
@@ -413,21 +425,27 @@ def classify(
 
     CP is decided exactly via the Choi minimum eigenvalue, which every
     returned certificate carries as ``choi_min``. Non-CP maps are probed with
-    ``sample_count`` random pure states; sampling below -psd_tolerance
-    falsifies, otherwise any construction certificate stands.
+    ``sample_count`` random pure states, probe t drawn from its own stream
+    ``rng_for_trial(seed, t)``; sampling below -psd_tolerance falsifies (the
+    witness is the first probe with the smallest image eigenvalue), otherwise
+    any construction certificate stands. The probes are evaluated in stacks
+    of at most ``_PROBE_CHUNK``: one ``apply`` and one eigensolve per stack,
+    each probe's minimum bit-identical to evaluating it alone.
     """
     cert, cmin = _choi_test(phi, cfg)
     if cert is not None:
         return cert
     worst = np.inf
     worst_psi = None
-    for t in range(sample_count):
-        rng = rng_for_trial(seed, t)
-        psi = random_unit_vector(rng, phi.dim_in)
-        image = hermitian_part(phi.apply(np.outer(psi, psi.conj())))
-        m = float(np.linalg.eigvalsh(image)[0])
-        if m < worst:
-            worst, worst_psi = m, psi
+    for start in range(0, sample_count, _PROBE_CHUNK):
+        probes = range(start, min(start + _PROBE_CHUNK, sample_count))
+        psis = np.stack([random_unit_vector(rng_for_trial(seed, t), phi.dim_in) for t in probes])
+        images = hermitian_part(phi.apply(psis[:, :, None] * psis.conj()[:, None, :]))
+        minima = np.linalg.eigvalsh(images)[:, 0]
+        # a NaN minimum never wins, as it never passes the strict < below
+        i = int(np.argmin(np.where(np.isnan(minima), np.inf, minima)))
+        if minima[i] < worst:
+            worst, worst_psi = float(minima[i]), psis[i]
     if worst_psi is not None and worst < -cfg.psd_tolerance:
         cert = PositivityCertificate(
             "falsified", reason=f"pure-state image has min eigenvalue {worst:.3e}", witness=worst_psi

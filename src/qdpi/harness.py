@@ -160,6 +160,10 @@ class CheckReport:
 
     @property
     def passed(self) -> bool:
+        """Every trial passed, or, for a violation search (the suite that sets
+        ``outcome``), the search found a violation."""
+        if self.outcome is not None:
+            return self.outcome == "violation_found"
         return self.passes == self.trials
 
 

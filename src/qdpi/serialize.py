@@ -134,7 +134,10 @@ def _matrix_from_payload(payload: dict, rows: int, cols: int, what: str) -> np.n
         )
     if not (np.isfinite(re).all() and np.isfinite(im).all()):
         raise FormatError(f"{what}: entries must be finite")
-    return re + 1j * im
+    # set the parts, as re + 1j * im would turn a -0.0 into +0.0
+    M = np.empty((rows, cols), dtype=np.complex128)
+    M.real, M.imag = re, im
+    return M
 
 
 def _validate_kind(M, kind: str, cfg: ToleranceConfig):

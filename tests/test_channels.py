@@ -39,9 +39,11 @@ from qdpi.divergences import gamma_inverse, gamma_map, support_contained
 from qdpi.linalg import (
     DEFAULT_TOL,
     DomainError,
+    hermitian_part,
     min_eigenvalue,
     operator_norm,
     psd,
+    psd_stack,
 )
 from qdpi.sampling import (
     density_of_factor,
@@ -51,6 +53,7 @@ from qdpi.sampling import (
     random_hermitian,
     random_projector,
     random_psd,
+    random_unit_vector,
     rng_for_trial,
 )
 
@@ -253,6 +256,69 @@ def test_classify_confirms_cp_and_falsifies_negative_map():
     assert cert.witness is not None
 
 
+def _classify_one_probe_at_a_time(phi, sample_count, seed, cfg=DEFAULT_TOL):
+    """classify's reference: each probe applied and solved alone, the strict < keeping the first minimum."""
+    cert = classify(phi, cfg)  # the Choi test, and the certificate when no probe falsifies
+    if cert.tag == "completely_positive":
+        return cert
+    worst, worst_psi = np.inf, None
+    for t in range(sample_count):
+        psi = random_unit_vector(rng_for_trial(seed, t), phi.dim_in)
+        m = float(np.linalg.eigvalsh(hermitian_part(phi.apply(np.outer(psi, psi.conj()))))[0])
+        if m < worst:
+            worst, worst_psi = m, psi
+    if worst_psi is not None and worst < -cfg.psd_tolerance:
+        return dataclasses.replace(
+            cert, tag="falsified", reason=f"pure-state image has min eigenvalue {worst:.3e}", witness=worst_psi
+        )
+    return cert
+
+
+def _random_matrix_map(d):
+    rng = np.random.default_rng(100 + d)
+    return from_matrix(rng.standard_normal((d * d, d * d)) + 1j * rng.standard_normal((d * d, d * d)), d)
+
+
+def _held_as(form, phi):
+    """phi as its family, as a bare representation matrix or as a Choi matrix."""
+    if form == "superop_matrix":
+        return from_matrix(phi.matrix, phi.dim_in)
+    if form == "choi":
+        return from_choi(choi(phi), phi.dim_in)
+    return phi
+
+
+# maps in every form classify meets: family, representation matrix, Choi matrix, Kraus operators
+_PROBED_MAPS = {
+    "negated-identity-2": lambda: from_matrix(-identity_map(2).matrix, 2),
+    # X -> -tr(X) E_00: every probe's minimum is minus its rounded trace, so
+    # equal minima recur within each stack and the first one must win
+    "negated-trace-2": lambda: from_matrix(np.array([[-1.0, 0, 0, -1]] + [[0.0] * 4] * 3), 2),
+    # a non-Hermitian Choi matrix, so no Choi eigensolve; some probe images
+    # overflow to a NaN minimum, which never wins, and the others falsify
+    "overflowing-negation-2": lambda: from_matrix(-1e308 * np.eye(4) + 1e-3j, 2),
+    **{f"random-matrix-{d}": (lambda d=d: _random_matrix_map(d)) for d in range(3, 7)},
+    **{f"{family.__name__}-{form}-{d}": (lambda family=family, form=form, d=d: _held_as(form, family(d)))
+       for family in (transpose_map, reduction_map) for form in ("family", "superop_matrix", "choi") for d in (2, 4)},
+    "kraus-cptp-3": lambda: random_cptp(3, seed=4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PROBED_MAPS))
+def test_stacked_probes_equal_one_probe_at_a_time(name):
+    phi = _PROBED_MAPS[name]()
+    for count in (0, 1, 255, 256, 257, 1000):
+        with np.errstate(over="ignore", invalid="ignore"):
+            ref = _classify_one_probe_at_a_time(phi, count, seed=3)
+            cert = classify(phi, sample_count=count, seed=3)
+        assert (cert.tag, cert.reason, cert.choi_min) == (ref.tag, ref.reason, ref.choi_min)
+        assert (cert.witness is None) == (ref.witness is None)
+        if ref.witness is not None:
+            assert cert.witness.tobytes() == ref.witness.tobytes()
+        if count and name.startswith(("negated", "overflowing", "random")):
+            assert cert.tag == "falsified"
+
+
 def test_classify_keeps_by_construction_tag_for_transpose():
     assert classify(transpose_map(2)).tag == "positive_by_construction"
     assert trace_behavior(transpose_map(2)).tag == "preserving"
@@ -384,6 +450,28 @@ def test_apply_rejects_non_finite_input(path, bad):
     assert (phi.kraus is not None) == (path == "kraus")
     with pytest.raises(DomainError):
         phi.apply(np.array([[0.5, 0.0], [0.0, bad]]))
+
+
+@pytest.mark.parametrize("make", [lambda: random_cptp(3, seed=1), lambda: transpose_map(3),
+                                  lambda: from_matrix(np.arange(36.0).reshape(4, 9) * (1 - 2j), 3, 2)])
+def test_apply_of_a_stack_equals_apply_of_each_matrix(make):
+    phi = make()
+    rng = np.random.default_rng(5)
+    X = np.stack([random_density(rng, 3) for _ in range(5)])
+    validated = psd_stack(X)
+    for stack, matrices in ((X, X), (validated, validated.matrix)):
+        out = phi.apply(stack)
+        assert out.shape == (5, phi.dim_out, phi.dim_out)
+        for i in range(5):
+            assert out[i].tobytes() == phi.apply(matrices[i]).tobytes()
+    assert phi.apply(X[:0]).shape == (0, phi.dim_out, phi.dim_out)
+    bad = X.copy()
+    bad[3, 0, 2] = np.nan
+    with pytest.raises(DomainError, match="non-finite"):
+        phi.apply(bad)
+    for shape in ((5, 2, 2), (1, 5, 3, 3), (9,)):
+        with pytest.raises(DomainError, match="input dimension"):
+            phi.apply(np.zeros(shape))
 
 
 def test_from_kraus_dimension_checks():

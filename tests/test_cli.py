@@ -13,6 +13,7 @@ from qdpi.cli import (
     EXIT_PASS,
     EXIT_PRECONDITION_ERROR,
     EXIT_SUITE_FAILURE,
+    SUITES,
     main,
 )
 from qdpi.divergences import sandwiched_renyi
@@ -238,6 +239,14 @@ class _Called(Exception):
     pass
 
 
+# a value for every suite flag (None for a switch); the test below patches
+# the harness, so the values are only parsed
+SUITE_FLAG_VALUES = {
+    "mode": "tni", "dims": "3", "trials": "4", "seed": "5", "alpha": "0.3", "instances": "2",
+    "n_sequence": "1,2", "hill_steps": "6", "allow_inconclusive": None,
+}
+
+
 @pytest.mark.parametrize("name", sorted(SUITE_ENTRY_POINTS))
 def test_flagless_suite_leaves_defaults_to_the_harness(monkeypatch, name):
     entry = getattr(harness, SUITE_ENTRY_POINTS[name])
@@ -246,6 +255,16 @@ def test_flagless_suite_leaves_defaults_to_the_harness(monkeypatch, name):
         raise _Called(inspect.signature(entry).bind(*args, **kwargs).arguments)
 
     monkeypatch.setattr(harness, SUITE_ENTRY_POINTS[name], record)
+    # one parser serves every command of a process: neither a command giving
+    # every flag nor one that argparse rejects may leave a value behind
+    given = [word for dest in SUITES[name][1]
+             for word in ("--" + dest.replace("_", "-"), SUITE_FLAG_VALUES[dest]) if word is not None]
+    with pytest.raises(_Called) as called:
+        main(["suite", name, *given, "--tolerance-slack", "1e-9"])
+    assert "cfg" in called.value.args[0]
+    with pytest.raises(SystemExit) as rejected:
+        main(["suite", name, "--no-such-flag"])
+    assert rejected.value.code == EXIT_INPUT_ERROR
     with pytest.raises(_Called) as called:
         main(["suite", name])
     params = inspect.signature(entry).parameters

@@ -448,6 +448,15 @@ def test_violation_search_inconclusive_path():
     assert r.best_witness is None
 
 
+def test_violation_search_passes_exactly_when_it_finds_a_violation():
+    found = violation_search(0.3, trials=300, hill_steps=0, seed=3)
+    assert found.outcome == "violation_found" and found.passes < found.trials
+    assert found.passed
+    inconclusive = violation_search(0.3, dims=(2,), trials=2, seed=12345, hill_steps=0)
+    assert inconclusive.outcome == "inconclusive" and inconclusive.passes == inconclusive.trials
+    assert not inconclusive.passed
+
+
 def test_violation_search_rejects_alpha_outside_regime():
     with pytest.raises(DomainError):
         violation_search(0.7, trials=1)

@@ -34,10 +34,7 @@ def test_full_battery_writes_one_report_per_suite(tmp_path, violation_trials):
     )
     assert sorted(p.stem for p in tmp_path.glob("*.json")) == sorted(BATTERY_REPORTS)
     reports = {name: report_from_dict(load_json(tmp_path / f"{name}.json")) for name in BATTERY_REPORTS}
-    passed = all(
-        r.outcome == "violation_found" if name == "violation" else r.passed
-        for name, r in reports.items()
-    )
+    passed = all(r.passed for r in reports.values())
     assert passed == (violation_trials > 0)
     assert proc.returncode == (0 if passed else 1), proc.stderr
 

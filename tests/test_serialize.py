@@ -129,6 +129,12 @@ def test_save_and_load_json_keep_the_sign_of_zero(tmp_path):
     assert np.signbit(re).tolist() == [[False, True], [True, False]]
 
 
+def test_loaded_matrix_keeps_the_sign_of_every_zero():
+    M = np.array([[complex(-0.0, 0.0), complex(0.0, -0.0)], [complex(-0.0, -0.0), 1.0]])
+    back, _ = matrix_from_dict(json.loads(canonical_json(matrix_to_dict(M, "general"))))
+    assert back.tobytes() == M.tobytes()
+
+
 def test_channel_round_trip_prefers_family_descriptor():
     phi = random_cptp(3, seed=13)
     payload = channel_to_dict(phi)
