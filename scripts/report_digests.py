@@ -28,7 +28,6 @@ import tempfile
 
 from qdpi import cli, serialize
 from qdpi.channels import (
-    choi,
     from_kraus,
     from_matrix,
     identity_map,
@@ -65,13 +64,6 @@ ACCEPTANCE_COMMANDS = (
 )
 
 
-def _choi_payload(phi) -> dict:
-    """A map as a `choi` payload, the one form `channel_to_dict` does not write."""
-    C = serialize.matrix_to_dict(choi(phi), "general")
-    return {"schema_version": serialize.SCHEMA_VERSION, "dim_in": phi.dim_in, "dim_out": phi.dim_out,
-            "representation": "choi", "re": C["re"], "im": C["im"]}
-
-
 def check_map_inputs() -> dict:
     """{map name: (map payload, --seed)} of the `check-map` runs."""
     transpose_minus_half = transpose_map(5).matrix - 0.5 * identity_map(5).matrix
@@ -82,7 +74,7 @@ def check_map_inputs() -> dict:
         "superop-transpose-d3": (serialize.channel_to_dict(from_matrix(transpose_map(3).matrix, 3)), 2),
         # X -> X^T - X/2 sends some pure states to a negative eigenvalue
         "superop-falsified-d5": (serialize.channel_to_dict(from_matrix(transpose_minus_half, 5)), 3),
-        "choi-reduction-d4": (_choi_payload(reduction_map(4)), 4),
+        "choi-reduction-d4": (serialize.choi_to_dict(reduction_map(4)), 4),
     }
 
 

@@ -211,12 +211,12 @@ class SuperOperator:
         X = _require_input(X, self.dim_in)
         if self.kraus is not None:
             return _kraus_sum(self.kraus, X)
-        if X.ndim == 2:
-            return _unvec(self.matrix @ _vec(X), self.dim_out, self.dim_out)
-        # one matrix-vector product per matrix (not one matrix product for the
-        # stack), so each image has the bits of the 2-d apply of its matrix
-        v = X.swapaxes(1, 2).reshape(len(X), self.dim_in * self.dim_in, 1)
-        return (self.matrix @ v).reshape(len(X), self.dim_out, self.dim_out).swapaxes(1, 2)
+        # M vec(X) as one matrix-vector product per matrix (not one matrix
+        # product for a stack), so a stacked image has the bits of its matrix's
+        # own; the sizes are written out so an empty stack still reshapes
+        lead = X.shape[:-2]
+        v = X.swapaxes(-1, -2).reshape(lead + (self.dim_in * self.dim_in, 1))
+        return (self.matrix @ v).reshape(lead + (self.dim_out, self.dim_out)).swapaxes(-1, -2)
 
 
 def _require_input(X, dim_in: int) -> np.ndarray:

@@ -464,6 +464,11 @@ def test_apply_of_a_stack_equals_apply_of_each_matrix(make):
         assert out.shape == (5, phi.dim_out, phi.dim_out)
         for i in range(5):
             assert out[i].tobytes() == phi.apply(matrices[i]).tobytes()
+    if phi.kraus is None:
+        # the matrix form is M vec(X) with column-stacking vec
+        for i in range(5):
+            image = (phi.matrix @ X[i].flatten(order="F")).reshape(phi.dim_out, phi.dim_out, order="F")
+            assert phi.apply(X[i]).tobytes() == image.tobytes()
     assert phi.apply(X[:0]).shape == (0, phi.dim_out, phi.dim_out)
     bad = X.copy()
     bad[3, 0, 2] = np.nan

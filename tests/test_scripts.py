@@ -1,5 +1,6 @@
 """The runner scripts at tiny sizes: they write what they say, and exit as they say."""
 
+import importlib.util
 import os
 import pathlib
 import subprocess
@@ -8,7 +9,7 @@ import sys
 import pytest
 
 from qdpi.harness import replay_witness, report_from_dict
-from qdpi.serialize import load_json
+from qdpi.serialize import load_json, save_json
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 BATTERY_REPORTS = (
@@ -21,6 +22,13 @@ def run_script(name, *args):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     cmd = [sys.executable, str(ROOT / "scripts" / name), *map(str, args)]
     return subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=120)
+
+
+def import_script(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 # a violation search of 0 trials is inconclusive, which fails that suite
@@ -72,3 +80,20 @@ def test_report_digests_are_stable_across_runs():
     # exit code and digest; a suite that stops on a precondition writes no report
     assert [line.split()[0] for line in lines] == ["0", "0", "3"]
     assert len(lines[0].split()[1]) == 64 and lines[2].split()[1] == "-"
+
+
+def test_check_map_digests_are_stable_across_runs(tmp_path):
+    script = import_script("report_digests")
+    out = tmp_path / "report.json"
+    certificates = {}
+    for name, (payload, seed) in script.check_map_inputs().items():
+        path = tmp_path / f"{name}.json"
+        save_json(path, payload)
+        argv = ["check-map", "--map", str(path), "--seed", str(seed)]
+        code, sha = script.digest(argv, out)
+        assert code == 0 and len(sha) == 64, name
+        assert script.digest(argv, out) == (code, sha), name
+        certificates[name] = load_json(out)["certificate"]
+    # the probes falsify one map; every probe of the held transpose map stays positive
+    assert certificates["superop-falsified-d5"] == "falsified"
+    assert certificates["superop-transpose-d3"] == "unverified"

@@ -24,6 +24,7 @@ from qdpi.serialize import (
     canonical_json,
     channel_from_dict,
     channel_to_dict,
+    choi_to_dict,
     decode_extended,
     encode_extended,
     load_json,
@@ -176,9 +177,10 @@ def test_channel_round_trip_matrix_path():
 
 def test_channel_choi_representation_round_trip():
     phi = random_cptp(2, seed=14)
-    C = choi(phi)  # maps are never written as choi, but the form is still read
-    payload = {"schema_version": SCHEMA_VERSION, "dim_in": 2, "dim_out": 2, "representation": "choi",
-               "re": C.real.tolist(), "im": C.imag.tolist()}
+    C = choi(phi)
+    payload = choi_to_dict(phi)
+    assert payload == {"schema_version": SCHEMA_VERSION, "dim_in": 2, "dim_out": 2, "representation": "choi",
+                       "re": C.real.tolist(), "im": C.imag.tolist()}
     back = channel_from_dict(payload)
     assert np.allclose(back.matrix, phi.matrix, atol=1e-12)
     assert back.certificate.tag == "completely_positive"
