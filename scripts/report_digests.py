@@ -5,12 +5,15 @@ Each argument is one `qdpi suite` command line without the leading
 `qdpi suite`, for example "dpi --mode tp --trials 300 --seed 44". With no
 arguments the script runs a fixed set of acceptance commands, then writes a
 fixed set of map files (every representation, a map that sampling
-falsifies, the d = 16 reduction map) and runs `qdpi check-map` on each. For
-each command it prints one line: the exit code, the sha256 of the canonical
-report with `runtime_ms` set to 0 ("-" when the command wrote no report),
-and the command, or `check-map <map name>`. Two checkouts whose reports agree
-byte for byte, apart from `runtime_ms`, print the same lines, so comparing
-the output of
+falsifies, the d = 16 reduction map) and runs `qdpi check-map` on each, then
+writes a full-rank and a rank-deficient state pair and runs `qdpi compute`
+on each for the relative entropy, the sandwiched divergence at alpha = 0.3
+and 2 and the old Renyi divergence at alpha = 2. For each command it prints
+one line: the exit code, the sha256 of the canonical report with
+`runtime_ms` set to 0 ("-" when the command wrote no report), and the
+command, `check-map <map name>` or `compute <pair name> <family> [alpha]`.
+Two checkouts whose reports agree byte for byte, apart from `runtime_ms`,
+print the same lines, so comparing the output of
 
     PYTHONPATH=src python3 scripts/report_digests.py
 
@@ -26,6 +29,8 @@ import shlex
 import sys
 import tempfile
 
+import numpy as np
+
 from qdpi import cli, serialize
 from qdpi.channels import (
     from_kraus,
@@ -36,6 +41,7 @@ from qdpi.channels import (
     reduction_map,
     transpose_map,
 )
+from qdpi.sampling import random_density, random_unitary, rng_for_trial
 
 ACCEPTANCE_COMMANDS = (
     "dpi --mode tp --dims 2,3,4,5,6 --trials 300 --seed 44",
@@ -78,6 +84,41 @@ def check_map_inputs() -> dict:
     }
 
 
+COMPUTE_FAMILIES = (("umegaki", None), ("sandwiched", "0.3"), ("sandwiched", "2"), ("old", "2"))
+
+
+def compute_inputs() -> dict:
+    """{pair name: (rho payload, sigma payload)} of the `compute` runs, both of kind psd."""
+    rng = rng_for_trial(44, 0)
+    U = random_unitary(rng, 4)
+    # rank 2 within rank 3: every divergence is finite, and each matrix has
+    # eigenvalues at zero, off its support
+    rank_deficient = [U @ np.diag(w) @ U.conj().T for w in ([0.0, 0.0, 0.4, 0.6], [0.0, 0.2, 0.3, 0.5])]
+    pairs = {"full-rank-d3": (random_density(rng, 3), random_density(rng, 3)), "rank-deficient-d4": rank_deficient}
+    return {name: tuple(serialize.matrix_to_dict(M, "psd") for M in pair) for name, pair in pairs.items()}
+
+
+def file_commands(tmp: pathlib.Path) -> list:
+    """[(label, argv)] of the `check-map` and `compute` runs, their input files written to tmp."""
+    commands = []
+    for name, (payload, seed) in check_map_inputs().items():
+        path = tmp / f"{name}.json"
+        serialize.save_json(path, payload)
+        commands.append((f"check-map {name}", ["check-map", "--map", str(path), "--seed", str(seed)]))
+    for name, payloads in compute_inputs().items():
+        paths = [tmp / f"{name}-{side}.json" for side in ("rho", "sigma")]
+        for path, payload in zip(paths, payloads):
+            serialize.save_json(path, payload)
+        for family, alpha in COMPUTE_FAMILIES:
+            argv = ["compute", "--family", family, "--rho", str(paths[0]), "--sigma", str(paths[1])]
+            label = f"compute {name} {family}"
+            if alpha is not None:
+                argv += ["--alpha", alpha]
+                label += f" {alpha}"
+            commands.append((label, argv))
+    return commands
+
+
 def digest(argv: list, out: pathlib.Path) -> tuple[int, str]:
     """(exit code, report digest or "-") of one qdpi command that writes its report to out."""
     out.unlink(missing_ok=True)
@@ -104,11 +145,9 @@ def main() -> int:
             print(f"{code} {sha} {command}", flush=True)
         if args.commands:
             return 0
-        for name, (payload, seed) in check_map_inputs().items():
-            path = pathlib.Path(tmp) / f"{name}.json"
-            serialize.save_json(path, payload)
-            code, sha = digest(["check-map", "--map", str(path), "--seed", str(seed)], out)
-            print(f"{code} {sha} check-map {name}", flush=True)
+        for label, argv in file_commands(pathlib.Path(tmp)):
+            code, sha = digest(argv, out)
+            print(f"{code} {sha} {label}", flush=True)
     return 0
 
 

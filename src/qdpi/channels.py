@@ -44,9 +44,10 @@ from .linalg import (
     ToleranceConfig,
     ValidatedPSD,
     _dagger,
+    _psd_matrix,
+    _solve,
     as_matrix,
     hermitian_part,
-    psd,
     require_projector,
 )
 from .sampling import (
@@ -203,8 +204,7 @@ class SuperOperator:
 
     @cached_property
     def _choi_min(self) -> float:
-        C = choi(self)
-        return float(np.linalg.eigvalsh((C + C.conj().T) / 2)[0])
+        return float(_solve(np.linalg.eigvalsh, hermitian_part(choi(self)))[0])
 
     def apply(self, X) -> np.ndarray:
         """Phi(X) of a matrix, or of each matrix of an (n, dim_in, dim_in) stack."""
@@ -395,8 +395,7 @@ def _classify_trace(phi: SuperOperator) -> TraceBehavior:
         A = _unvec(
             phi.matrix.conj().T @ _vec(np.eye(phi.dim_out)), phi.dim_in, phi.dim_in
         )
-    A = hermitian_part(A)
-    w, V = np.linalg.eigh(A)
+    w, V = _solve(np.linalg.eigh, hermitian_part(A))
     for M in (w, V):
         M.flags.writeable = False
     if np.abs(w - 1.0).max() <= TRACE_TOLERANCE:
@@ -441,9 +440,8 @@ def classify(
         probes = range(start, min(start + _PROBE_CHUNK, sample_count))
         psis = np.stack([random_unit_vector(rng_for_trial(seed, t), phi.dim_in) for t in probes])
         images = hermitian_part(phi.apply(psis[:, :, None] * psis.conj()[:, None, :]))
-        minima = np.linalg.eigvalsh(images)[:, 0]
-        # a NaN minimum never wins, as it never passes the strict < below
-        i = int(np.argmin(np.where(np.isnan(minima), np.inf, minima)))
+        minima = _solve(np.linalg.eigvalsh, images)[:, 0]
+        i = int(np.argmin(minima))
         if minima[i] < worst:
             worst, worst_psi = float(minima[i]), psis[i]
     if worst_psi is not None and worst < -cfg.psd_tolerance:
@@ -469,7 +467,7 @@ def one_to_one_norm_positive(phi: SuperOperator) -> float:
 
 def gamma_superoperator(sigma, inverse: bool = False, cfg: ToleranceConfig = DEFAULT_TOL) -> SuperOperator:
     """X -> sigma^{1/2} X sigma^{1/2} as a map (inverse powers on the support)."""
-    R = psd(sigma, cfg).power(-0.5 if inverse else 0.5)
+    R = _psd_matrix(sigma, cfg).power(-0.5 if inverse else 0.5)
     d = R.shape[0]
     return from_kraus([R], d, d)
 

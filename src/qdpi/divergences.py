@@ -7,6 +7,10 @@ are measured in nats.
 Support conditions use a trace-norm witness: for PSD ``rho`` the mass of rho
 outside the support of sigma is ``tr[rho] - tr[rho P_sigma]``, compared
 against ``containment_tolerance * tr[rho]``.
+
+``sandwiched_renyi`` takes two matrices or two (n, d, d) stacks, as ``psd``
+does, and gives a list for stacks whose values carry the bits of each pair
+evaluated alone. Every other function takes matrices only.
 """
 
 from __future__ import annotations
@@ -15,14 +19,23 @@ import math
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, DomainError, ToleranceConfig, _dagger, _solve, operator_norm, psd, schatten_norm
+from .linalg import (
+    DEFAULT_TOL,
+    DomainError,
+    ToleranceConfig,
+    _psd_matrix,
+    _solve,
+    hermitian_part,
+    operator_norm,
+    psd,
+    schatten_norm,
+)
 
 __all__ = [
     "support_contained",
     "von_neumann_entropy",
     "relative_entropy",
     "sandwiched_renyi",
-    "sandwiched_renyi_stack",
     "old_renyi",
     "klein_gap",
     "gamma_map",
@@ -33,10 +46,16 @@ __all__ = [
 
 
 def _pair(rho, sigma, cfg: ToleranceConfig):
+    """Validated rho and sigma of one shape: two matrices, or two stacks for sandwiched_renyi."""
     rho, sigma = psd(rho, cfg), psd(sigma, cfg)
     if rho.matrix.shape != sigma.matrix.shape:
         raise DomainError(f"shape mismatch: {rho.matrix.shape} vs {sigma.matrix.shape}")
     return rho, sigma
+
+
+def _matrix_pair(rho, sigma, cfg: ToleranceConfig):
+    """``_pair`` of two matrices: a stack is rejected."""
+    return _pair(_psd_matrix(rho, cfg), _psd_matrix(sigma, cfg), cfg)
 
 
 def _trace(A) -> float:
@@ -62,12 +81,12 @@ def support_contained(rho, sigma, cfg: ToleranceConfig = DEFAULT_TOL) -> bool:
     Uses ||(1 - P) rho (1 - P)||_1 = tr[rho] - tr[rho P] for the support
     projector P of sigma, measured relative to tr[rho].
     """
-    return bool(_contained(*_pair(rho, sigma, cfg), cfg))
+    return bool(_contained(*_matrix_pair(rho, sigma, cfg), cfg))
 
 
 def von_neumann_entropy(rho, cfg: ToleranceConfig = DEFAULT_TOL) -> float:
     """-tr[rho ln rho] in nats."""
-    return -_xlogx(psd(rho, cfg).w)
+    return -_xlogx(_psd_matrix(rho, cfg).w)
 
 
 def _relative_core(rho, sigma, cfg: ToleranceConfig) -> float:
@@ -83,7 +102,7 @@ def relative_entropy(rho, sigma, cfg: ToleranceConfig = DEFAULT_TOL) -> float:
     rho = 0 gives 0 by convention (both sides of any monotonicity statement
     vanish for the zero operator).
     """
-    rho, sigma = _pair(rho, sigma, cfg)
+    rho, sigma = _matrix_pair(rho, sigma, cfg)
     if _trace(rho) == 0.0:
         return 0.0
     return _relative_core(rho, sigma, cfg)
@@ -94,99 +113,78 @@ def _renyi_pair(rho, sigma, alpha: float, cfg: ToleranceConfig):
     if not (0.0 < alpha < math.inf and alpha != 1.0):
         raise DomainError(f"alpha must be in (0,1) or (1,inf), got {alpha}")
     rho, sigma = _pair(rho, sigma, cfg)
-    if rho.matrix.ndim == 2:
-        undefined = _trace(rho) == 0.0
-    else:  # a stack: any matrix of trace 0
-        undefined = 0.0 in rho.matrix.trace(axis1=1, axis2=2).real.tolist()
-    if undefined:
+    if 0.0 in rho.matrix.trace(axis1=-2, axis2=-1).real.ravel().tolist():
         raise DomainError("Renyi divergence is undefined for rho = 0")
     return rho, sigma, alpha
 
 
-def _power_sum_terms(w: np.ndarray, alpha: float):
-    """m and s with sum w^alpha = e^m s, along the last axis of positive spectra w."""
-    # log-sum-exp form keeps large alpha from overflowing
+# math.log elementwise: numpy's SIMD log can differ from it in the last bit, which would change report bytes
+_math_log = np.frompyfunc(math.log, 1, 1)
+
+
+def _renyi_values(w: np.ndarray, alpha: float):
+    """(1/(alpha-1)) ln sum w^alpha of each positive spectrum on the last axis of w.
+
+    The sum is taken in log-sum-exp form, which keeps large alpha from
+    overflowing, and its logarithm by ``math.log``. A numpy float for one
+    spectrum, an object array of floats for a stack.
+    """
     logs = np.log(w)
     logs *= alpha
-    m = np.maximum.reduce(logs, axis=-1)
+    # the initial value lets an empty stack of 0 x 0 spectra reduce
+    m = np.maximum.reduce(logs, axis=-1, initial=-math.inf)
     logs -= m[..., None]
-    return m, np.add.reduce(np.exp(logs, out=logs), axis=-1)
+    s = np.add.reduce(np.exp(logs, out=logs), axis=-1)
+    return (m + _math_log(s)) / (alpha - 1.0)
 
 
-def _renyi_value(m: float, s: float, alpha: float) -> float:
-    """(1/(alpha-1)) ln (e^m s)."""
-    return (m + math.log(s)) / (alpha - 1.0)
+def _sandwiched_values(rho, sigma, alpha: float):
+    """The sandwiched formula of a pair, or of each pair of two stacks, without the support condition.
 
-
-def _renyi_of_spectrum(w: np.ndarray, alpha: float) -> float:
-    """(1/(alpha-1)) ln sum_{w > 0} w^alpha of one ascending spectrum; +inf without a positive entry."""
-    if not w[0] > 0.0:
-        w = w[w > 0.0]
-        if w.size == 0:
-            return math.inf
-    m, s = _power_sum_terms(w, alpha)
-    return _renyi_value(float(m), float(s), alpha)
-
-
-def _renyi_of_spectra(w: np.ndarray, alpha: float) -> list[float]:
-    """``_renyi_of_spectrum`` of each row of an (n, d) stack of ascending spectra.
-
-    Rows are grouped by their count k of positive entries, which are their
-    last k, so each row is reduced exactly as it would be alone.
+    The sum runs over the positive eigenvalues of each product
+    sigma^{(1-alpha)/2a} rho sigma^{(1-alpha)/2a}, +inf without one.
+    Spectra with an eigenvalue that is not positive are grouped by their
+    count k of positive ones, which are their last k, so each spectrum is
+    reduced exactly as it is alone. Shaped as ``_renyi_values``.
     """
-    values = [math.inf] * len(w)
-    counts = np.count_nonzero(w > 0.0, axis=1)
-    for k in set(counts.tolist()) - {0}:
-        rows = np.flatnonzero(counts == k)
-        m, s = _power_sum_terms(w[rows, -k:], alpha)
-        for i, m_i, s_i in zip(rows.tolist(), m.tolist(), s.tolist()):
-            values[i] = _renyi_value(m_i, s_i, alpha)
+    A = sigma.power((1.0 - alpha) / (2.0 * alpha))
+    # symmetrized, not validated: the entries of this product can be far above
+    # any absolute Hermiticity tolerance when sigma is nearly singular
+    w, _ = _solve(np.linalg.eigh, hermitian_part(A @ rho.matrix @ A))
+    if w.min(initial=math.inf) > 0.0:  # every eigenvalue positive, the common case
+        return _renyi_values(w, alpha)
+    counts = np.count_nonzero(w > 0.0, axis=-1)
+    values = np.full(counts.shape, math.inf)
+    for k in set(counts.ravel().tolist()) - {0}:
+        rows = counts == k
+        values[rows] = _renyi_values(w[rows][:, -k:], alpha)
     return values
 
 
-def _sandwiched_spectra(rho, sigma, alpha: float) -> np.ndarray:
-    """Ascending spectra of sigma^{(1-alpha)/2a} rho sigma^{(1-alpha)/2a}, one row per matrix of a stack.
-
-    The sandwiched divergence is (1/(alpha-1)) ln of the sum of their
-    alpha-th powers, for one matrix and for each matrix of a stack.
-    """
-    A = sigma.power((1.0 - alpha) / (2.0 * alpha))
-    B = A @ rho.matrix @ A
-    # symmetrized, not validated: the entries of this product can be far above
-    # any absolute Hermiticity tolerance when sigma is nearly singular
-    w, _ = _solve(np.linalg.eigh, (B + _dagger(B)) / 2)
-    return w
-
-
-def sandwiched_renyi(rho, sigma, alpha: float, cfg: ToleranceConfig = DEFAULT_TOL) -> float:
+def sandwiched_renyi(rho, sigma, alpha: float, cfg: ToleranceConfig = DEFAULT_TOL):
     """Sandwiched Renyi divergence of order alpha in (0, 1) or (1, inf).
 
     (1/(alpha-1)) ln tr[(sigma^{(1-alpha)/2a} rho sigma^{(1-alpha)/2a})^alpha].
     For alpha > 1 the support condition applies (+inf on failure). For
     alpha < 1 the same formula is exposed as an extension; the value is +inf
     exactly when the trace vanishes (orthogonal supports).
+
+    A float for two matrices; for two (n, d, d) stacks a list of n floats,
+    each carrying the bits of its pair evaluated alone.
     """
     rho, sigma, alpha = _renyi_pair(rho, sigma, alpha, cfg)
-    if alpha > 1.0 and not _contained(rho, sigma, cfg):
-        return math.inf
-    return _renyi_of_spectrum(_sandwiched_spectra(rho, sigma, alpha), alpha)
-
-
-def sandwiched_renyi_stack(rho, sigma, alpha: float, cfg: ToleranceConfig = DEFAULT_TOL) -> list[float]:
-    """``sandwiched_renyi`` of each pair of matrices of two stacks built by ``psd_stack``.
-
-    Each value carries the same bits as ``sandwiched_renyi`` of that pair alone.
-    """
-    rho, sigma, alpha = _renyi_pair(rho, sigma, alpha, cfg)
-    values = _renyi_of_spectra(_sandwiched_spectra(rho, sigma, alpha), alpha)
     if alpha > 1.0:
-        values = [v if ok else math.inf for v, ok in zip(values, _contained(rho, sigma, cfg).tolist())]
-    return values
+        contained = _contained(rho, sigma, cfg)
+        if False in contained.ravel().tolist():
+            # +inf off the support, with no eigensolve when no pair is on it
+            values = _sandwiched_values(rho, sigma, alpha) if contained.any() else math.inf
+            return np.where(contained, values, math.inf).tolist()
+    return _sandwiched_values(rho, sigma, alpha).tolist()
 
 
 def old_renyi(rho, sigma, alpha: float, cfg: ToleranceConfig = DEFAULT_TOL) -> float:
     """Non-sandwiched quantity (1/(alpha-1)) ln tr[rho^alpha sigma^{1-alpha}]."""
-    rho, sigma, alpha = _renyi_pair(rho, sigma, alpha, cfg)
+    rho, sigma, alpha = _renyi_pair(_psd_matrix(rho, cfg), _psd_matrix(sigma, cfg), alpha, cfg)
     if alpha > 1.0 and not support_contained(rho, sigma, cfg):
         return math.inf
     q = float(np.einsum("ij,ji->", rho.power(alpha), sigma.power(1.0 - alpha)).real)
@@ -200,7 +198,7 @@ def klein_gap(A, B, cfg: ToleranceConfig = DEFAULT_TOL) -> float:
 
     +inf when supp(A) is not contained in supp(B).
     """
-    A, B = _pair(A, B, cfg)
+    A, B = _matrix_pair(A, B, cfg)
     tr_A, tr_B = _trace(A), _trace(B)
     if tr_A == 0.0:
         return tr_B
@@ -209,7 +207,7 @@ def klein_gap(A, B, cfg: ToleranceConfig = DEFAULT_TOL) -> float:
 
 def gamma_map(sigma, X, cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """sigma^{1/2} X sigma^{1/2}."""
-    root = psd(sigma, cfg).power(0.5)
+    root = _psd_matrix(sigma, cfg).power(0.5)
     return root @ np.asarray(X, dtype=np.complex128) @ root
 
 
@@ -220,7 +218,7 @@ def gamma_inverse(sigma, X, cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     compared against sqrt(containment_tolerance) * ||X||_inf because mass
     epsilon outside the support shows up as sqrt(epsilon) cross blocks.
     """
-    sigma = psd(sigma, cfg)
+    sigma = _psd_matrix(sigma, cfg)
     X = np.asarray(X, dtype=np.complex128)
     P = sigma.projector()
     defect = operator_norm(X - P @ X @ P)
@@ -246,7 +244,7 @@ def weighted_p_norm(X, sigma, p: float, cfg: ToleranceConfig = DEFAULT_TOL) -> f
     p = float(p)
     if p < 1.0:
         raise DomainError(f"weighted norm requires p >= 1, got {p}")
-    sigma = psd(sigma, cfg)
+    sigma = _psd_matrix(sigma, cfg)
     if not (sigma.w.size and sigma.on.all()):
         raise DomainError("sigma is rank-deficient; restrict to its support before taking weighted norms")
     root = sigma.power(1.0 / (2.0 * p))
@@ -264,7 +262,7 @@ def renyi_via_norm(rho, sigma, alpha: float, cfg: ToleranceConfig = DEFAULT_TOL)
     alpha = float(alpha)
     if not 1.0 < alpha < math.inf:
         raise DomainError(f"norm form needs finite alpha > 1, got {alpha}")
-    rho, sigma = _pair(rho, sigma, cfg)
+    rho, sigma = _matrix_pair(rho, sigma, cfg)
     if not support_contained(rho, sigma, cfg):
         return math.inf
     X = rho.matrix

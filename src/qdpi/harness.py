@@ -32,18 +32,18 @@ from .linalg import (
     DEFAULT_TOL,
     DomainError,
     ToleranceConfig,
+    _psd_matrix,
+    _solve,
     hermitian_part,
     min_eigenvalue,
     operator_norm,
     psd,
-    psd_stack,
     trace_norm,
 )
 from .divergences import (
     klein_gap,
     relative_entropy,
     sandwiched_renyi,
-    sandwiched_renyi_stack,
     support_contained,
     von_neumann_entropy,
     weighted_p_norm,
@@ -286,8 +286,8 @@ def _monotonicity_trial(phi, rho, sigma, alpha, cfg):
     behavior = trace_behavior(phi)
     if not behavior.is_nonincreasing:
         raise DomainError("monotonicity preconditions need a trace-nonincreasing map")
-    rho = psd(rho, cfg)
-    sigma = psd(sigma, cfg)
+    rho = _psd_matrix(rho, cfg)
+    sigma = _psd_matrix(sigma, cfg)
     if alpha is None and behavior.tag == "nonincreasing":
         drift = abs(float(np.trace(phi.apply(rho)).real) - float(np.trace(rho.matrix).real))
         if drift > TRACE_MATCH_TOLERANCE:
@@ -585,7 +585,7 @@ def _contraction_checks(tally: _Tally, sigma, phi: SuperOperator, alphas, trials
         raise DomainError("norm contraction needs a certified positive map")
     if not trace_behavior(phi).is_nonincreasing:
         raise DomainError("norm contraction needs a trace-nonincreasing map")
-    sigma = psd(sigma, cfg)
+    sigma = _psd_matrix(sigma, cfg)
     d = phi.dim_in
     if sigma.matrix.shape[0] != d:
         raise DomainError(f"sigma dimension {sigma.matrix.shape[0]} != map input dimension {d}")
@@ -727,8 +727,8 @@ def step2_suite(
         raise DomainError(f"seed must be nonnegative, got {seed}")
     if phi.dim_in != d or phi.dim_out != d:
         raise DomainError("step-2 study needs a square map of the stated dimension")
-    rho = psd(rho, cfg)
-    sigma = psd(sigma, cfg)
+    rho = _psd_matrix(rho, cfg)
+    sigma = _psd_matrix(sigma, cfg)
     config = {
         "d": int(d),
         "n_sequence": list(n_sequence),
@@ -737,7 +737,7 @@ def step2_suite(
     tally = _Tally("step2", seed, config, cfg)
     parts = _parts(phi, rho, sigma, None, cfg)
 
-    image_w, image_V = np.linalg.eigh(hermitian_part(phi.apply(rho)))
+    image_w, image_V = _solve(np.linalg.eigh, hermitian_part(phi.apply(rho)))
     projectors = []
     for n in n_sequence:
         P = _descending_projector(rho.w, rho.V, n, d)
@@ -903,8 +903,8 @@ def alpha_limit_suite(
     eps = DEFAULT_EPS_GRID[-1]
     tally = _Tally("alpha-limit", seed, config, cfg)
     for rho, sigma in pairs:
-        rho = psd(rho, cfg)
-        sigma = psd(sigma, cfg)
+        rho = _psd_matrix(rho, cfg)
+        sigma = _psd_matrix(sigma, cfg)
         target = relative_entropy(rho, sigma, cfg)
         values = [sandwiched_renyi(rho, sigma, 1.0 + e, cfg) for e in DEFAULT_EPS_GRID]
         errors = [abs(v - target) for v in values]
@@ -961,10 +961,10 @@ def _violation_trials(alpha: float, draws, cfg: ToleranceConfig):
             V = phase_fixed_q(np.stack(iso))
             rho = density_of_factor(np.stack(rho_factors))
             sigma = density_of_factor(np.stack(sigma_factors))
-            lhs = sandwiched_renyi_stack(psd_stack(rho, cfg), psd_stack(sigma, cfg), alpha, cfg)
+            lhs = sandwiched_renyi(psd(rho, cfg), psd(sigma, cfg), alpha, cfg)
             kraus = kraus_blocks(V, d)
-            images = [psd_stack(hermitian_part(apply_kraus_stack(kraus, X)), cfg) for X in (rho, sigma)]
-            rhs = sandwiched_renyi_stack(*images, alpha, cfg)
+            images = [psd(hermitian_part(apply_kraus_stack(kraus, X)), cfg) for X in (rho, sigma)]
+            rhs = sandwiched_renyi(*images, alpha, cfg)
             for k, i in enumerate(places):
                 results[i] = (lhs[k], rhs[k], V[k], rho[k], sigma[k])
         yield from results

@@ -13,10 +13,10 @@ negative powers total on PSD inputs (pseudo-inverse convention).
 
 A PSD operator is validated once: ``psd`` runs one Hermiticity check and one
 ``eigh`` and returns a ``ValidatedPSD``, which every divergence and weighted
-norm accepts in place of an ndarray without validating it again.
-``psd_stack`` validates an (n, d, d) stack the same way, each check per
-matrix, with one stacked ``eigh``; its ``ValidatedPSD`` carries the leading
-axis through every method.
+norm accepts in place of an ndarray without validating it again. ``psd`` of
+an (n, d, d) stack runs every check on every matrix with one stacked
+``eigh``; its ``ValidatedPSD`` carries the leading axis through every method.
+Every eigensolve goes through ``_solve``.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ __all__ = [
     "require_hermitian",
     "ValidatedPSD",
     "psd",
-    "psd_stack",
     "require_projector",
     "min_eigenvalue",
     "schatten_norm",
@@ -83,13 +82,19 @@ DEFAULT_TOL = ToleranceConfig()
 
 
 def as_matrix(M) -> np.ndarray:
-    """Coerce to a 2-d complex128 array; a ValidatedPSD gives its matrix."""
-    if isinstance(M, ValidatedPSD):
-        return M.matrix
-    A = np.asarray(M, dtype=np.complex128)
+    """Coerce to a 2-d complex128 array; a ValidatedPSD of one matrix gives its matrix."""
+    A = M.matrix if isinstance(M, ValidatedPSD) else np.asarray(M, dtype=np.complex128)
     if A.ndim != 2:
         raise DomainError(f"expected a matrix, got array of ndim {A.ndim}")
     return A
+
+
+def _as_operator(A) -> np.ndarray:
+    """Coerce to a complex128 square matrix or (n, d, d) stack; a ValidatedPSD gives its matrix."""
+    A = A.matrix if isinstance(A, ValidatedPSD) else np.asarray(A, dtype=np.complex128)
+    if A.ndim not in (2, 3):
+        raise DomainError(f"expected a matrix, got array of ndim {A.ndim}")
+    return _require_square(A)
 
 
 def _require_square(A: np.ndarray) -> np.ndarray:
@@ -109,26 +114,25 @@ def _first(values, bad) -> float:
 
 
 def hermitian_part(A) -> np.ndarray:
-    """(A + A^dagger) / 2 of a matrix, or of each matrix in an (n, d, d) stack."""
-    A = A.matrix if isinstance(A, ValidatedPSD) else np.asarray(A, dtype=np.complex128)
-    if A.ndim not in (2, 3):
-        raise DomainError(f"expected a matrix, got array of ndim {A.ndim}")
-    A = _require_square(A)
-    return (A + _dagger(A)) / 2
+    """A/2 + A^dagger/2 of a matrix, or of each matrix in an (n, d, d) stack.
+
+    Halving before adding is exact and keeps every finite entry finite.
+    """
+    half = _as_operator(A) / 2
+    return half + _dagger(half)
 
 
 def _checked_hermitian(A: np.ndarray, cfg: ToleranceConfig) -> np.ndarray:
     """Finite entries and Hermiticity of a matrix or of each matrix of a stack; the symmetrized copy."""
     if not np.isfinite(A).all():
         raise DomainError("matrix has non-finite entries")
-    A_dagger = _dagger(A)
-    diff = np.abs(A - A_dagger)
+    diff = np.abs(A - _dagger(A))
     if A.size and diff.max() > cfg.hermiticity_tolerance:
         defect = diff.max(axis=(-2, -1))
         raise DomainError(
             f"matrix is not Hermitian (defect {_first(defect, defect > cfg.hermiticity_tolerance):.3e})"
         )
-    return (A + A_dagger) / 2
+    return hermitian_part(A)
 
 
 def require_hermitian(A, cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
@@ -137,11 +141,18 @@ def require_hermitian(A, cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
 
 
 def _solve(solver, A: np.ndarray):
-    """Run a numpy Hermitian eigensolver, reporting non-convergence as EigensolverError."""
+    """Run a numpy Hermitian eigensolver (``np.linalg.eigh`` or ``eigvalsh``) on A.
+
+    Non-convergence raises EigensolverError; eigenvalues beyond the float
+    range, which a finite A near the float limit can have, raise DomainError.
+    """
     try:
-        return solver(A)
+        out = solver(A)
     except np.linalg.LinAlgError as exc:
         raise EigensolverError(A.shape[-1]) from exc
+    if not np.isfinite(out[0] if isinstance(out, tuple) else out).all():
+        raise DomainError("spectrum overflows the float range")
+    return out
 
 
 class ValidatedPSD:
@@ -150,8 +161,8 @@ class ValidatedPSD:
     ``matrix`` is the symmetrized input, ``w``/``V`` its ascending eigenvalues
     and eigenvectors, and ``on`` the support mask under ``cfg.support_cutoff``
     (built on first use).
-    Built by ``psd`` for one matrix, or by ``psd_stack`` for a stack, whose
-    leading axis every field and method keeps. The support projector and the
+    Built by ``psd`` for one matrix or for an (n, d, d) stack, whose leading
+    axis every field and method keeps. The support projector and the
     functions on the support are computed once per value and returned
     read-only.
     """
@@ -172,14 +183,11 @@ class ValidatedPSD:
     @property
     def on(self) -> np.ndarray:
         if self._on is None:
-            w = self.w
-            if w.ndim == 1:  # one matrix; a 0 x 0 one has an empty support
-                lambda_max = w[-1] if w.size else 0.0
-            else:
-                lambda_max = w[:, -1:]
-            # every eigenvalue is <= lambda_max, so a lambda_max <= 0 or a cutoff
-            # of 1 or more leaves an empty support
-            self._on = w > min(self.cfg.support_cutoff, 1.0) * lambda_max
+            # eigh sorts ascending, so lambda_max is the last eigenvalue of each
+            # matrix; every eigenvalue is <= lambda_max, so a lambda_max <= 0 or
+            # a cutoff of 1 or more leaves an empty support
+            lambda_max = self.w[..., -1:]
+            self._on = self.w > min(self.cfg.support_cutoff, 1.0) * lambda_max
         return self._on
 
     def projector(self) -> np.ndarray:
@@ -187,16 +195,14 @@ class ValidatedPSD:
         return self._cached("projector", self._projector)
 
     def _projector(self) -> np.ndarray:
-        on = self.on
-        if on.ndim == 1:
-            Von = self.V[:, on]
-            return Von @ _dagger(Von)
-        # a stack: full-support matrices at once, the others from their own
-        # support columns, so each matrix gets the bits psd(matrix).projector() has
-        P = self.V @ _dagger(self.V)
-        for i in np.flatnonzero(~on.all(axis=-1)).tolist():
-            Von = self.V[i][:, on[i]]
-            P[i] = Von @ _dagger(Von)
+        # every matrix at once, then each one short of full support from its own
+        # support columns, so a matrix of a stack gets the bits it has alone
+        on, V = self.on, self.V
+        P = V @ _dagger(V)
+        if not on.all():
+            for i in map(tuple, np.argwhere(~on.all(axis=-1))):
+                Von = V[i][:, on[i]]
+                P[i] = Von @ _dagger(Von)
         return P
 
     def _on_support(self, scalar_fn) -> np.ndarray:
@@ -218,8 +224,8 @@ class ValidatedPSD:
 def _validated_psd(M: np.ndarray, cfg: ToleranceConfig) -> ValidatedPSD:
     """One eigh of symmetrized M (a matrix or a stack) and the min-eigenvalue check of each matrix."""
     w, V = _solve(np.linalg.eigh, M)
-    # eigh sorts ascending: the first eigenvalue of each matrix is its lowest
-    if w.size and (w[0] if w.ndim == 1 else w[:, 0].min()) < -cfg.psd_tolerance:
+    if w.min(initial=0.0) < -cfg.psd_tolerance:
+        # eigh sorts ascending: the first eigenvalue of each matrix is its lowest
         lowest = w[..., 0]
         raise DomainError(
             f"matrix is not PSD (min eigenvalue {_first(lowest, lowest < -cfg.psd_tolerance):.3e})"
@@ -230,23 +236,19 @@ def _validated_psd(M: np.ndarray, cfg: ToleranceConfig) -> ValidatedPSD:
 def psd(A, cfg: ToleranceConfig = DEFAULT_TOL) -> ValidatedPSD:
     """Validate Hermiticity plus min eigenvalue >= -psd_tolerance, with one eigh.
 
+    A is a matrix or an (n, d, d) stack; every check runs on every matrix of
+    a stack, and the first failing matrix raises the error it raises alone.
     A ValidatedPSD built under the same tolerances is returned unchanged.
     """
     if isinstance(A, ValidatedPSD) and (A.cfg is cfg or A.cfg == cfg):
         return A
-    return _validated_psd(require_hermitian(A, cfg), cfg)
+    return _validated_psd(_checked_hermitian(_as_operator(A), cfg), cfg)
 
 
-def psd_stack(A, cfg: ToleranceConfig = DEFAULT_TOL) -> ValidatedPSD:
-    """``psd`` of each matrix in an (n, d, d) stack, with one stacked eigh.
-
-    Every check of ``psd`` runs on every matrix; the first failing matrix
-    raises the error ``psd`` raises for it.
-    """
-    A = np.asarray(A, dtype=np.complex128)
-    if A.ndim != 3:
-        raise DomainError(f"expected a stack of matrices, got array of ndim {A.ndim}")
-    return _validated_psd(_checked_hermitian(_require_square(A), cfg), cfg)
+def _psd_matrix(A, cfg: ToleranceConfig) -> ValidatedPSD:
+    """``psd`` of one matrix: a stack raises the DomainError ``as_matrix`` raises."""
+    as_matrix(A)
+    return psd(A, cfg)
 
 
 def require_projector(P, cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:

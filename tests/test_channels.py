@@ -43,7 +43,6 @@ from qdpi.linalg import (
     min_eigenvalue,
     operator_norm,
     psd,
-    psd_stack,
 )
 from qdpi.sampling import (
     density_of_factor,
@@ -294,8 +293,8 @@ _PROBED_MAPS = {
     # X -> -tr(X) E_00: every probe's minimum is minus its rounded trace, so
     # equal minima recur within each stack and the first one must win
     "negated-trace-2": lambda: from_matrix(np.array([[-1.0, 0, 0, -1]] + [[0.0] * 4] * 3), 2),
-    # a non-Hermitian Choi matrix, so no Choi eigensolve; some probe images
-    # overflow to a NaN minimum, which never wins, and the others falsify
+    # a non-Hermitian Choi matrix, so no Choi eigensolve; entries near the
+    # float limit, which the halving symmetrization keeps finite, falsify
     "overflowing-negation-2": lambda: from_matrix(-1e308 * np.eye(4) + 1e-3j, 2),
     **{f"random-matrix-{d}": (lambda d=d: _random_matrix_map(d)) for d in range(3, 7)},
     **{f"{family.__name__}-{form}-{d}": (lambda family=family, form=form, d=d: _held_as(form, family(d)))
@@ -458,7 +457,7 @@ def test_apply_of_a_stack_equals_apply_of_each_matrix(make):
     phi = make()
     rng = np.random.default_rng(5)
     X = np.stack([random_density(rng, 3) for _ in range(5)])
-    validated = psd_stack(X)
+    validated = psd(X)
     for stack, matrices in ((X, X), (validated, validated.matrix)):
         out = phi.apply(stack)
         assert out.shape == (5, phi.dim_out, phi.dim_out)

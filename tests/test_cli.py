@@ -1,6 +1,7 @@
 import inspect
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -444,6 +445,28 @@ def test_eigensolver_failure_is_numerical_error(state_files, capsys, monkeypatch
     assert captured.out == ""
     assert captured.err.startswith("internal numerical error:")
     assert captured.err.count("\n") == 1
+
+
+def _unconverged(*args, **kwargs):
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
+@pytest.mark.parametrize("matrix, stubbed, code, err", [
+    # finite entries whose Choi spectrum lies beyond the float range
+    (-1e308 * np.eye(4), False, EXIT_PRECONDITION_ERROR, "precondition error: spectrum overflows the float range"),
+    (random_cptp(2, seed=1).matrix, True, EXIT_NUMERICAL_ERROR,
+     "internal numerical error: hermitian eigensolver failed to converge (dim=4)"),
+], ids=["overflow", "unconverged"])
+def test_check_map_spectrum_failure_is_one_line(tmp_path, capsys, monkeypatch, matrix, stubbed, code, err):
+    if stubbed:
+        monkeypatch.setattr(np.linalg, "eigvalsh", _unconverged)
+    path = tmp_path / "map.json"
+    serialize.save_json(path, serialize.channel_to_dict(from_matrix(matrix, 2)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["check-map", "--map", str(path)]) == code
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == err + "\n"
 
 
 def test_replay_mismatch_is_numerical_error(capsys, monkeypatch):

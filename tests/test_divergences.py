@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qdpi.channels import gamma_superoperator
 from qdpi.divergences import (
     gamma_inverse,
     gamma_map,
@@ -12,12 +13,11 @@ from qdpi.divergences import (
     relative_entropy,
     renyi_via_norm,
     sandwiched_renyi,
-    sandwiched_renyi_stack,
     support_contained,
     von_neumann_entropy,
     weighted_p_norm,
 )
-from qdpi.linalg import DomainError, ToleranceConfig, operator_norm, psd, psd_stack
+from qdpi.linalg import DomainError, ToleranceConfig, operator_norm, psd
 from qdpi.sampling import random_density, random_hermitian, random_unitary, rng_for_trial
 
 
@@ -139,10 +139,33 @@ def test_renyi_rejects_zero_rho_and_bad_alpha():
 def test_renyi_forms_reject_non_finite_alpha(fn, alpha):
     rho, sigma = np.diag([0.9, 0.1]), np.eye(2) / 2
     if fn == "stack":
-        rho, sigma = psd_stack(rho[None]), psd_stack(sigma[None])
-        fn = sandwiched_renyi_stack
+        rho, sigma = psd(rho[None]), psd(sigma[None])
+        fn = sandwiched_renyi
     with pytest.raises(DomainError, match="alpha"):
         fn(rho, sigma, alpha)
+
+
+# every form of one matrix; only sandwiched_renyi also takes stacks
+ONE_MATRIX_FORMS = {
+    "von_neumann_entropy": lambda S, X: von_neumann_entropy(S),
+    "relative_entropy": lambda S, X: relative_entropy(S, S),
+    "klein_gap": lambda S, X: klein_gap(S, S),
+    "support_contained": lambda S, X: support_contained(S, S),
+    "old_renyi": lambda S, X: old_renyi(S, S, 2.0),
+    "renyi_via_norm": lambda S, X: renyi_via_norm(S, S, 2.0),
+    "gamma_map": lambda S, X: gamma_map(S, X),
+    "gamma_inverse": lambda S, X: gamma_inverse(S, X),
+    "weighted_p_norm": lambda S, X: weighted_p_norm(X, S, 2.0),
+    "gamma_superoperator": lambda S, X: gamma_superoperator(S),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ONE_MATRIX_FORMS))
+@pytest.mark.parametrize("validated", [False, True])
+def test_one_matrix_forms_reject_a_stack(name, validated):
+    stack = np.stack([np.eye(2) / 2] * 3)
+    with pytest.raises(DomainError, match="expected a matrix, got array of ndim 3"):
+        ONE_MATRIX_FORMS[name](psd(stack) if validated else stack, np.eye(2) / 2)
 
 
 def test_sandwiched_support_rules_differ_across_one():
@@ -434,9 +457,9 @@ def _stack_cases(d: int, n: int = 8):
 @pytest.mark.parametrize("d", [2, 3, 9])
 def test_sandwiched_renyi_stack_carries_the_scalar_bits(alpha, d):
     rhos, sigmas = _stack_cases(d)
-    values = sandwiched_renyi_stack(psd_stack(rhos), psd_stack(sigmas), alpha)
+    values = sandwiched_renyi(psd(rhos), psd(sigmas), alpha)
     assert values == [sandwiched_renyi(r, s, alpha) for r, s in zip(rhos, sigmas)]
-    assert math.isinf(values[-1])
+    assert all(type(v) is float for v in values) and math.isinf(values[-1])
 
 
 def test_sandwiched_renyi_stack_decides_support_as_the_scalar_path():
@@ -451,7 +474,7 @@ def test_sandwiched_renyi_stack_decides_support_as_the_scalar_path():
             continue
         leaking += 1
         cfg = ToleranceConfig(containment_tolerance=leak / tr)
-        values = sandwiched_renyi_stack(psd_stack(rhos, cfg), psd_stack(sigmas, cfg), 2.0, cfg)
+        values = sandwiched_renyi(psd(rhos, cfg), psd(sigmas, cfg), 2.0, cfg)
         assert values[i] == sandwiched_renyi(r, s, 2.0, cfg)
     assert leaking >= 2
 
@@ -461,8 +484,8 @@ def test_sandwiched_renyi_stack_checks_its_inputs():
     with pytest.raises(DomainError, match="rho = 0"):
         zero = rhos.copy()
         zero[3] = 0.0
-        sandwiched_renyi_stack(psd_stack(zero), psd_stack(sigmas), 0.5)
+        sandwiched_renyi(psd(zero), psd(sigmas), 0.5)
     with pytest.raises(DomainError, match="alpha"):
-        sandwiched_renyi_stack(psd_stack(rhos), psd_stack(sigmas), 1.0)
+        sandwiched_renyi(psd(rhos), psd(sigmas), 1.0)
     with pytest.raises(DomainError, match="shape mismatch"):
-        sandwiched_renyi_stack(psd_stack(rhos), psd_stack(sigmas[:-1]), 0.5)
+        sandwiched_renyi(psd(rhos), psd(sigmas[:-1]), 0.5)

@@ -13,7 +13,6 @@ from qdpi.linalg import (
     min_eigenvalue,
     operator_norm,
     psd,
-    psd_stack,
     require_hermitian,
     require_projector,
     schatten_norm,
@@ -247,7 +246,7 @@ def _mixed_rank_stack(d: int = 3, n: int = 6) -> np.ndarray:
 
 def test_psd_stack_equals_psd_of_each_matrix():
     stack = _mixed_rank_stack()
-    v = psd_stack(stack)
+    v = psd(stack)
     for i, A in enumerate(stack):
         one = psd(A)
         assert np.array_equal(v.matrix[i], one.matrix)
@@ -275,12 +274,12 @@ def test_psd_stack_checks_every_matrix():
     for bad in bad_cases:
         first = next(A for A in bad if _psd_error(A) is not None)
         with pytest.raises(DomainError) as err:
-            psd_stack(bad)
+            psd(bad)
         assert str(err.value) == _psd_error(first)
     with pytest.raises(DomainError):
-        psd_stack(stack[0])
+        psd(stack[None])
     with pytest.raises(DomainError):
-        psd_stack(np.zeros((2, 3, 2)))
+        psd(np.zeros((2, 3, 2)))
 
 
 def _psd_error(A):
@@ -301,6 +300,6 @@ def test_support_mask_is_empty_without_a_positive_top_eigenvalue(cutoff):
     cfg = ToleranceConfig(support_cutoff=cutoff)
     for A in (np.zeros((3, 3)), -1e-12 * np.eye(3), np.diag([-1e-12, -2e-12, 0.0])):
         assert not psd(A, cfg).on.any()
-        assert not psd_stack(np.stack([A, A]), cfg).on.any()
+        assert not psd(np.stack([A, A]), cfg).on.any()
     v = psd(np.diag([0.0, 0.25, 0.75]), cfg)
     assert v.on.tolist() == [False, cutoff < 1 / 3, cutoff < 1.0]

@@ -9,7 +9,7 @@ import sys
 import pytest
 
 from qdpi.harness import replay_witness, report_from_dict
-from qdpi.serialize import load_json, save_json
+from qdpi.serialize import load_json
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 BATTERY_REPORTS = (
@@ -85,15 +85,16 @@ def test_report_digests_are_stable_across_runs():
 def test_check_map_digests_are_stable_across_runs(tmp_path):
     script = import_script("report_digests")
     out = tmp_path / "report.json"
-    certificates = {}
-    for name, (payload, seed) in script.check_map_inputs().items():
-        path = tmp_path / f"{name}.json"
-        save_json(path, payload)
-        argv = ["check-map", "--map", str(path), "--seed", str(seed)]
+    reports = {}
+    for label, argv in script.file_commands(tmp_path):
         code, sha = script.digest(argv, out)
-        assert code == 0 and len(sha) == 64, name
-        assert script.digest(argv, out) == (code, sha), name
-        certificates[name] = load_json(out)["certificate"]
+        assert code == 0 and len(sha) == 64, label
+        assert script.digest(argv, out) == (code, sha), label
+        reports[label] = load_json(out)
+    assert len(reports) == len(script.check_map_inputs()) + 2 * len(script.COMPUTE_FAMILIES)
     # the probes falsify one map; every probe of the held transpose map stays positive
-    assert certificates["superop-falsified-d5"] == "falsified"
-    assert certificates["superop-transpose-d3"] == "unverified"
+    assert reports["check-map superop-falsified-d5"]["certificate"] == "falsified"
+    assert reports["check-map superop-transpose-d3"]["certificate"] == "unverified"
+    # the rank-deficient pair keeps rho within the support of sigma
+    values = [r["value"] for label, r in reports.items() if label.startswith("compute")]
+    assert all(isinstance(v, float) and v > 0.0 for v in values)
