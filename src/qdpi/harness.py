@@ -272,6 +272,20 @@ def _parts(map_or_descriptor, rho, sigma, alpha, cfg, kinds=("psd", "psd")):
     )
 
 
+def _stack_checked_parts(V: np.ndarray, rho: np.ndarray, sigma: np.ndarray, alpha: float):
+    """``_parts`` of a violation-search trial, whose states ``psd`` has checked in their stack.
+
+    The map is the Kraus map of the isometry V. The states are written as
+    they are drawn, not symmetrized, with no second eigh to check them again.
+    """
+    return lambda: (
+        serialize.channel_to_dict(from_isometry(V, *rho.shape)),
+        serialize._checked_matrix_dict(rho, "psd"),
+        serialize._checked_matrix_dict(sigma, "psd"),
+        alpha,
+    )
+
+
 def _monotonicity_trial(phi, rho, sigma, alpha, cfg):
     """Check the preconditions of ``monotonicity_check`` and evaluate both sides.
 
@@ -936,6 +950,8 @@ def alpha_limit_battery(trials: int = 50, dims=(2, 3, 4, 5, 6), seed: int = 0,
 
 # trials drawn and evaluated together by the violation search; bounds its memory at any trial count
 TRIAL_CHUNK = 256
+# hill-climb proposals evaluated together by the violation search
+CLIMB_STACK = 12
 
 
 def _violation_trials(alpha: float, draws, cfg: ToleranceConfig):
@@ -970,6 +986,49 @@ def _violation_trials(alpha: float, draws, cfg: ToleranceConfig):
         yield from results
 
 
+def _climb(alpha: float, gap: float, V: np.ndarray, rho, sigma, steps: int, rng, cfg: ToleranceConfig):
+    """The (gap, V) that ``steps`` hill-climb steps reach from a trial's (gap, V).
+
+    V is the isometry that stacks the Kraus operators of the trial's map,
+    gap that of alpha's divergence across the map on (rho, sigma). Step s
+    proposes phase_fixed_q(V + step * G_s), with G_s the s-th complex
+    Gaussian that ``random_complex_gaussian(rng, V.shape)`` would draw and
+    step starting at 0.25. A proposal whose gap is lower is accepted, else
+    step *= 0.99; the left side of the gap does not move. Proposals are
+    evaluated CLIMB_STACK at a time, all built from the current (V, step)
+    as if each were rejected: the first one that lowers the gap is accepted
+    and the rest, built from a V that is now stale, are dropped, their noise
+    kept for the steps that follow. Every value carries the bits of
+    evaluating its proposal alone, so the result is that of the one-step-at-
+    a-time climb, and memory stays bounded at any step count.
+    """
+    lhs = sandwiched_renyi(rho, sigma, alpha, cfg)
+    d = rho.shape[0]
+    noise = np.empty((0,) + V.shape, dtype=np.complex128)  # drawn, not yet proposed
+    step, done = 0.25, 0
+    while done < steps:
+        k = min(CLIMB_STACK, steps - done)
+        # per step: the real part, then the imaginary part, as random_complex_gaussian draws them
+        fresh = rng.standard_normal((k - len(noise), 2) + V.shape)
+        noise = np.concatenate([noise, fresh[:, 0] + 1j * fresh[:, 1]])
+        sizes = [step]
+        for _ in range(k - 1):
+            sizes.append(sizes[-1] * 0.99)
+        proposals = phase_fixed_q(V + np.array(sizes)[:, None, None] * noise)
+        kraus = kraus_blocks(proposals, d)
+        images = [hermitian_part(apply_kraus_stack(kraus, np.broadcast_to(X, (k, d, d))))
+                  for X in (rho, sigma)]
+        gaps = [_gap_of(lhs, rhs) for rhs in sandwiched_renyi(*images, alpha, cfg)]
+        taken = next((j for j, g in enumerate(gaps) if g < gap), None)
+        if taken is None:
+            step, taken = sizes[-1] * 0.99, k - 1
+        else:
+            V, gap, step = proposals[taken], gaps[taken], sizes[taken]
+        noise = noise[taken + 1:]
+        done += taken + 1
+    return gap, V
+
+
 def violation_search(
     alpha: float = 0.3,
     dims=(2,),
@@ -986,11 +1045,13 @@ def violation_search(
     its own ``rng_for_trial(seed, t)`` stream, so any trial still replays
     alone, and its values carry the bits of evaluating it alone. A map is
     built only for a violating trial and for the best one. Hill climbing
-    then perturbs the stacked Kraus isometry of the best candidate. A
-    violating witness (gap < -1e-6) is re-verified by exact replay before
-    being reported; finding none is reported as inconclusive, never as a
-    refutation. Defaults: alpha 0.3, 100 000 trials at d = 2, seed 0 and
-    1500 hill-climb steps.
+    then perturbs the stacked Kraus isometry of the best candidate
+    (``_climb``), evaluating its proposals in stacks of CLIMB_STACK with
+    the result of evaluating them one at a time. A violating witness
+    (gap < -1e-6) is re-verified by exact replay before being reported;
+    finding none is reported as inconclusive, never as a refutation.
+    Defaults: alpha 0.3, 100 000 trials at d = 2, seed 0 and 1500
+    hill-climb steps.
     """
     alpha = float(alpha)
     if not 0.0 < alpha < 0.5:
@@ -1012,23 +1073,13 @@ def violation_search(
         if best is None or gap < best[0]:
             best = (gap, V, rho, sigma)
         found = gap < -VIOLATION_MARGIN
-        parts = _parts(from_isometry(V, *rho.shape), rho, sigma, alpha, cfg) if found else None
+        parts = _stack_checked_parts(V, rho, sigma, alpha) if found else None
         tally.add(lhs, rhs, not found, parts)
 
     best_witness = None
     if best is not None and hill_steps > 0:
         gap, V, rho, sigma = best
-        fn = _divergence(alpha, cfg)
-        lhs = fn(rho, sigma)  # the climb moves only the map
-        rng = rng_for_trial(seed, trials)
-        step = 0.25
-        for _ in range(hill_steps):
-            V2 = phase_fixed_q(V + step * random_complex_gaussian(rng, V.shape))
-            gap2 = _gap_of(lhs, _image_value(fn, from_isometry(V2, *rho.shape), rho, sigma))
-            if gap2 < gap:
-                V, gap = V2, gap2
-            else:
-                step *= 0.99
+        gap, V = _climb(alpha, gap, V, rho, sigma, hill_steps, rng_for_trial(seed, trials), cfg)
         best = (gap, V, rho, sigma)
     if best is not None and best[0] < -VIOLATION_MARGIN:
         gap, V, rho, sigma = best

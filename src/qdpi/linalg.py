@@ -126,7 +126,10 @@ def _checked_hermitian(A: np.ndarray, cfg: ToleranceConfig) -> np.ndarray:
     """Finite entries and Hermiticity of a matrix or of each matrix of a stack; the symmetrized copy."""
     if not np.isfinite(A).all():
         raise DomainError("matrix has non-finite entries")
-    diff = np.abs(A - _dagger(A))
+    # finite entries more than the float range apart overflow to a defect of
+    # inf, which no tolerance admits
+    with np.errstate(over="ignore"):
+        diff = np.abs(A - _dagger(A))
     if A.size and diff.max() > cfg.hermiticity_tolerance:
         defect = diff.max(axis=(-2, -1))
         raise DomainError(

@@ -171,6 +171,11 @@ def matrix_to_dict(M, kind: str = "general", cfg: ToleranceConfig = DEFAULT_TOL)
     if A.shape[0] != A.shape[1]:
         raise FormatError(f"matrix files hold square matrices, got shape {A.shape}")
     _validate_kind(M, kind, cfg)
+    return _checked_matrix_dict(A, kind)
+
+
+def _checked_matrix_dict(A: np.ndarray, kind: str) -> dict:
+    """``matrix_to_dict`` of a square ndarray its caller has already checked against ``kind``."""
     out = {"schema_version": SCHEMA_VERSION, "kind": kind, "dim": A.shape[0]}
     out.update(_matrix_payload(A))
     return out

@@ -469,6 +469,21 @@ def test_check_map_spectrum_failure_is_one_line(tmp_path, capsys, monkeypatch, m
     assert captured.out == "" and captured.err == err + "\n"
 
 
+def test_compute_on_entries_beyond_the_float_range_apart_is_one_line(tmp_path, state_files, capsys):
+    # 1e308 - (-1e308) overflows: the defect is inf, with no numpy warning
+    rho = np.array([[1.0, 1e308], [-1e308, 1.0]], dtype=complex)
+    path = tmp_path / "far-apart.json"
+    serialize.save_json(path, serialize._checked_matrix_dict(rho, "psd"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["compute", "--rho", str(path), "--sigma", state_files[1]]) == EXIT_INPUT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "input error: matrix does not satisfy declared kind 'psd': matrix is not Hermitian (defect inf)\n"
+    )
+
+
 def test_replay_mismatch_is_numerical_error(capsys, monkeypatch):
     real_replay = harness.replay_witness
 

@@ -9,6 +9,7 @@ from qdpi.channels import (
     classify,
     counterexample_map,
     damped_cptp,
+    from_isometry,
     from_matrix,
     halving_map,
     identity_map,
@@ -52,8 +53,8 @@ from qdpi.harness import (
     _seeded_trials,
     _violation_trials,
 )
-from qdpi.linalg import DEFAULT_TOL, DomainError
-from qdpi.sampling import random_density, rng_for_trial
+from qdpi.linalg import DEFAULT_TOL, DomainError, hermitian_part
+from qdpi.sampling import phase_fixed_q, random_complex_gaussian, random_density, rng_for_trial
 from qdpi.serialize import canonical_json
 
 
@@ -440,6 +441,63 @@ def test_violation_trials_solve_in_stacks(monkeypatch, eig_sizes):
         draws = _seeded_trials(4, trials, (2, 3))[1]
         assert len(list(_violation_trials(0.3, draws, DEFAULT_TOL))) == trials
         assert sorted(eig_sizes) == [2] * (6 * chunks) + [3] * (6 * chunks)
+
+
+def _one_step_climb(alpha, gap, V, rho, sigma, steps, rng, cfg):
+    """The hill climb evaluated one proposal at a time: the reference for ``harness._climb``."""
+    lhs = sandwiched_renyi(rho, sigma, alpha, cfg)
+    step = 0.25
+    for _ in range(steps):
+        V2 = phase_fixed_q(V + step * random_complex_gaussian(rng, V.shape))
+        phi = from_isometry(V2, *rho.shape)
+        rhs = sandwiched_renyi(hermitian_part(phi.apply(rho)), hermitian_part(phi.apply(sigma)), alpha, cfg)
+        gap2 = _gap_of(lhs, rhs)
+        if gap2 < gap:
+            V, gap = V2, gap2
+        else:
+            step *= 0.99
+    return gap, V
+
+
+K = harness.CLIMB_STACK
+
+
+# seed 0 accepts 12-25% of its first 24 proposals where d = 2 is drawn and
+# 5-9% of 300; seed 7 accepts 0-17% of its first 24 and 3-8% of 300
+@pytest.mark.parametrize("hill_steps", [0, 1, K - 1, K, K + 1, 300])
+@pytest.mark.parametrize("alpha", [0.1, 0.3, 0.45])
+@pytest.mark.parametrize("dims", [(2,), (3,), (2, 3)])
+@pytest.mark.parametrize("seed", [0, 7])
+def test_stacked_climb_equals_the_sequential_climb(monkeypatch, seed, dims, alpha, hill_steps):
+    climbs = []
+
+    def recorded(climb):
+        def run(*args):
+            climbs.append(climb(*args))
+            return climbs[-1]
+        return run
+
+    reports = []
+    for climb in (harness._climb, _one_step_climb):
+        monkeypatch.setattr(harness, "_climb", recorded(climb))
+        reports.append(violation_search(alpha, dims=dims, trials=40, seed=seed, hill_steps=hill_steps))
+    assert frozen_report_text(reports[0]) == frozen_report_text(reports[1])
+    assert len(climbs) == (2 if hill_steps else 0)
+    if hill_steps:
+        (gap, V), (ref_gap, ref_V) = climbs
+        assert np.float64(gap).tobytes() == np.float64(ref_gap).tobytes()
+        assert V.shape == ref_V.shape and V.tobytes() == ref_V.tobytes()
+
+
+def test_violation_search_solves_no_eigenproblem_per_failure(eig_sizes):
+    # a failure's states passed psd in their stack, so serializing it solves
+    # nothing: one chunk of trials with 1, 2 or 3 failures, and one best witness
+    solves = {}
+    for seed in (1, 0, 2):
+        eig_sizes.clear()
+        report = violation_search(0.3, trials=256, seed=seed, hill_steps=0)
+        solves[len(report.failures)] = len(eig_sizes)
+    assert sorted(solves) == [1, 2, 3] and len(set(solves.values())) == 1
 
 
 def test_violation_search_inconclusive_path():

@@ -45,6 +45,14 @@ def test_require_hermitian_rejects_large_defect():
                 require_hermitian(np.array([[bad, 0.0], [0.0, 1.0]]))
 
 
+def test_hermiticity_defect_keeps_subnormal_bits():
+    # at tolerance 0 the smallest subnormal defect is seen and reported as it is
+    A = np.array([[1.0, 5e-324], [0.0, 1.0]])
+    with pytest.raises(DomainError, match=r"defect 4\.941e-324"):
+        require_hermitian(A, ToleranceConfig(hermiticity_tolerance=0.0))
+    require_hermitian(A + A.T, ToleranceConfig(hermiticity_tolerance=0.0))
+
+
 def test_require_psd_rejects_negative_eigenvalue():
     with pytest.raises(DomainError):
         psd(np.diag([1.0, -1e-3]))
