@@ -55,6 +55,8 @@ ACCEPTANCE_COMMANDS = (
     "violation --alpha 0.3 --dims 2 --trials 2000 --hill-steps 1500 --seed 44",
     "violation --alpha 0.3 --dims 2,3 --trials 600 --hill-steps 100 --seed 7",
     "violation --alpha 0.2 --dims 3 --trials 300 --hill-steps 0 --seed 9",
+    # a violation found with no climb: the best witness is a trial's
+    "violation --alpha 0.3 --dims 2,3 --trials 600 --hill-steps 0 --seed 7",
     # no trial violates: the witness is the d = 3 climb's, whose last stack of proposals is short
     "violation --alpha 0.2 --dims 3 --trials 300 --hill-steps 203 --seed 4",
     "alpha-limit --trials 20 --seed 44",

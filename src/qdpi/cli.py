@@ -42,7 +42,8 @@ SUITES = {
     "violation": ("violation_search", ("alpha", "dims", "trials", "seed", "hill_steps", "allow_inconclusive")),
 }
 
-# argparse dest of each --tolerance-* flag: (the ToleranceConfig field it sets, help)
+# argparse dest of each --tolerance-* flag: (the ToleranceConfig field it sets, help); a command
+# adds those it reads (check-map: its Choi test and probes; compute: all but the gap's slack)
 _TOLERANCE_FLAGS = {
     "tolerance_support_cutoff": ("support_cutoff", "relative eigenvalue cutoff defining numerical support"),
     "tolerance_psd": ("psd_tolerance", "allowed negative eigenvalue magnitude in PSD validation"),
@@ -53,14 +54,14 @@ _TOLERANCE_FLAGS = {
 }
 
 
-def _add_tolerance_flags(parser: argparse.ArgumentParser) -> None:
-    for dest, (_, help_text) in _TOLERANCE_FLAGS.items():
-        parser.add_argument("--" + dest.replace("_", "-"), type=float, default=None, help=help_text)
+def _add_tolerance_flags(parser: argparse.ArgumentParser, dests=tuple(_TOLERANCE_FLAGS)) -> None:
+    for dest in dests:
+        parser.add_argument("--" + dest.replace("_", "-"), type=float, default=None, help=_TOLERANCE_FLAGS[dest][1])
 
 
 def _config_from_args(args) -> ToleranceConfig:
     overrides = {field: getattr(args, dest) for dest, (field, _) in _TOLERANCE_FLAGS.items()
-                 if getattr(args, dest) is not None}
+                 if getattr(args, dest, None) is not None}
     return dataclasses.replace(DEFAULT_TOL, **overrides) if overrides else DEFAULT_TOL
 
 
@@ -229,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma", required=True, help="JSON file holding the second operator")
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--out", default=None, help="also write the result JSON here")
-    _add_tolerance_flags(p)
+    _add_tolerance_flags(p, [dest for dest in _TOLERANCE_FLAGS if dest != "tolerance_slack"])
     p.set_defaults(func=_cmd_compute)
 
     p = sub.add_parser("check-map", help="classify a serialized map (positivity, trace behavior)")
@@ -237,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=256, help="states sampled when falsifying positivity")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
-    _add_tolerance_flags(p)
+    _add_tolerance_flags(p, ("tolerance_hermiticity", "tolerance_psd"))
     p.set_defaults(func=_cmd_check_map)
 
     p = sub.add_parser("suite", help="run a named verification suite")

@@ -250,14 +250,6 @@ def _image_value(fn, phi: SuperOperator, rho, sigma) -> float:
     return fn(hermitian_part(phi.apply(rho)), hermitian_part(phi.apply(sigma)))
 
 
-def _evaluate(phi: SuperOperator, rho, sigma, alpha: float | None, cfg: ToleranceConfig):
-    """Both divergence values across the map, plus the gap."""
-    fn = _divergence(alpha, cfg)
-    lhs = fn(rho, sigma)
-    rhs = _image_value(fn, phi, rho, sigma)
-    return lhs, rhs, _gap_of(lhs, rhs)
-
-
 def _parts(map_or_descriptor, rho, sigma, alpha, cfg, kinds=("psd", "psd")):
     """A thunk returning the witness fields (map_descriptor, rho, sigma, alpha).
 
@@ -273,7 +265,7 @@ def _parts(map_or_descriptor, rho, sigma, alpha, cfg, kinds=("psd", "psd")):
 
 
 def _stack_checked_parts(V: np.ndarray, rho: np.ndarray, sigma: np.ndarray, alpha: float):
-    """``_parts`` of a violation-search trial, whose states ``psd`` has checked in their stack.
+    """``_parts`` of a violation-search witness, whose states ``psd`` has checked in their stack.
 
     The map is the Kraus map of the isometry V. The states are written as
     they are drawn, not symmetrized, with no second eigh to check them again.
@@ -309,8 +301,8 @@ def _monotonicity_trial(phi, rho, sigma, alpha, cfg):
                 f"relative entropy monotonicity for a non-trace-preserving map needs "
                 f"tr[Phi(rho)] = tr[rho]; drift is {drift:.3e}"
             )
-    lhs, rhs, _ = _evaluate(phi, rho, sigma, alpha, cfg)
-    return lhs, rhs, _parts(phi, rho, sigma, alpha, cfg)
+    fn = _divergence(alpha, cfg)
+    return fn(rho, sigma), _image_value(fn, phi, rho, sigma), _parts(phi, rho, sigma, alpha, cfg)
 
 
 def monotonicity_check(
@@ -954,6 +946,18 @@ TRIAL_CHUNK = 256
 CLIMB_STACK = 12
 
 
+def _isometry_images(alpha: float, V: np.ndarray, rho, sigma, cfg: ToleranceConfig):
+    """alpha's sandwiched divergence between the images of rho and sigma under each Kraus map of V.
+
+    V stacks isometries, each holding one map's Kraus operators; rho and sigma are stacks as
+    long as V or one matrix each. Each value carries the bits of ``replay_witness``.
+    """
+    n, d = len(V), rho.shape[-1]
+    kraus = kraus_blocks(V, d)
+    images = [hermitian_part(apply_kraus_stack(kraus, np.broadcast_to(X, (n, d, d)))) for X in (rho, sigma)]
+    return sandwiched_renyi(*images, alpha, cfg)
+
+
 def _violation_trials(alpha: float, draws, cfg: ToleranceConfig):
     """Yield (lhs, rhs, V, rho, sigma) of each violation-search trial, in index order.
 
@@ -962,8 +966,8 @@ def _violation_trials(alpha: float, draws, cfg: ToleranceConfig):
     in that order, so any trial replays alone. Within each chunk of
     TRIAL_CHUNK trials, those of one dimension are finished and evaluated
     as stacks: one QR for the isometries V, one Wishart normalisation per
-    state, one Kraus application per state and one sandwiched evaluation per
-    side, each value carrying the bits of the scalar path (``_evaluate``).
+    state and one sandwiched evaluation per side (``_isometry_images`` for
+    the right), each value carrying the bits of evaluating its trial alone.
     """
     while chunk := list(islice(draws, TRIAL_CHUNK)):
         groups = {}  # d -> [(place in chunk, isometry Gaussian, rho factor, sigma factor)]
@@ -977,33 +981,30 @@ def _violation_trials(alpha: float, draws, cfg: ToleranceConfig):
             V = phase_fixed_q(np.stack(iso))
             rho = density_of_factor(np.stack(rho_factors))
             sigma = density_of_factor(np.stack(sigma_factors))
-            lhs = sandwiched_renyi(psd(rho, cfg), psd(sigma, cfg), alpha, cfg)
-            kraus = kraus_blocks(V, d)
-            images = [psd(hermitian_part(apply_kraus_stack(kraus, X)), cfg) for X in (rho, sigma)]
-            rhs = sandwiched_renyi(*images, alpha, cfg)
+            lhs = sandwiched_renyi(rho, sigma, alpha, cfg)
+            rhs = _isometry_images(alpha, V, rho, sigma, cfg)
             for k, i in enumerate(places):
                 results[i] = (lhs[k], rhs[k], V[k], rho[k], sigma[k])
         yield from results
 
 
-def _climb(alpha: float, gap: float, V: np.ndarray, rho, sigma, steps: int, rng, cfg: ToleranceConfig):
-    """The (gap, V) that ``steps`` hill-climb steps reach from a trial's (gap, V).
+def _climb(alpha: float, lhs, rhs, V: np.ndarray, rho, sigma, steps: int, rng, cfg: ToleranceConfig):
+    """The (rhs, V) that ``steps`` hill-climb steps reach from a trial's (lhs, rhs, V).
 
     V is the isometry that stacks the Kraus operators of the trial's map,
-    gap that of alpha's divergence across the map on (rho, sigma). Step s
-    proposes phase_fixed_q(V + step * G_s), with G_s the s-th complex
+    lhs and rhs alpha's divergence on (rho, sigma) and across the map. Step
+    s proposes phase_fixed_q(V + step * G_s), with G_s the s-th complex
     Gaussian that ``random_complex_gaussian(rng, V.shape)`` would draw and
     step starting at 0.25. A proposal whose gap is lower is accepted, else
-    step *= 0.99; the left side of the gap does not move. Proposals are
-    evaluated CLIMB_STACK at a time, all built from the current (V, step)
-    as if each were rejected: the first one that lowers the gap is accepted
+    step *= 0.99; lhs does not move. Proposals are evaluated CLIMB_STACK at
+    a time (``_isometry_images``), all built from the current (V, step) as
+    if each were rejected: the first one that lowers the gap is accepted
     and the rest, built from a V that is now stale, are dropped, their noise
     kept for the steps that follow. Every value carries the bits of
     evaluating its proposal alone, so the result is that of the one-step-at-
     a-time climb, and memory stays bounded at any step count.
     """
-    lhs = sandwiched_renyi(rho, sigma, alpha, cfg)
-    d = rho.shape[0]
+    gap = _gap_of(lhs, rhs)
     noise = np.empty((0,) + V.shape, dtype=np.complex128)  # drawn, not yet proposed
     step, done = 0.25, 0
     while done < steps:
@@ -1015,18 +1016,16 @@ def _climb(alpha: float, gap: float, V: np.ndarray, rho, sigma, steps: int, rng,
         for _ in range(k - 1):
             sizes.append(sizes[-1] * 0.99)
         proposals = phase_fixed_q(V + np.array(sizes)[:, None, None] * noise)
-        kraus = kraus_blocks(proposals, d)
-        images = [hermitian_part(apply_kraus_stack(kraus, np.broadcast_to(X, (k, d, d))))
-                  for X in (rho, sigma)]
-        gaps = [_gap_of(lhs, rhs) for rhs in sandwiched_renyi(*images, alpha, cfg)]
+        values = _isometry_images(alpha, proposals, rho, sigma, cfg)
+        gaps = [_gap_of(lhs, value) for value in values]
         taken = next((j for j, g in enumerate(gaps) if g < gap), None)
         if taken is None:
             step, taken = sizes[-1] * 0.99, k - 1
         else:
-            V, gap, step = proposals[taken], gaps[taken], sizes[taken]
+            V, rhs, gap, step = proposals[taken], values[taken], gaps[taken], sizes[taken]
         noise = noise[taken + 1:]
         done += taken + 1
-    return gap, V
+    return rhs, V
 
 
 def violation_search(
@@ -1047,8 +1046,9 @@ def violation_search(
     built only for a violating trial and for the best one. Hill climbing
     then perturbs the stacked Kraus isometry of the best candidate
     (``_climb``), evaluating its proposals in stacks of CLIMB_STACK with
-    the result of evaluating them one at a time. A violating witness
-    (gap < -1e-6) is re-verified by exact replay before being reported;
+    the result of evaluating them one at a time. A violating best witness
+    (gap < -1e-6) carries the search's own lhs, rhs and gap, which
+    ``replay_witness`` must reproduce bit for bit (else ReplayMismatch);
     finding none is reported as inconclusive, never as a refutation.
     Defaults: alpha 0.3, 100 000 trials at d = 2, seed 0 and 1500
     hill-climb steps.
@@ -1067,27 +1067,25 @@ def violation_search(
         "hill_steps": int(hill_steps),
     }
     tally = _Tally("violation-search", seed, config, cfg)
-    best = None  # (gap, V, rho, sigma)
+    best = None  # (gap, lhs, rhs, V, rho, sigma)
     for lhs, rhs, V, rho, sigma in _violation_trials(alpha, draws, cfg):
         gap = _gap_of(lhs, rhs)
         if best is None or gap < best[0]:
-            best = (gap, V, rho, sigma)
+            best = (gap, lhs, rhs, V, rho, sigma)
         found = gap < -VIOLATION_MARGIN
         parts = _stack_checked_parts(V, rho, sigma, alpha) if found else None
         tally.add(lhs, rhs, not found, parts)
 
     best_witness = None
-    if best is not None and hill_steps > 0:
-        gap, V, rho, sigma = best
-        gap, V = _climb(alpha, gap, V, rho, sigma, hill_steps, rng_for_trial(seed, trials), cfg)
-        best = (gap, V, rho, sigma)
-    if best is not None and best[0] < -VIOLATION_MARGIN:
-        gap, V, rho, sigma = best
-        phi = from_isometry(V, *rho.shape)
-        lhs, rhs, gap = _evaluate(phi, rho, sigma, alpha, cfg)
-        best_witness = Witness(*_parts(phi, rho, sigma, alpha, cfg)(), lhs, rhs, gap)
-        replayed = replay_witness(best_witness, cfg=cfg)
-        if replayed.gap != best_witness.gap:
-            raise ReplayMismatch("stored witness did not replay to the identical gap")
+    if best is not None:
+        gap, lhs, rhs, V, rho, sigma = best
+        if hill_steps > 0:
+            rhs, V = _climb(alpha, lhs, rhs, V, rho, sigma, hill_steps, rng_for_trial(seed, trials), cfg)
+            gap = _gap_of(lhs, rhs)
+        if gap < -VIOLATION_MARGIN:
+            best_witness = Witness(*_stack_checked_parts(V, rho, sigma, alpha)(), lhs, rhs, gap)
+            replayed = replay_witness(best_witness, cfg=cfg)
+            if (replayed.lhs, replayed.rhs, replayed.gap) != (lhs, rhs, gap):
+                raise ReplayMismatch("stored witness did not replay to the identical gap")
     outcome = "violation_found" if best_witness is not None else "inconclusive"
     return tally.report(outcome=outcome, best_witness=best_witness)

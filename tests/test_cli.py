@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from qdpi import harness, serialize
+from qdpi import cli, harness, serialize
 from qdpi.channels import choi, counterexample_map, from_kraus, from_matrix, random_cptp, transpose_map
 from qdpi.cli import (
     EXIT_INPUT_ERROR,
@@ -351,6 +351,44 @@ def test_non_finite_tolerance_is_precondition_error(capsys, value):
     assert err.startswith("precondition error: monotonicity_slack") and err.count("\n") == 1
 
 
+# the ToleranceConfig fields each command reads, so the --tolerance-* flags it takes
+COMMAND_TOLERANCES = {
+    "compute": ("support_cutoff", "psd_tolerance", "hermiticity_tolerance", "containment_tolerance",
+                "projector_tolerance"),
+    "check-map": ("psd_tolerance", "hermiticity_tolerance"),
+    "suite": ("support_cutoff", "psd_tolerance", "monotonicity_slack", "hermiticity_tolerance",
+              "containment_tolerance", "projector_tolerance"),
+}
+COMMAND_ARGV = {
+    "compute": ["compute", "--rho", "rho.json", "--sigma", "sigma.json"],
+    "check-map": ["check-map", "--map", "map.json"],
+    "suite": ["suite", "counterexample"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_TOLERANCES))
+def test_each_command_takes_only_the_tolerance_flags_it_reads(monkeypatch, capsys, command):
+    assert sum(map(len, COMMAND_TOLERANCES.values())) == 13
+    config_from_args = cli._config_from_args
+
+    def record(args):
+        raise _Called(config_from_args(args))
+
+    # the command stops at its config, before it opens a file
+    monkeypatch.setattr(cli, "_config_from_args", record)
+    for dest, (field, _) in cli._TOLERANCE_FLAGS.items():
+        argv = COMMAND_ARGV[command] + ["--" + dest.replace("_", "-"), "0.125"]
+        if field in COMMAND_TOLERANCES[command]:
+            with pytest.raises(_Called) as called:
+                main(argv)
+            assert getattr(called.value.args[0], field) == 0.125
+        else:
+            with pytest.raises(SystemExit) as rejected:
+                main(argv)
+            assert rejected.value.code == EXIT_INPUT_ERROR
+            assert "unrecognized arguments: --" + dest.replace("_", "-") in capsys.readouterr().err
+
+
 def test_tolerance_flags_propagate_to_report_config(tmp_path):
     out = tmp_path / "report.json"
     rc = main([
@@ -495,6 +533,17 @@ def test_replay_mismatch_is_numerical_error(capsys, monkeypatch):
     args = ["suite", "violation", "--trials", "300", "--seed", "1", "--alpha", "0.3", "--hill-steps", "200"]
     assert main(args) == EXIT_NUMERICAL_ERROR
     captured = capsys.readouterr()
+    assert captured.err == "internal numerical error: stored witness did not replay to the identical gap\n"
+
+
+def test_drift_in_the_stacked_search_is_numerical_error(capsys, monkeypatch):
+    exact = harness._isometry_images
+    monkeypatch.setattr(harness, "_isometry_images",
+                        lambda *args: [np.nextafter(v, math.inf) for v in exact(*args)])
+    args = ["suite", "violation", "--trials", "300", "--seed", "1", "--alpha", "0.3", "--hill-steps", "20"]
+    assert main(args) == EXIT_NUMERICAL_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
     assert captured.err == "internal numerical error: stored witness did not replay to the identical gap\n"
 
 

@@ -45,7 +45,6 @@ from qdpi.harness import (
 from qdpi import channels, harness
 from qdpi.divergences import relative_entropy, sandwiched_renyi
 from qdpi.harness import (
-    _evaluate,
     _gap_of,
     _sample_family_map,
     _sample_state_pair,
@@ -422,7 +421,11 @@ def test_stacked_trials_equal_scalar_evaluation(monkeypatch, dims, alpha):
             r, s = random_density(rng, d), random_density(rng, d)
             assert np.array_equal(V, np.vstack(phi.kraus))
             assert np.array_equal(rho, r) and np.array_equal(sigma, s)
-            assert (lhs, rhs, _gap_of(lhs, rhs)) == _evaluate(phi, r, s, alpha, DEFAULT_TOL)
+            # the scalar reference: the raw states, and their images under the map
+            ref_lhs = sandwiched_renyi(r, s, alpha, DEFAULT_TOL)
+            ref_rhs = sandwiched_renyi(hermitian_part(phi.apply(r)), hermitian_part(phi.apply(s)),
+                                       alpha, DEFAULT_TOL)
+            assert (lhs, rhs, _gap_of(lhs, rhs)) == (ref_lhs, ref_rhs, _gap_of(ref_lhs, ref_rhs))
 
 
 def test_violation_report_does_not_depend_on_chunk_size(monkeypatch):
@@ -443,20 +446,20 @@ def test_violation_trials_solve_in_stacks(monkeypatch, eig_sizes):
         assert sorted(eig_sizes) == [2] * (6 * chunks) + [3] * (6 * chunks)
 
 
-def _one_step_climb(alpha, gap, V, rho, sigma, steps, rng, cfg):
+def _one_step_climb(alpha, lhs, rhs, V, rho, sigma, steps, rng, cfg):
     """The hill climb evaluated one proposal at a time: the reference for ``harness._climb``."""
-    lhs = sandwiched_renyi(rho, sigma, alpha, cfg)
+    gap = _gap_of(lhs, rhs)
     step = 0.25
     for _ in range(steps):
         V2 = phase_fixed_q(V + step * random_complex_gaussian(rng, V.shape))
         phi = from_isometry(V2, *rho.shape)
-        rhs = sandwiched_renyi(hermitian_part(phi.apply(rho)), hermitian_part(phi.apply(sigma)), alpha, cfg)
-        gap2 = _gap_of(lhs, rhs)
+        rhs2 = sandwiched_renyi(hermitian_part(phi.apply(rho)), hermitian_part(phi.apply(sigma)), alpha, cfg)
+        gap2 = _gap_of(lhs, rhs2)
         if gap2 < gap:
-            V, gap = V2, gap2
+            V, rhs, gap = V2, rhs2, gap2
         else:
             step *= 0.99
-    return gap, V
+    return rhs, V
 
 
 K = harness.CLIMB_STACK
@@ -484,9 +487,21 @@ def test_stacked_climb_equals_the_sequential_climb(monkeypatch, seed, dims, alph
     assert frozen_report_text(reports[0]) == frozen_report_text(reports[1])
     assert len(climbs) == (2 if hill_steps else 0)
     if hill_steps:
-        (gap, V), (ref_gap, ref_V) = climbs
-        assert np.float64(gap).tobytes() == np.float64(ref_gap).tobytes()
+        (rhs, V), (ref_rhs, ref_V) = climbs
+        assert np.float64(rhs).tobytes() == np.float64(ref_rhs).tobytes()
         assert V.shape == ref_V.shape and V.tobytes() == ref_V.tobytes()
+
+
+@pytest.mark.parametrize("hill_steps", [0, 40])
+def test_a_one_ulp_drift_in_the_stacked_values_fails_the_replay(monkeypatch, hill_steps):
+    # the best witness carries the stacked values, so a replay that does not
+    # reproduce them bit for bit stops the search, whether the trial or the climb found it
+    assert violation_search(0.3, trials=300, seed=3, hill_steps=hill_steps).outcome == "violation_found"
+    exact = harness._isometry_images
+    monkeypatch.setattr(harness, "_isometry_images",
+                        lambda *args: [np.nextafter(v, math.inf) for v in exact(*args)])
+    with pytest.raises(harness.ReplayMismatch, match="stored witness did not replay to the identical gap"):
+        violation_search(0.3, trials=300, seed=3, hill_steps=hill_steps)
 
 
 def test_violation_search_solves_no_eigenproblem_per_failure(eig_sizes):
