@@ -71,6 +71,10 @@ ACCEPTANCE_COMMANDS = (
     "violation --trials 300 --hill-steps 50 --seed 3",
     "alpha-limit",
     "alpha-limit --dims 3 --seed 5",
+    # a tolerance flag that a suite other than dpi reads
+    "violation --alpha 0.3 --dims 2 --trials 300 --hill-steps 50 --seed 3 --tolerance-psd 1e-9",
+    "alpha-limit --trials 20 --seed 44 --tolerance-containment 1e-6",
+    "contraction --instances 3 --trials 10 --seed 3 --tolerance-support-cutoff 1e-10",
 )
 
 
@@ -80,10 +84,10 @@ def check_map_inputs() -> dict:
     return {
         "family-noncp-d3": (serialize.channel_to_dict(random_positive_noncp(3, seed=2)), 0),
         "family-reduction-d16": (serialize.channel_to_dict(reduction_map(16)), 1),
-        "kraus-cptp-d4": (serialize.channel_to_dict(from_kraus(random_cptp(4, seed=5).kraus, 4)), 0),
-        "superop-transpose-d3": (serialize.channel_to_dict(from_matrix(transpose_map(3).matrix, 3)), 2),
+        "kraus-cptp-d4": (serialize.channel_to_dict(from_kraus(random_cptp(4, seed=5).kraus)), 0),
+        "superop-transpose-d3": (serialize.channel_to_dict(from_matrix(transpose_map(3).matrix)), 2),
         # X -> X^T - X/2 sends some pure states to a negative eigenvalue
-        "superop-falsified-d5": (serialize.channel_to_dict(from_matrix(transpose_minus_half, 5)), 3),
+        "superop-falsified-d5": (serialize.channel_to_dict(from_matrix(transpose_minus_half)), 3),
         "choi-reduction-d4": (serialize.choi_to_dict(reduction_map(4)), 4),
     }
 

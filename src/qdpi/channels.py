@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import dataclasses
 import inspect
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -247,22 +248,13 @@ def apply_kraus_stack(kraus, X) -> np.ndarray:
     return _kraus_sum(kraus, _require_input(X, kraus[0].shape[-1]))
 
 
-def from_matrix(
-    M,
-    dim_in: int,
-    dim_out: int | None = None,
-    *,
-    certificate: PositivityCertificate = UNVERIFIED,
-    descriptor: dict | None = None,
-) -> SuperOperator:
+def from_matrix(M, *, certificate: PositivityCertificate = UNVERIFIED,
+                descriptor: dict | None = None) -> SuperOperator:
+    """The map with representation matrix M, of shape (d_out^2, d_in^2), which gives its dimensions."""
     M = as_matrix(M)
-    if dim_out is None:
-        dim_out = dim_in
+    dim_out, dim_in = (math.isqrt(n) for n in M.shape)
     if M.shape != (dim_out * dim_out, dim_in * dim_in):
-        raise DomainError(
-            f"representation matrix shape {M.shape} does not match "
-            f"({dim_out * dim_out}, {dim_in * dim_in})"
-        )
+        raise DomainError(f"representation matrix shape {M.shape} is not (d_out^2, d_in^2)")
     return SuperOperator(M, dim_in, dim_out, None, certificate, descriptor)
 
 
@@ -295,32 +287,31 @@ def _choi_test(phi: SuperOperator, cfg: ToleranceConfig):
     return PositivityCertificate("completely_positive", reason=reason, choi_min=cmin), cmin
 
 
-def from_kraus(kraus, dim_in: int | None = None, dim_out: int | None = None,
-               *, descriptor: dict | None = None) -> SuperOperator:
+def from_kraus(kraus, *, descriptor: dict | None = None) -> SuperOperator:
     """Map X -> sum_i K_i X K_i^dagger, completely positive by Choi's theorem.
 
-    No Choi matrix is formed here.
+    The operators' shape (d_out, d_in) gives the dimensions; no Choi matrix is formed.
     """
     kr = tuple(as_matrix(K) for K in kraus)
     if not kr:
         raise DomainError("at least one Kraus operator is required")
     if any(K.shape != kr[0].shape for K in kr):
         raise DomainError("all Kraus operators must share one shape")
-    if dim_out is None or dim_in is None:
-        dim_out, dim_in = kr[0].shape
-    if kr[0].shape != (dim_out, dim_in):
-        raise DomainError(f"Kraus operator shape {kr[0].shape} is not ({dim_out}, {dim_in})")
+    dim_out, dim_in = kr[0].shape
     return SuperOperator(None, dim_in, dim_out, kr, _KRAUS_FORM, descriptor)
 
 
 def kraus_blocks(V: np.ndarray, dim_out: int) -> list:
-    """The consecutive dim_out-row blocks of V, or of each matrix of a stack V."""
-    return [V[..., i * dim_out : (i + 1) * dim_out, :] for i in range(V.shape[-2] // dim_out)]
+    """The consecutive dim_out-row blocks of V, or of each matrix of a stack V; dim_out must divide its rows."""
+    rows = V.shape[-2]
+    if dim_out < 1 or rows % dim_out:
+        raise DomainError(f"{rows} isometry rows do not split into blocks of {dim_out} rows")
+    return [V[..., i * dim_out : (i + 1) * dim_out, :] for i in range(rows // dim_out)]
 
 
-def from_isometry(V, dim_in: int, dim_out: int, *, descriptor: dict | None = None) -> SuperOperator:
-    """The Kraus map whose operators are stacked in V: X -> tr_K[V X V^dagger]."""
-    return from_kraus(kraus_blocks(as_matrix(V), dim_out), dim_in, dim_out, descriptor=descriptor)
+def from_isometry(V, dim_out: int, *, descriptor: dict | None = None) -> SuperOperator:
+    """The Kraus map whose operators are stacked in V: X -> tr_K[V X V^dagger]; V's columns give d_in."""
+    return from_kraus(kraus_blocks(as_matrix(V), dim_out), descriptor=descriptor)
 
 
 def _choi_of_matrix(M: np.ndarray, dim_in: int, dim_out: int) -> np.ndarray:
@@ -333,20 +324,17 @@ def choi(phi: SuperOperator) -> np.ndarray:
     return _choi_of_matrix(phi.matrix, phi.dim_in, phi.dim_out)
 
 
-def from_choi(C, dim_in: int, dim_out: int | None = None,
-              cfg: ToleranceConfig = DEFAULT_TOL) -> SuperOperator:
+def from_choi(C, dim_in: int, cfg: ToleranceConfig = DEFAULT_TOL) -> SuperOperator:
+    """The map with Choi matrix C, whose size divided by dim_in is the output dimension."""
     C = as_matrix(C)
-    if dim_out is None:
-        if C.shape[0] % dim_in != 0:
-            raise DomainError(f"Choi dimension {C.shape[0]} is not a multiple of {dim_in}")
-        dim_out = C.shape[0] // dim_in
-    if C.shape != (dim_out * dim_in, dim_out * dim_in):
-        raise DomainError(f"Choi matrix shape {C.shape} does not match dims ({dim_in}, {dim_out})")
+    dim_out, rest = divmod(C.shape[0], dim_in)
+    if rest or C.shape[1] != C.shape[0]:
+        raise DomainError(f"Choi matrix shape {C.shape} is not square with a multiple of {dim_in} rows")
     U = C.reshape(dim_out, dim_in, dim_out, dim_in)
     M = np.asfortranarray(U.transpose(0, 2, 1, 3)).reshape(
         dim_out * dim_out, dim_in * dim_in, order="F"
     )
-    phi = from_matrix(M, dim_in, dim_out)
+    phi = from_matrix(M)
     # a PSD Choi certifies complete positivity on the spot (classify reuses the solve)
     phi.certificate = _choi_test(phi, cfg)[0] or UNVERIFIED
     return phi
@@ -468,8 +456,7 @@ def one_to_one_norm_positive(phi: SuperOperator) -> float:
 def gamma_superoperator(sigma, inverse: bool = False, cfg: ToleranceConfig = DEFAULT_TOL) -> SuperOperator:
     """X -> sigma^{1/2} X sigma^{1/2} as a map (inverse powers on the support)."""
     R = _psd_matrix(sigma, cfg).power(-0.5 if inverse else 0.5)
-    d = R.shape[0]
-    return from_kraus([R], d, d)
+    return from_kraus([R])
 
 
 # ---------------------------------------------------------------------------
@@ -479,7 +466,7 @@ def gamma_superoperator(sigma, inverse: bool = False, cfg: ToleranceConfig = DEF
 def identity_map(d: int) -> SuperOperator:
     if d < 1:
         raise DomainError("dimension must be positive")
-    return from_kraus([np.eye(d)], d, d, descriptor={"family": "identity", "params": {"d": d}})
+    return from_kraus([np.eye(d)], descriptor={"family": "identity", "params": {"d": d}})
 
 
 def transpose_map(d: int) -> SuperOperator:
@@ -491,14 +478,13 @@ def transpose_map(d: int) -> SuperOperator:
         for j in range(d):
             M[i + d * j, j + d * i] = 1.0
     cert = PositivityCertificate("positive_by_construction", reason="transpose")
-    return from_matrix(M, d, d, certificate=cert, descriptor={"family": "transpose", "params": {"d": d}})
+    return from_matrix(M, certificate=cert, descriptor={"family": "transpose", "params": {"d": d}})
 
 
 def pinching_map(P, cfg: ToleranceConfig = DEFAULT_TOL) -> SuperOperator:
     """X -> P X P + (1-P) X (1-P) for a projector P; CPTP."""
     P = require_projector(P, cfg)
-    d = P.shape[0]
-    return from_kraus([P, np.eye(d) - P], d, d)
+    return from_kraus([P, np.eye(P.shape[0]) - P])
 
 
 def truncation_parts(base: SuperOperator, P, P_prime, cfg: ToleranceConfig = DEFAULT_TOL):
@@ -536,7 +522,7 @@ def truncation_map(base: SuperOperator, P, P_prime, cfg: ToleranceConfig = DEFAU
     else:
         cert = UNVERIFIED
     M = kept.matrix + np.outer(_vec(tau), _vec(W.T))
-    return from_matrix(M, base.dim_in, base.dim_out, certificate=cert)
+    return from_matrix(M, certificate=cert)
 
 
 def reduction_map(d: int) -> SuperOperator:
@@ -546,7 +532,7 @@ def reduction_map(d: int) -> SuperOperator:
     v = _vec(np.eye(d))
     M = (np.outer(v, v) - np.eye(d * d)) / (d - 1)
     cert = PositivityCertificate("positive_by_construction", reason="reduction")
-    return from_matrix(M, d, d, certificate=cert, descriptor={"family": "reduction", "params": {"d": d}})
+    return from_matrix(M, certificate=cert, descriptor={"family": "reduction", "params": {"d": d}})
 
 
 def depolarizing_map(d: int, lam: float) -> SuperOperator:
@@ -567,7 +553,7 @@ def depolarizing_map(d: int, lam: float) -> SuperOperator:
         "completely_positive", reason=f"depolarizing, choi min eigenvalue {(1.0 - lam) / d:.3e}"
     )
     return from_matrix(
-        M, d, d, certificate=cert, descriptor={"family": "depolarizing", "params": {"d": d, "lam": lam}}
+        M, certificate=cert, descriptor={"family": "depolarizing", "params": {"d": d, "lam": lam}}
     )
 
 
@@ -576,7 +562,7 @@ def halving_map(d: int) -> SuperOperator:
     if d < 1:
         raise DomainError("dimension must be positive")
     K = np.eye(d) / np.sqrt(2.0)
-    return from_kraus([K], d, d, descriptor={"family": "halving", "params": {"d": d}})
+    return from_kraus([K], descriptor={"family": "halving", "params": {"d": d}})
 
 
 def counterexample_map() -> SuperOperator:
@@ -587,7 +573,7 @@ def counterexample_map() -> SuperOperator:
     """
     K1 = np.diag([1.0 / np.sqrt(2.0), 0.0]).astype(np.complex128)
     K2 = np.diag([0.0, 1.0]).astype(np.complex128)
-    return from_kraus([K1, K2], 2, 2, descriptor={"family": "counterexample", "params": {}})
+    return from_kraus([K1, K2], descriptor={"family": "counterexample", "params": {}})
 
 
 def _seeded(family: str, params: dict, seed, rng):
@@ -637,7 +623,7 @@ def random_cptp(
     d_out, kraus_rank = _cptp_dims(d, d_out, kraus_rank)
     rng, desc = _seeded("random_cptp", {"d": d, "d_out": d_out, "kraus_rank": kraus_rank}, seed, rng)
     V = phase_fixed_q(cptp_draw(rng, d, d_out, kraus_rank))
-    return from_isometry(V, d, d_out, descriptor=desc)
+    return from_isometry(V, d_out, descriptor=desc)
 
 
 def random_positive_noncp(
@@ -680,7 +666,7 @@ def damped_cptp(
     W = Q + np.sqrt(mu) * (np.eye(d) - Q)
     base = random_cptp(d, rng=rng)
     kraus = [K @ W for K in base.kraus]
-    return from_kraus(kraus, d, d, descriptor=desc)
+    return from_kraus(kraus, descriptor=desc)
 
 
 # recipe name -> constructor; a recipe's params (and seed) are its keyword arguments

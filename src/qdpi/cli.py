@@ -29,19 +29,6 @@ EXIT_INPUT_ERROR = 2
 EXIT_PRECONDITION_ERROR = 3
 EXIT_NUMERICAL_ERROR = 4
 
-# each suite's harness entry point, looked up when the suite runs, and the suite
-# flags (argparse dests) it reads; every suite also reads --out and the
-# --tolerance-* flags, and any other flag given is an input error
-SUITES = {
-    "dpi": ("randomized_dpi_suite", ("mode", "dims", "trials", "seed", "alpha")),
-    "counterexample": ("counterexample_suite", ()),
-    "contraction": ("contraction_battery", ("instances", "dims", "alpha", "trials", "seed")),
-    "step2": ("step2_battery", ("dims", "n_sequence", "seed")),
-    "auxiliary": ("auxiliary_inequality_suite", ("trials", "dims", "seed")),
-    "alpha-limit": ("alpha_limit_battery", ("trials", "dims", "seed")),
-    "violation": ("violation_search", ("alpha", "dims", "trials", "seed", "hill_steps", "allow_inconclusive")),
-}
-
 # argparse dest of each --tolerance-* flag: (the ToleranceConfig field it sets, help); a command
 # adds those it reads (check-map: its Choi test and probes; compute: all but the gap's slack)
 _TOLERANCE_FLAGS = {
@@ -51,6 +38,21 @@ _TOLERANCE_FLAGS = {
     "tolerance_hermiticity": ("hermiticity_tolerance", "allowed Hermiticity defect on inputs"),
     "tolerance_containment": ("containment_tolerance", "relative leaked mass allowed by the support containment test"),
     "tolerance_projector": ("projector_tolerance", "allowed deviation from idempotence for projectors"),
+}
+_NO_SLACK = tuple(dest for dest in _TOLERANCE_FLAGS if dest != "tolerance_slack")
+_SPECTRAL = ("tolerance_support_cutoff", "tolerance_psd", "tolerance_hermiticity")
+
+# each suite's harness entry point, looked up when the suite runs, and the flags (argparse
+# dests) it reads: its suite flags, then the --tolerance-* flags of the fields its checks read;
+# every suite also reads --out, and any other flag given is an input error
+SUITES = {
+    "dpi": ("randomized_dpi_suite", ("mode", "dims", "trials", "seed", "alpha", *_TOLERANCE_FLAGS)),
+    "counterexample": ("counterexample_suite", _NO_SLACK),
+    "contraction": ("contraction_battery", ("instances", "dims", "alpha", "trials", "seed", *_SPECTRAL)),
+    "step2": ("step2_battery", ("dims", "n_sequence", "seed", *_NO_SLACK)),
+    "auxiliary": ("auxiliary_inequality_suite", ("trials", "dims", "seed", *_NO_SLACK)),
+    "alpha-limit": ("alpha_limit_battery", ("trials", "dims", "seed", *_SPECTRAL, "tolerance_containment")),
+    "violation": ("violation_search", ("alpha", "dims", "trials", "seed", "hill_steps", "allow_inconclusive", *_SPECTRAL)),
 }
 
 
@@ -230,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma", required=True, help="JSON file holding the second operator")
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--out", default=None, help="also write the result JSON here")
-    _add_tolerance_flags(p, [dest for dest in _TOLERANCE_FLAGS if dest != "tolerance_slack"])
+    _add_tolerance_flags(p, _NO_SLACK)
     p.set_defaults(func=_cmd_compute)
 
     p = sub.add_parser("check-map", help="classify a serialized map (positivity, trace behavior)")

@@ -271,7 +271,7 @@ def _stack_checked_parts(V: np.ndarray, rho: np.ndarray, sigma: np.ndarray, alph
     they are drawn, not symmetrized, with no second eigh to check them again.
     """
     return lambda: (
-        serialize.channel_to_dict(from_isometry(V, *rho.shape)),
+        serialize.channel_to_dict(from_isometry(V, rho.shape[0])),
         serialize._checked_matrix_dict(rho, "psd"),
         serialize._checked_matrix_dict(sigma, "psd"),
         alpha,
@@ -543,8 +543,8 @@ def randomized_dpi_suite(
         raise DomainError(f"unknown mode {mode!r}")
     if mode == "tni":
         alphas = tuple(float(a) for a in (alphas if alphas is not None else DEFAULT_ALPHAS))
-        if not all(1.0 < a < math.inf for a in alphas):
-            raise DomainError("tni mode exercises finite alpha > 1 only")
+        if not alphas or not all(1.0 < a < math.inf for a in alphas):
+            raise DomainError(f"tni mode exercises one or more finite alpha > 1, got {list(alphas)}")
     elif alphas is not None:
         raise DomainError(f"alpha applies in tni mode only, not in {mode} mode")
     dims, draws = _seeded_trials(seed, trials, dims)
@@ -580,13 +580,19 @@ UNIT_IMAGE_TOLERANCE = 1e-9
 ADJOINT_UNIT_BOUND = 1.0 + 1e-10
 
 
+def _contraction_alphas(alphas, trials: int, seed: int) -> tuple:
+    """The weighted-norm orders of a contraction suite, checked with its probe count and seed."""
+    alphas = tuple(float(a) for a in alphas)
+    if not alphas or not all(1.0 <= a < math.inf for a in alphas):
+        raise DomainError(f"weighted norms need one or more finite alpha >= 1, got {list(alphas)}")
+    if trials < 0 or seed < 0:
+        raise DomainError(f"trials and seed must be nonnegative, got {trials} and {seed}")
+    return alphas
+
+
 def _contraction_checks(tally: _Tally, sigma, phi: SuperOperator, alphas, trials: int, seed: int,
                         cfg: ToleranceConfig) -> None:
     """Add the norm-contraction checks of one (sigma, Phi) instance to ``tally``."""
-    if trials < 0 or seed < 0:
-        raise DomainError(f"trials and seed must be nonnegative, got {trials} and {seed}")
-    if not all(1.0 <= a < math.inf for a in alphas):
-        raise DomainError(f"weighted norms need finite alpha >= 1, got {list(alphas)}")
     if not phi.certificate.is_positive:
         raise DomainError("norm contraction needs a certified positive map")
     if not trace_behavior(phi).is_nonincreasing:
@@ -645,7 +651,7 @@ def norm_contraction_suite(
     ||Psi(X)||_{alpha,Phi(sigma)} / ||X||_{alpha,sigma} <= 1 + 1e-8; plus the
     two endpoint facts: Psi(1) = 1 within 1e-9 and ||Phi*(1)||_inf <= 1 + 1e-10.
     """
-    alphas = tuple(float(a) for a in alphas)
+    alphas = _contraction_alphas(alphas, trials, seed)
     config = {
         "alphas": list(alphas),
         "trials": int(trials),
@@ -671,7 +677,7 @@ def contraction_battery(
     the contraction is exercised beyond the completely positive cone.
     """
     dims, draws = _seeded_trials(seed, instances, dims, first=1_000_000)
-    alphas = tuple(float(a) for a in alphas)
+    alphas = _contraction_alphas(alphas, trials, seed)
     config = {
         "instances": int(instances),
         "dims": list(dims),
@@ -704,10 +710,11 @@ def _descending_projector(w: np.ndarray, V: np.ndarray, n: int, d: int) -> np.nd
 
 STEP2_RESIDUAL_TOLERANCE = 1e-9
 STEP2_INEQUALITY_TOLERANCE = 1e-8
+# relative leaked mass allowed by the auxiliary suite's support-inclusion check (d)
+SUPPORT_INCLUSION_TOLERANCE = 1e-6
 
 
 def step2_suite(
-    d: int,
     n_sequence,
     phi: SuperOperator,
     rho,
@@ -722,8 +729,10 @@ def step2_suite(
     must be nonincreasing in n and vanish at n = d; per n, the compressed
     Klein gap is nonnegative, pinching does not increase relative entropy,
     the pinched divergence splits additively over blocks, and the operator
-    concavity of log holds on the pinched sigma.
+    concavity of log holds on the pinched sigma. The dimension d is the
+    map's input dimension, which its output dimension must equal.
     """
+    d = phi.dim_in
     n_sequence = tuple(int(n) for n in n_sequence)
     if not n_sequence or any(a >= b for a, b in zip(n_sequence, n_sequence[1:])):
         raise DomainError("n_sequence must be strictly ascending and nonempty")
@@ -731,8 +740,8 @@ def step2_suite(
         raise DomainError(f"n_sequence must lie in [1, {d}] and end at {d}")
     if seed < 0:
         raise DomainError(f"seed must be nonnegative, got {seed}")
-    if phi.dim_in != d or phi.dim_out != d:
-        raise DomainError("step-2 study needs a square map of the stated dimension")
+    if phi.dim_out != d:
+        raise DomainError(f"step-2 study needs a map with equal dimensions, got {d} -> {phi.dim_out}")
     rho = _psd_matrix(rho, cfg)
     sigma = _psd_matrix(sigma, cfg)
     config = {
@@ -809,7 +818,7 @@ def step2_battery(
     phi = random_cptp(d, rng=rng)
     rho = random_density(rng, d)
     sigma = random_density(rng, d)
-    return step2_suite(d, n_sequence, phi, rho, sigma, seed, cfg)
+    return step2_suite(n_sequence, phi, rho, sigma, seed, cfg)
 
 
 def auxiliary_inequality_suite(
@@ -823,9 +832,11 @@ def auxiliary_inequality_suite(
     Per trial: (a) operator concavity of log across a random pinching,
     (b) entropy nondecrease under pinching, (c) Klein gap nonnegativity for
     a random PSD pair with compatible supports, (d) support inclusion is
-    preserved by a random positive map.
+    preserved by a random positive map. cfg's containment_tolerance applies
+    to (c), the Klein gap; (d) allows SUPPORT_INCLUSION_TOLERANCE instead.
     """
     dims, draws = _seeded_trials(seed, trials, dims)
+    relaxed = dataclasses.replace(cfg, containment_tolerance=SUPPORT_INCLUSION_TOLERANCE)
     config = {
         "trials": int(trials),
         "seed": int(seed),
@@ -862,7 +873,6 @@ def auxiliary_inequality_suite(
         rho_small = rho_small / tr if tr > 0.0 else sigma_small
         positive_fam = _pick(rng, ("random_cptp", "random_positive_noncp", "reduction"))
         psi = _sample_family_map(positive_fam, d, rng, cfg)
-        relaxed = dataclasses.replace(cfg, containment_tolerance=1e-6)
         ok_d = support_contained(
             hermitian_part(psi.apply(rho_small)), hermitian_part(psi.apply(sigma_small)), relaxed
         )

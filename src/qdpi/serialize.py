@@ -248,13 +248,13 @@ def channel_from_dict(d: dict, cfg: ToleranceConfig = DEFAULT_TOL) -> SuperOpera
                 _matrix_from_payload(p, dim_out, dim_in, f"kraus[{i}]")
                 for i, p in enumerate(payloads)
             ]
-            phi = from_kraus(kraus, dim_in, dim_out)
+            phi = from_kraus(kraus)
         elif rep == "superop_matrix":
             M = _matrix_from_payload(d, dim_out * dim_out, dim_in * dim_in, "superop matrix")
-            phi = from_matrix(M, dim_in, dim_out)
+            phi = from_matrix(M)
         elif rep == "choi":
             C = _matrix_from_payload(d, dim_out * dim_in, dim_out * dim_in, "choi matrix")
-            phi = from_choi(C, dim_in, dim_out, cfg)
+            phi = from_choi(C, dim_in, cfg)
         else:
             raise FormatError(f"unknown channel representation {rep!r}")
     except KeyError as exc:

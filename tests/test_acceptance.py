@@ -212,7 +212,7 @@ def test_criterion_10_serialization_round_trips():
         random_cptp(2, seed=0), random_cptp(3, seed=1), random_cptp(4, seed=2),
         counterexample_map(), transpose_map(3),
         from_kraus([np.eye(2) / math.sqrt(2.0), np.diag([1.0, -1.0]) / math.sqrt(2.0)]),
-        from_matrix(transpose_map(2).matrix, 2, 2),
+        from_matrix(transpose_map(2).matrix),
     ]
     for base in channels:
         for _ in range(4):

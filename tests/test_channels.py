@@ -149,7 +149,7 @@ def test_truncation_matrix_matches_dense_formula():
         (transpose_map(5), 5, 5, "positive_by_construction"),
         (random_cptp(4, d_out=3, rng=rng), 4, 3, "positive_by_construction"),
         # X -> K X L^dagger does not preserve Hermiticity
-        (from_matrix(np.kron(L.conj(), K), 4), 4, 4, "unverified"),
+        (from_matrix(np.kron(L.conj(), K)), 4, 4, "unverified"),
     ]
     for base, d_in, d_out, tag in cases:
         P = random_projector(rng, d_in, 2)
@@ -193,7 +193,8 @@ def test_kraus_constructors_make_no_eigensolver_call(monkeypatch):
 def test_choi_round_trip():
     rng = rng_for_trial(202, 0)
     phi = random_cptp(3, d_out=2, rng=rng)
-    back = from_choi(choi(phi), dim_in=3, dim_out=2)
+    back = from_choi(choi(phi), dim_in=3)
+    assert (back.dim_in, back.dim_out) == (3, 2)
     assert np.allclose(back.matrix, phi.matrix, atol=1e-11)
     assert back.certificate.tag == "completely_positive"
 
@@ -235,7 +236,7 @@ def test_compose_of_positive_maps_is_positive_by_construction():
 def test_trace_behavior_classification():
     assert trace_behavior(random_cptp(3, seed=1)).tag == "preserving"
     assert trace_behavior(halving_map(2)).tag == "nonincreasing"
-    inflating = from_matrix(2.0 * identity_map(2).matrix, 2, 2)
+    inflating = from_matrix(2.0 * identity_map(2).matrix)
     assert trace_behavior(inflating).tag == "neither"
     # the tag is read off the one eigendecomposition of Phi*(1), cached on the map
     phi = damped_cptp(4, 2, 0.3, seed=6)
@@ -249,7 +250,7 @@ def test_classify_confirms_cp_and_falsifies_negative_map():
     cert = classify(random_cptp(2, seed=2))
     assert cert.tag == "completely_positive"
     assert trace_behavior(random_cptp(2, seed=2)).tag == "preserving"
-    negate = from_matrix(-identity_map(2).matrix, 2, 2)
+    negate = from_matrix(-identity_map(2).matrix)
     cert = classify(negate, sample_count=64, seed=0)
     assert cert.tag == "falsified"
     assert cert.witness is not None
@@ -275,13 +276,13 @@ def _classify_one_probe_at_a_time(phi, sample_count, seed, cfg=DEFAULT_TOL):
 
 def _random_matrix_map(d):
     rng = np.random.default_rng(100 + d)
-    return from_matrix(rng.standard_normal((d * d, d * d)) + 1j * rng.standard_normal((d * d, d * d)), d)
+    return from_matrix(rng.standard_normal((d * d, d * d)) + 1j * rng.standard_normal((d * d, d * d)))
 
 
 def _held_as(form, phi):
     """phi as its family, as a bare representation matrix or as a Choi matrix."""
     if form == "superop_matrix":
-        return from_matrix(phi.matrix, phi.dim_in)
+        return from_matrix(phi.matrix)
     if form == "choi":
         return from_choi(choi(phi), phi.dim_in)
     return phi
@@ -289,13 +290,13 @@ def _held_as(form, phi):
 
 # maps in every form classify meets: family, representation matrix, Choi matrix, Kraus operators
 _PROBED_MAPS = {
-    "negated-identity-2": lambda: from_matrix(-identity_map(2).matrix, 2),
+    "negated-identity-2": lambda: from_matrix(-identity_map(2).matrix),
     # X -> -tr(X) E_00: every probe's minimum is minus its rounded trace, so
     # equal minima recur within each stack and the first one must win
-    "negated-trace-2": lambda: from_matrix(np.array([[-1.0, 0, 0, -1]] + [[0.0] * 4] * 3), 2),
+    "negated-trace-2": lambda: from_matrix(np.array([[-1.0, 0, 0, -1]] + [[0.0] * 4] * 3)),
     # a non-Hermitian Choi matrix, so no Choi eigensolve; entries near the
     # float limit, which the halving symmetrization keeps finite, falsify
-    "overflowing-negation-2": lambda: from_matrix(-1e308 * np.eye(4) + 1e-3j, 2),
+    "overflowing-negation-2": lambda: from_matrix(-1e308 * np.eye(4) + 1e-3j),
     **{f"random-matrix-{d}": (lambda d=d: _random_matrix_map(d)) for d in range(3, 7)},
     **{f"{family.__name__}-{form}-{d}": (lambda family=family, form=form, d=d: _held_as(form, family(d)))
        for family in (transpose_map, reduction_map) for form in ("family", "superop_matrix", "choi") for d in (2, 4)},
@@ -337,7 +338,7 @@ def test_one_to_one_norm_for_positive_tni_maps_is_at_most_one():
 
 
 def test_one_to_one_norm_requires_positivity_certificate():
-    unknown = from_matrix(identity_map(2).matrix, 2, 2)
+    unknown = from_matrix(identity_map(2).matrix)
     assert unknown.certificate.tag == "unverified"
     with pytest.raises(DomainError):
         one_to_one_norm_positive(unknown)
@@ -452,7 +453,7 @@ def test_apply_rejects_non_finite_input(path, bad):
 
 
 @pytest.mark.parametrize("make", [lambda: random_cptp(3, seed=1), lambda: transpose_map(3),
-                                  lambda: from_matrix(np.arange(36.0).reshape(4, 9) * (1 - 2j), 3, 2)])
+                                  lambda: from_matrix(np.arange(36.0).reshape(4, 9) * (1 - 2j))])
 def test_apply_of_a_stack_equals_apply_of_each_matrix(make):
     phi = make()
     rng = np.random.default_rng(5)
@@ -480,8 +481,11 @@ def test_apply_of_a_stack_equals_apply_of_each_matrix(make):
 
 def test_from_kraus_dimension_checks():
     K = np.zeros((2, 3))
-    phi = from_kraus([K], dim_in=3, dim_out=2)
+    phi = from_kraus([K])
     assert phi.dim_in == 3 and phi.dim_out == 2
+    # the operators' shape is the only source of the dimensions
+    with pytest.raises(TypeError):
+        from_kraus([np.eye(4)], 3)
     with pytest.raises(DomainError):
         from_kraus([np.eye(2), np.eye(3)])
 
@@ -489,12 +493,10 @@ def test_from_kraus_dimension_checks():
 @pytest.mark.parametrize(
     "build",
     [
-        lambda: from_matrix(np.eye(3), 2),
+        lambda: from_matrix(np.eye(3)),
         lambda: from_kraus([]),
         lambda: from_kraus([np.eye(2), np.eye(3)]),
-        lambda: from_kraus([np.eye(2)], 3, 3),
         lambda: from_choi(np.eye(5), 2),
-        lambda: from_choi(np.eye(4), 2, 3),
         lambda: compose(identity_map(2), identity_map(3)),
         lambda: identity_map(0),
         lambda: transpose_map(0),
@@ -509,8 +511,7 @@ def test_from_kraus_dimension_checks():
         lambda: halving_map(-1),
     ],
     ids=[
-        "from_matrix-shape", "from_kraus-empty", "from_kraus-mixed", "from_kraus-dims",
-        "from_choi-multiple", "from_choi-shape", "compose-dims", "identity-0", "transpose-0",
+        "from_matrix-shape", "from_kraus-empty", "from_kraus-mixed", "from_choi-multiple", "compose-dims", "identity-0", "transpose-0",
         "reduction-1", "depolarizing-0", "truncation-P", "truncation-P-prime", "random_cptp-no-seed",
         "damped-mu", "damped-rank", "halving-0", "halving-negative",
     ],
@@ -619,6 +620,16 @@ def test_stacked_sampling_finish_equals_the_scalar_samplers():
             random_cptp(*dims, seed=0)
 
 
+def test_from_isometry_rejects_rows_that_do_not_split_into_blocks():
+    # 5 rows hold no whole number of 2-row Kraus operators; none is dropped
+    V = phase_fixed_q(cptp_draw(np.random.default_rng(0), 2, 5, 1))
+    with pytest.raises(DomainError, match="blocks of 2 rows"):
+        from_isometry(V, 2)
+    with pytest.raises(DomainError, match="blocks of 0 rows"):
+        from_isometry(V, 0)
+    assert trace_behavior(from_isometry(V, 5)).tag == "preserving"
+
+
 def test_apply_kraus_stack_equals_apply_of_each_map():
     d, n = 3, 4
     rng = np.random.default_rng(2)
@@ -626,7 +637,7 @@ def test_apply_kraus_stack_equals_apply_of_each_map():
     X = np.stack([random_density(rng, d) for _ in range(n)])
     out = apply_kraus_stack(kraus_blocks(V, d), X)
     for i in range(n):
-        assert np.array_equal(out[i], from_isometry(V[i], d, d).apply(X[i]))
+        assert np.array_equal(out[i], from_isometry(V[i], d).apply(X[i]))
     bad = X.copy()
     bad[2, 1, 1] = np.inf
     with pytest.raises(DomainError, match="non-finite"):

@@ -1,6 +1,8 @@
+import dataclasses
 import inspect
 import json
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -19,6 +21,7 @@ from qdpi.cli import (
 )
 from qdpi.divergences import sandwiched_renyi
 from qdpi.harness import report_from_dict
+from qdpi.linalg import ToleranceConfig
 from qdpi.sampling import random_density, rng_for_trial
 
 
@@ -137,7 +140,7 @@ def test_check_map_certifies_cp_map_stored_as_superop_matrix(tmp_path, capsys):
     p = 0.3
     phase_flip = from_kraus([np.sqrt(1 - p) * np.eye(2), np.sqrt(p) * np.diag([1.0, -1.0])])
     path = tmp_path / "phase-flip.json"
-    serialize.save_json(path, serialize.channel_to_dict(from_matrix(phase_flip.matrix, 2)))
+    serialize.save_json(path, serialize.channel_to_dict(from_matrix(phase_flip.matrix)))
     assert main(["check-map", "--map", str(path)]) == EXIT_PASS
     payload = json.loads(capsys.readouterr().out)
     assert payload["certificate"] == "completely_positive"
@@ -225,6 +228,16 @@ def test_suite_violation_alpha_out_of_range(capsys):
     assert rc == EXIT_PRECONDITION_ERROR
 
 
+@pytest.mark.parametrize("alpha", ["0.5", "inf"])
+def test_contraction_alpha_is_checked_with_no_instance(tmp_path, capsys, alpha):
+    out = tmp_path / "report.json"
+    argv = ["suite", "contraction", "--instances", "0", "--alpha", alpha, "--out", str(out)]
+    assert main(argv) == EXIT_PRECONDITION_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err.startswith("precondition error: weighted norms need") and captured.err.count("\n") == 1
+
+
 SUITE_ENTRY_POINTS = {
     "dpi": "randomized_dpi_suite",
     "counterexample": "counterexample_suite",
@@ -245,6 +258,7 @@ class _Called(Exception):
 SUITE_FLAG_VALUES = {
     "mode": "tni", "dims": "3", "trials": "4", "seed": "5", "alpha": "0.3", "instances": "2",
     "n_sequence": "1,2", "hill_steps": "6", "allow_inconclusive": None,
+    **{dest: "1e-9" for dest in cli._TOLERANCE_FLAGS},
 }
 
 
@@ -261,7 +275,7 @@ def test_flagless_suite_leaves_defaults_to_the_harness(monkeypatch, name):
     given = [word for dest in SUITES[name][1]
              for word in ("--" + dest.replace("_", "-"), SUITE_FLAG_VALUES[dest]) if word is not None]
     with pytest.raises(_Called) as called:
-        main(["suite", name, *given, "--tolerance-slack", "1e-9"])
+        main(["suite", name, *given])
     assert "cfg" in called.value.args[0]
     with pytest.raises(SystemExit) as rejected:
         main(["suite", name, "--no-such-flag"])
@@ -299,6 +313,18 @@ def _fail_if_called(*args, **kwargs):
         "auxiliary --mode tni",
         "dpi --hill-steps 0",
         "contraction --allow-inconclusive",
+        # the tolerance flags of fields the suite never reads
+        "counterexample --tolerance-slack 1e-9",
+        "step2 --tolerance-slack 1e-9",
+        "auxiliary --tolerance-slack 1e-9",
+        "alpha-limit --tolerance-slack 1e-9",
+        "alpha-limit --tolerance-projector 1e-9",
+        "contraction --tolerance-slack 1e-9",
+        "contraction --tolerance-containment 1e-9",
+        "contraction --tolerance-projector 1e-9",
+        "violation --tolerance-slack 1e-9",
+        "violation --tolerance-containment 1e-9",
+        "violation --tolerance-projector 1e-9",
     ],
 )
 def test_suite_rejects_flags_it_does_not_read(monkeypatch, capsys, argv):
@@ -362,7 +388,8 @@ COMMAND_TOLERANCES = {
 COMMAND_ARGV = {
     "compute": ["compute", "--rho", "rho.json", "--sigma", "sigma.json"],
     "check-map": ["check-map", "--map", "map.json"],
-    "suite": ["suite", "counterexample"],
+    # dpi reads every field; the next test checks what each other suite takes
+    "suite": ["suite", "dpi"],
 }
 
 
@@ -387,6 +414,42 @@ def test_each_command_takes_only_the_tolerance_flags_it_reads(monkeypatch, capsy
                 main(argv)
             assert rejected.value.code == EXIT_INPUT_ERROR
             assert "unrecognized arguments: --" + dest.replace("_", "-") in capsys.readouterr().err
+
+
+# each suite at an acceptance size (scripts/report_digests.py), which reaches
+# every branch that reads a tolerance
+READ_SET_RUNS = {
+    "dpi-tp": ("dpi", {"mode": "tp", "dims": (2, 3, 4, 5, 6), "trials": 300, "seed": 44}),
+    "dpi-tni": ("dpi", {"mode": "tni", "dims": (2, 3, 4, 5, 6), "trials": 300, "seed": 44}),
+    "dpi-trace-match": ("dpi", {"mode": "trace_match", "dims": (2, 3, 4, 5, 6), "trials": 300, "seed": 44}),
+    "counterexample": ("counterexample", {}),
+    "contraction": ("contraction", {"instances": 6, "dims": (2, 3, 4, 5, 6), "trials": 20, "seed": 44}),
+    "step2": ("step2", {"d": 16, "seed": 44}),
+    "auxiliary": ("auxiliary", {"trials": 50, "seed": 44}),
+    "alpha-limit": ("alpha-limit", {"trials": 20, "seed": 44}),
+    "violation": ("violation", {"alpha": 0.3, "dims": (2,), "trials": 2000, "hill_steps": 1500, "seed": 44}),
+}
+TOLERANCE_FIELDS = {field for field, _ in cli._TOLERANCE_FLAGS.values()}
+
+
+@pytest.mark.parametrize("run", sorted(READ_SET_RUNS))
+def test_each_suite_takes_the_tolerance_flags_of_the_fields_it_reads(run):
+    name, options = READ_SET_RUNS[run]
+    read = set()
+
+    class Logged(ToleranceConfig):
+        def __getattribute__(self, attr):
+            # the reads dataclasses makes itself (validation, asdict, replace, ==) are not the suite's
+            code = sys._getframe(1).f_code
+            if (attr in TOLERANCE_FIELDS and code.co_filename != dataclasses.__file__
+                    and code.co_name not in ("__post_init__", "__eq__", "__hash__", "__repr__")):
+                read.add(attr)
+            return object.__getattribute__(self, attr)
+
+    getattr(harness, SUITES[name][0])(**options, cfg=Logged())
+    taken = {cli._TOLERANCE_FLAGS[dest][0] for dest in SUITES[name][1] if dest in cli._TOLERANCE_FLAGS}
+    assert read == taken
+    assert sum(dest in cli._TOLERANCE_FLAGS for _, flags in SUITES.values() for dest in flags) == 31
 
 
 def test_tolerance_flags_propagate_to_report_config(tmp_path):
@@ -429,7 +492,7 @@ def test_suite_failure_exit_code(tmp_path):
 def test_check_map_falsified_for_negative_map(tmp_path, capsys):
     from qdpi.channels import from_matrix, identity_map
 
-    negate = from_matrix(-identity_map(2).matrix, 2, 2)
+    negate = from_matrix(-identity_map(2).matrix)
     path = tmp_path / "neg.json"
     serialize.save_json(path, serialize.channel_to_dict(negate))
     assert main(["check-map", "--map", str(path)]) == EXIT_PASS
@@ -465,7 +528,7 @@ def test_check_map_solves_each_spectrum_once(tmp_path, capsys, eig_sizes):
 
 def test_check_map_with_non_hermitian_choi_is_precondition_error(tmp_path, capsys):
     A = np.array([[1.0, 1.0], [0.0, 1.0]])
-    left_multiply = from_matrix(np.kron(np.eye(2), A), 2, 2)  # X -> A X
+    left_multiply = from_matrix(np.kron(np.eye(2), A))  # X -> A X
     path = tmp_path / "left.json"
     serialize.save_json(path, serialize.channel_to_dict(left_multiply))
     assert main(["check-map", "--map", str(path), "--samples", "0"]) == EXIT_PRECONDITION_ERROR
@@ -499,7 +562,7 @@ def test_check_map_spectrum_failure_is_one_line(tmp_path, capsys, monkeypatch, m
     if stubbed:
         monkeypatch.setattr(np.linalg, "eigvalsh", _unconverged)
     path = tmp_path / "map.json"
-    serialize.save_json(path, serialize.channel_to_dict(from_matrix(matrix, 2)))
+    serialize.save_json(path, serialize.channel_to_dict(from_matrix(matrix)))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(["check-map", "--map", str(path)]) == code

@@ -79,14 +79,14 @@ def test_monotonicity_check_zero_gap_under_unitary_conjugation():
 
 
 def test_monotonicity_check_rejects_unverified_certificate():
-    unknown = from_matrix(identity_map(2).matrix, 2, 2)
+    unknown = from_matrix(identity_map(2).matrix)
     rho = np.diag([0.5, 0.5])
     with pytest.raises(DomainError):
         monotonicity_check(unknown, rho, rho)
 
 
 def test_monotonicity_check_rejects_trace_increasing_map():
-    inflating = from_matrix(2.0 * identity_map(2).matrix, 2, 2)
+    inflating = from_matrix(2.0 * identity_map(2).matrix)
     # grant positivity via a CP certificate from Kraus form instead
     from qdpi.channels import from_kraus
 
@@ -203,15 +203,25 @@ def test_dpi_suite_reads_alpha_in_tni_mode_only(mode, alphas):
         lambda: sample_state_pairs(0, (), 0),
         lambda: step2_battery(d=1),
         lambda: step2_battery(d=4, seed=-1),
-        lambda: step2_suite(2, (1, 2), identity_map(2), np.eye(2) / 2, np.eye(2) / 2, seed=-1),
+        lambda: step2_suite((1, 2), identity_map(2), np.eye(2) / 2, np.eye(2) / 2, seed=-1),
         lambda: norm_contraction_suite(np.eye(2) / 2, identity_map(2), trials=2, seed=-1),
         lambda: norm_contraction_suite(np.eye(2) / 2, identity_map(2), trials=-1),
+        # the alphas and the probe count are checked once, before any instance is drawn
+        lambda: contraction_battery(instances=0, trials=-1),
+        lambda: contraction_battery(instances=0, alphas=(0.5,)),
+        lambda: contraction_battery(instances=0, alphas=(math.inf,)),
+        lambda: contraction_battery(instances=0, alphas=()),
+        lambda: norm_contraction_suite(np.eye(2) / 2, identity_map(2), alphas=(), trials=2),
+        lambda: randomized_dpi_suite("tni", trials=0, alphas=()),
     ],
     ids=[
         "auxiliary-trials", "auxiliary-seed", "auxiliary-dims-no-trials",
         "contraction-instances", "contraction-trials", "contraction-seed", "contraction-dims-no-instances",
         "pairs-count", "pairs-seed", "pairs-dims-no-count", "step2-dims", "step2-seed",
         "step2-suite-seed", "norm-contraction-seed", "norm-contraction-trials",
+        "contraction-trials-no-instances", "contraction-alpha-below-one-no-instances",
+        "contraction-alpha-inf-no-instances", "contraction-alpha-empty", "norm-contraction-alpha-empty",
+        "dpi-tni-alpha-empty",
     ],
 )
 def test_seeded_suites_reject_bad_arguments(run):
@@ -298,11 +308,15 @@ def test_step2_suite_validates_sequence():
     rho = random_density(rng, 4)
     sigma = random_density(rng, 4)
     with pytest.raises(DomainError):
-        step2_suite(4, (3, 2, 4), phi, rho, sigma)
+        step2_suite((3, 2, 4), phi, rho, sigma)
     with pytest.raises(DomainError):
-        step2_suite(4, (2, 3), phi, rho, sigma)
+        step2_suite((2, 3), phi, rho, sigma)
     with pytest.raises(DomainError):
-        step2_suite(4, (2, 4, 4), phi, rho, sigma)
+        step2_suite((2, 4, 4), phi, rho, sigma)
+    # d is the map's input dimension, which its output dimension must equal
+    with pytest.raises(DomainError, match="equal dimensions"):
+        step2_suite((2, 4), random_cptp(4, d_out=3, seed=31), rho, sigma)
+    assert step2_suite((2, 4), phi, rho, sigma).config["d"] == 4
 
 
 def test_auxiliary_suite_passes():
@@ -452,7 +466,7 @@ def _one_step_climb(alpha, lhs, rhs, V, rho, sigma, steps, rng, cfg):
     step = 0.25
     for _ in range(steps):
         V2 = phase_fixed_q(V + step * random_complex_gaussian(rng, V.shape))
-        phi = from_isometry(V2, *rho.shape)
+        phi = from_isometry(V2, rho.shape[0])
         rhs2 = sandwiched_renyi(hermitian_part(phi.apply(rho)), hermitian_part(phi.apply(sigma)), alpha, cfg)
         gap2 = _gap_of(lhs, rhs2)
         if gap2 < gap:

@@ -168,7 +168,7 @@ def test_channel_round_trip_kraus_path():
 
 
 def test_channel_round_trip_matrix_path():
-    phi = from_matrix(transpose_map(2).matrix, 2, 2)
+    phi = from_matrix(transpose_map(2).matrix)
     payload = channel_to_dict(phi)
     assert payload["representation"] == "superop_matrix"
     back = channel_from_dict(payload)
@@ -194,7 +194,7 @@ def test_choi_payload_is_certified_under_the_given_tolerances():
     loose = dataclasses.replace(DEFAULT_TOL, psd_tolerance=1e-8)
     assert channel_from_dict(payload).certificate.tag == "unverified"
     assert channel_from_dict(payload, loose).certificate.tag == "completely_positive"
-    assert from_choi(C, 2, 2, loose).certificate.tag == "completely_positive"
+    assert from_choi(C, 2, loose).certificate.tag == "completely_positive"
 
 
 def test_channel_from_dict_validates_schema_and_dims():
