@@ -5,13 +5,14 @@ Each argument is one `qdpi suite` command line without the leading
 `qdpi suite`, for example "dpi --mode tp --trials 300 --seed 44". With no
 arguments the script runs a fixed set of acceptance commands, then writes a
 fixed set of map files (every representation, a map that sampling
-falsifies, the d = 16 reduction map) and runs `qdpi check-map` on each, then
-writes a full-rank and a rank-deficient state pair and runs `qdpi compute`
-on each for the relative entropy, the sandwiched divergence at alpha = 0.3
-and 2 and the old Renyi divergence at alpha = 2. For each command it prints
-one line: the exit code, the sha256 of the canonical report with
-`runtime_ms` set to 0 ("-" when the command wrote no report), and the
-command, `check-map <map name>` or `compute <pair name> <family> [alpha]`.
+falsifies, the d = 16 reduction map, recipes with real-valued params) and
+runs `qdpi check-map` on each, then writes a full-rank and a rank-deficient
+state pair and runs `qdpi compute` on each for the relative entropy, the
+sandwiched divergence at alpha = 0.3 and 2 and the old Renyi divergence at
+alpha = 2. For each command it prints one line: the exit code, the sha256
+of the canonical report with `runtime_ms` set to 0 ("-" when the command
+wrote no report), and the command, `check-map <map name>` or
+`compute <pair name> <family> [alpha]`.
 Two checkouts whose reports agree byte for byte, apart from `runtime_ms`,
 print the same lines, so comparing the output of
 
@@ -33,6 +34,8 @@ import numpy as np
 
 from qdpi import cli, serialize
 from qdpi.channels import (
+    damped_cptp,
+    depolarizing_map,
     from_kraus,
     from_matrix,
     identity_map,
@@ -89,6 +92,9 @@ def check_map_inputs() -> dict:
         # X -> X^T - X/2 sends some pure states to a negative eigenvalue
         "superop-falsified-d5": (serialize.channel_to_dict(from_matrix(transpose_minus_half)), 3),
         "choi-reduction-d4": (serialize.choi_to_dict(reduction_map(4)), 4),
+        # recipes with real-valued params, which construct binds through the family table
+        "family-depolarizing-d3": (serialize.channel_to_dict(depolarizing_map(3, 0.25)), 0),
+        "family-damped-d3": (serialize.channel_to_dict(damped_cptp(3, 2, 0.5, seed=3)), 1),
     }
 
 

@@ -18,7 +18,6 @@ from .linalg import (
 )
 from .divergences import (
     gamma_inverse,
-    gamma_map,
     klein_gap,
     old_renyi,
     relative_entropy,

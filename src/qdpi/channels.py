@@ -90,6 +90,9 @@ __all__ = [
     "random_cptp",
     "random_positive_noncp",
     "damped_cptp",
+    "Family",
+    "FAMILY_TABLE",
+    "families",
     "construct",
 ]
 
@@ -181,6 +184,8 @@ class SuperOperator:
     ):
         if matrix is None and kraus is None:
             raise DomainError("a map needs a representation matrix or Kraus operators")
+        if dim_in < 1 or dim_out < 1:
+            raise DomainError(f"a map needs dimensions >= 1, got {dim_in} -> {dim_out}")
         if matrix is not None:
             self.matrix = matrix  # fills the cached property
         self.dim_in = dim_in
@@ -327,9 +332,9 @@ def choi(phi: SuperOperator) -> np.ndarray:
 def from_choi(C, dim_in: int, cfg: ToleranceConfig = DEFAULT_TOL) -> SuperOperator:
     """The map with Choi matrix C, whose size divided by dim_in is the output dimension."""
     C = as_matrix(C)
-    dim_out, rest = divmod(C.shape[0], dim_in)
-    if rest or C.shape[1] != C.shape[0]:
-        raise DomainError(f"Choi matrix shape {C.shape} is not square with a multiple of {dim_in} rows")
+    if dim_in < 1 or C.shape[0] % dim_in or C.shape[1] != C.shape[0]:
+        raise DomainError(f"Choi matrix shape {C.shape} is not square with a multiple of dim_in = {dim_in} >= 1 rows")
+    dim_out = C.shape[0] // dim_in
     U = C.reshape(dim_out, dim_in, dim_out, dim_in)
     M = np.asfortranarray(U.transpose(0, 2, 1, 3)).reshape(
         dim_out * dim_out, dim_in * dim_in, order="F"
@@ -669,18 +674,50 @@ def damped_cptp(
     return from_kraus(kraus, descriptor=desc)
 
 
-# recipe name -> constructor; a recipe's params (and seed) are its keyword arguments
-_FAMILIES = {
-    "identity": identity_map,
-    "transpose": transpose_map,
-    "reduction": reduction_map,
-    "depolarizing": depolarizing_map,
-    "halving": halving_map,
-    "counterexample": counterexample_map,
-    "random_cptp": random_cptp,
-    "random_positive_noncp": random_positive_noncp,
-    "damped_cptp": damped_cptp,
+def _draw_truncation(rng, d: int, cfg: ToleranceConfig) -> SuperOperator:
+    """A random CPTP map truncated between projectors of random rank, drawn in that order."""
+    base = random_cptp(d, rng=rng)
+    P, P_prime = (random_projector(rng, d, int(rng.integers(1, d + 1))) for _ in range(2))
+    return truncation_map(base, P, P_prime, cfg)
+
+
+@dataclass(frozen=True, eq=False)
+class Family:
+    """One entry of FAMILY_TABLE.
+
+    ``constructor`` builds the family's recipes (None when it takes operators)
+    and ``draw(rng, d, cfg)`` samples it for the suites whose ``roles`` it fills
+    (None when none does): the dpi modes and "support", auxiliary's check (d).
+    """
+
+    constructor: object
+    draw: object
+    roles: tuple = ()
+
+
+# every map family; a suite picks by index among its role's families, so this order is in every report
+FAMILY_TABLE = {
+    "random_cptp": Family(random_cptp, lambda rng, d, cfg: random_cptp(d, rng=rng), ("tp", "tni", "support")),
+    "random_positive_noncp": Family(random_positive_noncp, lambda rng, d, cfg: random_positive_noncp(d, rng=rng),
+                                    ("tp", "tni", "support")),
+    "reduction": Family(reduction_map, lambda rng, d, cfg: reduction_map(d), ("tp", "tni", "support")),
+    "pinching": Family(None, lambda rng, d, cfg: pinching_map(random_projector(rng, d, int(rng.integers(1, d))), cfg),
+                       ("tp", "tni")),
+    "depolarizing": Family(depolarizing_map, lambda rng, d, cfg: depolarizing_map(d, float(rng.uniform(0.0, 1.0))),
+                           ("tp", "tni")),
+    "halving": Family(halving_map, lambda rng, d, cfg: halving_map(d), ("tni",)),
+    "counterexample": Family(counterexample_map, lambda rng, d, cfg: counterexample_map(), ("tni", "trace_match")),
+    "damped_cptp": Family(damped_cptp, lambda rng, d, cfg: damped_cptp(
+        d, int(rng.integers(1, d)), float(rng.uniform(0.2, 0.9)), rng=rng), ("trace_match",)),
+    "truncation": Family(None, _draw_truncation, ("trace_match",)),
+    "identity": Family(identity_map, None),
+    "transpose": Family(transpose_map, None),
 }
+
+
+def families(role: str) -> tuple:
+    """The names of the families that fill a suite role, in table order."""
+    return tuple(name for name, family in FAMILY_TABLE.items() if role in family.roles)
 
 
 _INTEGER_PARAMS = ("d", "d_out", "kraus_rank", "rank")
@@ -694,13 +731,14 @@ def _is_number(value, types) -> bool:
 def construct(family: str, params: dict | None = None, seed=None) -> SuperOperator:
     """Build a map from a (family, params, seed) recipe.
 
-    Covers every family whose parameters are plain scalars; pinching and
-    truncation take operator arguments and have their own constructors.
-    Recipes come from files, so each parameter and the seed are type-checked,
-    then bound to the constructor's keyword arguments: a parameter the family
-    lacks, a missing one, or a seed for a seedless family is an error.
+    The family is a ``FAMILY_TABLE`` entry with a recipe constructor; pinching
+    and truncation take operators, so a recipe naming them, like a name
+    outside the table, is an unknown family. Recipes come from files, so each
+    parameter and the seed are type-checked, then bound to the constructor's
+    keyword arguments: a parameter the family lacks, a missing one, or a seed
+    for a seedless family is an error.
     """
-    fn = _FAMILIES.get(family)
+    fn = FAMILY_TABLE[family].constructor if isinstance(family, str) and family in FAMILY_TABLE else None
     if fn is None:
         raise DomainError(f"unknown map family {family!r}")
     params = {} if params is None else params

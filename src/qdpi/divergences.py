@@ -38,7 +38,6 @@ __all__ = [
     "sandwiched_renyi",
     "old_renyi",
     "klein_gap",
-    "gamma_map",
     "gamma_inverse",
     "weighted_p_norm",
     "renyi_via_norm",
@@ -203,12 +202,6 @@ def klein_gap(A, B, cfg: ToleranceConfig = DEFAULT_TOL) -> float:
     if tr_A == 0.0:
         return tr_B
     return _relative_core(A, B, cfg) - tr_A + tr_B
-
-
-def gamma_map(sigma, X, cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """sigma^{1/2} X sigma^{1/2}."""
-    root = _psd_matrix(sigma, cfg).power(0.5)
-    return root @ np.asarray(X, dtype=np.complex128) @ root
 
 
 def gamma_inverse(sigma, X, cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:

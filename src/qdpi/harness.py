@@ -49,24 +49,22 @@ from .divergences import (
     weighted_p_norm,
 )
 from .channels import (
+    FAMILY_TABLE,
     SuperOperator,
     apply_kraus_stack,
     compose,
     counterexample_map,
     cptp_draw,
-    damped_cptp,
     depolarizing_map,
+    families,
     from_isometry,
     gamma_superoperator,
-    halving_map,
     kraus_blocks,
     one_to_one_norm_positive,
     pinching_map,
     random_cptp,
     random_positive_noncp,
-    reduction_map,
     trace_behavior,
-    truncation_map,
     truncation_parts,
 )
 from .sampling import (
@@ -108,9 +106,6 @@ __all__ = [
     "alpha_limit_battery",
     "violation_search",
     "sample_state_pairs",
-    "TP_FAMILIES",
-    "TNI_FAMILIES",
-    "TRACE_MATCH_FAMILIES",
     "DEFAULT_ALPHAS",
     "DEFAULT_EPS_GRID",
 ]
@@ -118,9 +113,6 @@ __all__ = [
 TRACE_MATCH_TOLERANCE = 1e-9
 VIOLATION_MARGIN = 1e-6
 
-TP_FAMILIES = ("random_cptp", "random_positive_noncp", "reduction", "pinching", "depolarizing")
-TNI_FAMILIES = TP_FAMILIES + ("halving", "counterexample")
-TRACE_MATCH_FAMILIES = ("counterexample", "damped_cptp", "truncation")
 DEFAULT_ALPHAS = (1.1, 1.25, 1.5, 2.0, 3.0, 5.0)
 DEFAULT_EPS_GRID = (1e-1, 1e-2, 1e-3, 1e-4)
 
@@ -406,31 +398,6 @@ class _Tally:
         )
 
 
-def _sample_family_map(family: str, d: int, rng, cfg: ToleranceConfig) -> SuperOperator:
-    if family == "random_cptp":
-        return random_cptp(d, rng=rng)
-    if family == "random_positive_noncp":
-        return random_positive_noncp(d, rng=rng)
-    if family == "reduction":
-        return reduction_map(d)
-    if family == "pinching":
-        return pinching_map(random_projector(rng, d, int(rng.integers(1, d))), cfg)
-    if family == "depolarizing":
-        return depolarizing_map(d, float(rng.uniform(0.0, 1.0)))
-    if family == "halving":
-        return halving_map(d)
-    if family == "counterexample":
-        return counterexample_map()
-    if family == "damped_cptp":
-        return damped_cptp(d, int(rng.integers(1, d)), float(rng.uniform(0.2, 0.9)), rng=rng)
-    if family == "truncation":
-        base = random_cptp(d, rng=rng)
-        P = random_projector(rng, d, int(rng.integers(1, d + 1)))
-        P_prime = random_projector(rng, d, int(rng.integers(1, d + 1)))
-        return truncation_map(base, P, P_prime, cfg)
-    raise DomainError(f"unknown map family {family!r}")
-
-
 def _pick(rng, options):
     """The option ``rng.choice`` picks, by the same single draw, without its array conversion."""
     return options[int(rng.integers(len(options)))]
@@ -538,9 +505,9 @@ def randomized_dpi_suite(
     1000 trials over d in (2, 3, 4), seed 0, and in tni mode DEFAULT_ALPHAS;
     alphas given in another mode are a DomainError.
     """
-    families = {"tp": TP_FAMILIES, "tni": TNI_FAMILIES, "trace_match": TRACE_MATCH_FAMILIES}.get(mode)
-    if families is None:
+    if mode not in ("tp", "tni", "trace_match"):
         raise DomainError(f"unknown mode {mode!r}")
+    names = families(mode)
     if mode == "tni":
         alphas = tuple(float(a) for a in (alphas if alphas is not None else DEFAULT_ALPHAS))
         if not alphas or not all(1.0 < a < math.inf for a in alphas):
@@ -551,14 +518,14 @@ def randomized_dpi_suite(
     config = {
         "mode": mode,
         "dims": list(dims),
-        "families": list(families),
+        "families": list(names),
         "alphas": None if alphas is None else list(alphas),
         "trials": int(trials),
         "seed": int(seed),
     }
     tally = _Tally(f"dpi-{mode}", seed, config, cfg)
     for rng, d in draws:
-        phi = _sample_family_map(_pick(rng, families), d, rng, cfg)
+        phi = FAMILY_TABLE[_pick(rng, names)].draw(rng, d, cfg)
         d = phi.dim_in  # the counterexample map is 2x2 whatever d was drawn
         if mode == "trace_match":
             rho = _sector_state(rng, trace_behavior(phi).sector())
@@ -673,8 +640,9 @@ def contraction_battery(
 ) -> CheckReport:
     """Norm-contraction checks over seeded (map, sigma) instances, in one report.
 
-    Instances rotate through CPTP, positive non-CP, and depolarizing maps so
-    the contraction is exercised beyond the completely positive cone.
+    Instances rotate through positive non-CP, CPTP, and depolarizing maps
+    (lam drawn from [0.1, 0.9]), in that order, so the contraction is
+    exercised beyond the completely positive cone.
     """
     dims, draws = _seeded_trials(seed, instances, dims, first=1_000_000)
     alphas = _contraction_alphas(alphas, trials, seed)
@@ -843,6 +811,7 @@ def auxiliary_inequality_suite(
         "dims": list(dims),
     }
     tally = _Tally("auxiliary", seed, config, cfg)
+    support_families = families("support")
     for t, (rng, d) in enumerate(draws):
         sigma = random_density(rng, d)
         P = random_projector(rng, d, int(rng.integers(1, d)))
@@ -871,8 +840,7 @@ def auxiliary_inequality_suite(
         rho_small = Q @ inner @ Q
         tr = float(np.trace(rho_small).real)
         rho_small = rho_small / tr if tr > 0.0 else sigma_small
-        positive_fam = _pick(rng, ("random_cptp", "random_positive_noncp", "reduction"))
-        psi = _sample_family_map(positive_fam, d, rng, cfg)
+        psi = FAMILY_TABLE[_pick(rng, support_families)].draw(rng, d, cfg)
         ok_d = support_contained(
             hermitian_part(psi.apply(rho_small)), hermitian_part(psi.apply(sigma_small)), relaxed
         )

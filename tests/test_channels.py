@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qdpi import serialize
 from qdpi.channels import (
+    FAMILY_TABLE,
     SuperOperator,
     adjoint,
     apply_kraus_stack,
@@ -17,6 +19,7 @@ from qdpi.channels import (
     cptp_draw,
     damped_cptp,
     depolarizing_map,
+    families,
     from_choi,
     from_isometry,
     from_kraus,
@@ -35,7 +38,7 @@ from qdpi.channels import (
     truncation_map,
     truncation_parts,
 )
-from qdpi.divergences import gamma_inverse, gamma_map, support_contained
+from qdpi.divergences import gamma_inverse, support_contained
 from qdpi.linalg import (
     DEFAULT_TOL,
     DomainError,
@@ -404,7 +407,10 @@ def test_gamma_superoperator_matches_direct_conjugation():
     rng = rng_for_trial(209, 0)
     sigma = random_density(rng, 3)
     X = random_hermitian(rng, 3)
-    assert np.allclose(gamma_superoperator(sigma).apply(X), gamma_map(sigma, X), atol=1e-10)
+    # sigma^{1/2} from the test's own eigendecomposition
+    w, V = np.linalg.eigh(sigma)
+    root = (V * np.sqrt(w)) @ V.conj().T
+    assert np.allclose(gamma_superoperator(sigma).apply(X), root @ X @ root, atol=1e-10)
     assert np.allclose(
         gamma_superoperator(sigma, inverse=True).apply(X), gamma_inverse(sigma, X), atol=1e-8
     )
@@ -441,6 +447,57 @@ def test_random_positive_noncp_is_positive_but_not_cp():
 def test_construct_rejects_unknown_family():
     with pytest.raises(DomainError):
         construct("teleporter", {}, 0)
+
+
+def test_family_roles_keep_their_order():
+    # a suite picks a family by its index in its role's tuple, so these orders are in every report
+    assert families("tp") == ("random_cptp", "random_positive_noncp", "reduction", "pinching", "depolarizing")
+    assert families("tni") == families("tp") + ("halving", "counterexample")
+    assert families("trace_match") == ("counterexample", "damped_cptp", "truncation")
+    assert families("support") == ("random_cptp", "random_positive_noncp", "reduction")
+    assert families("teleporter") == ()
+
+
+@pytest.mark.parametrize("family", [name for name, entry in FAMILY_TABLE.items() if entry.draw is not None])
+def test_drawn_families_fill_their_roles(family):
+    entry = FAMILY_TABLE[family]
+    assert entry.roles
+    for trial in range(10):
+        rng = rng_for_trial(214, trial)
+        phi = entry.draw(rng, int(rng.integers(2, 6)), DEFAULT_TOL)
+        assert phi.certificate.is_positive
+        behavior = trace_behavior(phi)
+        if "tp" in entry.roles:
+            assert behavior.tag == "preserving"
+        if "tni" in entry.roles:
+            assert behavior.is_nonincreasing
+        if "trace_match" in entry.roles:
+            assert behavior.sector().shape[1] >= 1
+
+
+# one recipe of every family that has a constructor
+RECIPES = {
+    "random_cptp": ({"d": 3, "d_out": 2, "kraus_rank": 2}, 4),
+    "random_positive_noncp": ({"d": 3}, 5),
+    "reduction": ({"d": 3}, None),
+    "depolarizing": ({"d": 3, "lam": 0.25}, None),
+    "halving": ({"d": 2}, None),
+    "counterexample": ({}, None),
+    "damped_cptp": ({"d": 3, "rank": 2, "mu": 0.5}, 3),
+    "identity": ({"d": 2}, None),
+    "transpose": ({"d": 3}, None),
+}
+
+
+def test_every_recipe_family_round_trips_by_recipe():
+    assert set(RECIPES) == {name for name, entry in FAMILY_TABLE.items() if entry.constructor is not None}
+    for family, (params, seed) in RECIPES.items():
+        phi = construct(family, params, seed)
+        payload = serialize.channel_to_dict(phi)
+        assert payload["representation"] == "family" and payload["family"] == family
+        back = serialize.channel_from_dict(payload)
+        assert serialize.channel_to_dict(back) == payload
+        assert back.matrix.tobytes() == phi.matrix.tobytes()
 
 
 @pytest.mark.parametrize("path", ["kraus", "matrix"])
@@ -509,11 +566,18 @@ def test_from_kraus_dimension_checks():
         lambda: damped_cptp(2, 3, 0.5, seed=0),
         lambda: halving_map(0),
         lambda: halving_map(-1),
+        # a map of dimension 0, rejected before any numpy reduction
+        lambda: from_kraus([np.zeros((0, 0))]),
+        lambda: from_kraus([np.zeros((2, 0))]),
+        lambda: from_matrix(np.zeros((0, 0))),
+        lambda: from_choi(np.zeros((0, 0)), 1),
+        lambda: from_choi(np.eye(2), 0),
     ],
     ids=[
         "from_matrix-shape", "from_kraus-empty", "from_kraus-mixed", "from_choi-multiple", "compose-dims", "identity-0", "transpose-0",
         "reduction-1", "depolarizing-0", "truncation-P", "truncation-P-prime", "random_cptp-no-seed",
         "damped-mu", "damped-rank", "halving-0", "halving-negative",
+        "from_kraus-0x0", "from_kraus-2x0", "from_matrix-0x0", "from_choi-0x0", "from_choi-dim-in-0",
     ],
 )
 def test_constructors_reject_bad_arguments(build):

@@ -643,6 +643,10 @@ def test_compute_diagonalizes_each_operator_once(tmp_path, capsys, eig_sizes, fa
         (3, "reduction", {"d": 3, "lam": 0.5}, None),
         (3, "random_cptp", {"d": 3, "rng": 1}, 1),
         (2, "counterexample", False, None),
+        # families built from operators have no recipe, and a family name is a string
+        (2, "pinching", {"d": 2}, None),
+        (3, "truncation", {"d": 3}, None),
+        (2, ["random_cptp"], {"d": 2}, 1),
     ],
 )
 def test_check_map_rejects_malformed_family_recipe(tmp_path, capsys, dim, family, params, seed):

@@ -21,7 +21,6 @@ from qdpi.channels import (
 )
 from qdpi.harness import (
     CheckReport,
-    TRACE_MATCH_FAMILIES,
     TRACE_MATCH_TOLERANCE,
     Witness,
     alpha_limit_battery,
@@ -46,7 +45,6 @@ from qdpi import channels, harness
 from qdpi.divergences import relative_entropy, sandwiched_renyi
 from qdpi.harness import (
     _gap_of,
-    _sample_family_map,
     _sample_state_pair,
     _sector_state,
     _seeded_trials,
@@ -637,11 +635,11 @@ def test_adjoint_unit_is_diagonalized_once_per_map(solver_calls):
     assert len(solves) == 1
 
 
-@pytest.mark.parametrize("family", TRACE_MATCH_FAMILIES)
+@pytest.mark.parametrize("family", channels.families("trace_match"))
 def test_trace_preserved_on_sector_only(family):
     for trial in range(10):
         rng = rng_for_trial(208, trial)
-        phi = _sample_family_map(family, int(rng.integers(2, 6)), rng, DEFAULT_TOL)
+        phi = channels.FAMILY_TABLE[family].draw(rng, int(rng.integers(2, 6)), DEFAULT_TOL)
         behavior = trace_behavior(phi)
         B = behavior.sector()
         assert np.allclose(B.conj().T @ B, np.eye(B.shape[1]), atol=1e-12)
