@@ -5,7 +5,8 @@ Each argument is one `qdpi suite` command line without the leading
 `qdpi suite`, for example "dpi --mode tp --trials 300 --seed 44". With no
 arguments the script runs a fixed set of acceptance commands, then writes a
 fixed set of map files (every representation, a map that sampling
-falsifies, the d = 16 reduction map, recipes with real-valued params) and
+falsifies, the d = 16 reduction map, recipes with real-valued params, a
+3 -> 2 map as Kraus operators and as a Choi matrix) and
 runs `qdpi check-map` on each, then writes a full-rank and a rank-deficient
 state pair and runs `qdpi compute` on each for the relative entropy, the
 sandwiched divergence at alpha = 0.3 and 2 and the old Renyi divergence at
@@ -84,6 +85,7 @@ ACCEPTANCE_COMMANDS = (
 def check_map_inputs() -> dict:
     """{map name: (map payload, --seed)} of the `check-map` runs."""
     transpose_minus_half = transpose_map(5).matrix - 0.5 * identity_map(5).matrix
+    rectangular = random_cptp(3, d_out=2, kraus_rank=2, seed=6)
     return {
         "family-noncp-d3": (serialize.channel_to_dict(random_positive_noncp(3, seed=2)), 0),
         "family-reduction-d16": (serialize.channel_to_dict(reduction_map(16)), 1),
@@ -95,6 +97,9 @@ def check_map_inputs() -> dict:
         # recipes with real-valued params, which construct binds through the family table
         "family-depolarizing-d3": (serialize.channel_to_dict(depolarizing_map(3, 0.25)), 0),
         "family-damped-d3": (serialize.channel_to_dict(damped_cptp(3, 2, 0.5, seed=3)), 1),
+        # a rectangular map, whose two dimensions are read off its operator
+        "kraus-cptp-3to2": (serialize.channel_to_dict(from_kraus(rectangular.kraus)), 0),
+        "choi-cptp-3to2": (serialize.choi_to_dict(rectangular), 0),
     }
 
 

@@ -129,14 +129,19 @@ class TraceBehavior:
     """Trace classification of a map, decided exactly through Phi*(1).
 
     ``w``/``V`` are the ascending eigenvalues and eigenvectors of Phi*(1),
-    from its one eigendecomposition. tag is "preserving" when
+    from its one eigendecomposition. ``tag`` is read off w: "preserving" when
     max|w - 1| <= 1e-9, else "nonincreasing" when max(w) <= 1 + 1e-9, else
     "neither". For a positive map max(w) is the 1->1 norm (Russo-Dye).
     """
 
-    tag: str
     w: np.ndarray
     V: np.ndarray
+
+    @cached_property
+    def tag(self) -> str:
+        if np.abs(self.w - 1.0).max() <= TRACE_TOLERANCE:
+            return "preserving"
+        return "nonincreasing" if self.w.max() <= 1.0 + TRACE_TOLERANCE else "neither"
 
     @property
     def is_nonincreasing(self) -> bool:
@@ -165,31 +170,39 @@ def _unvec(v: np.ndarray, rows: int, cols: int) -> np.ndarray:
 class SuperOperator:
     """A linear map on matrices with a dim_out^2 x dim_in^2 representation matrix.
 
-    ``kraus``, when present, is the evaluation path used by ``apply``; the
-    representation matrix always agrees with it on probes within rounding.
-    ``matrix`` may be None only when ``kraus`` is given: the matrix is then
-    built from the Kraus operators on first access and cached.
-    ``descriptor`` records a seeded construction recipe when one exists, so
-    the map can be serialized by recipe instead of by payload.
+    It is given exactly one operator, from which it reads its dimensions:
+    a representation matrix of shape (dim_out^2, dim_in^2), or a tuple of
+    Kraus operators, at least one and all of shape (dim_out, dim_in). A
+    Kraus map evaluates through ``kraus`` in ``apply``, and its matrix is
+    built from them on first access and cached; the two agree on probes
+    within rounding. ``descriptor`` records a seeded construction recipe
+    when one exists, so the map can be serialized by recipe instead of by
+    payload.
     """
 
     def __init__(
         self,
-        matrix: np.ndarray | None,
-        dim_in: int,
-        dim_out: int,
+        matrix: np.ndarray | None = None,
         kraus: tuple[np.ndarray, ...] | None = None,
         certificate: PositivityCertificate = UNVERIFIED,
         descriptor: dict | None = None,
     ):
-        if matrix is None and kraus is None:
-            raise DomainError("a map needs a representation matrix or Kraus operators")
-        if dim_in < 1 or dim_out < 1:
-            raise DomainError(f"a map needs dimensions >= 1, got {dim_in} -> {dim_out}")
-        if matrix is not None:
+        if (matrix is None) == (kraus is None):
+            raise DomainError("a map needs exactly one of a representation matrix and Kraus operators")
+        if matrix is None:
+            if not kraus:
+                raise DomainError("at least one Kraus operator is required")
+            shape = kraus[0].shape
+            if {K.shape for K in kraus} != {shape}:
+                raise DomainError("all Kraus operators must share one shape")
+        else:
+            shape = tuple(map(math.isqrt, matrix.shape))
+            if matrix.shape != tuple(map(int.__mul__, shape, shape)):
+                raise DomainError(f"representation matrix shape {matrix.shape} is not (d_out^2, d_in^2)")
             self.matrix = matrix  # fills the cached property
-        self.dim_in = dim_in
-        self.dim_out = dim_out
+        if len(shape) != 2 or min(shape) < 1:
+            raise DomainError(f"a map needs dimensions >= 1, got shape {shape}")
+        self.dim_out, self.dim_in = shape
         self.kraus = kraus
         self.certificate = certificate
         self.descriptor = descriptor
@@ -256,11 +269,7 @@ def apply_kraus_stack(kraus, X) -> np.ndarray:
 def from_matrix(M, *, certificate: PositivityCertificate = UNVERIFIED,
                 descriptor: dict | None = None) -> SuperOperator:
     """The map with representation matrix M, of shape (d_out^2, d_in^2), which gives its dimensions."""
-    M = as_matrix(M)
-    dim_out, dim_in = (math.isqrt(n) for n in M.shape)
-    if M.shape != (dim_out * dim_out, dim_in * dim_in):
-        raise DomainError(f"representation matrix shape {M.shape} is not (d_out^2, d_in^2)")
-    return SuperOperator(M, dim_in, dim_out, None, certificate, descriptor)
+    return SuperOperator(as_matrix(M), None, certificate, descriptor)
 
 
 def _kraus_matrix(kraus, dim_in: int, dim_out: int) -> np.ndarray:
@@ -297,13 +306,7 @@ def from_kraus(kraus, *, descriptor: dict | None = None) -> SuperOperator:
 
     The operators' shape (d_out, d_in) gives the dimensions; no Choi matrix is formed.
     """
-    kr = tuple(as_matrix(K) for K in kraus)
-    if not kr:
-        raise DomainError("at least one Kraus operator is required")
-    if any(K.shape != kr[0].shape for K in kr):
-        raise DomainError("all Kraus operators must share one shape")
-    dim_out, dim_in = kr[0].shape
-    return SuperOperator(None, dim_in, dim_out, kr, _KRAUS_FORM, descriptor)
+    return SuperOperator(None, tuple(as_matrix(K) for K in kraus), _KRAUS_FORM, descriptor)
 
 
 def kraus_blocks(V: np.ndarray, dim_out: int) -> list:
@@ -356,7 +359,7 @@ def adjoint(phi: SuperOperator) -> SuperOperator:
     else:
         cert = UNVERIFIED
     M = phi.matrix.conj().T if kr is None else None
-    return SuperOperator(M, phi.dim_out, phi.dim_in, kr, cert, None)
+    return SuperOperator(M, kr, cert)
 
 
 def compose(outer: SuperOperator, inner: SuperOperator) -> SuperOperator:
@@ -378,7 +381,7 @@ def compose(outer: SuperOperator, inner: SuperOperator) -> SuperOperator:
     else:
         cert = UNVERIFIED
     M = outer.matrix @ inner.matrix if kr is None else None
-    return SuperOperator(M, inner.dim_in, outer.dim_out, kr, cert, None)
+    return SuperOperator(M, kr, cert)
 
 
 def _classify_trace(phi: SuperOperator) -> TraceBehavior:
@@ -391,11 +394,7 @@ def _classify_trace(phi: SuperOperator) -> TraceBehavior:
     w, V = _solve(np.linalg.eigh, hermitian_part(A))
     for M in (w, V):
         M.flags.writeable = False
-    if np.abs(w - 1.0).max() <= TRACE_TOLERANCE:
-        return TraceBehavior("preserving", w, V)
-    if w[-1] <= 1.0 + TRACE_TOLERANCE:
-        return TraceBehavior("nonincreasing", w, V)
-    return TraceBehavior("neither", w, V)
+    return TraceBehavior(w, V)
 
 
 def trace_behavior(phi: SuperOperator) -> TraceBehavior:
@@ -645,7 +644,7 @@ def random_positive_noncp(
     cert = PositivityCertificate(
         "positive_by_construction", reason="transpose composed with a CPTP map"
     )
-    return SuperOperator(out.matrix, d, d, None, cert, desc)
+    return from_matrix(out.matrix, certificate=cert, descriptor=desc)
 
 
 def damped_cptp(
@@ -736,7 +735,8 @@ def construct(family: str, params: dict | None = None, seed=None) -> SuperOperat
     outside the table, is an unknown family. Recipes come from files, so each
     parameter and the seed are type-checked, then bound to the constructor's
     keyword arguments: a parameter the family lacks, a missing one, or a seed
-    for a seedless family is an error.
+    for a seedless family is an error. A new family is two edits: its table
+    entry, and each new parameter name in ``_INTEGER_PARAMS`` or ``_REAL_PARAMS``.
     """
     fn = FAMILY_TABLE[family].constructor if isinstance(family, str) and family in FAMILY_TABLE else None
     if fn is None:

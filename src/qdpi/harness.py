@@ -11,7 +11,12 @@ Witness gap semantics: monotonicity witnesses store the two divergence
 values and gap = lhs - rhs; the inequality asserts lhs >= rhs, and a pair
 with both sides infinite is a vacuous pass recorded with gap 0. Threshold
 witnesses (norm contraction, step-2, limit checks) store the allowed bound
-as lhs and the observed value as rhs, so gap >= 0 is again a pass.
+as lhs and the observed value as rhs, so gap >= 0 is again a pass, except
+where a check names its own rule: step-2's Klein gap passes at gap >=
+-STEP2_RESIDUAL_TOLERANCE, its pinching and concavity checks at gap >=
+-STEP2_INEQUALITY_TOLERANCE, its block sum and the counterexample's
+closed-form values pass on |gap| within their tolerance, and the
+counterexample's violation check passes when its gap is negative.
 
 Failure policy: a trial whose gap breaches the slack is re-judged once at
 ten times the slack before being recorded as a failure ("escalation"); this

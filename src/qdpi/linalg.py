@@ -11,11 +11,11 @@ count as off-support (strict inequality, so ties break deterministically).
 Matrix functions map off-support eigenvalues to 0, which makes log and
 negative powers total on PSD inputs (pseudo-inverse convention).
 
-A PSD operator is validated once: ``psd`` runs one Hermiticity check and one
-``eigh`` and returns a ``ValidatedPSD``, which every divergence and weighted
-norm accepts in place of an ndarray without validating it again. ``psd`` of
-an (n, d, d) stack runs every check on every matrix with one stacked
-``eigh``; its ``ValidatedPSD`` carries the leading axis through every method.
+A PSD operator is validated once, by ``ValidatedPSD(A, cfg)``: from A alone
+it runs one Hermiticity check and one ``eigh``, so its spectrum is its
+matrix's. Every divergence and weighted norm accepts one in place of an
+ndarray without validating it again. A stack is checked matrix by matrix
+with one stacked ``eigh`` and keeps its leading axis through every method.
 Every eigensolve goes through ``_solve``.
 """
 
@@ -58,11 +58,17 @@ class EigensolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class ToleranceConfig:
-    """Every numerical cutoff used by the library, in one place.
+    """The numerical cutoffs a caller can set, passed to the library as ``cfg``.
 
     support_cutoff is relative to the largest eigenvalue of the operator it
     is applied to; containment_tolerance is relative to tr[rho] in support
     containment tests. The remaining fields are absolute.
+
+    Thresholds fixed by a contract are constants beside their readers:
+    ``channels.TRACE_TOLERANCE``, the harness's suite thresholds
+    (``TRACE_MATCH_TOLERANCE``, ``VIOLATION_MARGIN``, ``RATIO_BOUND``,
+    ``UNIT_IMAGE_TOLERANCE``, ``ADJOINT_UNIT_BOUND``, ``STEP2_*``,
+    ``SUPPORT_INCLUSION_TOLERANCE``) and serialize's density-trace 1e-9.
     """
 
     support_cutoff: float = 1e-12
@@ -161,19 +167,29 @@ def _solve(solver, A: np.ndarray):
 class ValidatedPSD:
     """A PSD operator validated once, with its one eigendecomposition.
 
-    ``matrix`` is the symmetrized input, ``w``/``V`` its ascending eigenvalues
-    and eigenvectors, and ``on`` the support mask under ``cfg.support_cutoff``
-    (built on first use).
-    Built by ``psd`` for one matrix or for an (n, d, d) stack, whose leading
-    axis every field and method keeps. The support projector and the
-    functions on the support are computed once per value and returned
-    read-only.
+    ``ValidatedPSD(A, cfg)`` takes a matrix or an (n, d, d) stack and checks
+    finite entries and Hermiticity, then runs one ``eigh`` and the check
+    min eigenvalue >= -psd_tolerance on every matrix; the first failing
+    matrix raises the DomainError it raises alone. ``matrix`` is the
+    symmetrized input, ``w``/``V`` its ascending eigenvalues and
+    eigenvectors, and ``on`` the support mask under ``cfg.support_cutoff``
+    (built on first use). A stack's leading axis is kept by every field and
+    method. The support projector and the functions on the support are
+    computed once per value and returned read-only.
     """
 
     __slots__ = ("matrix", "w", "V", "cfg", "_on", "_cache")
 
-    def __init__(self, matrix: np.ndarray, w: np.ndarray, V: np.ndarray, cfg: ToleranceConfig):
-        self.matrix, self.w, self.V, self.cfg = matrix, w, V, cfg
+    def __init__(self, A, cfg: ToleranceConfig = DEFAULT_TOL):
+        M = _checked_hermitian(_as_operator(A), cfg)
+        w, V = _solve(np.linalg.eigh, M)
+        if w.min(initial=0.0) < -cfg.psd_tolerance:
+            # eigh sorts ascending: the first eigenvalue of each matrix is its lowest
+            lowest = w[..., 0]
+            raise DomainError(
+                f"matrix is not PSD (min eigenvalue {_first(lowest, lowest < -cfg.psd_tolerance):.3e})"
+            )
+        self.matrix, self.w, self.V, self.cfg = M, w, V, cfg
         self._on = None
         self._cache = {}
 
@@ -224,28 +240,11 @@ class ValidatedPSD:
         return self._cached(t, lambda: self._on_support(lambda w: w ** t))
 
 
-def _validated_psd(M: np.ndarray, cfg: ToleranceConfig) -> ValidatedPSD:
-    """One eigh of symmetrized M (a matrix or a stack) and the min-eigenvalue check of each matrix."""
-    w, V = _solve(np.linalg.eigh, M)
-    if w.min(initial=0.0) < -cfg.psd_tolerance:
-        # eigh sorts ascending: the first eigenvalue of each matrix is its lowest
-        lowest = w[..., 0]
-        raise DomainError(
-            f"matrix is not PSD (min eigenvalue {_first(lowest, lowest < -cfg.psd_tolerance):.3e})"
-        )
-    return ValidatedPSD(M, w, V, cfg)
-
-
 def psd(A, cfg: ToleranceConfig = DEFAULT_TOL) -> ValidatedPSD:
-    """Validate Hermiticity plus min eigenvalue >= -psd_tolerance, with one eigh.
-
-    A is a matrix or an (n, d, d) stack; every check runs on every matrix of
-    a stack, and the first failing matrix raises the error it raises alone.
-    A ValidatedPSD built under the same tolerances is returned unchanged.
-    """
+    """``ValidatedPSD(A, cfg)``, or A itself when it was validated under the same tolerances."""
     if isinstance(A, ValidatedPSD) and (A.cfg is cfg or A.cfg == cfg):
         return A
-    return _validated_psd(_checked_hermitian(_as_operator(A), cfg), cfg)
+    return ValidatedPSD(A, cfg)
 
 
 def _psd_matrix(A, cfg: ToleranceConfig) -> ValidatedPSD:

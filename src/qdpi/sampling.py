@@ -18,7 +18,6 @@ __all__ = [
     "phase_fixed_q",
     "gaussian_factor",
     "density_of_factor",
-    "random_isometry",
     "random_unitary",
     "random_hermitian",
     "random_psd",
@@ -54,16 +53,9 @@ def phase_fixed_q(A: np.ndarray) -> np.ndarray:
     return Q * phases[..., None, :]
 
 
-def random_isometry(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
-    """QR-orthonormalized Gaussian isometry V with V^dagger V = identity."""
-    if rows < cols:
-        raise DomainError(f"isometry needs rows >= cols, got {rows} < {cols}")
-    return phase_fixed_q(random_complex_gaussian(rng, (rows, cols)))
-
-
 def random_unitary(rng: np.random.Generator, d: int) -> np.ndarray:
-    """Haar-distributed unitary via QR with phase fixing."""
-    return random_isometry(rng, d, d)
+    """Haar-distributed unitary: the phase-fixed Q of a square Gaussian."""
+    return phase_fixed_q(random_complex_gaussian(rng, (d, d)))
 
 
 def random_hermitian(rng: np.random.Generator, d: int) -> np.ndarray:

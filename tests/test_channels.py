@@ -1,5 +1,7 @@
 import dataclasses
+import inspect
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,8 +9,11 @@ from hypothesis import given, settings, strategies as st
 
 from qdpi import serialize
 from qdpi.channels import (
+    _INTEGER_PARAMS,
+    _REAL_PARAMS,
     FAMILY_TABLE,
     SuperOperator,
+    TraceBehavior,
     adjoint,
     apply_kraus_stack,
     choi,
@@ -42,6 +47,7 @@ from qdpi.divergences import gamma_inverse, support_contained
 from qdpi.linalg import (
     DEFAULT_TOL,
     DomainError,
+    ValidatedPSD,
     hermitian_part,
     min_eigenvalue,
     operator_norm,
@@ -106,8 +112,6 @@ def test_kraus_and_matrix_paths_agree():
     X = random_hermitian(rng, 3)
     via_matrix = SuperOperator(
         matrix=phi.matrix,
-        dim_in=3,
-        dim_out=3,
         kraus=None,
         certificate=phi.certificate,
         descriptor=None,
@@ -132,7 +136,7 @@ def test_lazy_kraus_matrix_matches_kron_sum_for_rectangular_maps():
         assert np.allclose(star.matrix, reference.conj().T, atol=1e-14)
         assert "matrix" not in vars(compose(star, phi))
     with pytest.raises(DomainError):
-        SuperOperator(None, 2, 2)
+        SuperOperator(None, None)
 
 
 def test_truncation_matrix_matches_dense_formula():
@@ -500,6 +504,15 @@ def test_every_recipe_family_round_trips_by_recipe():
         assert back.matrix.tobytes() == phi.matrix.tobytes()
 
 
+def test_every_family_parameter_is_a_recipe_parameter():
+    # construct type-checks a recipe's params against these tuples, the second edit site of a new family
+    known = set(_INTEGER_PARAMS + _REAL_PARAMS)
+    for name, entry in FAMILY_TABLE.items():
+        if entry.constructor is not None:
+            params = set(inspect.signature(entry.constructor).parameters) - {"seed", "rng"}
+            assert params <= known, (name, params - known)
+
+
 @pytest.mark.parametrize("path", ["kraus", "matrix"])
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_apply_rejects_non_finite_input(path, bad):
@@ -583,6 +596,44 @@ def test_from_kraus_dimension_checks():
 def test_constructors_reject_bad_arguments(build):
     with pytest.raises(DomainError):
         build()
+
+
+def _dims(phi: SuperOperator) -> tuple:
+    return phi.dim_in, phi.dim_out
+
+
+# each value type is given only its operator and derives the rest: a
+# construction that would contradict itself raises, with psd's own message
+# for a PSD value
+@pytest.mark.parametrize(
+    "build, expected",
+    [
+        (lambda: ValidatedPSD(np.diag([1.5, -0.5])), DomainError("matrix is not PSD (min eigenvalue -5.000e-01)")),
+        (lambda: ValidatedPSD(np.array([[1.0, 1.0], [0.0, 1.0]])),
+         DomainError("matrix is not Hermitian (defect 1.000e+00)")),
+        (lambda: SuperOperator(np.eye(5)), DomainError("representation matrix shape (5, 5) is not")),
+        (lambda: SuperOperator(kraus=(np.eye(2), np.eye(3))), DomainError("all Kraus operators must share one shape")),
+        (lambda: SuperOperator(kraus=()), DomainError("at least one Kraus operator is required")),
+        (lambda: SuperOperator(np.eye(4), kraus=(np.eye(2),)), DomainError("exactly one")),
+        (lambda: _dims(SuperOperator(np.eye(4))), (2, 2)),
+        (lambda: _dims(SuperOperator(np.ones((4, 9)))), (3, 2)),
+        (lambda: _dims(SuperOperator(kraus=(np.ones((2, 3)),))), (3, 2)),
+        (lambda: TraceBehavior(np.array([1.0, 1.0]), np.eye(2)).tag, "preserving"),
+        (lambda: TraceBehavior(np.array([0.5, 1.0]), np.eye(2)).tag, "nonincreasing"),
+        (lambda: TraceBehavior(np.array([0.2, 3.0]), np.eye(2)).tag, "neither"),
+    ],
+    ids=[
+        "psd-negative", "psd-non-hermitian", "superop-5x5", "kraus-mixed", "kraus-empty", "both-operators",
+        "dims-matrix-square", "dims-matrix-rectangular", "dims-kraus-rectangular",
+        "trace-preserving", "trace-nonincreasing", "trace-neither",
+    ],
+)
+def test_value_types_derive_what_they_certify(build, expected):
+    if isinstance(expected, DomainError):
+        with pytest.raises(DomainError, match=re.escape(str(expected))):
+            build()
+    else:
+        assert build() == expected
 
 
 @settings(max_examples=25, deadline=None)
