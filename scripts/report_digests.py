@@ -79,6 +79,8 @@ ACCEPTANCE_COMMANDS = (
     "violation --alpha 0.3 --dims 2 --trials 300 --hill-steps 50 --seed 3 --tolerance-psd 1e-9",
     "alpha-limit --trials 20 --seed 44 --tolerance-containment 1e-6",
     "contraction --instances 3 --trials 10 --seed 3 --tolerance-support-cutoff 1e-10",
+    # one dimension: each chunk of dpi trials holds a single dimension
+    "dpi --mode tni --dims 4 --trials 300 --seed 8",
 )
 
 

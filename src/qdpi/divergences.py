@@ -8,9 +8,10 @@ Support conditions use a trace-norm witness: for PSD ``rho`` the mass of rho
 outside the support of sigma is ``tr[rho] - tr[rho P_sigma]``, compared
 against ``containment_tolerance * tr[rho]``.
 
-``sandwiched_renyi`` takes two matrices or two (n, d, d) stacks, as ``psd``
-does, and gives a list for stacks whose values carry the bits of each pair
-evaluated alone. Every other function takes matrices only.
+``relative_entropy``, ``klein_gap`` and ``sandwiched_renyi`` take two
+matrices or two (n, d, d) stacks, as ``psd`` does, and give a list for
+stacks whose values carry the bits of each pair evaluated alone. Every other
+function takes matrices only.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ __all__ = [
 
 
 def _pair(rho, sigma, cfg: ToleranceConfig):
-    """Validated rho and sigma of one shape: two matrices, or two stacks for sandwiched_renyi."""
+    """Validated rho and sigma of one shape: two matrices or two stacks."""
     rho, sigma = psd(rho, cfg), psd(sigma, cfg)
     if rho.matrix.shape != sigma.matrix.shape:
         raise DomainError(f"shape mismatch: {rho.matrix.shape} vs {sigma.matrix.shape}")
@@ -57,14 +58,31 @@ def _matrix_pair(rho, sigma, cfg: ToleranceConfig):
     return _pair(_psd_matrix(rho, cfg), _psd_matrix(sigma, cfg), cfg)
 
 
-def _trace(A) -> float:
-    return float(np.trace(A.matrix).real)
+def _traces(A) -> np.ndarray:
+    """The real trace of a validated operator, or of each matrix of a stack."""
+    return A.matrix.trace(axis1=-2, axis2=-1).real
 
 
-def _xlogx(w: np.ndarray) -> float:
-    """tr[A ln A] from the eigenvalues of A, with 0 ln 0 = 0."""
-    pos = w > 0.0
-    return float((w[pos] * np.log(w[pos])).sum()) if pos.any() else 0.0
+def _over_positive(w: np.ndarray, reduce, empty: float):
+    """reduce of the positive eigenvalues of each spectrum on the last axis of w; empty for a spectrum with none.
+
+    A spectrum's positive eigenvalues are its last k, as eigh sorts them.
+    Spectra with an eigenvalue that is not positive are grouped by k, so
+    each spectrum of a stack is reduced exactly as it is alone.
+    """
+    if w.min(initial=math.inf) > 0.0:  # every eigenvalue positive, the common case
+        return reduce(w)
+    counts = np.count_nonzero(w > 0.0, axis=-1)
+    values = np.full(counts.shape, empty)
+    for k in set(counts.ravel().tolist()) - {0}:
+        rows = counts == k
+        values[rows] = reduce(w[rows][:, -k:])
+    return values
+
+
+def _xlogx(w: np.ndarray) -> np.ndarray:
+    """tr[A ln A] from the eigenvalues of A, with 0 ln 0 = 0: one value per spectrum on the last axis of w."""
+    return _over_positive(w, lambda x: (x * np.log(x)).sum(axis=-1), 0.0)
 
 
 def _contained(rho, sigma, cfg: ToleranceConfig):
@@ -85,26 +103,25 @@ def support_contained(rho, sigma, cfg: ToleranceConfig = DEFAULT_TOL) -> bool:
 
 def von_neumann_entropy(rho, cfg: ToleranceConfig = DEFAULT_TOL) -> float:
     """-tr[rho ln rho] in nats."""
-    return -_xlogx(_psd_matrix(rho, cfg).w)
+    return -float(_xlogx(_psd_matrix(rho, cfg).w))
 
 
-def _relative_core(rho, sigma, cfg: ToleranceConfig) -> float:
-    """tr[rho ln rho] - tr[rho ln sigma] for validated operators, +inf off the support."""
-    if not _contained(rho, sigma, cfg):
-        return math.inf
-    return _xlogx(rho.w) - float(np.einsum("ij,ji->", rho.matrix, sigma.log()).real)
+def _relative_core(rho, sigma, cfg: ToleranceConfig) -> np.ndarray:
+    """tr[rho ln rho] - tr[rho ln sigma] of a validated pair, or of each pair of two stacks; +inf off the support."""
+    cross = np.einsum("...ij,...ji->...", rho.matrix, sigma.log()).real
+    return np.where(_contained(rho, sigma, cfg), _xlogx(rho.w) - cross, math.inf)
 
 
-def relative_entropy(rho, sigma, cfg: ToleranceConfig = DEFAULT_TOL) -> float:
+def relative_entropy(rho, sigma, cfg: ToleranceConfig = DEFAULT_TOL):
     """tr[rho (ln rho - ln sigma)], or +inf if the support condition fails.
 
     rho = 0 gives 0 by convention (both sides of any monotonicity statement
-    vanish for the zero operator).
+    vanish for the zero operator). A float for two matrices; for two
+    (n, d, d) stacks a list of n floats, each carrying the bits of its pair
+    evaluated alone.
     """
-    rho, sigma = _matrix_pair(rho, sigma, cfg)
-    if _trace(rho) == 0.0:
-        return 0.0
-    return _relative_core(rho, sigma, cfg)
+    rho, sigma = _pair(rho, sigma, cfg)
+    return np.where(_traces(rho) == 0.0, 0.0, _relative_core(rho, sigma, cfg)).tolist()
 
 
 def _renyi_pair(rho, sigma, alpha: float, cfg: ToleranceConfig):
@@ -141,23 +158,14 @@ def _sandwiched_values(rho, sigma, alpha: float):
     """The sandwiched formula of a pair, or of each pair of two stacks, without the support condition.
 
     The sum runs over the positive eigenvalues of each product
-    sigma^{(1-alpha)/2a} rho sigma^{(1-alpha)/2a}, +inf without one.
-    Spectra with an eigenvalue that is not positive are grouped by their
-    count k of positive ones, which are their last k, so each spectrum is
-    reduced exactly as it is alone. Shaped as ``_renyi_values``.
+    sigma^{(1-alpha)/2a} rho sigma^{(1-alpha)/2a} (``_over_positive``),
+    +inf without one. Shaped as ``_renyi_values``.
     """
     A = sigma.power((1.0 - alpha) / (2.0 * alpha))
     # symmetrized, not validated: the entries of this product can be far above
     # any absolute Hermiticity tolerance when sigma is nearly singular
     w, _ = _solve(np.linalg.eigh, hermitian_part(A @ rho.matrix @ A))
-    if w.min(initial=math.inf) > 0.0:  # every eigenvalue positive, the common case
-        return _renyi_values(w, alpha)
-    counts = np.count_nonzero(w > 0.0, axis=-1)
-    values = np.full(counts.shape, math.inf)
-    for k in set(counts.ravel().tolist()) - {0}:
-        rows = counts == k
-        values[rows] = _renyi_values(w[rows][:, -k:], alpha)
-    return values
+    return _over_positive(w, lambda x: _renyi_values(x, alpha), math.inf)
 
 
 def sandwiched_renyi(rho, sigma, alpha: float, cfg: ToleranceConfig = DEFAULT_TOL):
@@ -192,16 +200,15 @@ def old_renyi(rho, sigma, alpha: float, cfg: ToleranceConfig = DEFAULT_TOL) -> f
     return math.log(q) / (alpha - 1.0)
 
 
-def klein_gap(A, B, cfg: ToleranceConfig = DEFAULT_TOL) -> float:
+def klein_gap(A, B, cfg: ToleranceConfig = DEFAULT_TOL):
     """tr[A ln A - A ln B] + tr[B - A] for PSD A, B; nonnegative up to rounding.
 
-    +inf when supp(A) is not contained in supp(B).
+    +inf when supp(A) is not contained in supp(B). Matrices or stacks, as
+    for ``relative_entropy``.
     """
-    A, B = _matrix_pair(A, B, cfg)
-    tr_A, tr_B = _trace(A), _trace(B)
-    if tr_A == 0.0:
-        return tr_B
-    return _relative_core(A, B, cfg) - tr_A + tr_B
+    A, B = _pair(A, B, cfg)
+    tr_A, tr_B = _traces(A), _traces(B)
+    return np.where(tr_A == 0.0, tr_B, _relative_core(A, B, cfg) - tr_A + tr_B).tolist()
 
 
 def gamma_inverse(sigma, X, cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:

@@ -39,6 +39,7 @@ from .linalg import (
     ToleranceConfig,
     _psd_matrix,
     _solve,
+    as_matrix,
     hermitian_part,
     min_eigenvalue,
     operator_norm,
@@ -242,11 +243,6 @@ def _divergence(alpha: float | None, cfg: ToleranceConfig):
     return lambda a, b: sandwiched_renyi(a, b, alpha, cfg)
 
 
-def _image_value(fn, phi: SuperOperator, rho, sigma) -> float:
-    """The divergence fn between the images of rho and sigma under phi."""
-    return fn(hermitian_part(phi.apply(rho)), hermitian_part(phi.apply(sigma)))
-
-
 def _parts(map_or_descriptor, rho, sigma, alpha, cfg, kinds=("psd", "psd")):
     """A thunk returning the witness fields (map_descriptor, rho, sigma, alpha).
 
@@ -261,45 +257,64 @@ def _parts(map_or_descriptor, rho, sigma, alpha, cfg, kinds=("psd", "psd")):
     )
 
 
-def _stack_checked_parts(V: np.ndarray, rho: np.ndarray, sigma: np.ndarray, alpha: float):
-    """``_parts`` of a violation-search witness, whose states ``psd`` has checked in their stack.
+def _checked_parts(phi: SuperOperator, rho: np.ndarray, sigma: np.ndarray, alpha):
+    """``_parts`` of a witness whose states ``psd`` has checked, in their stack.
 
-    The map is the Kraus map of the isometry V. The states are written as
-    they are drawn, not symmetrized, with no second eigh to check them again.
+    The states are written as they are, with no second eigh to check them again.
     """
     return lambda: (
-        serialize.channel_to_dict(from_isometry(V, rho.shape[0])),
+        serialize.channel_to_dict(phi),
         serialize._checked_matrix_dict(rho, "psd"),
         serialize._checked_matrix_dict(sigma, "psd"),
         alpha,
     )
 
 
-def _monotonicity_trial(phi, rho, sigma, alpha, cfg):
-    """Check the preconditions of ``monotonicity_check`` and evaluate both sides.
+def _monotonicity_values(maps, rho, sigma, alpha, cfg):
+    """Check the preconditions of ``monotonicity_check`` on a group of trials and evaluate both sides.
 
-    rho and sigma are validated once. Returns (lhs, rhs, parts), where
-    ``parts()`` serializes the witness fields.
+    Trial k is (maps[k], rho[k], sigma[k]): rho and sigma are (n, d, d)
+    stacks, each validated by one ``psd``, and the maps share their
+    dimensions. Each map acts on its validated state, its images are
+    stacked, and each side is one stacked divergence call, so every value
+    carries the bits of its trial evaluated alone. Returns (lhs, rhs, parts),
+    lists in trial order, where ``parts[k]()`` serializes trial k's witness
+    fields.
     """
-    if not phi.certificate.is_positive:
-        raise DomainError(
-            f"monotonicity preconditions need a positive map; certificate tag is "
-            f"{phi.certificate.tag!r}"
-        )
-    behavior = trace_behavior(phi)
-    if not behavior.is_nonincreasing:
-        raise DomainError("monotonicity preconditions need a trace-nonincreasing map")
-    rho = _psd_matrix(rho, cfg)
-    sigma = _psd_matrix(sigma, cfg)
-    if alpha is None and behavior.tag == "nonincreasing":
-        drift = abs(float(np.trace(phi.apply(rho)).real) - float(np.trace(rho.matrix).real))
-        if drift > TRACE_MATCH_TOLERANCE:
+    behaviors = []
+    for phi in maps:
+        if not phi.certificate.is_positive:
             raise DomainError(
-                f"relative entropy monotonicity for a non-trace-preserving map needs "
-                f"tr[Phi(rho)] = tr[rho]; drift is {drift:.3e}"
+                f"monotonicity preconditions need a positive map; certificate tag is "
+                f"{phi.certificate.tag!r}"
             )
+        behaviors.append(trace_behavior(phi))
+        if not behaviors[-1].is_nonincreasing:
+            raise DomainError("monotonicity preconditions need a trace-nonincreasing map")
+    rho, sigma = psd(rho, cfg), psd(sigma, cfg)
+    rho_images = [phi.apply(X) for phi, X in zip(maps, rho.matrix)]
+    if alpha is None:
+        for behavior, image, X in zip(behaviors, rho_images, rho.matrix):
+            if behavior.tag == "nonincreasing":
+                drift = abs(float(np.trace(image).real) - float(np.trace(X).real))
+                if drift > TRACE_MATCH_TOLERANCE:
+                    raise DomainError(
+                        f"relative entropy monotonicity for a non-trace-preserving map needs "
+                        f"tr[Phi(rho)] = tr[rho]; drift is {drift:.3e}"
+                    )
+    sigma_images = [phi.apply(X) for phi, X in zip(maps, sigma.matrix)]
     fn = _divergence(alpha, cfg)
-    return fn(rho, sigma), _image_value(fn, phi, rho, sigma), _parts(phi, rho, sigma, alpha, cfg)
+    lhs = fn(rho, sigma)
+    rhs = fn(hermitian_part(np.stack(rho_images)), hermitian_part(np.stack(sigma_images)))
+    parts = [_checked_parts(*trial, alpha) for trial in zip(maps, rho.matrix, sigma.matrix)]
+    return lhs, rhs, parts
+
+
+def _monotonicity_trial(phi, rho, sigma, alpha, cfg):
+    """``_monotonicity_values`` of one trial: (lhs, rhs, parts) of matrices rho and sigma."""
+    (lhs,), (rhs,), (parts,) = _monotonicity_values([phi], as_matrix(rho)[None], as_matrix(sigma)[None],
+                                                    alpha, cfg)
+    return lhs, rhs, parts
 
 
 def monotonicity_check(
@@ -335,7 +350,7 @@ def replay_witness(
     fn = _divergence(alpha, cfg)
     # the map acts on the stored bits, the divergence reuses their validation
     lhs = fn(rho_value, sigma_value)
-    rhs = _image_value(fn, phi, rho, sigma)
+    rhs = fn(hermitian_part(phi.apply(rho)), hermitian_part(phi.apply(sigma)))
     return Witness(w.map_descriptor, w.rho, w.sigma, alpha, lhs, rhs, _gap_of(lhs, rhs))
 
 
@@ -401,6 +416,29 @@ class _Tally:
             outcome=outcome,
             best_witness=best_witness,
         )
+
+
+# trials drawn and evaluated together by the dpi suites and the violation search;
+# bounds their memory at any trial count
+TRIAL_CHUNK = 256
+
+
+def _in_chunks(draws, draw, key, evaluate):
+    """Yield the result of each trial of ``draws``, in trial order, evaluated in groups.
+
+    Each chunk of TRIAL_CHUNK trials is drawn first, ``draw(rng, d)`` for each
+    (rng, d) of draws, then grouped by ``key(trial)``; ``evaluate(group)``
+    gives the results of a group's trials, in its order.
+    """
+    while chunk := [draw(rng, d) for rng, d in islice(draws, TRIAL_CHUNK)]:
+        groups = {}  # key -> places in chunk
+        for i, trial in enumerate(chunk):
+            groups.setdefault(key(trial), []).append(i)
+        results = [None] * len(chunk)
+        for places in groups.values():
+            for i, result in zip(places, evaluate([chunk[i] for i in places])):
+                results[i] = result
+        yield from results
 
 
 def _pick(rng, options):
@@ -493,6 +531,21 @@ def counterexample_suite(cfg: ToleranceConfig = DEFAULT_TOL) -> CheckReport:
     return tally.report()
 
 
+def _draw_dpi_trial(rng, d: int, mode: str, names, alphas, cfg: ToleranceConfig):
+    """(phi, rho, sigma, alpha) of one dpi trial, drawn from its stream rng after its dimension d."""
+    phi = FAMILY_TABLE[_pick(rng, names)].draw(rng, d, cfg)
+    d = phi.dim_in  # the counterexample map is 2x2 whatever d was drawn
+    if mode == "trace_match":
+        rho = _sector_state(rng, trace_behavior(phi).sector())
+        if float(rng.random()) < 0.15:
+            sigma = random_rank_deficient_density(rng, d)
+        else:
+            sigma = random_density(rng, d)
+        return phi, rho, sigma, None
+    rho, sigma = _sample_state_pair(rng, d)
+    return phi, rho, sigma, _pick(rng, alphas) if mode == "tni" else None
+
+
 def randomized_dpi_suite(
     mode: str = "tp",
     dims=(2, 3, 4),
@@ -509,6 +562,12 @@ def randomized_dpi_suite(
     with rho supported where the map preserves trace. Defaults: tp mode,
     1000 trials over d in (2, 3, 4), seed 0, and in tni mode DEFAULT_ALPHAS;
     alphas given in another mode are a DomainError.
+
+    Trials are drawn TRIAL_CHUNK at a time, each from its own
+    ``rng_for_trial(seed, t)`` stream (``_draw_dpi_trial``), then evaluated
+    in groups of one map dimension and alpha (``_monotonicity_values``) and
+    tallied in trial order. Each value carries the bits of evaluating its
+    trial alone, so any trial, and any stored failure, replays alone.
     """
     if mode not in ("tp", "tni", "trace_match"):
         raise DomainError(f"unknown mode {mode!r}")
@@ -529,21 +588,15 @@ def randomized_dpi_suite(
         "seed": int(seed),
     }
     tally = _Tally(f"dpi-{mode}", seed, config, cfg)
-    for rng, d in draws:
-        phi = FAMILY_TABLE[_pick(rng, names)].draw(rng, d, cfg)
-        d = phi.dim_in  # the counterexample map is 2x2 whatever d was drawn
-        if mode == "trace_match":
-            rho = _sector_state(rng, trace_behavior(phi).sector())
-            if float(rng.random()) < 0.15:
-                sigma = random_rank_deficient_density(rng, d)
-            else:
-                sigma = random_density(rng, d)
-            alpha = None
-        else:
-            rho, sigma = _sample_state_pair(rng, d)
-            alpha = _pick(rng, alphas) if mode == "tni" else None
-        trial = _monotonicity_trial(phi, rho, sigma, alpha, cfg)
-        tally.add_monotonicity(*trial, cfg.monotonicity_slack)
+
+    def evaluate(group):
+        maps, rho, sigma, (alpha, *_) = zip(*group)
+        return zip(*_monotonicity_values(maps, np.stack(rho), np.stack(sigma), alpha, cfg))
+
+    results = _in_chunks(draws, lambda rng, d: _draw_dpi_trial(rng, d, mode, names, alphas, cfg),
+                         lambda trial: (trial[0].dim_in, trial[0].dim_out, trial[3]), evaluate)
+    for lhs, rhs, parts in results:
+        tally.add_monotonicity(lhs, rhs, parts, cfg.monotonicity_slack)
     return tally.report()
 
 
@@ -923,8 +976,6 @@ def alpha_limit_battery(trials: int = 50, dims=(2, 3, 4, 5, 6), seed: int = 0,
     return alpha_limit_suite(sample_state_pairs(trials, dims, seed), cfg=cfg, seed=seed)
 
 
-# trials drawn and evaluated together by the violation search; bounds its memory at any trial count
-TRIAL_CHUNK = 256
 # hill-climb proposals evaluated together by the violation search
 CLIMB_STACK = 12
 
@@ -947,28 +998,23 @@ def _violation_trials(alpha: float, draws, cfg: ToleranceConfig):
     Each (rng, d) of ``draws`` (from ``_seeded_trials``) goes on to draw what
     ``random_cptp(d, rng=rng)`` and two ``random_density(rng, d)`` calls draw,
     in that order, so any trial replays alone. Within each chunk of
-    TRIAL_CHUNK trials, those of one dimension are finished and evaluated
-    as stacks: one QR for the isometries V, one Wishart normalisation per
-    state and one sandwiched evaluation per side (``_isometry_images`` for
-    the right), each value carrying the bits of evaluating its trial alone.
+    TRIAL_CHUNK trials (``_in_chunks``), those of one dimension are finished
+    and evaluated as stacks: one QR for the isometries V, one Wishart
+    normalisation per state and one sandwiched evaluation per side
+    (``_isometry_images`` for the right), each value carrying the bits of
+    evaluating its trial alone.
     """
-    while chunk := list(islice(draws, TRIAL_CHUNK)):
-        groups = {}  # d -> [(place in chunk, isometry Gaussian, rho factor, sigma factor)]
-        for i, (rng, d) in enumerate(chunk):
-            groups.setdefault(d, []).append(
-                (i, cptp_draw(rng, d), gaussian_factor(rng, d), gaussian_factor(rng, d))
-            )
-        results = [None] * len(chunk)
-        for d, group in groups.items():
-            places, iso, rho_factors, sigma_factors = zip(*group)
-            V = phase_fixed_q(np.stack(iso))
-            rho = density_of_factor(np.stack(rho_factors))
-            sigma = density_of_factor(np.stack(sigma_factors))
-            lhs = sandwiched_renyi(rho, sigma, alpha, cfg)
-            rhs = _isometry_images(alpha, V, rho, sigma, cfg)
-            for k, i in enumerate(places):
-                results[i] = (lhs[k], rhs[k], V[k], rho[k], sigma[k])
-        yield from results
+    def evaluate(group):
+        _, iso, rho_factors, sigma_factors = zip(*group)
+        V = phase_fixed_q(np.stack(iso))
+        rho = density_of_factor(np.stack(rho_factors))
+        sigma = density_of_factor(np.stack(sigma_factors))
+        return zip(sandwiched_renyi(rho, sigma, alpha, cfg), _isometry_images(alpha, V, rho, sigma, cfg),
+                   V, rho, sigma)
+
+    # a trial is (d, isometry Gaussian, rho factor, sigma factor)
+    return _in_chunks(draws, lambda rng, d: (d, cptp_draw(rng, d), gaussian_factor(rng, d), gaussian_factor(rng, d)),
+                      lambda trial: trial[0], evaluate)
 
 
 def _climb(alpha: float, lhs, rhs, V: np.ndarray, rho, sigma, steps: int, rng, cfg: ToleranceConfig):
@@ -1056,7 +1102,7 @@ def violation_search(
         if best is None or gap < best[0]:
             best = (gap, lhs, rhs, V, rho, sigma)
         found = gap < -VIOLATION_MARGIN
-        parts = _stack_checked_parts(V, rho, sigma, alpha) if found else None
+        parts = _checked_parts(from_isometry(V, rho.shape[0]), rho, sigma, alpha) if found else None
         tally.add(lhs, rhs, not found, parts)
 
     best_witness = None
@@ -1066,7 +1112,8 @@ def violation_search(
             rhs, V = _climb(alpha, lhs, rhs, V, rho, sigma, hill_steps, rng_for_trial(seed, trials), cfg)
             gap = _gap_of(lhs, rhs)
         if gap < -VIOLATION_MARGIN:
-            best_witness = Witness(*_stack_checked_parts(V, rho, sigma, alpha)(), lhs, rhs, gap)
+            best_witness = Witness(*_checked_parts(from_isometry(V, rho.shape[0]), rho, sigma, alpha)(),
+                                   lhs, rhs, gap)
             replayed = replay_witness(best_witness, cfg=cfg)
             if (replayed.lhs, replayed.rhs, replayed.gap) != (lhs, rhs, gap):
                 raise ReplayMismatch("stored witness did not replay to the identical gap")

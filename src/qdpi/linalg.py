@@ -174,8 +174,10 @@ class ValidatedPSD:
     symmetrized input, ``w``/``V`` its ascending eigenvalues and
     eigenvectors, and ``on`` the support mask under ``cfg.support_cutoff``
     (built on first use). A stack's leading axis is kept by every field and
-    method. The support projector and the functions on the support are
-    computed once per value and returned read-only.
+    method. ``matrix``, ``w`` and ``V`` are read-only from construction, so
+    a validated value, or a view into a validated stack, cannot be changed
+    into one that fails its checks. The support projector and the functions
+    on the support are computed once per value and returned read-only.
     """
 
     __slots__ = ("matrix", "w", "V", "cfg", "_on", "_cache")
@@ -189,6 +191,8 @@ class ValidatedPSD:
             raise DomainError(
                 f"matrix is not PSD (min eigenvalue {_first(lowest, lowest < -cfg.psd_tolerance):.3e})"
             )
+        for out in (M, w, V):
+            out.flags.writeable = False
         self.matrix, self.w, self.V, self.cfg = M, w, V, cfg
         self._on = None
         self._cache = {}

@@ -33,8 +33,17 @@ def rng_for_trial(seed: int, trial: int) -> np.random.Generator:
 
 
 def random_complex_gaussian(rng: np.random.Generator, shape) -> np.ndarray:
-    """IID standard complex Gaussian entries."""
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    """IID standard complex Gaussian entries.
+
+    One draw of the real parts, then the imaginary parts, stacked on a new
+    leading axis: the values and stream state of two draws of ``shape``.
+    """
+    try:
+        size = (2, *shape)
+    except TypeError:  # an int
+        size = (2, shape)
+    g = rng.standard_normal(size)
+    return g[0] + 1j * g[1]
 
 
 def random_unit_vector(rng: np.random.Generator, d: int) -> np.ndarray:

@@ -57,6 +57,7 @@ from qdpi.sampling import (
     density_of_factor,
     gaussian_factor,
     phase_fixed_q,
+    random_complex_gaussian,
     random_density,
     random_hermitian,
     random_projector,
@@ -733,6 +734,17 @@ def test_stacked_sampling_finish_equals_the_scalar_samplers():
             cptp_draw(np.random.default_rng(0), *dims)
         with pytest.raises(DomainError):
             random_cptp(*dims, seed=0)
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (3,), 3, (5, 4, 3), (0, 2)])
+def test_complex_gaussian_is_one_draw_of_both_parts(shape):
+    # the values and stream state of drawing the real parts, then the imaginary parts
+    one, two = np.random.default_rng(9), np.random.default_rng(9)
+    got = random_complex_gaussian(one, shape)
+    want = two.standard_normal(shape) + 1j * two.standard_normal(shape)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert one.bit_generator.state == two.bit_generator.state
+    assert one.standard_normal() == two.standard_normal()
 
 
 def test_from_isometry_rejects_rows_that_do_not_split_into_blocks():

@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from qdpi import cli, harness, serialize
+from qdpi import channels, cli, harness, serialize
 from qdpi.channels import choi, counterexample_map, from_kraus, from_matrix, random_cptp, transpose_map
 from qdpi.cli import (
     EXIT_INPUT_ERROR,
@@ -359,6 +359,23 @@ def test_negative_counts_and_seeds_are_input_errors(tmp_path, monkeypatch, capsy
     assert captured.out == ""
     assert captured.err.startswith("input error:") and argv.split()[-2] in captured.err
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("mode", ["tp", "tni"])
+def test_dpi_trial_domain_error_is_precondition_error(monkeypatch, tmp_path, capsys, mode):
+    # reduction maps drawn with no positivity certificate: at seed 5 the first
+    # is trial 7 (tp) or 13 (tni) of the first chunk, and fails the preconditions of its group
+    family = channels.FAMILY_TABLE["reduction"]
+    draw = family.draw
+    monkeypatch.setitem(channels.FAMILY_TABLE, "reduction", dataclasses.replace(
+        family, draw=lambda rng, d, cfg: from_matrix(draw(rng, d, cfg).matrix)))
+    out = tmp_path / "report.json"
+    argv = ["suite", "dpi", "--mode", mode, "--dims", "2,3", "--trials", "40", "--seed", "5", "--out", str(out)]
+    assert main(argv) == EXIT_PRECONDITION_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err == ("precondition error: monotonicity preconditions need a positive map; "
+                            "certificate tag is 'unverified'\n")
 
 
 @pytest.mark.parametrize("name", ["dpi", "auxiliary", "violation", "contraction", "alpha-limit", "step2"])

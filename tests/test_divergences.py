@@ -144,11 +144,9 @@ def test_renyi_forms_reject_non_finite_alpha(fn, alpha):
         fn(rho, sigma, alpha)
 
 
-# every form of one matrix; only sandwiched_renyi also takes stacks
+# every form of one matrix; relative_entropy, klein_gap and sandwiched_renyi also take stacks
 ONE_MATRIX_FORMS = {
     "von_neumann_entropy": lambda S, X: von_neumann_entropy(S),
-    "relative_entropy": lambda S, X: relative_entropy(S, S),
-    "klein_gap": lambda S, X: klein_gap(S, S),
     "support_contained": lambda S, X: support_contained(S, S),
     "old_renyi": lambda S, X: old_renyi(S, S, 2.0),
     "renyi_via_norm": lambda S, X: renyi_via_norm(S, S, 2.0),
@@ -164,6 +162,19 @@ def test_one_matrix_forms_reject_a_stack(name, validated):
     stack = np.stack([np.eye(2) / 2] * 3)
     with pytest.raises(DomainError, match="expected a matrix, got array of ndim 3"):
         ONE_MATRIX_FORMS[name](psd(stack) if validated else stack, np.eye(2) / 2)
+
+
+RELATIVE_FORMS = {"relative_entropy": relative_entropy, "klein_gap": klein_gap}
+
+
+@pytest.mark.parametrize("name", sorted(RELATIVE_FORMS))
+@pytest.mark.parametrize("validated", [False, True])
+def test_relative_forms_take_a_stack(name, validated):
+    stack = np.stack([np.eye(2) / 2] * 3)
+    fn = RELATIVE_FORMS[name]
+    assert fn(psd(stack) if validated else stack, stack) == [0.0] * 3
+    with pytest.raises(DomainError, match="shape mismatch"):
+        fn(stack, stack[0])
 
 
 def test_sandwiched_support_rules_differ_across_one():
@@ -461,6 +472,21 @@ def test_sandwiched_renyi_stack_carries_the_scalar_bits(alpha, d):
     values = sandwiched_renyi(psd(rhos), psd(sigmas), alpha)
     assert values == [sandwiched_renyi(r, s, alpha) for r, s in zip(rhos, sigmas)]
     assert all(type(v) is float for v in values) and math.isinf(values[-1])
+
+
+@pytest.mark.parametrize("name", sorted(RELATIVE_FORMS))
+@pytest.mark.parametrize("d", [2, 3, 9, 16])
+def test_relative_forms_stack_carries_the_scalar_bits(name, d):
+    rhos, sigmas = _stack_cases(d)
+    # a zero rho (0 for the relative entropy, tr[sigma] for the Klein gap) and an equal pair
+    rhos = np.concatenate([rhos, np.zeros((1, d, d)), sigmas[:1]])
+    sigmas = np.concatenate([sigmas, sigmas[:2]])
+    fn = RELATIVE_FORMS[name]
+    values = fn(psd(rhos), psd(sigmas))
+    assert values == [fn(r, s) for r, s in zip(rhos, sigmas)]
+    assert all(type(v) is float for v in values)
+    # rank-deficient sigmas off rho's support, the orthogonal pair among them
+    assert math.isinf(values[-3]) and sum(map(math.isinf, values)) >= 2
 
 
 def test_sandwiched_renyi_stack_decides_support_as_the_scalar_path():

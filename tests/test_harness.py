@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -51,7 +52,13 @@ from qdpi.harness import (
     _violation_trials,
 )
 from qdpi.linalg import DEFAULT_TOL, DomainError, hermitian_part
-from qdpi.sampling import phase_fixed_q, random_complex_gaussian, random_density, rng_for_trial
+from qdpi.sampling import (
+    phase_fixed_q,
+    random_complex_gaussian,
+    random_density,
+    random_rank_deficient_density,
+    rng_for_trial,
+)
 from qdpi.serialize import canonical_json
 
 
@@ -440,6 +447,65 @@ def test_stacked_trials_equal_scalar_evaluation(monkeypatch, dims, alpha):
             assert (lhs, rhs, _gap_of(lhs, rhs)) == (ref_lhs, ref_rhs, _gap_of(ref_lhs, ref_rhs))
 
 
+@pytest.mark.parametrize("mode, cfg_fields, seed, failures", [
+    ("tp", {"monotonicity_slack": 1e-18}, 5, 5),
+    ("tni", {"monotonicity_slack": 1e-18}, 5, 7),
+    # trace-match gaps stay above 3e-3, so no slack fails one; a coarse
+    # support cutoff drops part of an image's support (rhs = +inf)
+    ("trace_match", {"support_cutoff": 0.2}, 0, 5),
+])
+def test_dpi_failures_replay_exactly(mode, cfg_fields, seed, failures):
+    cfg = dataclasses.replace(DEFAULT_TOL, **cfg_fields)
+    r = randomized_dpi_suite(mode, dims=(2, 3, 4, 5, 6), trials=300, seed=seed, cfg=cfg)
+    assert len(r.failures) == failures
+    for stored in r.failures:
+        w = witness_from_dict(json.loads(canonical_json(witness_to_dict(stored))))
+        replayed = replay_witness(w, cfg=cfg)
+        assert (replayed.lhs, replayed.rhs, replayed.gap) == (stored.lhs, stored.rhs, stored.gap)
+
+
+@pytest.mark.parametrize("mode, alphas", [("tp", None), ("tni", (1.5, 2.0, 4.0)), ("trace_match", None)])
+def test_stacked_dpi_trials_equal_monotonicity_check(monkeypatch, mode, alphas):
+    # chunks of 16 trials over three dimensions: several chunks, each with mixed groups
+    monkeypatch.setattr(harness, "TRIAL_CHUNK", 16)
+    seen = []
+    add = harness._Tally.add_monotonicity
+    monkeypatch.setattr(harness._Tally, "add_monotonicity",
+                        lambda tally, lhs, rhs, parts, slack: seen.append((lhs, rhs, parts)) or
+                        add(tally, lhs, rhs, parts, slack))
+    dims, trials, seed = (2, 3, 5), 60, 21
+    randomized_dpi_suite(mode, dims=dims, trials=trials, seed=seed, alphas=alphas)
+    assert len(seen) == trials
+    for t, (lhs, rhs, parts) in enumerate(seen):
+        # the trial drawn alone, with rng.choice for every pick
+        rng = rng_for_trial(seed, t)
+        d = int(rng.choice(dims))
+        phi = channels.FAMILY_TABLE[str(rng.choice(channels.families(mode)))].draw(rng, d, DEFAULT_TOL)
+        alpha = None
+        if mode == "trace_match":
+            rho = _sector_state(rng, trace_behavior(phi).sector())
+            draw = random_rank_deficient_density if rng.random() < 0.15 else random_density
+            sigma = draw(rng, phi.dim_in)
+        else:
+            rho, sigma = _sample_state_pair(rng, phi.dim_in)
+            if mode == "tni":
+                alpha = float(rng.choice(alphas))
+        w = monotonicity_check(phi, rho, sigma, alpha)
+        assert (lhs, rhs) == (w.lhs, w.rhs)
+        assert canonical_json(parts()) == canonical_json((w.map_descriptor, w.rho, w.sigma, w.alpha))
+    # rank-deficient states put +inf on a side
+    assert any(math.isinf(lhs) or math.isinf(rhs) for lhs, rhs, _ in seen)
+
+
+@pytest.mark.parametrize("mode", ["tp", "tni", "trace_match"])
+def test_dpi_report_does_not_depend_on_chunk_size(monkeypatch, mode):
+    cfg = dataclasses.replace(DEFAULT_TOL, monotonicity_slack=1e-18)
+    a = randomized_dpi_suite(mode, dims=(2, 3, 4), trials=90, seed=5, cfg=cfg)
+    monkeypatch.setattr(harness, "TRIAL_CHUNK", 7)
+    b = randomized_dpi_suite(mode, dims=(2, 3, 4), trials=90, seed=5, cfg=cfg)
+    assert frozen_report_text(a) == frozen_report_text(b)
+
+
 def test_violation_report_does_not_depend_on_chunk_size(monkeypatch):
     a = violation_search(0.3, dims=(2, 3), trials=120, seed=6, hill_steps=20)
     monkeypatch.setattr(harness, "TRIAL_CHUNK", 5)
@@ -571,10 +637,6 @@ def test_trace_match_tolerance_is_tight():
 
 def test_escalation_counts_marginal_trials():
     # slack so tiny that honest rounding noise lands in the escalation band
-    import dataclasses
-
-    from qdpi.linalg import DEFAULT_TOL
-
     tight = dataclasses.replace(DEFAULT_TOL, monotonicity_slack=1e-16)
     r = randomized_dpi_suite("tp", trials=120, seed=29, cfg=tight)
     # at this seed one gap lands between slack and 10x slack (escalated pass)
@@ -598,7 +660,8 @@ def test_dpi_suite_with_zero_trials_is_vacuous_pass():
 def test_dpi_tp_trial_runs_at_most_eight_eigensolves(eig_sizes):
     r = randomized_dpi_suite("tp", dims=(2, 3, 4, 5, 6), trials=200, seed=3)
     assert r.passed
-    assert len(eig_sizes) <= 8 * 200
+    # 1.395 per trial: Phi*(1) of each map, the rank-deficient draws and four stacked solves per dimension
+    assert len(eig_sizes) <= 279
 
 
 def test_norm_contraction_eigensolves_do_not_grow_with_trials(eig_sizes):
@@ -613,9 +676,9 @@ def test_norm_contraction_eigensolves_do_not_grow_with_trials(eig_sizes):
     assert counts[0] == counts[1]
 
 
-# solver calls (eigh + eigvalsh + svd) over 200 trials: at most 5.8 per
-# trace-match trial and 5.49 per tp trial
-@pytest.mark.parametrize("mode, budget", [("trace_match", 1160), ("tp", 1098)])
+# solver calls (eigh + eigvalsh + svd) over 200 trials: at most 1.84 per
+# trace-match trial, 1.59 per tp trial and 2.385 per tni trial
+@pytest.mark.parametrize("mode, budget", [("trace_match", 368), ("tp", 318), ("tni", 477)])
 def test_dpi_solver_calls_per_trial(solver_calls, mode, budget):
     r = randomized_dpi_suite(mode, dims=(2, 3, 4, 5, 6), trials=200, seed=3)
     assert r.passed

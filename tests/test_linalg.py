@@ -266,6 +266,19 @@ def test_psd_stack_equals_psd_of_each_matrix():
         assert np.array_equal(v.projector()[i], one.projector())
 
 
+@pytest.mark.parametrize("stacked", [False, True])
+def test_validated_arrays_are_read_only(stacked):
+    A = np.diag([0.5, 0.5])
+    v = psd(A[None] if stacked else A)
+    with pytest.raises(ValueError, match="read-only"):
+        v.w[0] = -0.5
+    for field in ("matrix", "V"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(v, field)[0] = 0.0
+    # the value still holds what it certified, and the caller's array stays writable
+    assert v.w.min() == 0.5 and A.flags.writeable
+
+
 def test_psd_stack_checks_every_matrix():
     stack = _mixed_rank_stack()
     bad_cases = []
