@@ -74,7 +74,6 @@ from .harness import (
     contraction_battery,
     counterexample_suite,
     monotonicity_check,
-    norm_contraction_suite,
     randomized_dpi_suite,
     replay_witness,
     report_from_dict,

@@ -177,7 +177,8 @@ class SuperOperator:
     built from them on first access and cached; the two agree on probes
     within rounding. ``descriptor`` records a seeded construction recipe
     when one exists, so the map can be serialized by recipe instead of by
-    payload.
+    payload. A map is fixed once built: no attribute can be rebound, and
+    ``matrix`` and the Kraus operators are read-only views.
     """
 
     def __init__(
@@ -195,35 +196,34 @@ class SuperOperator:
             shape = kraus[0].shape
             if {K.shape for K in kraus} != {shape}:
                 raise DomainError("all Kraus operators must share one shape")
+            kraus = tuple(map(_read_only, kraus))
         else:
             shape = tuple(map(math.isqrt, matrix.shape))
             if matrix.shape != tuple(map(int.__mul__, shape, shape)):
                 raise DomainError(f"representation matrix shape {matrix.shape} is not (d_out^2, d_in^2)")
-            self.matrix = matrix  # fills the cached property
+            vars(self)["matrix"] = _read_only(matrix)  # fills the cached property
         if len(shape) != 2 or min(shape) < 1:
             raise DomainError(f"a map needs dimensions >= 1, got shape {shape}")
-        self.dim_out, self.dim_in = shape
-        self.kraus = kraus
-        self.certificate = certificate
-        self.descriptor = descriptor
+        # past __setattr__, which refuses every later change
+        vars(self).update(kraus=kraus, dim_out=shape[0], dim_in=shape[1], certificate=certificate,
+                          descriptor=descriptor)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"a map is fixed once built; cannot change {name!r}")
+
+    __delattr__ = __setattr__
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        return _kraus_matrix(self.kraus, self.dim_in, self.dim_out)
+        return _read_only(_kraus_matrix(self.kraus, self.dim_in, self.dim_out))
 
     @cached_property
     def _trace_behavior(self) -> TraceBehavior:
         return _classify_trace(self)
 
-    # Choi facts free of tolerances, each computed at most once per map
     @cached_property
-    def _choi_defect(self) -> float:
-        C = choi(self)
-        return float(np.abs(C - C.conj().T).max())
-
-    @cached_property
-    def _choi_min(self) -> float:
-        return float(_solve(np.linalg.eigvalsh, hermitian_part(choi(self)))[0])
+    def _choi(self) -> _ChoiFacts:
+        return _ChoiFacts(choi(self))
 
     def apply(self, X) -> np.ndarray:
         """Phi(X) of a matrix, or of each matrix of an (n, dim_in, dim_in) stack."""
@@ -236,6 +236,24 @@ class SuperOperator:
         lead = X.shape[:-2]
         v = X.swapaxes(-1, -2).reshape(lead + (self.dim_in * self.dim_in, 1))
         return (self.matrix @ v).reshape(lead + (self.dim_out, self.dim_out)).swapaxes(-1, -2)
+
+
+def _read_only(A: np.ndarray) -> np.ndarray:
+    """A read-only view of A; A's own flags are left as they were."""
+    view = A.view()
+    view.setflags(write=False)
+    return view
+
+
+class _ChoiFacts:
+    """A Choi matrix's Hermiticity defect and, computed at most once, its minimum eigenvalue; free of tolerances."""
+
+    def __init__(self, C: np.ndarray):
+        self.C, self.defect = C, float(np.abs(C - C.conj().T).max())
+
+    @cached_property
+    def min(self) -> float:
+        return float(_solve(np.linalg.eigvalsh, hermitian_part(self.C))[0])
 
 
 def _require_input(X, dim_in: int) -> np.ndarray:
@@ -287,14 +305,14 @@ def _kraus_matrix(kraus, dim_in: int, dim_out: int) -> np.ndarray:
 _KRAUS_FORM = PositivityCertificate("completely_positive", reason="Kraus form")
 
 
-def _choi_test(phi: SuperOperator, cfg: ToleranceConfig):
+def _choi_test(facts: _ChoiFacts, cfg: ToleranceConfig):
     """Exact CP test: (certificate when the Choi matrix is PSD, else None; its minimum eigenvalue).
 
     The minimum is None when the Choi matrix is not Hermitian.
     """
-    if not phi._choi_defect <= cfg.hermiticity_tolerance:
+    if not facts.defect <= cfg.hermiticity_tolerance:
         return None, None
-    cmin = phi._choi_min
+    cmin = facts.min
     if cmin < -cfg.psd_tolerance:
         return None, cmin
     reason = f"choi min eigenvalue {cmin:.3e}"
@@ -306,7 +324,7 @@ def from_kraus(kraus, *, descriptor: dict | None = None) -> SuperOperator:
 
     The operators' shape (d_out, d_in) gives the dimensions; no Choi matrix is formed.
     """
-    return SuperOperator(None, tuple(as_matrix(K) for K in kraus), _KRAUS_FORM, descriptor)
+    return SuperOperator(None, [as_matrix(K) for K in kraus], _KRAUS_FORM, descriptor)
 
 
 def kraus_blocks(V: np.ndarray, dim_out: int) -> list:
@@ -335,16 +353,15 @@ def choi(phi: SuperOperator) -> np.ndarray:
 def from_choi(C, dim_in: int, cfg: ToleranceConfig = DEFAULT_TOL) -> SuperOperator:
     """The map with Choi matrix C, whose size divided by dim_in is the output dimension."""
     C = as_matrix(C)
-    if dim_in < 1 or C.shape[0] % dim_in or C.shape[1] != C.shape[0]:
-        raise DomainError(f"Choi matrix shape {C.shape} is not square with a multiple of dim_in = {dim_in} >= 1 rows")
+    if not 1 <= dim_in <= C.shape[0] or C.shape[0] % dim_in or C.shape[1] != C.shape[0]:
+        raise DomainError(f"Choi matrix shape {C.shape} is not square with n * dim_in rows, n >= 1, dim_in = {dim_in}")
     dim_out = C.shape[0] // dim_in
     U = C.reshape(dim_out, dim_in, dim_out, dim_in)
-    M = np.asfortranarray(U.transpose(0, 2, 1, 3)).reshape(
-        dim_out * dim_out, dim_in * dim_in, order="F"
-    )
-    phi = from_matrix(M)
-    # a PSD Choi certifies complete positivity on the spot (classify reuses the solve)
-    phi.certificate = _choi_test(phi, cfg)[0] or UNVERIFIED
+    M = np.asfortranarray(U.transpose(0, 2, 1, 3)).reshape(dim_out * dim_out, dim_in * dim_in, order="F")
+    # a PSD Choi certifies complete positivity on the spot; the map keeps C's facts, so classify reuses the solve
+    facts = _ChoiFacts(C)
+    phi = SuperOperator(M, None, _choi_test(facts, cfg)[0] or UNVERIFIED)
+    vars(phi)["_choi"] = facts
     return phi
 
 
@@ -388,13 +405,8 @@ def _classify_trace(phi: SuperOperator) -> TraceBehavior:
     if phi.kraus is not None:
         A = sum(K.conj().T @ K for K in phi.kraus)
     else:
-        A = _unvec(
-            phi.matrix.conj().T @ _vec(np.eye(phi.dim_out)), phi.dim_in, phi.dim_in
-        )
-    w, V = _solve(np.linalg.eigh, hermitian_part(A))
-    for M in (w, V):
-        M.flags.writeable = False
-    return TraceBehavior(w, V)
+        A = _unvec(phi.matrix.conj().T @ _vec(np.eye(phi.dim_out)), phi.dim_in, phi.dim_in)
+    return TraceBehavior(*map(_read_only, _solve(np.linalg.eigh, hermitian_part(A))))
 
 
 def trace_behavior(phi: SuperOperator) -> TraceBehavior:
@@ -423,7 +435,7 @@ def classify(
     of at most ``_PROBE_CHUNK``: one ``apply`` and one eigensolve per stack,
     each probe's minimum bit-identical to evaluating it alone.
     """
-    cert, cmin = _choi_test(phi, cfg)
+    cert, cmin = _choi_test(phi._choi, cfg)
     if cert is not None:
         return cert
     worst = np.inf
@@ -686,7 +698,8 @@ class Family:
 
     ``constructor`` builds the family's recipes (None when it takes operators)
     and ``draw(rng, d, cfg)`` samples it for the suites whose ``roles`` it fills
-    (None when none does): the dpi modes and "support", auxiliary's check (d).
+    (None when none does): the dpi modes, "support" (auxiliary's check (d))
+    and "contraction" (the contraction battery).
     """
 
     constructor: object
@@ -696,14 +709,15 @@ class Family:
 
 # every map family; a suite picks by index among its role's families, so this order is in every report
 FAMILY_TABLE = {
-    "random_cptp": Family(random_cptp, lambda rng, d, cfg: random_cptp(d, rng=rng), ("tp", "tni", "support")),
+    "random_cptp": Family(random_cptp, lambda rng, d, cfg: random_cptp(d, rng=rng),
+                          ("tp", "tni", "support", "contraction")),
     "random_positive_noncp": Family(random_positive_noncp, lambda rng, d, cfg: random_positive_noncp(d, rng=rng),
-                                    ("tp", "tni", "support")),
+                                    ("tp", "tni", "support", "contraction")),
     "reduction": Family(reduction_map, lambda rng, d, cfg: reduction_map(d), ("tp", "tni", "support")),
     "pinching": Family(None, lambda rng, d, cfg: pinching_map(random_projector(rng, d, int(rng.integers(1, d))), cfg),
                        ("tp", "tni")),
     "depolarizing": Family(depolarizing_map, lambda rng, d, cfg: depolarizing_map(d, float(rng.uniform(0.0, 1.0))),
-                           ("tp", "tni")),
+                           ("tp", "tni", "contraction")),
     "halving": Family(halving_map, lambda rng, d, cfg: halving_map(d), ("tni",)),
     "counterexample": Family(counterexample_map, lambda rng, d, cfg: counterexample_map(), ("tni", "trace_match")),
     "damped_cptp": Family(damped_cptp, lambda rng, d, cfg: damped_cptp(

@@ -61,7 +61,6 @@ from .channels import (
     compose,
     counterexample_map,
     cptp_draw,
-    depolarizing_map,
     families,
     from_isometry,
     gamma_superoperator,
@@ -69,7 +68,6 @@ from .channels import (
     one_to_one_norm_positive,
     pinching_map,
     random_cptp,
-    random_positive_noncp,
     trace_behavior,
     truncation_parts,
 )
@@ -103,7 +101,6 @@ __all__ = [
     "replay_witness",
     "counterexample_suite",
     "randomized_dpi_suite",
-    "norm_contraction_suite",
     "contraction_battery",
     "step2_suite",
     "step2_battery",
@@ -605,27 +602,17 @@ UNIT_IMAGE_TOLERANCE = 1e-9
 ADJOINT_UNIT_BOUND = 1.0 + 1e-10
 
 
-def _contraction_alphas(alphas, trials: int, seed: int) -> tuple:
-    """The weighted-norm orders of a contraction suite, checked with its probe count and seed."""
-    alphas = tuple(float(a) for a in alphas)
-    if not alphas or not all(1.0 <= a < math.inf for a in alphas):
-        raise DomainError(f"weighted norms need one or more finite alpha >= 1, got {list(alphas)}")
-    if trials < 0 or seed < 0:
-        raise DomainError(f"trials and seed must be nonnegative, got {trials} and {seed}")
-    return alphas
-
-
 def _contraction_checks(tally: _Tally, sigma, phi: SuperOperator, alphas, trials: int, seed: int,
                         cfg: ToleranceConfig) -> None:
-    """Add the norm-contraction checks of one (sigma, Phi) instance to ``tally``."""
+    """Add the norm-contraction checks of one (sigma, Phi) instance to ``tally``: for ``trials`` probes X
+    per alpha, ||Psi(X)||_{alpha,Phi(sigma)} <= RATIO_BOUND ||X||_{alpha,sigma} with Psi = Gamma^{-1}_{Phi(sigma)}
+    o Phi o Gamma_sigma; then Psi(1) = 1 within UNIT_IMAGE_TOLERANCE and ||Phi*(1)||_inf <= ADJOINT_UNIT_BOUND."""
     if not phi.certificate.is_positive:
         raise DomainError("norm contraction needs a certified positive map")
     if not trace_behavior(phi).is_nonincreasing:
         raise DomainError("norm contraction needs a trace-nonincreasing map")
     sigma = _psd_matrix(sigma, cfg)
     d = phi.dim_in
-    if sigma.matrix.shape[0] != d:
-        raise DomainError(f"sigma dimension {sigma.matrix.shape[0]} != map input dimension {d}")
     sigma_prime = psd(hermitian_part(phi.apply(sigma)), cfg)
     for name, S in (("sigma", sigma), ("Phi(sigma)", sigma_prime)):
         if not S.on.all():
@@ -662,32 +649,6 @@ def _contraction_checks(tally: _Tally, sigma, phi: SuperOperator, alphas, trials
               _parts(phi, eye, sigma, None, cfg))
 
 
-def norm_contraction_suite(
-    sigma,
-    phi: SuperOperator,
-    alphas=(1.5, 2.0, 3.0),
-    trials: int = 200,
-    seed: int = 0,
-    cfg: ToleranceConfig = DEFAULT_TOL,
-) -> CheckReport:
-    """Sampled contraction of Psi = Gamma^{-1}_{Phi(sigma)} o Phi o Gamma_sigma.
-
-    For each probe X and each alpha, asserts the weighted-norm ratio
-    ||Psi(X)||_{alpha,Phi(sigma)} / ||X||_{alpha,sigma} <= 1 + 1e-8; plus the
-    two endpoint facts: Psi(1) = 1 within 1e-9 and ||Phi*(1)||_inf <= 1 + 1e-10.
-    """
-    alphas = _contraction_alphas(alphas, trials, seed)
-    config = {
-        "alphas": list(alphas),
-        "trials": int(trials),
-        "seed": int(seed),
-        "dim": int(phi.dim_in),
-    }
-    tally = _Tally("norm-contraction", seed, config, cfg)
-    _contraction_checks(tally, sigma, phi, alphas, trials, seed, cfg)
-    return tally.report()
-
-
 def contraction_battery(
     instances: int = 20,
     dims=(2, 3, 4),
@@ -698,29 +659,30 @@ def contraction_battery(
 ) -> CheckReport:
     """Norm-contraction checks over seeded (map, sigma) instances, in one report.
 
-    Instances rotate through positive non-CP, CPTP, and depolarizing maps
-    (lam drawn from [0.1, 0.9]), in that order, so the contraction is
-    exercised beyond the completely positive cone.
+    Instance i draws its map from family i mod n of the n "contraction"
+    families in table order (random CPTP, positive non-CP, depolarizing), so
+    from n instances on the lemma is sampled on every one, beyond the CP
+    cone; then a full-rank sigma and the seed of its probes.
     """
+    names = families("contraction")
     dims, draws = _seeded_trials(seed, instances, dims, first=1_000_000)
-    alphas = _contraction_alphas(alphas, trials, seed)
+    alphas = tuple(float(a) for a in alphas)
+    if not alphas or not all(1.0 <= a < math.inf for a in alphas):
+        raise DomainError(f"weighted norms need one or more finite alpha >= 1, got {list(alphas)}")
+    if trials < 0:
+        raise DomainError(f"probe count must be nonnegative, got {trials}")
     config = {
         "instances": int(instances),
         "dims": list(dims),
+        "families": list(names),
         "alphas": list(alphas),
         "trials": int(trials),
         "seed": int(seed),
     }
     tally = _Tally("norm-contraction", seed, config, cfg)
     for i, (rng, d) in enumerate(draws):
-        kind = i % 3
-        if kind == 0:
-            phi = random_positive_noncp(d, rng=rng)
-        elif kind == 1:
-            phi = random_cptp(d, rng=rng)
-        else:
-            phi = depolarizing_map(d, float(rng.uniform(0.1, 0.9)))
-        sigma = random_density(rng, d)
+        phi = FAMILY_TABLE[names[i % len(names)]].draw(rng, d, cfg)
+        sigma = random_density(rng, phi.dim_in)
         sub_seed = int(rng.integers(0, 2**31))
         _contraction_checks(tally, sigma, phi, alphas, trials, sub_seed, cfg)
     return tally.report()

@@ -207,6 +207,28 @@ def test_choi_round_trip():
     assert back.certificate.tag == "completely_positive"
 
 
+@pytest.mark.parametrize("form", ["kraus", "matrix", "choi"])
+def test_maps_are_fixed_once_built(form):
+    K = random_cptp(2, seed=0).kraus[0].copy()
+    M = depolarizing_map(2, 0.5).matrix.copy()
+    phi = {"kraus": lambda: from_kraus([K]), "matrix": lambda: from_matrix(M),
+           "choi": lambda: from_choi(choi(from_matrix(M)), 2)}[form]()
+    image = phi.apply(np.eye(2))
+    for name, value in (("dim_in", 3), ("certificate", classify(transpose_map(2))), ("descriptor", None)):
+        with pytest.raises(AttributeError, match="fixed once built"):
+            setattr(phi, name, value)
+    with pytest.raises(AttributeError, match="fixed once built"):
+        del phi.kraus
+    with pytest.raises(ValueError, match="read-only"):
+        phi.matrix[0, 0] = 1
+    if phi.kraus is not None:
+        with pytest.raises(ValueError, match="read-only"):
+            phi.kraus[0][0, 0] = 1
+    # the map still does what it did, and the caller's arrays stay writable
+    assert np.array_equal(phi.apply(np.eye(2)), image) and phi.dim_in == 2
+    assert K.flags.writeable and M.flags.writeable
+
+
 def test_from_choi_rejects_bad_shape():
     with pytest.raises(DomainError):
         from_choi(np.eye(5), dim_in=2)
@@ -460,7 +482,14 @@ def test_family_roles_keep_their_order():
     assert families("tni") == families("tp") + ("halving", "counterexample")
     assert families("trace_match") == ("counterexample", "damped_cptp", "truncation")
     assert families("support") == ("random_cptp", "random_positive_noncp", "reduction")
+    assert families("contraction") == ("random_cptp", "random_positive_noncp", "depolarizing")
     assert families("teleporter") == ()
+
+
+@pytest.mark.parametrize("role", ["tp", "tni", "trace_match", "support", "contraction"])
+def test_every_suite_role_has_a_family(role):
+    # a suite picks among its role's families by index, so an empty role would draw nothing
+    assert families(role)
 
 
 @pytest.mark.parametrize("family", [name for name, entry in FAMILY_TABLE.items() if entry.draw is not None])
@@ -478,6 +507,11 @@ def test_drawn_families_fill_their_roles(family):
             assert behavior.is_nonincreasing
         if "trace_match" in entry.roles:
             assert behavior.sector().shape[1] >= 1
+        if "contraction" in entry.roles:
+            # the weighted norms of the contraction lemma need sigma and Phi(sigma) full rank
+            assert behavior.is_nonincreasing
+            image = phi.apply(random_density(rng, phi.dim_in))
+            assert psd(hermitian_part(image)).on.all()
 
 
 # one recipe of every family that has a constructor

@@ -378,6 +378,24 @@ def test_dpi_trial_domain_error_is_precondition_error(monkeypatch, tmp_path, cap
                             "certificate tag is 'unverified'\n")
 
 
+@pytest.mark.parametrize("draw, message", [
+    # certified completely positive, with Phi*(1) = 2
+    (lambda d: from_kraus([np.eye(d) * math.sqrt(2.0)]), "norm contraction needs a trace-nonincreasing map"),
+    (lambda d: from_matrix(np.eye(d * d)), "norm contraction needs a certified positive map"),
+], ids=["not-tni", "uncertified"])
+def test_contraction_map_outside_the_lemma_is_precondition_error(monkeypatch, tmp_path, capsys, draw, message):
+    # instance 0 draws the contraction role's first family
+    name = channels.families("contraction")[0]
+    monkeypatch.setitem(channels.FAMILY_TABLE, name, dataclasses.replace(
+        channels.FAMILY_TABLE[name], draw=lambda rng, d, cfg: draw(d)))
+    out = tmp_path / "report.json"
+    argv = ["suite", "contraction", "--instances", "3", "--trials", "2", "--out", str(out)]
+    assert main(argv) == EXIT_PRECONDITION_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err == f"precondition error: {message}\n"
+
+
 @pytest.mark.parametrize("name", ["dpi", "auxiliary", "violation", "contraction", "alpha-limit", "step2"])
 def test_dimension_one_is_precondition_error(capsys, name):
     # 1x1 states are all equal: every suite rejects them instead of passing vacuously

@@ -11,6 +11,7 @@ from qdpi.channels import (
     counterexample_map,
     damped_cptp,
     from_isometry,
+    from_kraus,
     from_matrix,
     halving_map,
     identity_map,
@@ -30,7 +31,6 @@ from qdpi.harness import (
     contraction_battery,
     counterexample_suite,
     monotonicity_check,
-    norm_contraction_suite,
     randomized_dpi_suite,
     replay_witness,
     report_from_dict,
@@ -209,23 +209,20 @@ def test_dpi_suite_reads_alpha_in_tni_mode_only(mode, alphas):
         lambda: step2_battery(d=1),
         lambda: step2_battery(d=4, seed=-1),
         lambda: step2_suite((1, 2), identity_map(2), np.eye(2) / 2, np.eye(2) / 2, seed=-1),
-        lambda: norm_contraction_suite(np.eye(2) / 2, identity_map(2), trials=2, seed=-1),
-        lambda: norm_contraction_suite(np.eye(2) / 2, identity_map(2), trials=-1),
         # the alphas and the probe count are checked once, before any instance is drawn
         lambda: contraction_battery(instances=0, trials=-1),
         lambda: contraction_battery(instances=0, alphas=(0.5,)),
         lambda: contraction_battery(instances=0, alphas=(math.inf,)),
         lambda: contraction_battery(instances=0, alphas=()),
-        lambda: norm_contraction_suite(np.eye(2) / 2, identity_map(2), alphas=(), trials=2),
         lambda: randomized_dpi_suite("tni", trials=0, alphas=()),
     ],
     ids=[
         "auxiliary-trials", "auxiliary-seed", "auxiliary-dims-no-trials",
         "contraction-instances", "contraction-trials", "contraction-seed", "contraction-dims-no-instances",
         "pairs-count", "pairs-seed", "pairs-dims-no-count", "step2-dims", "step2-seed",
-        "step2-suite-seed", "norm-contraction-seed", "norm-contraction-trials",
+        "step2-suite-seed",
         "contraction-trials-no-instances", "contraction-alpha-below-one-no-instances",
-        "contraction-alpha-inf-no-instances", "contraction-alpha-empty", "norm-contraction-alpha-empty",
+        "contraction-alpha-inf-no-instances", "contraction-alpha-empty",
         "dpi-tni-alpha-empty",
     ],
 )
@@ -266,17 +263,36 @@ def test_report_round_trip_bytes():
 
 def test_norm_contraction_suite_requires_full_rank_sigma():
     phi = random_cptp(2, seed=23)
-    with pytest.raises(DomainError):
-        norm_contraction_suite(np.diag([1.0, 0.0]), phi, trials=2, seed=0)
+    tally = harness._Tally("norm-contraction", 0, {}, DEFAULT_TOL)
+    with pytest.raises(DomainError, match="sigma is rank-deficient"):
+        harness._contraction_checks(tally, np.diag([1.0, 0.0]), phi, (2.0,), 2, 0, DEFAULT_TOL)
+    assert tally.trials == 0
 
 
-def test_norm_contraction_suite_requires_tni_map():
-    inflating_kraus = [np.eye(2) * math.sqrt(2.0)]
-    from qdpi.channels import from_kraus
+def test_norm_contraction_suite_requires_tni_map(monkeypatch):
+    # instance 0 draws the contraction role's first family; this one is certified CP, with Phi*(1) = 2
+    name = channels.families("contraction")[0]
+    monkeypatch.setitem(channels.FAMILY_TABLE, name, dataclasses.replace(
+        channels.FAMILY_TABLE[name], draw=lambda rng, d, cfg: from_kraus([np.eye(d) * math.sqrt(2.0)])))
+    with pytest.raises(DomainError, match="trace-nonincreasing"):
+        contraction_battery(instances=1, trials=2)
 
-    phi = from_kraus(inflating_kraus)
-    with pytest.raises(DomainError):
-        norm_contraction_suite(np.eye(2) / 2.0, phi, trials=2, seed=0)
+
+def test_contraction_battery_draws_its_role_families_in_table_order(monkeypatch):
+    names = channels.families("contraction")
+    drawn = []
+    for name in names:
+        family = channels.FAMILY_TABLE[name]
+
+        def draw(rng, d, cfg, name=name, family=family):
+            drawn.append(name)
+            return family.draw(rng, d, cfg)
+
+        monkeypatch.setitem(channels.FAMILY_TABLE, name, dataclasses.replace(family, draw=draw))
+    r = contraction_battery(instances=3, dims=(3,), trials=4)
+    assert drawn == list(names)
+    assert r.config["families"] == list(names)
+    assert r.passed and r.trials == 3 * (3 * 4 + 2)
 
 
 def test_norm_contraction_small_battery_passes():
@@ -665,13 +681,11 @@ def test_dpi_tp_trial_runs_at_most_eight_eigensolves(eig_sizes):
 
 
 def test_norm_contraction_eigensolves_do_not_grow_with_trials(eig_sizes):
-    sigma = random_density(rng_for_trial(8, 0), 4)
     counts = []
     for trials in (10, 50):
-        # a fresh map per run, so its cached Phi*(1) spectrum is not carried over
-        phi = random_cptp(4, seed=2)
+        # each run draws its own map, so no cached Phi*(1) spectrum is carried over
         del eig_sizes[:]
-        assert norm_contraction_suite(sigma, phi, trials=trials, seed=1).passed
+        assert contraction_battery(instances=1, dims=(4,), trials=trials, seed=1).passed
         counts.append(len(eig_sizes))
     assert counts[0] == counts[1]
 
