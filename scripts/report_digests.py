@@ -3,11 +3,12 @@
 
 Each argument is one `qdpi suite` command line without the leading
 `qdpi suite`, for example "dpi --mode tp --trials 300 --seed 44". With no
-arguments the script runs a fixed set of acceptance commands, then writes a
-fixed set of map files (every representation, a map that sampling
-falsifies, the d = 16 reduction map, recipes with real-valued params, a
-3 -> 2 map as Kraus operators and as a Choi matrix) and
-runs `qdpi check-map` on each, then writes a full-rank and a rank-deficient
+arguments the script runs a fixed set of acceptance commands (the last four
+fail on purpose, with exit code 1, so that their reports hold the failure
+witnesses of the threshold suites), then writes a fixed set of map files
+(every representation, a map that sampling falsifies, the d = 16 reduction
+map, recipes with real-valued params, a 3 -> 2 map as Kraus operators and as
+a Choi matrix) and runs `qdpi check-map` on each, then writes a full-rank and a rank-deficient
 state pair and runs `qdpi compute` on each for the relative entropy, the
 sandwiched divergence at alpha = 0.3 and 2 and the old Renyi divergence at
 alpha = 2. For each command it prints one line: the exit code, the sha256
@@ -81,6 +82,12 @@ ACCEPTANCE_COMMANDS = (
     "contraction --instances 3 --trials 10 --seed 3 --tolerance-support-cutoff 1e-10",
     # one dimension: each chunk of dpi trials holds a single dimension
     "dpi --mode tni --dims 4 --trials 300 --seed 8",
+    # a coarse support cutoff fails threshold checks on purpose (exit 1), so these
+    # reports hold the failure witnesses of step2, alpha-limit, auxiliary and counterexample
+    "step2 --dims 6 --seed 0 --tolerance-support-cutoff 0.3",
+    "alpha-limit --trials 10 --seed 3 --tolerance-support-cutoff 0.3",
+    "auxiliary --trials 20 --seed 3 --tolerance-support-cutoff 0.3",
+    "counterexample --tolerance-support-cutoff 0.6",
 )
 
 

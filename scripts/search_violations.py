@@ -7,7 +7,8 @@ plus hill climb), which prints its summary line and writes its report to
 script also prints the gap the witness has at alpha = 2, where the sandwiched
 divergence is monotone. A report's ``best_witness`` loads with
 `qdpi.harness.report_from_dict` and re-evaluates with
-`qdpi.harness.replay_witness`.
+`qdpi.harness.replay_witness`, which reads only the witness: the alpha = 2
+gap is the replay of ``dataclasses.replace(w, alpha=2.0)``.
 
 Exits 0 when some alpha found a violation and 1 when none did. A bad
 argument stops the sweep with the CLI's one-line error and exit code.
@@ -17,6 +18,7 @@ Example:
 """
 
 import argparse
+import dataclasses
 import pathlib
 import sys
 
@@ -47,7 +49,7 @@ def main() -> int:
         w = harness.report_from_dict(serialize.load_json(path)).best_witness
         if w is not None:
             found_any = True
-            check = harness.replay_witness(w, alpha_override=2.0)
+            check = harness.replay_witness(dataclasses.replace(w, alpha=2.0))
             print(f"alpha={alpha}: best gap {w.gap:+.6f} (at alpha=2 the gap is {check.gap:+.6f}); wrote {path}")
 
     return 0 if found_any else 1

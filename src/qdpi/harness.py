@@ -7,7 +7,9 @@ source, ``_seeded_trials``, checks a suite's inputs and gives each trial its
 own stream ``rng_for_trial(seed, t)`` and dimension, so any single trial can
 be replayed without running the ones before it.
 
-Witness gap semantics: monotonicity witnesses store the two divergence
+Witnesses: ``_parts`` writes every one, ``_divergence(alpha, cfg)`` picks every
+divergence, and ``replay_witness`` recomputes a witness from its own fields. Gap
+semantics: monotonicity witnesses store the two divergence
 values and gap = lhs - rhs; the inequality asserts lhs >= rhs, and a pair
 with both sides infinite is a vacuous pass recorded with gap 0. Threshold
 witnesses (norm contraction, step-2, limit checks) store the allowed bound
@@ -57,6 +59,7 @@ from .divergences import (
 from .channels import (
     FAMILY_TABLE,
     SuperOperator,
+    _is_number,
     apply_kraus_stack,
     compose,
     counterexample_map,
@@ -174,12 +177,26 @@ def witness_to_dict(w: Witness) -> dict:
     }
 
 
+def _fields(d, names, what: str) -> None:
+    """Raise a FormatError unless d is an object holding every field of names."""
+    if not isinstance(d, dict):
+        raise serialize.FormatError(f"{what} payload must be an object")
+    for name in names:
+        if name not in d:
+            raise serialize.FormatError(f"{what} payload is missing field {name!r}")
+
+
 def witness_from_dict(d: dict) -> Witness:
+    """Parse a witness payload; a malformed one is a FormatError that names the field."""
+    _fields(d, ("map", "rho", "sigma", "lhs", "rhs", "gap"), "witness")
+    alpha = d.get("alpha")
+    if alpha is not None and not (_is_number(alpha, (int, float)) and abs(alpha) <= float(np.finfo(float).max)):
+        raise serialize.FormatError(f"witness field 'alpha' must be None or a finite real, got {alpha!r}")
     return Witness(
         map_descriptor=d["map"],
         rho=d["rho"],
         sigma=d["sigma"],
-        alpha=None if d.get("alpha") is None else float(d["alpha"]),
+        alpha=None if alpha is None else float(alpha),
         lhs=decode_extended(d["lhs"]),
         rhs=decode_extended(d["rhs"]),
         gap=decode_extended(d["gap"]),
@@ -205,19 +222,26 @@ def report_to_dict(r: CheckReport) -> dict:
 
 
 def report_from_dict(d: dict) -> CheckReport:
+    """Parse a report payload; a malformed one is a FormatError that names the field."""
+    _fields(d, ("suite_name", "seed", "trials", "passes", "failures", "min_gap", "runtime_ms", "config"), "report")
     if d.get("schema_version") != SCHEMA_VERSION:
         raise serialize.FormatError(f"unsupported schema_version {d.get('schema_version')!r}")
+    for name in ("seed", "trials", "passes", "escalations", "runtime_ms"):
+        if not _is_number(d.get(name, 0), int):
+            raise serialize.FormatError(f"report field {name!r} must be an integer, got {d[name]!r}")
+    if not isinstance(d["failures"], list):
+        raise serialize.FormatError("report field 'failures' must be a list")
     min_gap = d["min_gap"]
     return CheckReport(
         suite_name=d["suite_name"],
-        seed=int(d["seed"]),
-        trials=int(d["trials"]),
-        passes=int(d["passes"]),
+        seed=d["seed"],
+        trials=d["trials"],
+        passes=d["passes"],
         failures=tuple(witness_from_dict(w) for w in d["failures"]),
         min_gap=None if min_gap == "both-infinite" else decode_extended(min_gap),
-        runtime_ms=int(d["runtime_ms"]),
+        runtime_ms=d["runtime_ms"],
         config=d["config"],
-        escalations=int(d.get("escalations", 0)),
+        escalations=d.get("escalations", 0),
         outcome=d.get("outcome"),
         best_witness=None if d.get("best_witness") is None else witness_from_dict(d["best_witness"]),
     )
@@ -240,29 +264,17 @@ def _divergence(alpha: float | None, cfg: ToleranceConfig):
     return lambda a, b: sandwiched_renyi(a, b, alpha, cfg)
 
 
-def _parts(map_or_descriptor, rho, sigma, alpha, cfg, kinds=("psd", "psd")):
+def _parts(map_or_descriptor, rho, sigma, alpha, kinds=("psd", "psd")):
     """A thunk returning the witness fields (map_descriptor, rho, sigma, alpha).
 
-    A SuperOperator is serialized; a dict is stored as the map descriptor as it is.
+    A SuperOperator is serialized; a dict is stored as the map descriptor as it is. The states
+    are written under their kinds with no second eigensolve; reading them checks the kinds.
     """
     m = map_or_descriptor
     return lambda: (
         serialize.channel_to_dict(m) if isinstance(m, SuperOperator) else m,
-        serialize.matrix_to_dict(rho, kinds[0], cfg),
-        serialize.matrix_to_dict(sigma, kinds[1], cfg),
-        alpha,
-    )
-
-
-def _checked_parts(phi: SuperOperator, rho: np.ndarray, sigma: np.ndarray, alpha):
-    """``_parts`` of a witness whose states ``psd`` has checked, in their stack.
-
-    The states are written as they are, with no second eigh to check them again.
-    """
-    return lambda: (
-        serialize.channel_to_dict(phi),
-        serialize._checked_matrix_dict(rho, "psd"),
-        serialize._checked_matrix_dict(sigma, "psd"),
+        serialize._checked_matrix_dict(as_matrix(rho), kinds[0]),
+        serialize._checked_matrix_dict(as_matrix(sigma), kinds[1]),
         alpha,
     )
 
@@ -303,15 +315,7 @@ def _monotonicity_values(maps, rho, sigma, alpha, cfg):
     fn = _divergence(alpha, cfg)
     lhs = fn(rho, sigma)
     rhs = fn(hermitian_part(np.stack(rho_images)), hermitian_part(np.stack(sigma_images)))
-    parts = [_checked_parts(*trial, alpha) for trial in zip(maps, rho.matrix, sigma.matrix)]
-    return lhs, rhs, parts
-
-
-def _monotonicity_trial(phi, rho, sigma, alpha, cfg):
-    """``_monotonicity_values`` of one trial: (lhs, rhs, parts) of matrices rho and sigma."""
-    (lhs,), (rhs,), (parts,) = _monotonicity_values([phi], as_matrix(rho)[None], as_matrix(sigma)[None],
-                                                    alpha, cfg)
-    return lhs, rhs, parts
+    return lhs, rhs, [_parts(*trial, alpha) for trial in zip(maps, rho.matrix, sigma.matrix)]
 
 
 def monotonicity_check(
@@ -332,23 +336,21 @@ def monotonicity_check(
     theorem is asserted for alpha < 1; that regime exists for violation
     searches).
     """
-    lhs, rhs, parts = _monotonicity_trial(phi, rho, sigma, alpha, cfg)
+    (lhs,), (rhs,), (parts,) = _monotonicity_values([phi], as_matrix(rho)[None], as_matrix(sigma)[None], alpha, cfg)
     return Witness(*parts(), lhs, rhs, _gap_of(lhs, rhs))
 
 
-def replay_witness(
-    w: Witness, alpha_override: float | None = None, cfg: ToleranceConfig = DEFAULT_TOL
-) -> Witness:
-    """Re-evaluate a serialized witness; same inputs reproduce the gap exactly."""
+def replay_witness(w: Witness, cfg: ToleranceConfig = DEFAULT_TOL) -> Witness:
+    """Re-evaluate a witness from its own fields alone; same inputs reproduce the gap exactly.
+    Its alpha picks the divergence: replay ``dataclasses.replace(w, alpha=2.0)`` for another."""
     phi = serialize.channel_from_dict(w.map_descriptor, cfg)
     rho, rho_value = serialize.matrix_from_dict(w.rho, cfg)
     sigma, sigma_value = serialize.matrix_from_dict(w.sigma, cfg)
-    alpha = w.alpha if alpha_override is None else float(alpha_override)
-    fn = _divergence(alpha, cfg)
+    fn = _divergence(w.alpha, cfg)
     # the map acts on the stored bits, the divergence reuses their validation
     lhs = fn(rho_value, sigma_value)
     rhs = fn(hermitian_part(phi.apply(rho)), hermitian_part(phi.apply(sigma)))
-    return Witness(w.map_descriptor, w.rho, w.sigma, alpha, lhs, rhs, _gap_of(lhs, rhs))
+    return dataclasses.replace(w, lhs=lhs, rhs=rhs, gap=_gap_of(lhs, rhs))
 
 
 # ---------------------------------------------------------------------------
@@ -377,11 +379,11 @@ class _Tally:
         self.min_gap: float | None = None
         self.start = time.perf_counter()
 
-    def add(self, lhs: float, rhs: float, passed: bool, parts, gap_recorded: bool = True) -> None:
+    def add(self, lhs: float, rhs: float, passed: bool, parts) -> None:
         """One check of lhs >= rhs (for a bound: the bound as lhs, the observed value as rhs)."""
         gap = _gap_of(lhs, rhs)
         self.trials += 1
-        if gap_recorded and (self.min_gap is None or gap < self.min_gap):
+        if self.min_gap is None or gap < self.min_gap:
             self.min_gap = gap
         if passed:
             self.passes += 1
@@ -502,28 +504,25 @@ def counterexample_suite(cfg: ToleranceConfig = DEFAULT_TOL) -> CheckReport:
 
     d_before = relative_entropy(rho, sigma, cfg)
     tally.add(ln2 / 3.0, d_before, abs(ln2 / 3.0 - d_before) <= 1e-10,
-              _parts(phi, rho, sigma, None, cfg, ("density", "density")))
+              _parts(phi, rho, sigma, None, ("density", "density")))
 
     image_rho = psd(hermitian_part(phi.apply(rho)), cfg)
     image_sigma = psd(hermitian_part(phi.apply(sigma)), cfg)
     d_after = relative_entropy(image_rho, image_sigma, cfg)
     tally.add(ln2 / 2.0, d_after, abs(ln2 / 2.0 - d_after) <= 1e-10,
-              _parts(phi, image_rho, image_sigma, None, cfg))
+              _parts(phi, image_rho, image_sigma, None))
 
     behavior = trace_behavior(phi)
     structurally_sound = (
         phi.certificate.tag == "completely_positive" and behavior.tag == "nonincreasing"
     )
     violated = _gap_of(d_before, d_after) < 0.0 and structurally_sound
-    tally.add(d_before, d_after, violated, _parts(phi, rho, sigma, None, cfg))
+    tally.add(d_before, d_after, violated, _parts(phi, rho, sigma, None))
 
-    pinch = pinching_map(np.diag([1.0, 0.0]), cfg)
-    lhs, rhs, pinch_parts = _monotonicity_trial(pinch, rho, sigma, None, cfg)
-    tally.add(lhs, rhs, abs(_gap_of(lhs, rhs)) <= 1e-9, pinch_parts)
-
-    rho_matched = np.diag([0.0, 1.0]).astype(np.complex128)
-    lhs, rhs, matched_parts = _monotonicity_trial(phi, rho_matched, sigma, None, cfg)
-    tally.add(lhs, rhs, _gap_of(lhs, rhs) >= -1e-9, matched_parts)
+    pinched = monotonicity_check(pinching_map(np.diag([1.0, 0.0]), cfg), rho, sigma, None, cfg)
+    matched = monotonicity_check(phi, np.diag([0.0, 1.0]), sigma, None, cfg)  # trace matched
+    for w, passed in ((pinched, abs(pinched.gap) <= 1e-9), (matched, matched.gap >= -1e-9)):
+        tally.add(w.lhs, w.rhs, passed, lambda w=w: (w.map_descriptor, w.rho, w.sigma, w.alpha))
 
     return tally.report()
 
@@ -631,7 +630,7 @@ def _contraction_checks(tally: _Tally, sigma, phi: SuperOperator, alphas, trials
                 X = random_hermitian(rng, d)
             else:
                 X = np.outer(random_unit_vector(rng, d), random_unit_vector(rng, d).conj())
-            parts = _parts(psi, X, sigma, alpha, cfg, ("general", "psd"))
+            parts = _parts(psi, X, sigma, alpha, ("general", "psd"))
             den = weighted_p_norm(X, sigma, alpha, cfg)
             if den <= 0.0:
                 tally.add(RATIO_BOUND, math.inf, False, parts)
@@ -642,11 +641,11 @@ def _contraction_checks(tally: _Tally, sigma, phi: SuperOperator, alphas, trials
     eye = np.eye(d)
     unit_defect = operator_norm(psi.apply(eye) - eye)
     tally.add(UNIT_IMAGE_TOLERANCE, unit_defect, unit_defect <= UNIT_IMAGE_TOLERANCE,
-              _parts(psi, eye, sigma, None, cfg))
+              _parts(psi, eye, sigma, None))
 
     one_norm = one_to_one_norm_positive(phi)
     tally.add(ADJOINT_UNIT_BOUND, one_norm, one_norm <= ADJOINT_UNIT_BOUND,
-              _parts(phi, eye, sigma, None, cfg))
+              _parts(phi, eye, sigma, None))
 
 
 def contraction_battery(
@@ -738,7 +737,7 @@ def step2_suite(
         "seed": int(seed),
     }
     tally = _Tally("step2", seed, config, cfg)
-    parts = _parts(phi, rho, sigma, None, cfg)
+    parts = _parts(phi, rho, sigma, None)
 
     image_w, image_V = _solve(np.linalg.eigh, hermitian_part(phi.apply(rho)))
     projectors = []
@@ -766,7 +765,8 @@ def step2_suite(
         rho_out = psd(hermitian_part(P_perp @ rho.matrix @ P_perp), cfg)
         sigma_out = psd(hermitian_part(P_perp @ sigma.matrix @ P_perp), cfg)
         g = klein_gap(rho_out, sigma_out, cfg)
-        tally.add(g, 0.0, g >= -STEP2_RESIDUAL_TOLERANCE, parts, gap_recorded=not math.isinf(g))
+        # the residual checks above set min_gap first, so an infinite (+inf) Klein gap never lowers it
+        tally.add(g, 0.0, g >= -STEP2_RESIDUAL_TOLERANCE, parts)
 
         pinch = pinching_map(P, cfg)
         pinched_rho = hermitian_part(pinch.apply(rho))
@@ -872,7 +872,7 @@ def auxiliary_inequality_suite(
             0.0 if not ok_d else 1.0,
         )
         tally.add(margin, 0.0, ok_a and ok_b and ok_c and ok_d,
-                  _parts({"trial": t, "kind": "auxiliary"}, rho, sigma, None, cfg, ("density", "density")))
+                  _parts({"trial": t, "kind": "auxiliary"}, rho, sigma, None, ("density", "density")))
     return tally.report()
 
 
@@ -922,7 +922,7 @@ def alpha_limit_suite(
             bound *= 1.0 + spread * variance
             residual = abs(values[-1] - target - eps * variance / 2.0)
         tally.add(bound, residual, monotone and residual <= bound,
-                  _parts({"kind": "alpha-limit"}, rho, sigma, 1.0 + eps, cfg))
+                  _parts({"kind": "alpha-limit"}, rho, sigma, 1.0 + eps))
     return tally.report()
 
 
@@ -951,7 +951,7 @@ def _isometry_images(alpha: float, V: np.ndarray, rho, sigma, cfg: ToleranceConf
     n, d = len(V), rho.shape[-1]
     kraus = kraus_blocks(V, d)
     images = [hermitian_part(apply_kraus_stack(kraus, np.broadcast_to(X, (n, d, d)))) for X in (rho, sigma)]
-    return sandwiched_renyi(*images, alpha, cfg)
+    return _divergence(alpha, cfg)(*images)
 
 
 def _violation_trials(alpha: float, draws, cfg: ToleranceConfig):
@@ -971,8 +971,7 @@ def _violation_trials(alpha: float, draws, cfg: ToleranceConfig):
         V = phase_fixed_q(np.stack(iso))
         rho = density_of_factor(np.stack(rho_factors))
         sigma = density_of_factor(np.stack(sigma_factors))
-        return zip(sandwiched_renyi(rho, sigma, alpha, cfg), _isometry_images(alpha, V, rho, sigma, cfg),
-                   V, rho, sigma)
+        return zip(_divergence(alpha, cfg)(rho, sigma), _isometry_images(alpha, V, rho, sigma, cfg), V, rho, sigma)
 
     # a trial is (d, isometry Gaussian, rho factor, sigma factor)
     return _in_chunks(draws, lambda rng, d: (d, cptp_draw(rng, d), gaussian_factor(rng, d), gaussian_factor(rng, d)),
@@ -1064,7 +1063,7 @@ def violation_search(
         if best is None or gap < best[0]:
             best = (gap, lhs, rhs, V, rho, sigma)
         found = gap < -VIOLATION_MARGIN
-        parts = _checked_parts(from_isometry(V, rho.shape[0]), rho, sigma, alpha) if found else None
+        parts = _parts(from_isometry(V, rho.shape[0]), rho, sigma, alpha) if found else None
         tally.add(lhs, rhs, not found, parts)
 
     best_witness = None
@@ -1074,8 +1073,7 @@ def violation_search(
             rhs, V = _climb(alpha, lhs, rhs, V, rho, sigma, hill_steps, rng_for_trial(seed, trials), cfg)
             gap = _gap_of(lhs, rhs)
         if gap < -VIOLATION_MARGIN:
-            best_witness = Witness(*_checked_parts(from_isometry(V, rho.shape[0]), rho, sigma, alpha)(),
-                                   lhs, rhs, gap)
+            best_witness = Witness(*_parts(from_isometry(V, rho.shape[0]), rho, sigma, alpha)(), lhs, rhs, gap)
             replayed = replay_witness(best_witness, cfg=cfg)
             if (replayed.lhs, replayed.rhs, replayed.gap) != (lhs, rhs, gap):
                 raise ReplayMismatch("stored witness did not replay to the identical gap")

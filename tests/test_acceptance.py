@@ -4,6 +4,7 @@ Each criterion pins its seed, trial count, tolerance, and wall-clock budget.
 Run with `pytest -v tests/test_acceptance.py` to get one line per criterion.
 """
 
+import dataclasses
 import json
 import math
 import time
@@ -185,7 +186,7 @@ def test_criterion_09_violation_search_below_one_half():
     assert replayed.rhs == witness.rhs
     assert replayed.gap == witness.gap
     # the same instance shows no violation in the monotone regime
-    assert replay_witness(witness, alpha_override=2.0).gap >= -1e-8
+    assert replay_witness(dataclasses.replace(witness, alpha=2.0)).gap >= -1e-8
     assert report.passes + len(report.failures) == report.trials
     assert elapsed < 300.0
     _announce("criterion-09 violation-search")

@@ -59,7 +59,7 @@ from qdpi.sampling import (
     random_rank_deficient_density,
     rng_for_trial,
 )
-from qdpi.serialize import canonical_json
+from qdpi.serialize import FormatError, canonical_json, matrix_from_dict
 
 
 def frozen_report_text(report: CheckReport) -> str:
@@ -133,14 +133,106 @@ def test_witness_round_trip_and_replay_are_exact(alpha):
     assert replayed.lhs == w.lhs and replayed.rhs == w.rhs and replayed.gap == w.gap
 
 
-def test_replay_witness_alpha_override():
+def test_replay_witness_at_another_alpha():
     phi = counterexample_map()
     rho = np.diag([1 / 3, 2 / 3])
     sigma = np.diag([2 / 3, 1 / 3])
     w = monotonicity_check(phi, rho, sigma, 2.0)
-    at_three = replay_witness(w, alpha_override=3.0)
+    at_three = replay_witness(dataclasses.replace(w, alpha=3.0))
     assert at_three.alpha == 3.0
     assert at_three.gap != w.gap
+
+
+def _witness_payload():
+    w = monotonicity_check(identity_map(2), np.diag([0.5, 0.5]), np.diag([0.25, 0.75]), 2.0)
+    return witness_to_dict(w)
+
+
+def _report_payload():
+    return json.loads(canonical_json(report_to_dict(counterexample_suite())))
+
+
+def _without(payload, field):
+    return {k: v for k, v in payload.items() if k != field}
+
+
+@pytest.mark.parametrize("read, payload, field", [
+    (witness_from_dict, lambda: [], "must be an object"),
+    (witness_from_dict, lambda: {}, "'map'"),
+    (witness_from_dict, lambda: _without(_witness_payload(), "gap"), "'gap'"),
+    (witness_from_dict, lambda: {**_witness_payload(), "alpha": "nan"}, "'alpha'"),
+    (witness_from_dict, lambda: {**_witness_payload(), "alpha": True}, "'alpha'"),
+    (witness_from_dict, lambda: {**_witness_payload(), "alpha": 1e999}, "'alpha'"),
+    (witness_from_dict, lambda: {**_witness_payload(), "alpha": math.nan}, "'alpha'"),
+    (witness_from_dict, lambda: {**_witness_payload(), "alpha": "2.0"}, "'alpha'"),
+    (witness_from_dict, lambda: {**_witness_payload(), "alpha": 10**400}, "'alpha'"),
+    (report_from_dict, lambda: "report", "must be an object"),
+    (report_from_dict, lambda: _without(_report_payload(), "min_gap"), "'min_gap'"),
+    (report_from_dict, lambda: _without(_report_payload(), "failures"), "'failures'"),
+    (report_from_dict, lambda: {**_report_payload(), "seed": "0"}, "'seed'"),
+    (report_from_dict, lambda: {**_report_payload(), "trials": 5.0}, "'trials'"),
+    (report_from_dict, lambda: {**_report_payload(), "passes": True}, "'passes'"),
+    (report_from_dict, lambda: {**_report_payload(), "escalations": None}, "'escalations'"),
+    (report_from_dict, lambda: {**_report_payload(), "failures": {}}, "'failures'"),
+    (report_from_dict, lambda: {**_report_payload(), "failures": [{}]}, "'map'"),
+])
+def test_readers_raise_format_errors_that_name_the_field(read, payload, field):
+    with pytest.raises(FormatError, match=field):
+        read(payload())
+
+
+def test_readers_load_every_well_formed_payload_as_before():
+    for alpha in (None, 2.0, 0.75, 2):
+        w = witness_from_dict({**_witness_payload(), "alpha": alpha})
+        assert w.alpha == alpha and (alpha is None or type(w.alpha) is float)
+    report = report_from_dict(_without(_report_payload(), "escalations"))
+    assert report.escalations == 0 and report.passed
+    assert frozen_report_text(report) == frozen_report_text(counterexample_suite())
+
+
+# suite -> (support cutoff that fails its threshold checks, run, failures); the digest lines' parameters
+THRESHOLD_FAILURES = {
+    "counterexample": (0.6, lambda cfg: counterexample_suite(cfg), 2),
+    "step2": (0.3, lambda cfg: step2_battery(d=6, seed=0, cfg=cfg), 3),
+    "auxiliary": (0.3, lambda cfg: auxiliary_inequality_suite(trials=20, seed=3, cfg=cfg), 20),
+    "alpha-limit": (0.3, lambda cfg: alpha_limit_battery(trials=10, seed=3, cfg=cfg), 10),
+    # every ratio check fails against a bound of 0: 2 instances x 2 alphas x 3 probes
+    "contraction": (None, lambda cfg: contraction_battery(instances=2, alphas=(1.5, 2.0), trials=3, seed=3,
+                                                          cfg=cfg), 12),
+}
+
+
+@pytest.mark.parametrize("suite", THRESHOLD_FAILURES)
+def test_threshold_failure_witnesses_are_written_without_an_eigensolve(monkeypatch, eig_sizes, suite):
+    cutoff, run, failures = THRESHOLD_FAILURES[suite]
+    cfg = DEFAULT_TOL if cutoff is None else dataclasses.replace(DEFAULT_TOL, support_cutoff=cutoff)
+    if suite == "contraction":
+        monkeypatch.setattr(harness, "RATIO_BOUND", 0.0)
+    checks, write_solves = [], []
+    add = harness._Tally.add
+
+    def recording_add(tally, lhs, rhs, passed, parts):
+        checks.append((lhs, rhs, parts))
+        if not passed:
+            solves = len(eig_sizes)
+            parts()
+            write_solves.append(len(eig_sizes) - solves)
+        add(tally, lhs, rhs, passed, parts)
+
+    monkeypatch.setattr(harness._Tally, "add", recording_add)
+    report = run(cfg)
+    assert len(report.failures) == len(write_solves) == failures
+    assert write_solves == [0] * failures
+    for w in report.failures:
+        text = canonical_json(witness_to_dict(w))
+        assert canonical_json(witness_to_dict(witness_from_dict(json.loads(text)))) == text
+        for state in (w.rho, w.sigma):
+            matrix_from_dict(state, cfg)  # checks the declared kind
+    if suite == "counterexample":
+        # the pinching and trace-matched checks are monotonicity witnesses
+        for lhs, rhs, parts in checks[-2:]:
+            replayed = replay_witness(Witness(*parts(), lhs, rhs, _gap_of(lhs, rhs)), cfg)
+            assert (replayed.lhs, replayed.rhs) == (lhs, rhs)
 
 
 def test_both_infinite_is_vacuous_pass():
@@ -432,7 +524,7 @@ def test_violation_search_finds_and_replays_witness():
         assert w is not None and w.gap < -1e-6
         assert replay_witness(w).gap == w.gap
         # the violation disappears in the alpha > 1 regime
-        assert replay_witness(w, alpha_override=2.0).gap >= -1e-8
+        assert replay_witness(dataclasses.replace(w, alpha=2.0)).gap >= -1e-8
         assert r.passes + len(r.failures) == r.trials
         # every stored trial witness replays to its stored values, bit for bit
         assert r.failures
