@@ -14,7 +14,10 @@ sandwiched divergence at alpha = 0.3 and 2 and the old Renyi divergence at
 alpha = 2. For each command it prints one line: the exit code, the sha256
 of the canonical report with `runtime_ms` set to 0 ("-" when the command
 wrote no report), and the command, `check-map <map name>` or
-`compute <pair name> <family> [alpha]`.
+`compute <pair name> <family> [alpha]`. Each suite report is read back
+through `qdpi.harness.report_from_dict` before it is digested; a report
+that the reader rejects stops the script with one line on stderr that
+names the command, and exit code 2.
 Two checkouts whose reports agree byte for byte, apart from `runtime_ms`,
 print the same lines, so comparing the output of
 
@@ -34,7 +37,7 @@ import tempfile
 
 import numpy as np
 
-from qdpi import cli, serialize
+from qdpi import cli, harness, serialize
 from qdpi.channels import (
     damped_cptp,
     depolarizing_map,
@@ -148,7 +151,10 @@ def file_commands(tmp: pathlib.Path) -> list:
 
 
 def digest(argv: list, out: pathlib.Path) -> tuple[int, str]:
-    """(exit code, report digest or "-") of one qdpi command that writes its report to out."""
+    """(exit code, report digest or "-") of one qdpi command that writes its report to out.
+
+    A suite report is read back first; one its reader rejects raises the reader's FormatError.
+    """
     out.unlink(missing_ok=True)
     # a suite's summary line carries the runtime, so it is not part of the digest
     with contextlib.redirect_stdout(io.StringIO()):
@@ -156,6 +162,8 @@ def digest(argv: list, out: pathlib.Path) -> tuple[int, str]:
     if not out.exists():
         return code, "-"
     report = serialize.load_json(out)
+    if argv[0] == "suite":
+        harness.report_from_dict(report)
     if "runtime_ms" in report:
         report["runtime_ms"] = 0
     return code, hashlib.sha256(serialize.canonical_json(report).encode("ascii")).hexdigest()
@@ -168,13 +176,15 @@ def main() -> int:
     args = parser.parse_args()
     with tempfile.TemporaryDirectory() as tmp:
         out = pathlib.Path(tmp) / "report.json"
-        for command in args.commands or ACCEPTANCE_COMMANDS:
-            code, sha = digest(["suite", *shlex.split(command)], out)
-            print(f"{code} {sha} {command}", flush=True)
-        if args.commands:
-            return 0
-        for label, argv in file_commands(pathlib.Path(tmp)):
-            code, sha = digest(argv, out)
+        runs = [(command, ["suite", *shlex.split(command)]) for command in args.commands or ACCEPTANCE_COMMANDS]
+        if not args.commands:
+            runs += file_commands(pathlib.Path(tmp))
+        for label, argv in runs:
+            try:
+                code, sha = digest(argv, out)
+            except serialize.FormatError as exc:
+                print(f"{label}: report rejected: {exc}", file=sys.stderr)
+                return 2
             print(f"{code} {sha} {label}", flush=True)
     return 0
 

@@ -8,10 +8,14 @@ own stream ``rng_for_trial(seed, t)`` and dimension, so any single trial can
 be replayed without running the ones before it.
 
 Witnesses: ``_parts`` writes every one, ``_divergence(alpha, cfg)`` picks every
-divergence, and ``replay_witness`` recomputes a witness from its own fields. Gap
-semantics: monotonicity witnesses store the two divergence
-values and gap = lhs - rhs; the inequality asserts lhs >= rhs, and a pair
-with both sides infinite is a vacuous pass recorded with gap 0. Threshold
+divergence, and ``replay_witness`` recomputes a witness from its own fields.
+Derived facts are computed, never stored: a witness's gap is lhs - rhs (0 when
+both are infinite) and a report's passes is trials - len(failures). The
+writers still write both, and the readers reject a payload whose stored gap,
+counts, min_gap, outcome or best witness contradict one another. Gap
+semantics: monotonicity witnesses hold the two divergence values; the
+inequality asserts lhs >= rhs, and a pair with both sides infinite is a
+vacuous pass with gap 0. Threshold
 witnesses (norm contraction, step-2, limit checks) store the allowed bound
 as lhs and the observed value as rhs, so gap >= 0 is again a pass, except
 where a check names its own rule: step-2's Klein gap passes at gap >=
@@ -137,17 +141,19 @@ class Witness:
     alpha: float | None
     lhs: float
     rhs: float
-    gap: float
+
+    @property
+    def gap(self) -> float:
+        return _gap_of(self.lhs, self.rhs)
 
 
 @dataclass(frozen=True, eq=False)
 class CheckReport:
-    """Aggregated outcome of one suite run; passes + len(failures) = trials."""
+    """Aggregated outcome of one suite run; every trial not in failures passed."""
 
     suite_name: str
     seed: int
     trials: int
-    passes: int
     failures: tuple
     min_gap: float | None
     runtime_ms: int
@@ -155,6 +161,10 @@ class CheckReport:
     escalations: int = 0
     outcome: str | None = None
     best_witness: Witness | None = None
+
+    @property
+    def passes(self) -> int:
+        return self.trials - len(self.failures)
 
     @property
     def passed(self) -> bool:
@@ -177,30 +187,24 @@ def witness_to_dict(w: Witness) -> dict:
     }
 
 
-def _fields(d, names, what: str) -> None:
-    """Raise a FormatError unless d is an object holding every field of names."""
-    if not isinstance(d, dict):
-        raise serialize.FormatError(f"{what} payload must be an object")
-    for name in names:
-        if name not in d:
-            raise serialize.FormatError(f"{what} payload is missing field {name!r}")
-
-
 def witness_from_dict(d: dict) -> Witness:
-    """Parse a witness payload; a malformed one is a FormatError that names the field."""
-    _fields(d, ("map", "rho", "sigma", "lhs", "rhs", "gap"), "witness")
+    """Parse a witness payload; a malformed or self-contradicting one is a FormatError that names the field."""
+    serialize._checked_payload(d, "witness", ("map", "rho", "sigma", "lhs", "rhs", "gap"), versioned=False)
     alpha = d.get("alpha")
     if alpha is not None and not (_is_number(alpha, (int, float)) and abs(alpha) <= float(np.finfo(float).max)):
         raise serialize.FormatError(f"witness field 'alpha' must be None or a finite real, got {alpha!r}")
-    return Witness(
+    w = Witness(
         map_descriptor=d["map"],
         rho=d["rho"],
         sigma=d["sigma"],
         alpha=None if alpha is None else float(alpha),
         lhs=decode_extended(d["lhs"]),
         rhs=decode_extended(d["rhs"]),
-        gap=decode_extended(d["gap"]),
     )
+    stored = decode_extended(d["gap"])
+    if (stored, math.copysign(1.0, stored)) != (w.gap, math.copysign(1.0, w.gap)):
+        raise serialize.FormatError(f"witness field 'gap' is {stored!r}, but lhs - rhs is {w.gap!r}")
+    return w
 
 
 def report_to_dict(r: CheckReport) -> dict:
@@ -222,28 +226,52 @@ def report_to_dict(r: CheckReport) -> dict:
 
 
 def report_from_dict(d: dict) -> CheckReport:
-    """Parse a report payload; a malformed one is a FormatError that names the field."""
-    _fields(d, ("suite_name", "seed", "trials", "passes", "failures", "min_gap", "runtime_ms", "config"), "report")
-    if d.get("schema_version") != SCHEMA_VERSION:
-        raise serialize.FormatError(f"unsupported schema_version {d.get('schema_version')!r}")
-    for name in ("seed", "trials", "passes", "escalations", "runtime_ms"):
-        if not _is_number(d.get(name, 0), int):
-            raise serialize.FormatError(f"report field {name!r} must be an integer, got {d[name]!r}")
+    """Parse a report payload; a malformed or self-contradicting one is a FormatError that names the field.
+
+    Its counts are nonnegative, passes = trials - len(failures), escalations
+    <= passes (an escalated trial passes), min_gap is at most every failure's
+    gap ("both-infinite" only with no failures), and a best witness comes
+    with outcome "violation_found" and only with it.
+    """
+    serialize._checked_payload(
+        d, "report", ("suite_name", "seed", "trials", "passes", "failures", "min_gap", "runtime_ms", "config"))
+    counts = {name: d.get(name, 0) for name in ("seed", "trials", "passes", "escalations", "runtime_ms")}
+    for name, value in counts.items():
+        if not _is_number(value, int):
+            raise serialize.FormatError(f"report field {name!r} must be an integer, got {value!r}")
+        if value < 0:
+            raise serialize.FormatError(f"report field {name!r} must be nonnegative, got {value}")
     if not isinstance(d["failures"], list):
         raise serialize.FormatError("report field 'failures' must be a list")
-    min_gap = d["min_gap"]
+    failures = tuple(witness_from_dict(w) for w in d["failures"])
+    trials, passes = counts["trials"], counts["passes"]
+    if len(failures) > trials:
+        raise serialize.FormatError(f"report field 'failures' holds {len(failures)} witnesses of {trials} trials")
+    if passes != trials - len(failures):
+        raise serialize.FormatError(f"report field 'passes' is {passes}, not trials - len(failures)")
+    if counts["escalations"] > passes:
+        raise serialize.FormatError(f"report field 'escalations' is {counts['escalations']}, above passes")
+    min_gap = None if d["min_gap"] == "both-infinite" else decode_extended(d["min_gap"])
+    if failures and (min_gap is None or min_gap > min(w.gap for w in failures)):
+        raise serialize.FormatError(f"report field 'min_gap' is {d['min_gap']!r}, above a failure's gap")
+    outcome, best = d.get("outcome"), d.get("best_witness")
+    if outcome not in (None, "violation_found", "inconclusive"):
+        raise serialize.FormatError(f"report field 'outcome' must be null, 'violation_found' or 'inconclusive', "
+                                    f"got {outcome!r}")
+    if (outcome == "violation_found") != (best is not None):
+        raise serialize.FormatError(f"report field 'best_witness' must be given exactly when a violation is found, "
+                                    f"got outcome {outcome!r}")
     return CheckReport(
         suite_name=d["suite_name"],
-        seed=d["seed"],
-        trials=d["trials"],
-        passes=d["passes"],
-        failures=tuple(witness_from_dict(w) for w in d["failures"]),
-        min_gap=None if min_gap == "both-infinite" else decode_extended(min_gap),
-        runtime_ms=d["runtime_ms"],
+        seed=counts["seed"],
+        trials=trials,
+        failures=failures,
+        min_gap=min_gap,
+        runtime_ms=counts["runtime_ms"],
         config=d["config"],
-        escalations=d.get("escalations", 0),
-        outcome=d.get("outcome"),
-        best_witness=None if d.get("best_witness") is None else witness_from_dict(d["best_witness"]),
+        escalations=counts["escalations"],
+        outcome=outcome,
+        best_witness=None if best is None else witness_from_dict(best),
     )
 
 
@@ -337,7 +365,7 @@ def monotonicity_check(
     searches).
     """
     (lhs,), (rhs,), (parts,) = _monotonicity_values([phi], as_matrix(rho)[None], as_matrix(sigma)[None], alpha, cfg)
-    return Witness(*parts(), lhs, rhs, _gap_of(lhs, rhs))
+    return Witness(*parts(), lhs, rhs)
 
 
 def replay_witness(w: Witness, cfg: ToleranceConfig = DEFAULT_TOL) -> Witness:
@@ -350,7 +378,7 @@ def replay_witness(w: Witness, cfg: ToleranceConfig = DEFAULT_TOL) -> Witness:
     # the map acts on the stored bits, the divergence reuses their validation
     lhs = fn(rho_value, sigma_value)
     rhs = fn(hermitian_part(phi.apply(rho)), hermitian_part(phi.apply(sigma)))
-    return dataclasses.replace(w, lhs=lhs, rhs=rhs, gap=_gap_of(lhs, rhs))
+    return dataclasses.replace(w, lhs=lhs, rhs=rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +401,6 @@ class _Tally:
             "tolerances": {k: float(v) for k, v in dataclasses.asdict(cfg).items()},
         }
         self.trials = 0
-        self.passes = 0
         self.escalations = 0
         self.failures: list[Witness] = []
         self.min_gap: float | None = None
@@ -385,15 +412,12 @@ class _Tally:
         self.trials += 1
         if self.min_gap is None or gap < self.min_gap:
             self.min_gap = gap
-        if passed:
-            self.passes += 1
-        else:
-            self.failures.append(Witness(*parts(), lhs, rhs, gap))
+        if not passed:
+            self.failures.append(Witness(*parts(), lhs, rhs))
 
     def add_monotonicity(self, lhs: float, rhs: float, parts, slack: float) -> None:
         if math.isinf(lhs) and math.isinf(rhs):
             self.trials += 1
-            self.passes += 1
             return
         gap = _gap_of(lhs, rhs)
         if -10.0 * slack <= gap < -slack:
@@ -406,7 +430,6 @@ class _Tally:
             suite_name=self.suite_name,
             seed=self.seed,
             trials=self.trials,
-            passes=self.passes,
             failures=tuple(self.failures),
             min_gap=self.min_gap,
             runtime_ms=runtime_ms,
@@ -869,7 +892,7 @@ def auxiliary_inequality_suite(
             concavity + STEP2_INEQUALITY_TOLERANCE,
             entropy_jump + 1e-9,
             (g if not math.isinf(g) else 1.0) + 1e-9,
-            0.0 if not ok_d else 1.0,
+            1.0 if ok_d else -1.0,
         )
         tally.add(margin, 0.0, ok_a and ok_b and ok_c and ok_d,
                   _parts({"trial": t, "kind": "auxiliary"}, rho, sigma, None, ("density", "density")))
@@ -1073,9 +1096,9 @@ def violation_search(
             rhs, V = _climb(alpha, lhs, rhs, V, rho, sigma, hill_steps, rng_for_trial(seed, trials), cfg)
             gap = _gap_of(lhs, rhs)
         if gap < -VIOLATION_MARGIN:
-            best_witness = Witness(*_parts(from_isometry(V, rho.shape[0]), rho, sigma, alpha)(), lhs, rhs, gap)
+            best_witness = Witness(*_parts(from_isometry(V, rho.shape[0]), rho, sigma, alpha)(), lhs, rhs)
             replayed = replay_witness(best_witness, cfg=cfg)
-            if (replayed.lhs, replayed.rhs, replayed.gap) != (lhs, rhs, gap):
+            if (replayed.lhs, replayed.rhs) != (lhs, rhs):
                 raise ReplayMismatch("stored witness did not replay to the identical gap")
     outcome = "violation_found" if best_witness is not None else "inconclusive"
     return tally.report(outcome=outcome, best_witness=best_witness)

@@ -54,6 +54,18 @@ class FormatError(ValueError):
     """A file or payload does not conform to the declared schema."""
 
 
+def _checked_payload(d, what: str, fields=(), versioned: bool = True) -> None:
+    """Raise a FormatError unless d is an object, of SCHEMA_VERSION when its format is versioned,
+    holding every field of fields."""
+    if not isinstance(d, dict):
+        raise FormatError(f"{what} payload must be an object")
+    if versioned and d.get("schema_version") != SCHEMA_VERSION:
+        raise FormatError(f"unsupported schema_version {d.get('schema_version')!r}")
+    for name in fields:
+        if name not in d:
+            raise FormatError(f"{what} payload is missing field {name!r}")
+
+
 def _plain(obj):
     """The Python value of a NumPy scalar, for the encoder; anything else is not serializable."""
     if isinstance(obj, np.generic):
@@ -183,10 +195,7 @@ def _checked_matrix_dict(A: np.ndarray, kind: str) -> dict:
 
 def matrix_from_dict(d: dict, cfg: ToleranceConfig = DEFAULT_TOL):
     """Parse and re-validate a matrix payload: (the stored matrix unmodified, its validated value)."""
-    if not isinstance(d, dict):
-        raise FormatError("matrix payload must be an object")
-    if d.get("schema_version") != SCHEMA_VERSION:
-        raise FormatError(f"unsupported schema_version {d.get('schema_version')!r}")
+    _checked_payload(d, "matrix")
     kind = d.get("kind")
     if kind not in MATRIX_KINDS:
         raise FormatError(f"unknown matrix kind {kind!r}")
@@ -228,15 +237,12 @@ def choi_to_dict(phi: SuperOperator) -> dict:
 
 
 def channel_from_dict(d: dict, cfg: ToleranceConfig = DEFAULT_TOL) -> SuperOperator:
-    if not isinstance(d, dict):
-        raise FormatError("channel payload must be an object")
-    if d.get("schema_version") != SCHEMA_VERSION:
-        raise FormatError(f"unsupported schema_version {d.get('schema_version')!r}")
+    rep = d.get("representation") if isinstance(d, dict) else None
+    _checked_payload(d, "channel", ("family",) if rep == "family" else ())
     dim_in, dim_out = d.get("dim_in"), d.get("dim_out")
     for name, value in (("dim_in", dim_in), ("dim_out", dim_out)):
         if not _is_number(value, int) or value < 1:
             raise FormatError(f"{name} must be a positive integer, got {value!r}")
-    rep = d.get("representation")
     try:
         if rep == "family":
             phi = channels.construct(d["family"], d.get("params"), d.get("seed"))
@@ -257,8 +263,6 @@ def channel_from_dict(d: dict, cfg: ToleranceConfig = DEFAULT_TOL) -> SuperOpera
             phi = from_choi(C, dim_in, cfg)
         else:
             raise FormatError(f"unknown channel representation {rep!r}")
-    except KeyError as exc:
-        raise FormatError(f"channel payload missing field {exc}") from exc
     except DomainError as exc:
         raise FormatError(f"channel payload invalid: {exc}") from exc
     if phi.dim_in != dim_in or phi.dim_out != dim_out:

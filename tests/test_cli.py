@@ -625,7 +625,7 @@ def test_replay_mismatch_is_numerical_error(capsys, monkeypatch):
 
     def drifting_replay(w, *args, **kwargs):
         replayed = real_replay(w, *args, **kwargs)
-        return harness.Witness(w.map_descriptor, w.rho, w.sigma, w.alpha, w.lhs, w.rhs, replayed.gap + 1e-3)
+        return dataclasses.replace(replayed, rhs=replayed.rhs + 1e-3)
 
     monkeypatch.setattr(harness, "replay_witness", drifting_replay)
     args = ["suite", "violation", "--trials", "300", "--seed", "1", "--alpha", "0.3", "--hill-steps", "200"]

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import json
 import math
 
@@ -42,7 +43,7 @@ from qdpi.harness import (
     witness_from_dict,
     witness_to_dict,
 )
-from qdpi import channels, harness
+from qdpi import channels, cli, harness
 from qdpi.divergences import relative_entropy, sandwiched_renyi
 from qdpi.harness import (
     _gap_of,
@@ -190,6 +191,104 @@ def test_readers_load_every_well_formed_payload_as_before():
     assert frozen_report_text(report) == frozen_report_text(counterexample_suite())
 
 
+@functools.cache
+def _violation_text():
+    # two failing trials, gaps -0.0020 and -0.0291; the best witness is the second
+    return canonical_json(report_to_dict(violation_search(0.3, trials=300, hill_steps=0, seed=3)))
+
+
+def _violation_payload():
+    return json.loads(_violation_text())
+
+
+def _failing_payload():
+    # two failing trials out of five, one with gap -inf
+    cfg = dataclasses.replace(DEFAULT_TOL, support_cutoff=0.6)
+    return json.loads(canonical_json(report_to_dict(counterexample_suite(cfg))))
+
+
+def _edited_best_witness(**fields):
+    payload = _violation_payload()
+    return {**payload, "best_witness": {**payload["best_witness"], **fields}}
+
+
+# each case edits one field of a genuine payload so that it contradicts another
+@pytest.mark.parametrize("read, payload, field", [
+    (witness_from_dict, lambda: {**_witness_payload(), "gap": 5.0}, "'gap'"),
+    (witness_from_dict, lambda: {**_witness_payload(), "gap": -0.0}, "'gap'"),
+    (witness_from_dict, lambda: {**_witness_payload(), "lhs": "+inf"}, "'gap'"),
+    (report_from_dict, lambda: _edited_best_witness(gap=5.0), "'gap'"),
+    (report_from_dict, lambda: {**_report_payload(), "seed": -1}, "'seed'"),
+    (report_from_dict, lambda: {**_report_payload(), "trials": -7}, "'trials'"),
+    (report_from_dict, lambda: {**_report_payload(), "escalations": -1}, "'escalations'"),
+    (report_from_dict, lambda: {**_report_payload(), "runtime_ms": -1}, "'runtime_ms'"),
+    (report_from_dict, lambda: {**_failing_payload(), "trials": 1}, "'failures'"),
+    (report_from_dict, lambda: {**_report_payload(), "passes": 99}, "'passes'"),
+    (report_from_dict, lambda: {**_failing_payload(), "passes": 5}, "'passes'"),
+    (report_from_dict, lambda: {**_report_payload(), "escalations": 6}, "'escalations'"),
+    (report_from_dict, lambda: {**_failing_payload(), "min_gap": "both-infinite"}, "'min_gap'"),
+    (report_from_dict, lambda: {**_violation_payload(), "min_gap": 1.0}, "'min_gap'"),
+    (report_from_dict, lambda: {**_report_payload(), "outcome": "passed"}, "'outcome'"),
+    (report_from_dict, lambda: {**_violation_payload(), "best_witness": None}, "'best_witness'"),
+    (report_from_dict, lambda: {**_violation_payload(), "outcome": "inconclusive"}, "'best_witness'"),
+    (report_from_dict, lambda: {**_violation_payload(), "outcome": None}, "'best_witness'"),
+])
+def test_readers_reject_payloads_that_contradict_themselves(read, payload, field):
+    with pytest.raises(FormatError, match=field):
+        read(payload())
+
+
+def test_readers_load_the_genuine_payloads_the_rules_are_checked_on():
+    for payload in (_report_payload(), _failing_payload(), _violation_payload()):
+        assert canonical_json(report_to_dict(report_from_dict(payload))) == canonical_json(payload)
+    # a pair with both sides infinite has gap 0
+    w = witness_from_dict({**_witness_payload(), "lhs": "+inf", "rhs": "+inf", "gap": 0.0})
+    assert w.gap == 0.0
+    assert [f.name for f in dataclasses.fields(Witness)].count("gap") == 0
+    assert [f.name for f in dataclasses.fields(CheckReport)].count("passes") == 0
+
+
+# (cli.SUITES name, harness keyword arguments, tolerance overrides) at tiny sizes; the
+# overrides make a suite fail, escalate or find a violation, so the reports hold witnesses
+ROUND_TRIPS = [
+    ("dpi", {"mode": "tni", "dims": (2, 3), "trials": 20, "seed": 5}, {}),
+    ("dpi", {"mode": "tp", "trials": 120, "seed": 29}, {"monotonicity_slack": 1e-16}),
+    ("counterexample", {}, {}),
+    ("counterexample", {}, {"support_cutoff": 0.6}),
+    ("contraction", {"instances": 2, "dims": (2, 3), "alphas": (1.5,), "trials": 3, "seed": 3}, {}),
+    ("step2", {"d": 6, "seed": 0}, {}),
+    ("step2", {"d": 6, "seed": 0}, {"support_cutoff": 0.3}),
+    ("auxiliary", {"trials": 20, "seed": 3}, {}),
+    ("auxiliary", {"trials": 20, "seed": 3}, {"support_cutoff": 0.3}),
+    ("alpha-limit", {"trials": 10, "seed": 3}, {}),
+    ("alpha-limit", {"trials": 10, "seed": 3}, {"support_cutoff": 0.3}),
+    ("violation", {"alpha": 0.3, "trials": 300, "hill_steps": 20, "seed": 3}, {}),
+    ("violation", {"alpha": 0.3, "trials": 300, "hill_steps": 20, "seed": 3}, {"support_cutoff": 0.3}),
+    ("violation", {"alpha": 0.3, "dims": (2,), "trials": 2, "hill_steps": 0, "seed": 12345}, {}),
+]
+
+
+def test_round_trips_cover_every_suite():
+    assert {name for name, _, _ in ROUND_TRIPS} == set(cli.SUITES)
+
+
+@pytest.mark.parametrize("name, kwargs, tolerances", ROUND_TRIPS)
+def test_every_suite_report_round_trips_through_its_reader(name, kwargs, tolerances):
+    cfg = dataclasses.replace(DEFAULT_TOL, **tolerances)
+    report = getattr(harness, cli.SUITES[name][0])(**kwargs, cfg=cfg)
+    text = canonical_json(report_to_dict(report))
+    assert canonical_json(report_to_dict(report_from_dict(json.loads(text)))) == text
+
+
+def test_auxiliary_failures_have_negative_gaps():
+    # check (d) alone fails some of these trials; its failing term is -1, not 0
+    cfg = dataclasses.replace(DEFAULT_TOL, support_cutoff=1e-3)
+    report = auxiliary_inequality_suite(trials=400, seed=1, cfg=cfg)
+    assert len(report.failures) == 22
+    assert all(w.gap < 0.0 for w in report.failures)
+    assert report.min_gap <= min(w.gap for w in report.failures)
+
+
 # suite -> (support cutoff that fails its threshold checks, run, failures); the digest lines' parameters
 THRESHOLD_FAILURES = {
     "counterexample": (0.6, lambda cfg: counterexample_suite(cfg), 2),
@@ -231,7 +330,7 @@ def test_threshold_failure_witnesses_are_written_without_an_eigensolve(monkeypat
     if suite == "counterexample":
         # the pinching and trace-matched checks are monotonicity witnesses
         for lhs, rhs, parts in checks[-2:]:
-            replayed = replay_witness(Witness(*parts(), lhs, rhs, _gap_of(lhs, rhs)), cfg)
+            replayed = replay_witness(Witness(*parts(), lhs, rhs), cfg)
             assert (replayed.lhs, replayed.rhs) == (lhs, rhs)
 
 

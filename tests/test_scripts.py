@@ -8,8 +8,9 @@ import sys
 
 import pytest
 
+from qdpi import harness
 from qdpi.harness import replay_witness, report_from_dict
-from qdpi.serialize import load_json
+from qdpi.serialize import FormatError, load_json
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 BATTERY_REPORTS = (
@@ -98,3 +99,17 @@ def test_check_map_digests_are_stable_across_runs(tmp_path):
     # the rank-deficient pair keeps rho within the support of sigma
     values = [r["value"] for label, r in reports.items() if label.startswith("compute")]
     assert all(isinstance(v, float) and v > 0.0 for v in values)
+
+
+def test_report_digests_reject_a_report_that_contradicts_itself(tmp_path, monkeypatch, capsys):
+    script = import_script("report_digests")
+    write = harness.report_to_dict
+    monkeypatch.setattr(harness, "report_to_dict", lambda report: {**write(report), "passes": report.passes + 1})
+    with pytest.raises(FormatError, match="'passes'"):
+        script.digest(["suite", "counterexample"], tmp_path / "report.json")
+    # main stops at the first rejected report with one line that names its command
+    monkeypatch.setattr(sys, "argv", ["report_digests.py", "counterexample", "dpi --trials 5 --seed 2"])
+    assert script.main() == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("counterexample: report rejected:") and captured.err.count("\n") == 1
