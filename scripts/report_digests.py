@@ -85,6 +85,12 @@ ACCEPTANCE_COMMANDS = (
     "contraction --instances 3 --trials 10 --seed 3 --tolerance-support-cutoff 1e-10",
     # one dimension: each chunk of dpi trials holds a single dimension
     "dpi --mode tni --dims 4 --trials 300 --seed 8",
+    # stacks of probes and of auxiliary trials: p = 1, a large p and an odd probe count,
+    # empty probe stacks, a stack of one trial, and no trials
+    "contraction --instances 3 --dims 2,5 --alpha 1,7.5 --trials 9 --seed 5",
+    "contraction --instances 2 --trials 0 --seed 1",
+    "auxiliary --dims 2 --trials 1 --seed 9",
+    "auxiliary --trials 0 --seed 2",
     # a coarse support cutoff fails threshold checks on purpose (exit 1), so these
     # reports hold the failure witnesses of step2, alpha-limit, auxiliary and counterexample
     "step2 --dims 6 --seed 0 --tolerance-support-cutoff 0.3",

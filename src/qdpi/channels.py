@@ -22,16 +22,18 @@ operators, and cached. A truncation's terms come from this algebra
 (``truncation_parts``): its compression is a composite, a Kraus map for a
 Kraus base; ``truncation_map`` adds the rank-1 reroute to its matrix.
 
-Every trace fact is read off Phi*(1), eigendecomposed once per map and
-cached as the map's ``TraceBehavior``: the trace tag (Phi*(1) = 1 or
-Phi*(1) <= 1), the unit sector where a trace-nonincreasing map preserves
-the trace (``sector()``), and the 1->1 norm of a positive map, its largest
-eigenvalue (Russo-Dye).
+Every trace fact is read off Phi*(1), eigendecomposed once per map (for a
+list of maps, in one stacked solve) and cached as the map's
+``TraceBehavior``: the trace tag (Phi*(1) = 1 or Phi*(1) <= 1), the unit
+sector where a trace-nonincreasing map preserves the trace (``sector()``),
+and the 1->1 norm of a positive map, its largest eigenvalue (Russo-Dye).
+The seedless families' draws share one map per dimension (``_shared``).
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import inspect
 import math
 from dataclasses import dataclass
@@ -219,7 +221,7 @@ class SuperOperator:
 
     @cached_property
     def _trace_behavior(self) -> TraceBehavior:
-        return _classify_trace(self)
+        return _trace_behaviors(_adjoint_unit(self))
 
     @cached_property
     def _choi(self) -> _ChoiFacts:
@@ -401,17 +403,40 @@ def compose(outer: SuperOperator, inner: SuperOperator) -> SuperOperator:
     return SuperOperator(M, kr, cert)
 
 
-def _classify_trace(phi: SuperOperator) -> TraceBehavior:
+def _adjoint_unit(phi: SuperOperator) -> np.ndarray:
+    """Phi*(1), before its Hermitian part is taken."""
     if phi.kraus is not None:
-        A = sum(K.conj().T @ K for K in phi.kraus)
-    else:
-        A = _unvec(phi.matrix.conj().T @ _vec(np.eye(phi.dim_out)), phi.dim_in, phi.dim_in)
-    return TraceBehavior(*map(_read_only, _solve(np.linalg.eigh, hermitian_part(A))))
+        return sum(K.conj().T @ K for K in phi.kraus)
+    return _unvec(phi.matrix.conj().T @ _vec(np.eye(phi.dim_out)), phi.dim_in, phi.dim_in)
 
 
-def trace_behavior(phi: SuperOperator) -> TraceBehavior:
-    """Exact trace classification through Phi*(1), computed once per map."""
-    return phi._trace_behavior
+def _trace_behaviors(A: np.ndarray):
+    """The TraceBehavior of Phi*(1) = A, or the list of those of a stack A, from one eigh."""
+    w, V = _solve(np.linalg.eigh, hermitian_part(A))
+    if A.ndim == 2:
+        return TraceBehavior(_read_only(w), _read_only(V))
+    return [TraceBehavior(_read_only(wk), _read_only(Vk)) for wk, Vk in zip(w, V)]
+
+
+def trace_behavior(phi):
+    """Exact trace classification through Phi*(1), computed once per map.
+
+    Given a sequence of maps, the list of their behaviors: the maps whose
+    Phi*(1) is not solved yet are solved in one stacked eigh per input
+    dimension, each result cached on its own map with the bits of its own
+    solve, and a map listed twice is solved once.
+    """
+    if isinstance(phi, SuperOperator):
+        return phi._trace_behavior
+    unsolved = {}  # dim_in -> {id: map}
+    for m in phi:
+        if "_trace_behavior" not in vars(m):
+            unsolved.setdefault(m.dim_in, {})[id(m)] = m
+    for group in unsolved.values():
+        group = list(group.values())
+        for m, behavior in zip(group, _trace_behaviors(np.stack([_adjoint_unit(m) for m in group]))):
+            vars(m)["_trace_behavior"] = behavior  # fills the cached property
+    return [m._trace_behavior for m in phi]
 
 
 # probes per stacked evaluation in classify, which bounds its memory for any sample_count
@@ -692,6 +717,13 @@ def _draw_truncation(rng, d: int, cfg: ToleranceConfig) -> SuperOperator:
     return truncation_map(base, P, P_prime, cfg)
 
 
+@functools.lru_cache(maxsize=64)
+def _shared(build, *args) -> SuperOperator:
+    """build(*args) of a seedless family, built once and shared by every draw: a map is fixed once
+    built, so its trials also share its cached Phi*(1)."""
+    return build(*args)
+
+
 @dataclass(frozen=True, eq=False)
 class Family:
     """One entry of FAMILY_TABLE.
@@ -713,13 +745,14 @@ FAMILY_TABLE = {
                           ("tp", "tni", "support", "contraction")),
     "random_positive_noncp": Family(random_positive_noncp, lambda rng, d, cfg: random_positive_noncp(d, rng=rng),
                                     ("tp", "tni", "support", "contraction")),
-    "reduction": Family(reduction_map, lambda rng, d, cfg: reduction_map(d), ("tp", "tni", "support")),
+    "reduction": Family(reduction_map, lambda rng, d, cfg: _shared(reduction_map, d), ("tp", "tni", "support")),
     "pinching": Family(None, lambda rng, d, cfg: pinching_map(random_projector(rng, d, int(rng.integers(1, d))), cfg),
                        ("tp", "tni")),
     "depolarizing": Family(depolarizing_map, lambda rng, d, cfg: depolarizing_map(d, float(rng.uniform(0.0, 1.0))),
                            ("tp", "tni", "contraction")),
-    "halving": Family(halving_map, lambda rng, d, cfg: halving_map(d), ("tni",)),
-    "counterexample": Family(counterexample_map, lambda rng, d, cfg: counterexample_map(), ("tni", "trace_match")),
+    "halving": Family(halving_map, lambda rng, d, cfg: _shared(halving_map, d), ("tni",)),
+    "counterexample": Family(counterexample_map, lambda rng, d, cfg: _shared(counterexample_map),
+                             ("tni", "trace_match")),
     "damped_cptp": Family(damped_cptp, lambda rng, d, cfg: damped_cptp(
         d, int(rng.integers(1, d)), float(rng.uniform(0.2, 0.9)), rng=rng), ("trace_match",)),
     "truncation": Family(None, _draw_truncation, ("trace_match",)),

@@ -8,10 +8,12 @@ Support conditions use a trace-norm witness: for PSD ``rho`` the mass of rho
 outside the support of sigma is ``tr[rho] - tr[rho P_sigma]``, compared
 against ``containment_tolerance * tr[rho]``.
 
-``relative_entropy``, ``klein_gap`` and ``sandwiched_renyi`` take two
-matrices or two (n, d, d) stacks, as ``psd`` does, and give a list for
-stacks whose values carry the bits of each pair evaluated alone. Every other
-function takes matrices only.
+``relative_entropy``, ``klein_gap``, ``sandwiched_renyi`` and
+``support_contained`` take two matrices or two (n, d, d) stacks, as ``psd``
+does, ``von_neumann_entropy`` one matrix or one stack, and
+``weighted_p_norm`` a matrix or a stack of X under one sigma. For stacks
+they give a list whose values carry the bits of each pair (or matrix)
+evaluated alone. Every other function takes matrices only.
 """
 
 from __future__ import annotations
@@ -92,18 +94,21 @@ def _contained(rho, sigma, cfg: ToleranceConfig):
     return (tr_rho <= 0.0) | (leak <= cfg.containment_tolerance * tr_rho)
 
 
-def support_contained(rho, sigma, cfg: ToleranceConfig = DEFAULT_TOL) -> bool:
+def support_contained(rho, sigma, cfg: ToleranceConfig = DEFAULT_TOL):
     """Whether supp(rho) is contained in supp(sigma), up to tolerance.
 
     Uses ||(1 - P) rho (1 - P)||_1 = tr[rho] - tr[rho P] for the support
-    projector P of sigma, measured relative to tr[rho].
+    projector P of sigma, measured relative to tr[rho]. A bool for two
+    matrices, a list of bools for two stacks.
     """
-    return bool(_contained(*_matrix_pair(rho, sigma, cfg), cfg))
+    contained = _contained(*_pair(rho, sigma, cfg), cfg)
+    return bool(contained) if contained.ndim == 0 else contained.tolist()
 
 
-def von_neumann_entropy(rho, cfg: ToleranceConfig = DEFAULT_TOL) -> float:
-    """-tr[rho ln rho] in nats."""
-    return -float(_xlogx(_psd_matrix(rho, cfg).w))
+def von_neumann_entropy(rho, cfg: ToleranceConfig = DEFAULT_TOL):
+    """-tr[rho ln rho] in nats: a float for a matrix, a list for a stack."""
+    values = -_xlogx(psd(rho, cfg).w)
+    return float(values) if values.ndim == 0 else values.tolist()
 
 
 def _relative_core(rho, sigma, cfg: ToleranceConfig) -> np.ndarray:
@@ -232,12 +237,14 @@ def gamma_inverse(sigma, X, cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     return root @ X @ root
 
 
-def weighted_p_norm(X, sigma, p: float, cfg: ToleranceConfig = DEFAULT_TOL) -> float:
+def weighted_p_norm(X, sigma, p: float, cfg: ToleranceConfig = DEFAULT_TOL):
     """Weighted norm ||sigma^{1/2p} X sigma^{1/2p}||_p; plain operator norm at p=inf.
 
     sigma must be full rank (the weights are invertible there); at p = inf the
     weights drop out and the value is the largest singular value of X. The
-    weight is computed once per validated sigma and p.
+    weight is computed once per validated sigma and p. X is a matrix, or an
+    (n, d, d) stack weighted by the one sigma, which gives a list of norms
+    from one SVD.
     """
     if p == np.inf or p == math.inf:
         return operator_norm(X)

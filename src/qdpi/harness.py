@@ -50,6 +50,7 @@ from .linalg import (
     min_eigenvalue,
     operator_norm,
     psd,
+    require_projector,
     trace_norm,
 )
 from .divergences import (
@@ -187,6 +188,14 @@ def witness_to_dict(w: Witness) -> dict:
     }
 
 
+def _extended_field(d: dict, what: str, name: str) -> float:
+    """The extended real in field name of a what payload; a malformed one is a FormatError that names the field."""
+    try:
+        return decode_extended(d[name])
+    except serialize.FormatError as exc:
+        raise serialize.FormatError(f"{what} field {name!r}: {exc}") from exc
+
+
 def witness_from_dict(d: dict) -> Witness:
     """Parse a witness payload; a malformed or self-contradicting one is a FormatError that names the field."""
     serialize._checked_payload(d, "witness", ("map", "rho", "sigma", "lhs", "rhs", "gap"), versioned=False)
@@ -198,10 +207,10 @@ def witness_from_dict(d: dict) -> Witness:
         rho=d["rho"],
         sigma=d["sigma"],
         alpha=None if alpha is None else float(alpha),
-        lhs=decode_extended(d["lhs"]),
-        rhs=decode_extended(d["rhs"]),
+        lhs=_extended_field(d, "witness", "lhs"),
+        rhs=_extended_field(d, "witness", "rhs"),
     )
-    stored = decode_extended(d["gap"])
+    stored = _extended_field(d, "witness", "gap")
     if (stored, math.copysign(1.0, stored)) != (w.gap, math.copysign(1.0, w.gap)):
         raise serialize.FormatError(f"witness field 'gap' is {stored!r}, but lhs - rhs is {w.gap!r}")
     return w
@@ -235,6 +244,10 @@ def report_from_dict(d: dict) -> CheckReport:
     """
     serialize._checked_payload(
         d, "report", ("suite_name", "seed", "trials", "passes", "failures", "min_gap", "runtime_ms", "config"))
+    if not isinstance(d["suite_name"], str):
+        raise serialize.FormatError(f"report field 'suite_name' must be a string, got {d['suite_name']!r}")
+    if not isinstance(d["config"], dict):
+        raise serialize.FormatError(f"report field 'config' must be an object, got {d['config']!r}")
     counts = {name: d.get(name, 0) for name in ("seed", "trials", "passes", "escalations", "runtime_ms")}
     for name, value in counts.items():
         if not _is_number(value, int):
@@ -251,7 +264,7 @@ def report_from_dict(d: dict) -> CheckReport:
         raise serialize.FormatError(f"report field 'passes' is {passes}, not trials - len(failures)")
     if counts["escalations"] > passes:
         raise serialize.FormatError(f"report field 'escalations' is {counts['escalations']}, above passes")
-    min_gap = None if d["min_gap"] == "both-infinite" else decode_extended(d["min_gap"])
+    min_gap = None if d["min_gap"] == "both-infinite" else _extended_field(d, "report", "min_gap")
     if failures and (min_gap is None or min_gap > min(w.gap for w in failures)):
         raise serialize.FormatError(f"report field 'min_gap' is {d['min_gap']!r}, above a failure's gap")
     outcome, best = d.get("outcome"), d.get("best_witness")
@@ -318,6 +331,7 @@ def _monotonicity_values(maps, rho, sigma, alpha, cfg):
     lists in trial order, where ``parts[k]()`` serializes trial k's witness
     fields.
     """
+    trace_behavior([phi for phi in maps if phi.certificate.is_positive])  # their Phi*(1) in one solve
     behaviors = []
     for phi in maps:
         if not phi.certificate.is_positive:
@@ -440,8 +454,8 @@ class _Tally:
         )
 
 
-# trials drawn and evaluated together by the dpi suites and the violation search;
-# bounds their memory at any trial count
+# trials drawn and evaluated together by the dpi suites, the auxiliary suite and the
+# violation search; bounds their memory at any trial count
 TRIAL_CHUNK = 256
 
 
@@ -586,7 +600,9 @@ def randomized_dpi_suite(
     ``rng_for_trial(seed, t)`` stream (``_draw_dpi_trial``), then evaluated
     in groups of one map dimension and alpha (``_monotonicity_values``) and
     tallied in trial order. Each value carries the bits of evaluating its
-    trial alone, so any trial, and any stored failure, replays alone.
+    trial alone, so any trial, and any stored failure, replays alone. The
+    fixed families' trials share their maps (``channels.FAMILY_TABLE``), and
+    a group's unsolved Phi*(1) are solved in one stacked eigh.
     """
     if mode not in ("tp", "tni", "trace_match"):
         raise DomainError(f"unknown mode {mode!r}")
@@ -628,7 +644,11 @@ def _contraction_checks(tally: _Tally, sigma, phi: SuperOperator, alphas, trials
                         cfg: ToleranceConfig) -> None:
     """Add the norm-contraction checks of one (sigma, Phi) instance to ``tally``: for ``trials`` probes X
     per alpha, ||Psi(X)||_{alpha,Phi(sigma)} <= RATIO_BOUND ||X||_{alpha,sigma} with Psi = Gamma^{-1}_{Phi(sigma)}
-    o Phi o Gamma_sigma; then Psi(1) = 1 within UNIT_IMAGE_TOLERANCE and ||Phi*(1)||_inf <= ADJOINT_UNIT_BOUND."""
+    o Phi o Gamma_sigma; then Psi(1) = 1 within UNIT_IMAGE_TOLERANCE and ||Phi*(1)||_inf <= ADJOINT_UNIT_BOUND.
+
+    Probe t of the alpha at index a is drawn from its own stream ``rng_for_trial(seed, a * trials + t)``. An
+    alpha's probes are evaluated as one stack (one apply of Psi, one stacked weighted norm per side), each
+    ratio with the bits of its probe evaluated alone."""
     if not phi.certificate.is_positive:
         raise DomainError("norm contraction needs a certified positive map")
     if not trace_behavior(phi).is_nonincreasing:
@@ -647,18 +667,21 @@ def _contraction_checks(tally: _Tally, sigma, phi: SuperOperator, alphas, trials
     # sigma and Phi(sigma) are validated values, so each weight sigma^{1/2alpha}
     # is computed once per alpha, not once per probe
     for ai, alpha in enumerate(alphas):
+        X = np.empty((trials, d, d), dtype=np.complex128)
         for t in range(trials):
             rng = rng_for_trial(seed, ai * trials + t)
             if t % 2 == 0:
-                X = random_hermitian(rng, d)
+                X[t] = random_hermitian(rng, d)
             else:
-                X = np.outer(random_unit_vector(rng, d), random_unit_vector(rng, d).conj())
-            parts = _parts(psi, X, sigma, alpha, ("general", "psd"))
-            den = weighted_p_norm(X, sigma, alpha, cfg)
+                X[t] = np.outer(random_unit_vector(rng, d), random_unit_vector(rng, d).conj())
+        dens = weighted_p_norm(X, sigma, alpha, cfg)
+        nums = weighted_p_norm(psi.apply(X), sigma_prime, alpha, cfg)
+        for probe, den, num in zip(X, dens, nums):
+            parts = _parts(psi, probe, sigma, alpha, ("general", "psd"))
             if den <= 0.0:
                 tally.add(RATIO_BOUND, math.inf, False, parts)
                 continue
-            ratio = weighted_p_norm(psi.apply(X), sigma_prime, alpha, cfg) / den
+            ratio = num / den
             tally.add(RATIO_BOUND, ratio, ratio <= RATIO_BOUND, parts)
 
     eye = np.eye(d)
@@ -684,7 +707,9 @@ def contraction_battery(
     Instance i draws its map from family i mod n of the n "contraction"
     families in table order (random CPTP, positive non-CP, depolarizing), so
     from n instances on the lemma is sampled on every one, beyond the CP
-    cone; then a full-rank sigma and the seed of its probes.
+    cone; then a full-rank sigma and the seed of its probes. Each alpha's
+    probes are evaluated as one stack (``_contraction_checks``), so an
+    instance costs a fixed number of solver calls at any probe count.
     """
     names = families("contraction")
     dims, draws = _seeded_trials(seed, instances, dims, first=1_000_000)
@@ -832,6 +857,61 @@ def step2_battery(
     return step2_suite(n_sequence, phi, rho, sigma, seed, cfg)
 
 
+def _draw_auxiliary_trial(rng, d: int, names, cfg: ToleranceConfig):
+    """(sigma, P, rho, A, B, sigma_small, inner, psi) of one auxiliary trial, drawn in that order from
+    its stream rng after its dimension d; psi is of one of the families names."""
+    sigma = random_density(rng, d)
+    P = random_projector(rng, d, int(rng.integers(1, d)))
+    rho = random_density(rng, d)
+    A = random_psd(rng, d)
+    B = random_psd(rng, d)
+    sigma_small = random_density(rng, d, rank=int(rng.integers(1, d + 1)))
+    inner = random_density(rng, d)
+    return sigma, P, rho, A, B, sigma_small, inner, FAMILY_TABLE[_pick(rng, names)].draw(rng, d, cfg)
+
+
+def _auxiliary_values(group, cfg: ToleranceConfig, relaxed: ToleranceConfig):
+    """(margin, passed, rho, sigma) of each auxiliary trial of a group of one dimension, in its order.
+
+    Checks (a)-(c) are evaluated as stacks, the pinching as a two-Kraus
+    ``apply_kraus_stack``; check (d) applies each trial's own map alone and
+    tests the images' supports as one stack. Every value carries the bits of
+    its trial evaluated alone.
+    """
+    *drawn, maps = zip(*group)
+    sigma, P, rho, A, B, sigma_small, inner = map(np.stack, drawn)
+    P = require_projector(P, cfg)
+    pinch = [P, np.eye(P.shape[-1]) - P]
+    pinched_sigma = psd(hermitian_part(apply_kraus_stack(pinch, sigma)), cfg)
+    concavity = min_eigenvalue(
+        pinched_sigma.log() - hermitian_part(apply_kraus_stack(pinch, psd(sigma, cfg).log())), cfg
+    )
+    pinched_entropy = von_neumann_entropy(hermitian_part(apply_kraus_stack(pinch, rho)), cfg)
+    entropy = von_neumann_entropy(rho, cfg)
+    gaps = klein_gap(A, B, cfg)
+
+    Q = psd(sigma_small, cfg).projector()
+    rho_small = Q @ inner @ Q
+    traces = rho_small.trace(axis1=-2, axis2=-1).real.tolist()
+    rho_small = [R / tr if tr > 0.0 else S for R, tr, S in zip(rho_small, traces, sigma_small)]
+    images = [np.stack([hermitian_part(psi.apply(X)) for psi, X in zip(maps, states)])
+              for states in (rho_small, sigma_small)]
+    contained = support_contained(*images, relaxed)
+
+    results = []
+    for trial, c, pe, e, g, ok_d in zip(group, concavity, pinched_entropy, entropy, gaps, contained):
+        jump = pe - e
+        margin = min(
+            c + STEP2_INEQUALITY_TOLERANCE,
+            jump + 1e-9,
+            (g if not math.isinf(g) else 1.0) + 1e-9,
+            1.0 if ok_d else -1.0,
+        )
+        passed = c >= -STEP2_INEQUALITY_TOLERANCE and jump >= -1e-9 and g >= -1e-9 and ok_d
+        results.append((margin, passed, trial[2], trial[0]))  # the trial's rho and sigma
+    return results
+
+
 def auxiliary_inequality_suite(
     trials: int = 200,
     seed: int = 0,
@@ -845,6 +925,11 @@ def auxiliary_inequality_suite(
     a random PSD pair with compatible supports, (d) support inclusion is
     preserved by a random positive map. cfg's containment_tolerance applies
     to (c), the Klein gap; (d) allows SUPPORT_INCLUSION_TOLERANCE instead.
+
+    Trials are drawn TRIAL_CHUNK at a time, each from its own
+    ``rng_for_trial(seed, t)`` stream (``_draw_auxiliary_trial``), then
+    evaluated in groups of one dimension (``_auxiliary_values``) and tallied
+    in trial order, each value with the bits of its trial evaluated alone.
     """
     dims, draws = _seeded_trials(seed, trials, dims)
     relaxed = dataclasses.replace(cfg, containment_tolerance=SUPPORT_INCLUSION_TOLERANCE)
@@ -854,47 +939,11 @@ def auxiliary_inequality_suite(
         "dims": list(dims),
     }
     tally = _Tally("auxiliary", seed, config, cfg)
-    support_families = families("support")
-    for t, (rng, d) in enumerate(draws):
-        sigma = random_density(rng, d)
-        P = random_projector(rng, d, int(rng.integers(1, d)))
-        pinch = pinching_map(P, cfg)
-        pinched_sigma = hermitian_part(pinch.apply(sigma))
-
-        concavity = min_eigenvalue(
-            psd(pinched_sigma, cfg).log() - hermitian_part(pinch.apply(psd(sigma, cfg).log())),
-            cfg,
-        )
-        ok_a = concavity >= -STEP2_INEQUALITY_TOLERANCE
-
-        rho = random_density(rng, d)
-        entropy_jump = von_neumann_entropy(hermitian_part(pinch.apply(rho)), cfg) - von_neumann_entropy(rho, cfg)
-        ok_b = entropy_jump >= -1e-9
-
-        A = random_psd(rng, d)
-        B = random_psd(rng, d)
-        g = klein_gap(A, B, cfg)
-        ok_c = g >= -1e-9
-
-        r = int(rng.integers(1, d + 1))
-        sigma_small = random_density(rng, d, rank=r)
-        Q = psd(sigma_small, cfg).projector()
-        inner = random_density(rng, d)
-        rho_small = Q @ inner @ Q
-        tr = float(np.trace(rho_small).real)
-        rho_small = rho_small / tr if tr > 0.0 else sigma_small
-        psi = FAMILY_TABLE[_pick(rng, support_families)].draw(rng, d, cfg)
-        ok_d = support_contained(
-            hermitian_part(psi.apply(rho_small)), hermitian_part(psi.apply(sigma_small)), relaxed
-        )
-
-        margin = min(
-            concavity + STEP2_INEQUALITY_TOLERANCE,
-            entropy_jump + 1e-9,
-            (g if not math.isinf(g) else 1.0) + 1e-9,
-            1.0 if ok_d else -1.0,
-        )
-        tally.add(margin, 0.0, ok_a and ok_b and ok_c and ok_d,
+    names = families("support")
+    results = _in_chunks(draws, lambda rng, d: _draw_auxiliary_trial(rng, d, names, cfg),
+                         lambda trial: trial[0].shape[0], lambda group: _auxiliary_values(group, cfg, relaxed))
+    for t, (margin, passed, rho, sigma) in enumerate(results):
+        tally.add(margin, 0.0, passed,
                   _parts({"trial": t, "kind": "auxiliary"}, rho, sigma, None, ("density", "density")))
     return tally.report()
 

@@ -17,6 +17,13 @@ matrix's. Every divergence and weighted norm accepts one in place of an
 ndarray without validating it again. A stack is checked matrix by matrix
 with one stacked ``eigh`` and keeps its leading axis through every method.
 Every eigensolve goes through ``_solve``.
+
+``psd``, ``min_eigenvalue``, ``require_projector`` and ``schatten_norm``
+(so ``trace_norm`` and ``operator_norm``) take a matrix or an (n, d, d)
+stack. A stack costs one solver call, and each of its values carries the
+bits of its matrix evaluated alone; the first failing matrix of a stack
+raises the error it raises alone. The numbers come back as a float for a
+matrix and as a list for a stack.
 """
 
 from __future__ import annotations
@@ -258,39 +265,43 @@ def _psd_matrix(A, cfg: ToleranceConfig) -> ValidatedPSD:
 
 
 def require_projector(P, cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """Validate ||P^2 - P||_inf <= projector_tolerance (eigenvalues near {0,1})."""
-    P = require_hermitian(P, cfg)
-    defect = operator_norm(P @ P - P)
-    if defect > cfg.projector_tolerance:
-        raise DomainError(f"matrix is not a projector (||P^2 - P|| = {defect:.3e})")
+    """Validate ||P^2 - P||_inf <= projector_tolerance (eigenvalues near {0,1}) of a matrix or of
+    each matrix of a stack; return the symmetrized copy."""
+    P = _checked_hermitian(_as_operator(P), cfg)
+    defects = [x for x in np.ravel(operator_norm(P @ P - P)) if x > cfg.projector_tolerance]
+    if defects:
+        raise DomainError(f"matrix is not a projector (||P^2 - P|| = {defects[0]:.3e})")
     return P
 
 
-def min_eigenvalue(A, cfg: ToleranceConfig = DEFAULT_TOL) -> float:
-    """Smallest eigenvalue of a Hermitian matrix."""
-    return float(_solve(np.linalg.eigvalsh, require_hermitian(A, cfg))[0])
+def min_eigenvalue(A, cfg: ToleranceConfig = DEFAULT_TOL):
+    """Smallest eigenvalue of a Hermitian matrix, or of each matrix of a stack."""
+    lowest = _solve(np.linalg.eigvalsh, _checked_hermitian(_as_operator(A), cfg))[..., 0]
+    return float(lowest) if lowest.ndim == 0 else lowest.tolist()
 
 
-def schatten_norm(X, p: float) -> float:
-    """Schatten p-norm of a square matrix for p in [1, inf]."""
-    X = _require_square(as_matrix(X))
+def schatten_norm(X, p: float):
+    """Schatten p-norm of a square matrix, or of each matrix of a stack, for p in [1, inf]."""
+    X = _as_operator(X)
     if not (p == np.inf or p >= 1):
         raise DomainError(f"Schatten norm requires p >= 1, got {p}")
     if not np.isfinite(X).all():
         raise DomainError("matrix has non-finite entries")
-    s = np.linalg.svd(X, compute_uv=False)
-    if s.size == 0:
-        return 0.0
-    smax = float(s[0])
-    if p == np.inf or smax == 0.0:
-        return smax
-    # factor out s_max so large p cannot overflow
-    return smax * float(((s / smax) ** p).sum() ** (1.0 / p))
+    s = np.atleast_2d(np.linalg.svd(X, compute_uv=False))  # one row of descending values per matrix
+    smax = s[:, 0] if s.shape[1] else np.zeros(len(s))
+    if p == np.inf:
+        values = smax.tolist()
+    else:
+        # factor out s_max so large p cannot overflow; the root is taken per row as a
+        # scalar power, which an array power need not match in the last bit
+        sums = ((s / np.where(smax > 0.0, smax, 1.0)[:, None]) ** p).sum(axis=-1)
+        values = [m * float(t ** (1.0 / p)) if m > 0.0 else m for m, t in zip(smax.tolist(), sums)]
+    return values[0] if X.ndim == 2 else values
 
 
-def trace_norm(X) -> float:
+def trace_norm(X):
     return schatten_norm(X, 1)
 
 
-def operator_norm(X) -> float:
+def operator_norm(X):
     return schatten_norm(X, np.inf)

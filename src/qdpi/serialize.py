@@ -217,7 +217,7 @@ def channel_to_dict(phi: SuperOperator) -> dict:
     if phi.descriptor is not None:
         out["representation"] = "family"
         out["family"] = phi.descriptor["family"]
-        out["params"] = phi.descriptor["params"]
+        out["params"] = dict(phi.descriptor["params"])  # a copy: editing the payload leaves the map as it is
         out["seed"] = phi.descriptor.get("seed")
     elif phi.kraus is not None:
         out["representation"] = "kraus"

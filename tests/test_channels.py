@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import inspect
 import math
@@ -274,6 +275,41 @@ def test_trace_behavior_classification():
     assert trace_behavior(phi) is b
     assert np.allclose((b.V * b.w) @ b.V.conj().T, adjoint(phi).apply(np.eye(4)), atol=1e-12)
     assert np.all(np.diff(b.w) >= 0.0)
+
+
+def _unsolved_maps() -> list:
+    """Maps of every representation, of input dimensions 3 and 2, with no Phi*(1) solved yet."""
+    return [random_cptp(3, seed=1), reduction_map(3), random_positive_noncp(3, seed=2),
+            damped_cptp(3, 2, 0.5, seed=3), counterexample_map(), transpose_map(2)]
+
+
+def test_trace_behavior_of_a_list_has_the_bits_of_each_maps_own_solve(solver_calls):
+    maps = _unsolved_maps()
+    listed = maps + maps[:2]  # a map listed twice is solved once
+    behaviors = trace_behavior(listed)
+    assert [(name, a.shape) for name, a in solver_calls] == [("eigh", (4, 3, 3)), ("eigh", (2, 2, 2))]
+    assert all(trace_behavior(phi) is b for phi, b in zip(listed, behaviors))
+    assert trace_behavior(maps) == behaviors[:len(maps)] and len(solver_calls) == 2  # no map is solved again
+    assert trace_behavior([]) == []
+    for b, alone in zip(behaviors, map(trace_behavior, _unsolved_maps())):
+        assert (b.w.tobytes(), b.V.tobytes()) == (alone.w.tobytes(), alone.V.tobytes())
+        assert b.tag == alone.tag and not b.w.flags.writeable and not b.V.flags.writeable
+
+
+@pytest.mark.parametrize("name", ["reduction", "halving", "counterexample"])
+def test_seedless_families_draw_one_shared_map(name):
+    draw = FAMILY_TABLE[name].draw
+    rng = rng_for_trial(215, 0)
+    state = rng.bit_generator.state
+    first = draw(rng, 3, DEFAULT_TOL)
+    assert rng.bit_generator.state == state  # a seedless draw takes nothing from its stream
+    assert draw(rng_for_trial(215, 1), 3, DEFAULT_TOL) is first
+    assert (draw(rng, 4, DEFAULT_TOL) is first) == (name == "counterexample")
+    # a payload written from the shared map can be edited without changing the map
+    descriptor = copy.deepcopy(first.descriptor)
+    payload = serialize.channel_to_dict(first)
+    payload["params"]["d"] = 99
+    assert first.descriptor == descriptor
 
 
 def test_classify_confirms_cp_and_falsifies_negative_map():

@@ -144,10 +144,9 @@ def test_renyi_forms_reject_non_finite_alpha(fn, alpha):
         fn(rho, sigma, alpha)
 
 
-# every form of one matrix; relative_entropy, klein_gap and sandwiched_renyi also take stacks
+# every form of one matrix; relative_entropy, klein_gap, sandwiched_renyi, support_contained
+# and von_neumann_entropy also take stacks, and weighted_p_norm a stack of X under one sigma
 ONE_MATRIX_FORMS = {
-    "von_neumann_entropy": lambda S, X: von_neumann_entropy(S),
-    "support_contained": lambda S, X: support_contained(S, S),
     "old_renyi": lambda S, X: old_renyi(S, S, 2.0),
     "renyi_via_norm": lambda S, X: renyi_via_norm(S, S, 2.0),
     "gamma_inverse": lambda S, X: gamma_inverse(S, X),
@@ -516,3 +515,52 @@ def test_sandwiched_renyi_stack_checks_its_inputs():
         sandwiched_renyi(psd(rhos), psd(sigmas), 1.0)
     with pytest.raises(DomainError, match="shape mismatch"):
         sandwiched_renyi(psd(rhos), psd(sigmas[:-1]), 0.5)
+
+
+def _bits(values) -> list:
+    """float.hex of each value, so two lists compare bit for bit (the sign of zero included)."""
+    return [float(v).hex() for v in values]
+
+
+def _state_stack(seed: int, n: int, d: int) -> np.ndarray:
+    """n density matrices of dimension d: the first pure and diagonal, every third of rank d - 1."""
+    rng = rng_for_trial(seed, n)
+    out = np.zeros((n, d, d), dtype=np.complex128)
+    for k in range(n):
+        out[k] = random_density(rng, d, rank=d - 1 if k % 3 == 2 else None)
+    if n:
+        out[0] = np.diag([1.0] + [0.0] * (d - 1))
+    return out
+
+
+@pytest.mark.parametrize("n", [0, 1, 7])
+def test_von_neumann_entropy_of_a_stack_has_the_bits_of_each_matrix(n):
+    rho = _state_stack(31, n, 3)
+    values = von_neumann_entropy(rho)
+    assert isinstance(values, list) and len(values) == n
+    assert _bits(values) == _bits(von_neumann_entropy(M) for M in rho)
+    assert _bits(von_neumann_entropy(psd(rho))) == _bits(values)
+
+
+@pytest.mark.parametrize("n", [0, 1, 7])
+def test_support_contained_of_a_stack_is_that_of_each_pair(n):
+    rho, sigma = _state_stack(32, n, 3), _state_stack(33, n, 3)
+    values = support_contained(rho, sigma)
+    assert values == [support_contained(a, b) for a, b in zip(rho, sigma)]
+    assert all(type(v) is bool for v in values)
+    assert n < 7 or {True, False} <= set(values)
+    with pytest.raises(DomainError, match="shape mismatch"):
+        support_contained(rho, sigma[:, :2, :2])
+
+
+@pytest.mark.parametrize("p", [1, 1.5, 2, 3, 7.5, math.inf])
+@pytest.mark.parametrize("n", [0, 1, 6])
+def test_weighted_p_norm_of_a_stack_has_the_bits_of_each_matrix(p, n):
+    rng = rng_for_trial(34, n)
+    sigma = psd(random_density(rng, 4))
+    X = np.zeros((n, 4, 4), dtype=np.complex128)
+    for k in range(n):
+        X[k] = random_hermitian(rng, 4)
+    values = weighted_p_norm(X, sigma, p)
+    assert isinstance(values, list) and len(values) == n
+    assert _bits(values) == _bits(weighted_p_norm(M, sigma, p) for M in X)

@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,14 +10,17 @@ import pytest
 from qdpi.channels import (
     adjoint,
     classify,
+    compose,
     counterexample_map,
     damped_cptp,
     from_isometry,
     from_kraus,
     from_matrix,
+    gamma_superoperator,
     halving_map,
     identity_map,
     one_to_one_norm_positive,
+    pinching_map,
     random_cptp,
     reduction_map,
     trace_behavior,
@@ -44,7 +48,14 @@ from qdpi.harness import (
     witness_to_dict,
 )
 from qdpi import channels, cli, harness
-from qdpi.divergences import relative_entropy, sandwiched_renyi
+from qdpi.divergences import (
+    klein_gap,
+    relative_entropy,
+    sandwiched_renyi,
+    support_contained,
+    von_neumann_entropy,
+    weighted_p_norm,
+)
 from qdpi.harness import (
     _gap_of,
     _sample_state_pair,
@@ -52,12 +63,16 @@ from qdpi.harness import (
     _seeded_trials,
     _violation_trials,
 )
-from qdpi.linalg import DEFAULT_TOL, DomainError, hermitian_part
+from qdpi.linalg import DEFAULT_TOL, DomainError, hermitian_part, min_eigenvalue, operator_norm, psd
 from qdpi.sampling import (
     phase_fixed_q,
     random_complex_gaussian,
     random_density,
+    random_hermitian,
+    random_projector,
+    random_psd,
     random_rank_deficient_density,
+    random_unit_vector,
     rng_for_trial,
 )
 from qdpi.serialize import FormatError, canonical_json, matrix_from_dict
@@ -176,10 +191,33 @@ def _without(payload, field):
     (report_from_dict, lambda: {**_report_payload(), "escalations": None}, "'escalations'"),
     (report_from_dict, lambda: {**_report_payload(), "failures": {}}, "'failures'"),
     (report_from_dict, lambda: {**_report_payload(), "failures": [{}]}, "'map'"),
+    (report_from_dict, lambda: {**_report_payload(), "suite_name": 7}, "'suite_name'"),
+    (report_from_dict, lambda: {**_report_payload(), "suite_name": None}, "'suite_name'"),
+    (report_from_dict, lambda: {**_report_payload(), "config": 5}, "'config'"),
+    (report_from_dict, lambda: {**_report_payload(), "config": ["fixture"]}, "'config'"),
 ])
 def test_readers_raise_format_errors_that_name_the_field(read, payload, field):
     with pytest.raises(FormatError, match=field):
         read(payload())
+
+
+def _with_failure_field(name, value):
+    payload = _failing_payload()
+    return {**payload, "failures": [{**payload["failures"][0], name: value}, *payload["failures"][1:]]}
+
+
+# every extended-real field of the two readers, malformed
+@pytest.mark.parametrize("bad", ["x", None, [0.0], "inf", math.nan, True])
+@pytest.mark.parametrize("read, edit, field", [
+    (report_from_dict, lambda bad: {**_report_payload(), "min_gap": bad}, "report field 'min_gap'"),
+    (witness_from_dict, lambda bad: {**_witness_payload(), "lhs": bad}, "witness field 'lhs'"),
+    (witness_from_dict, lambda bad: {**_witness_payload(), "rhs": bad}, "witness field 'rhs'"),
+    (witness_from_dict, lambda bad: {**_witness_payload(), "gap": bad}, "witness field 'gap'"),
+    (report_from_dict, lambda bad: _with_failure_field("lhs", bad), "witness field 'lhs'"),
+], ids=["min_gap", "lhs", "rhs", "gap", "failure-lhs"])
+def test_malformed_extended_reals_name_their_field(read, edit, field, bad):
+    with pytest.raises(FormatError, match=re.escape(field)):
+        read(edit(bad))
 
 
 def test_readers_load_every_well_formed_payload_as_before():
@@ -920,3 +958,140 @@ def test_trace_preserved_on_sector_only(family):
         assert lost == pytest.approx(behavior.w[0], abs=1e-10)
         if behavior.tag == "nonincreasing":
             assert lost < 1.0 - 1e-9
+
+
+def _record_tally_adds(monkeypatch) -> list:
+    """(lhs, rhs, passed) of every _Tally.add from here on, each value as float.hex."""
+    adds, add = [], harness._Tally.add
+
+    def recording(self, lhs, rhs, passed, parts):
+        adds.append((float(lhs).hex(), float(rhs).hex(), passed))
+        return add(self, lhs, rhs, passed, parts)
+
+    monkeypatch.setattr(harness._Tally, "add", recording)
+    return adds
+
+
+def _contraction_one_at_a_time(instances, dims, alphas, trials, seed, cfg=DEFAULT_TOL):
+    """contraction_battery's adds, as _record_tally_adds writes them, with each probe drawn and evaluated alone."""
+    names = channels.families("contraction")
+    _, draws = _seeded_trials(seed, instances, dims, first=1_000_000)
+    adds = []
+    for i, (rng, d) in enumerate(draws):
+        phi = channels.FAMILY_TABLE[names[i % len(names)]].draw(rng, d, cfg)
+        sigma = psd(random_density(rng, d), cfg)
+        probe_seed = int(rng.integers(0, 2**31))
+        sigma_prime = psd(hermitian_part(phi.apply(sigma)), cfg)
+        psi = compose(gamma_superoperator(sigma_prime, inverse=True, cfg=cfg),
+                      compose(phi, gamma_superoperator(sigma, cfg=cfg)))
+        for a, alpha in enumerate(alphas):
+            for t in range(trials):
+                probe_rng = rng_for_trial(probe_seed, a * trials + t)
+                if t % 2 == 0:
+                    X = random_hermitian(probe_rng, d)
+                else:
+                    X = np.outer(random_unit_vector(probe_rng, d), random_unit_vector(probe_rng, d).conj())
+                ratio = weighted_p_norm(psi.apply(X), sigma_prime, alpha, cfg) / weighted_p_norm(X, sigma, alpha, cfg)
+                adds.append((harness.RATIO_BOUND, ratio, ratio <= harness.RATIO_BOUND))
+        eye = np.eye(d)
+        defect = operator_norm(psi.apply(eye) - eye)
+        adds.append((harness.UNIT_IMAGE_TOLERANCE, defect, defect <= harness.UNIT_IMAGE_TOLERANCE))
+        norm = one_to_one_norm_positive(phi)
+        adds.append((harness.ADJOINT_UNIT_BOUND, norm, norm <= harness.ADJOINT_UNIT_BOUND))
+    return [(float(lhs).hex(), float(rhs).hex(), passed) for lhs, rhs, passed in adds]
+
+
+def _auxiliary_one_at_a_time(trials, seed, dims, cfg=DEFAULT_TOL):
+    """auxiliary_inequality_suite's adds, as _record_tally_adds writes them, with each trial evaluated alone."""
+    _, draws = _seeded_trials(seed, trials, dims)
+    relaxed = dataclasses.replace(cfg, containment_tolerance=harness.SUPPORT_INCLUSION_TOLERANCE)
+    adds = []
+    for rng, d in draws:
+        sigma = random_density(rng, d)
+        pinch = pinching_map(random_projector(rng, d, int(rng.integers(1, d))), cfg)
+        concavity = min_eigenvalue(psd(hermitian_part(pinch.apply(sigma)), cfg).log()
+                                   - hermitian_part(pinch.apply(psd(sigma, cfg).log())), cfg)
+        rho = random_density(rng, d)
+        jump = von_neumann_entropy(hermitian_part(pinch.apply(rho)), cfg) - von_neumann_entropy(rho, cfg)
+        g = klein_gap(random_psd(rng, d), random_psd(rng, d), cfg)
+        sigma_small = random_density(rng, d, rank=int(rng.integers(1, d + 1)))
+        Q = psd(sigma_small, cfg).projector()
+        rho_small = Q @ random_density(rng, d) @ Q
+        tr = float(np.trace(rho_small).real)
+        rho_small = rho_small / tr if tr > 0.0 else sigma_small
+        psi = channels.FAMILY_TABLE[harness._pick(rng, channels.families("support"))].draw(rng, d, cfg)
+        ok_d = support_contained(hermitian_part(psi.apply(rho_small)), hermitian_part(psi.apply(sigma_small)),
+                                 relaxed)
+        margin = min(concavity + harness.STEP2_INEQUALITY_TOLERANCE, jump + 1e-9,
+                     (g if not math.isinf(g) else 1.0) + 1e-9, 1.0 if ok_d else -1.0)
+        passed = concavity >= -harness.STEP2_INEQUALITY_TOLERANCE and jump >= -1e-9 and g >= -1e-9 and ok_d
+        adds.append((float(margin).hex(), (0.0).hex(), passed))
+    return adds
+
+
+# a contraction report's min_gap comes from its adjoint-unit check, so its digest
+# cannot show the probe ratios' bits; these tests compare every add
+@pytest.mark.parametrize("alphas, trials", [((1.0, 1.5, 7.5), 7), ((2.0,), 1), ((3.0,), 0)])
+def test_stacked_contraction_probes_equal_one_at_a_time_evaluation(monkeypatch, alphas, trials):
+    adds = _record_tally_adds(monkeypatch)
+    contraction_battery(instances=4, dims=(2, 3, 5), alphas=alphas, trials=trials, seed=2)
+    assert len(adds) == 4 * (len(alphas) * trials + 2)
+    assert adds == _contraction_one_at_a_time(4, (2, 3, 5), alphas, trials, 2)
+
+
+@pytest.mark.parametrize("cutoff", [DEFAULT_TOL.support_cutoff, 0.3])
+@pytest.mark.parametrize("trials, dims", [(60, (2, 3, 4, 5, 6)), (1, (2,)), (0, (3,))])
+def test_stacked_auxiliary_checks_equal_one_at_a_time_evaluation(monkeypatch, trials, dims, cutoff):
+    cfg = dataclasses.replace(DEFAULT_TOL, support_cutoff=cutoff)
+    adds = _record_tally_adds(monkeypatch)
+    auxiliary_inequality_suite(trials=trials, seed=4, cfg=cfg, dims=dims)
+    assert len(adds) == trials
+    assert adds == _auxiliary_one_at_a_time(trials, 4, dims, cfg)
+    if trials == 60:  # the coarse cutoff fails checks, whose witnesses are written too
+        assert any(not passed for _, _, passed in adds) == (cutoff == 0.3)
+
+
+@pytest.mark.parametrize("suite", [
+    lambda trials: contraction_battery(instances=3, dims=(4,), trials=trials, seed=1),
+    lambda trials: auxiliary_inequality_suite(trials=trials, dims=(4,), seed=1),
+], ids=["contraction", "auxiliary"])
+def test_battery_solver_calls_do_not_grow_with_trials(solver_calls, suite):
+    counts = []
+    for trials in (20, 40):
+        del solver_calls[:]
+        assert suite(trials).passed
+        counts.append(len(solver_calls))
+    assert counts[0] == counts[1]
+
+
+def test_a_dpi_group_sharing_a_seedless_map_solves_its_adjoint_unit_once(solver_calls):
+    rng = rng_for_trial(403, 0)
+    rho = np.stack([random_density(rng, 3) for _ in range(5)])
+    sigma = np.stack([random_density(rng, 3) for _ in range(5)])
+    shapes = []
+    for k in (1, 5):
+        phi = reduction_map(3)  # not solved yet, as at its first draw
+        del solver_calls[:]
+        harness._monotonicity_values([phi] * k, rho[:k], sigma[:k], None, DEFAULT_TOL)
+        shapes.append([a.shape for _, a in solver_calls])
+    # Phi*(1) once, then one psd per state stack and per image stack
+    assert shapes == [[(1, 3, 3)] + [(k, 3, 3)] * 4 for k in (1, 5)]
+
+
+# one round of the battery workload's suites at seed 0 (d = 2..6 one at a time),
+# with the solver calls (eigh + eigvalsh + svd) each may make in it
+BATTERY_ROUND = {
+    "dpi": (974, lambda d: [randomized_dpi_suite("tp", dims=(d,), trials=60),
+                            randomized_dpi_suite("tni", dims=(d,), trials=60),
+                            randomized_dpi_suite("trace_match", dims=(d,), trials=30)]),
+    "contraction": (150, lambda d: [contraction_battery(instances=3, dims=(d,), trials=20)]),
+    "auxiliary": (55, lambda d: [auxiliary_inequality_suite(trials=20, dims=(d,))]),
+}
+
+
+@pytest.mark.parametrize("suite", sorted(BATTERY_ROUND))
+def test_battery_round_solver_calls(solver_calls, suite):
+    budget, run = BATTERY_ROUND[suite]
+    for d in (2, 3, 4, 5, 6):
+        assert all(report.passed for report in run(d))
+    assert len(solver_calls) <= budget

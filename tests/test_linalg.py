@@ -324,3 +324,89 @@ def test_support_mask_is_empty_without_a_positive_top_eigenvalue(cutoff):
         assert not psd(np.stack([A, A]), cfg).on.any()
     v = psd(np.diag([0.0, 0.25, 0.75]), cfg)
     assert v.on.tolist() == [False, cutoff < 1 / 3, cutoff < 1.0]
+
+
+def _bits(values) -> list:
+    """float.hex of each value, so two lists compare bit for bit (the sign of zero included)."""
+    return [float(v).hex() for v in values]
+
+
+def _general_stack(seed: int, n: int, d: int) -> np.ndarray:
+    """n complex Gaussian d x d matrices, the second of them zero."""
+    rng = rng_for_trial(seed, n * 100 + d)
+    X = rng.standard_normal((n, d, d)) + 1j * rng.standard_normal((n, d, d))
+    if n > 1:
+        X[1] = 0.0
+    return X
+
+
+@pytest.mark.parametrize("p", [1, 1.5, 2, 3, 7.5, math.inf])
+@pytest.mark.parametrize("n", [0, 1, 5])
+@pytest.mark.parametrize("d", [3, 12])
+def test_schatten_norm_of_a_stack_has_the_bits_of_each_matrix(p, n, d):
+    X = _general_stack(7, n, d)
+    values = schatten_norm(X, p)
+    assert isinstance(values, list) and len(values) == n
+    assert _bits(values) == _bits(schatten_norm(M, p) for M in X)
+
+
+@pytest.mark.parametrize("p", [1.5, 2, 3, 7.5])
+def test_schatten_norm_takes_its_root_as_a_scalar_power(p):
+    # an array power differs from the scalar one in the last bit for some inputs
+    for M in _general_stack(12, 100, 3):
+        s = np.linalg.svd(M, compute_uv=False)
+        smax = float(s[0])
+        expected = smax * float(((s / smax) ** p).sum() ** (1.0 / p)) if smax else 0.0
+        assert schatten_norm(M, p).hex() == expected.hex()
+
+
+def test_trace_and_operator_norms_of_a_stack():
+    X = _general_stack(8, 4, 3)
+    assert _bits(trace_norm(X)) == _bits(trace_norm(M) for M in X)
+    assert _bits(operator_norm(X)) == _bits(operator_norm(M) for M in X)
+    assert schatten_norm(np.zeros((2, 0, 0)), 3) == [0.0, 0.0]
+    assert isinstance(trace_norm(X[0]), float)
+
+
+def test_schatten_norm_of_a_stack_checks_every_matrix():
+    X = _general_stack(9, 3, 2)
+    X[2, 0, 0] = np.nan
+    with pytest.raises(DomainError, match="non-finite"):
+        schatten_norm(X, 2)
+    with pytest.raises(DomainError, match="expected a matrix, got array of ndim 4"):
+        schatten_norm(X[None], 2)
+
+
+@pytest.mark.parametrize("n", [0, 1, 6])
+def test_min_eigenvalue_of_a_stack_has_the_bits_of_each_matrix(n):
+    rng = rng_for_trial(10, n)
+    A = np.zeros((n, 4, 4), dtype=np.complex128)
+    for k in range(n):
+        A[k] = random_hermitian(rng, 4)
+    values = min_eigenvalue(A)
+    assert isinstance(values, list) and len(values) == n
+    assert _bits(values) == _bits(min_eigenvalue(M) for M in A)
+
+
+def test_min_eigenvalue_of_a_stack_raises_the_first_failure():
+    A = np.stack([np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([[0.0, 2.0], [0.0, 0.0]])])
+    with pytest.raises(DomainError, match=r"not Hermitian \(defect 1\.000e\+00\)"):
+        min_eigenvalue(A)
+
+
+@pytest.mark.parametrize("n", [0, 1, 5])
+def test_require_projector_of_a_stack_has_the_bits_of_each_matrix(n):
+    rng = rng_for_trial(11, n)
+    P = np.zeros((n, 4, 4), dtype=np.complex128)
+    for k in range(n):
+        U = random_unitary(rng, 4)[:, : k % 4]
+        P[k] = U @ U.conj().T
+    out = require_projector(P)
+    assert out.shape == (n, 4, 4)
+    assert out.tobytes() == b"".join(require_projector(M).tobytes() for M in P)
+
+
+def test_require_projector_of_a_stack_raises_the_first_failure():
+    P = np.stack([np.diag([1.0, 0.0]), 0.5 * np.eye(2), 0.25 * np.eye(2)])
+    with pytest.raises(DomainError, match=r"not a projector \(\|\|P\^2 - P\|\| = 2\.500e-01\)"):
+        require_projector(P)
