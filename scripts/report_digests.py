@@ -91,6 +91,10 @@ ACCEPTANCE_COMMANDS = (
     "contraction --instances 2 --trials 0 --seed 1",
     "auxiliary --dims 2 --trials 1 --seed 9",
     "auxiliary --trials 0 --seed 2",
+    # seeds at the 32-bit boundary of the batched trial streams: at 2**32 every stream
+    # comes from default_rng, and 2**32 - 1 is the largest seed derived in batches
+    "dpi --mode trace-match --dims 2,3,4,5,6 --trials 300 --seed 4294967296",
+    "contraction --instances 3 --trials 7 --seed 4294967295",
     # a coarse support cutoff fails threshold checks on purpose (exit 1), so these
     # reports hold the failure witnesses of step2, alpha-limit, auxiliary and counterexample
     "step2 --dims 6 --seed 0 --tolerance-support-cutoff 0.3",

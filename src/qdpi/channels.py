@@ -27,7 +27,10 @@ list of maps, in one stacked solve) and cached as the map's
 ``TraceBehavior``: the trace tag (Phi*(1) = 1 or Phi*(1) <= 1), the unit
 sector where a trace-nonincreasing map preserves the trace (``sector()``),
 and the 1->1 norm of a positive map, its largest eigenvalue (Russo-Dye).
-The seedless families' draws share one map per dimension (``_shared``).
+The suites draw every family of ``FAMILY_TABLE`` in two steps: a take reads
+a trial's stream and a build makes the maps of many takes at once, each with
+the bits of its draw alone (``Family``). The seedless families' draws share
+one map per dimension (``_shared``).
 """
 
 from __future__ import annotations
@@ -55,10 +58,11 @@ from .linalg import (
 )
 from .sampling import (
     phase_fixed_q,
+    projector_take,
+    projectors,
     random_complex_gaussian,
-    random_projector,
-    random_unit_vector,
-    rng_for_trial,
+    trial_streams,
+    unit_vectors,
 )
 
 __all__ = [
@@ -297,11 +301,15 @@ def _kraus_matrix(kraus, dim_in: int, dim_out: int) -> np.ndarray:
 
     Entry [a + d_out b, c + d_in e] is sum_i K_i[a, c] conj(K_i[b, e]), so
     with S the k x (d_out d_in) stack of flattened Kraus operators it is a
-    reindexing of S^T conj(S).
+    reindexing of S^T conj(S). When the K_i are (n, d_out, d_in) stacks, the
+    n matrices of n maps come from one stacked product.
     """
-    S = np.stack(kraus).reshape(len(kraus), dim_out * dim_in)
-    G = (S.T @ S.conj()).reshape(dim_out, dim_in, dim_out, dim_in)
-    return np.ascontiguousarray(G.transpose(2, 0, 3, 1)).reshape(dim_out * dim_out, dim_in * dim_in)
+    S = np.stack(kraus, axis=-3)
+    lead = S.shape[:-3]
+    S = S.reshape(lead + (len(kraus), dim_out * dim_in))
+    G = (S.swapaxes(-1, -2) @ S.conj()).reshape(lead + (dim_out, dim_in, dim_out, dim_in))
+    G = np.ascontiguousarray(np.moveaxis(G, (-2, -4, -1, -3), (-4, -3, -2, -1)))
+    return G.reshape(lead + (dim_out * dim_out, dim_in * dim_in))
 
 
 _KRAUS_FORM = PositivityCertificate("completely_positive", reason="Kraus form")
@@ -454,8 +462,9 @@ def classify(
     CP is decided exactly via the Choi minimum eigenvalue, which every
     returned certificate carries as ``choi_min``. Non-CP maps are probed with
     ``sample_count`` random pure states, probe t drawn from its own stream
-    ``rng_for_trial(seed, t)``; sampling below -psd_tolerance falsifies (the
-    witness is the first probe with the smallest image eigenvalue), otherwise
+    ``rng_for_trial(seed, t)`` (derived in batches by ``trial_streams``);
+    sampling below -psd_tolerance falsifies (the witness is the first probe
+    with the smallest image eigenvalue), otherwise
     any construction certificate stands. The probes are evaluated in stacks
     of at most ``_PROBE_CHUNK``: one ``apply`` and one eigensolve per stack,
     each probe's minimum bit-identical to evaluating it alone.
@@ -466,8 +475,8 @@ def classify(
     worst = np.inf
     worst_psi = None
     for start in range(0, sample_count, _PROBE_CHUNK):
-        probes = range(start, min(start + _PROBE_CHUNK, sample_count))
-        psis = np.stack([random_unit_vector(rng_for_trial(seed, t), phi.dim_in) for t in probes])
+        streams = trial_streams(seed, range(start, min(start + _PROBE_CHUNK, sample_count)))
+        psis = unit_vectors(np.stack([random_complex_gaussian(rng, phi.dim_in) for rng in streams]))
         images = hermitian_part(phi.apply(psis[:, :, None] * psis.conj()[:, None, :]))
         minima = _solve(np.linalg.eigvalsh, images)[:, 0]
         i = int(np.argmin(minima))
@@ -515,17 +524,22 @@ def transpose_map(d: int) -> SuperOperator:
     if d < 1:
         raise DomainError("dimension must be positive")
     M = np.zeros((d * d, d * d), dtype=np.complex128)
-    for i in range(d):
-        for j in range(d):
-            M[i + d * j, j + d * i] = 1.0
+    rows = np.arange(d * d)  # row i + d j holds a 1 in column j + d i
+    M[rows, rows // d + d * (rows % d)] = 1.0
     cert = PositivityCertificate("positive_by_construction", reason="transpose")
     return from_matrix(M, certificate=cert, descriptor={"family": "transpose", "params": {"d": d}})
 
 
 def pinching_map(P, cfg: ToleranceConfig = DEFAULT_TOL) -> SuperOperator:
     """X -> P X P + (1-P) X (1-P) for a projector P; CPTP."""
+    return _pinching_maps(as_matrix(P)[None], cfg)[0]
+
+
+def _pinching_maps(P: np.ndarray, cfg: ToleranceConfig) -> list:
+    """The pinching of each projector of an (n, d, d) stack, validated by one stacked require_projector."""
     P = require_projector(P, cfg)
-    return from_kraus([P, np.eye(P.shape[0]) - P])
+    eye = np.eye(P.shape[-1])
+    return [from_kraus([Pk, eye - Pk]) for Pk in P]
 
 
 def truncation_parts(base: SuperOperator, P, P_prime, cfg: ToleranceConfig = DEFAULT_TOL):
@@ -588,14 +602,29 @@ def depolarizing_map(d: int, lam: float) -> SuperOperator:
         raise DomainError(f"mixing parameter must be in [0, 1], got {lam}")
     if d < 1:
         raise DomainError("dimension must be positive")
+    return _depolarizing_maps([lam], d)[0]
+
+
+def _depolarizing_maps(lams, d: int, cfg: ToleranceConfig = DEFAULT_TOL) -> list:
+    """depolarizing_map(d, lam) of each lam of lams (floats in [0, 1]), their matrices built as one stack.
+
+    Matrix k is lam_k 1 + ((1 - lam_k)/d) |vec 1><vec 1|. Off the diagonal
+    lam_k 1 adds an exact zero, so lam_k is added on the diagonal only: the
+    bits are those of the whole sum, and no stack of identities is allocated.
+    """
     v = _vec(np.eye(d))
-    M = lam * np.eye(d * d) + ((1.0 - lam) / d) * np.outer(v, v)
-    cert = PositivityCertificate(
-        "completely_positive", reason=f"depolarizing, choi min eigenvalue {(1.0 - lam) / d:.3e}"
-    )
-    return from_matrix(
-        M, certificate=cert, descriptor={"family": "depolarizing", "params": {"d": d, "lam": lam}}
-    )
+    lam = np.array(lams, dtype=float)
+    M = ((1.0 - lam[:, None, None]) / d) * np.outer(v, v)
+    diagonal = np.arange(d * d)
+    M[:, diagonal, diagonal] += lam[:, None]
+    maps = []
+    for m, lam_k in zip(M, lams):
+        cert = PositivityCertificate(
+            "completely_positive", reason=f"depolarizing, choi min eigenvalue {(1.0 - lam_k) / d:.3e}"
+        )
+        descriptor = {"family": "depolarizing", "params": {"d": d, "lam": lam_k}}
+        maps.append(from_matrix(m, certificate=cert, descriptor=descriptor))
+    return maps
 
 
 def halving_map(d: int) -> SuperOperator:
@@ -653,6 +682,17 @@ def cptp_draw(rng: np.random.Generator, d: int, d_out: int | None = None,
     return random_complex_gaussian(rng, (d_out * kraus_rank, d))
 
 
+def _cptp_kraus(G, d_out: int) -> list:
+    """The Kraus operators of the random_cptp map of each Gaussian of an (n, d_out k, d) stack: k stacks
+    of n, the blocks of their phase-fixed Qs from one stacked QR."""
+    return kraus_blocks(phase_fixed_q(np.stack(G)), d_out)
+
+
+def _maps_of_kraus(kraus, descriptor=None) -> list:
+    """The Kraus map of each index of the stacks kraus."""
+    return [from_kraus(ops, descriptor=descriptor) for ops in zip(*kraus)]
+
+
 def random_cptp(
     d: int,
     d_out: int | None = None,
@@ -663,8 +703,24 @@ def random_cptp(
     """Seeded CPTP map: Kraus blocks of a QR-orthonormalized Gaussian isometry."""
     d_out, kraus_rank = _cptp_dims(d, d_out, kraus_rank)
     rng, desc = _seeded("random_cptp", {"d": d, "d_out": d_out, "kraus_rank": kraus_rank}, seed, rng)
-    V = phase_fixed_q(cptp_draw(rng, d, d_out, kraus_rank))
-    return from_isometry(V, d_out, descriptor=desc)
+    return _maps_of_kraus(_cptp_kraus([cptp_draw(rng, d, d_out, kraus_rank)], d_out), desc)[0]
+
+
+def _take_noncp(rng, d: int):
+    """random_positive_noncp's draws: whether the transpose acts first, then its CPTP map's Gaussian."""
+    return bool(rng.integers(2)), cptp_draw(rng, d)
+
+
+_NONCP = PositivityCertificate("positive_by_construction", reason="transpose composed with a CPTP map")
+
+
+def _noncp_maps(takes, d: int, cfg: ToleranceConfig = DEFAULT_TOL, descriptor=None) -> list:
+    """The random_positive_noncp map of each take: the CPTP matrices as one stack, each composed with the
+    one shared transpose map."""
+    first, G = zip(*takes)
+    T = _shared(transpose_map, d).matrix
+    M = _kraus_matrix(_cptp_kraus(G, d), d, d)
+    return [from_matrix(m @ T if t else T @ m, certificate=_NONCP, descriptor=descriptor) for t, m in zip(first, M)]
 
 
 def random_positive_noncp(
@@ -674,14 +730,25 @@ def random_positive_noncp(
 ) -> SuperOperator:
     """Transpose composed with a random CPTP map (order decided by the seed)."""
     rng, desc = _seeded("random_positive_noncp", {"d": d}, seed, rng)
-    transpose_first = bool(rng.integers(2))
-    cptp = random_cptp(d, rng=rng)
-    T = transpose_map(d)
-    out = compose(cptp, T) if transpose_first else compose(T, cptp)
-    cert = PositivityCertificate(
-        "positive_by_construction", reason="transpose composed with a CPTP map"
-    )
-    return from_matrix(out.matrix, certificate=cert, descriptor=desc)
+    return _noncp_maps([_take_noncp(rng, d)], d, descriptor=desc)[0]
+
+
+def _damped_gaussians(rng, d: int) -> tuple:
+    """damped_cptp's Gaussians: its subspace projector's, then its CPTP map's."""
+    return random_complex_gaussian(rng, (d, d)), cptp_draw(rng, d)
+
+
+def _take_damped(rng, d: int) -> tuple:
+    """A damped_cptp draw of a random rank in [1, d) and mu in [0.2, 0.9): the rank, mu, then its Gaussians."""
+    return int(rng.integers(1, d)), float(rng.uniform(0.2, 0.9)), *_damped_gaussians(rng, d)
+
+
+def _damped_maps(takes, d: int, cfg: ToleranceConfig = DEFAULT_TOL, descriptor=None) -> list:
+    """The damped_cptp map of each take (rank, mu, subspace Gaussian, CPTP Gaussian), built as stacks."""
+    rank, mu, GQ, GV = zip(*takes)
+    Q = np.stack(projectors(zip(rank, GQ)))
+    W = Q + np.sqrt(np.array(mu))[:, None, None] * (np.eye(d) - Q)
+    return _maps_of_kraus([K @ W for K in _cptp_kraus(GV, d)], descriptor)
 
 
 def damped_cptp(
@@ -703,18 +770,36 @@ def damped_cptp(
     if not 1 <= rank <= d:
         raise DomainError(f"subspace rank must be in [1, {d}], got {rank}")
     rng, desc = _seeded("damped_cptp", {"d": d, "rank": rank, "mu": mu}, seed, rng)
-    Q = random_projector(rng, d, rank)
-    W = Q + np.sqrt(mu) * (np.eye(d) - Q)
-    base = random_cptp(d, rng=rng)
-    kraus = [K @ W for K in base.kraus]
-    return from_kraus(kraus, descriptor=desc)
+    return _damped_maps([(rank, mu, *_damped_gaussians(rng, d))], d, descriptor=desc)[0]
 
 
-def _draw_truncation(rng, d: int, cfg: ToleranceConfig) -> SuperOperator:
-    """A random CPTP map truncated between projectors of random rank, drawn in that order."""
-    base = random_cptp(d, rng=rng)
-    P, P_prime = (random_projector(rng, d, int(rng.integers(1, d + 1))) for _ in range(2))
-    return truncation_map(base, P, P_prime, cfg)
+def _take_truncation(rng, d: int) -> tuple:
+    """A truncation's draws: its CPTP map's Gaussian, then P's and P''s, each of rank in [1, d]."""
+    return cptp_draw(rng, d), projector_take(rng, d, d + 1), projector_take(rng, d, d + 1)
+
+
+_TRUNCATION = PositivityCertificate("positive_by_construction", reason="truncation of a positive map")
+
+
+def _truncation_maps(takes, d: int, cfg: ToleranceConfig) -> list:
+    """``truncation_map`` of each take's CPTP map between its projectors, built as stacks.
+
+    The projectors of every take are validated by one stacked require_projector;
+    the compression's Kraus operators P' K_i P, the escape weight W and the
+    reroute state tau are computed as ``truncation_parts`` computes them, one
+    stacked product each.
+    """
+    G, P, P_prime = zip(*takes)
+    kraus = _cptp_kraus(G, d)
+    P, P_prime = np.split(require_projector(np.stack(projectors(P + P_prime)), cfg), 2)
+    kept = [P_prime @ (K @ P) for K in kraus]
+    escape = _kraus_sum([_dagger(K) for K in kraus], np.eye(d) - P_prime)
+    W = P @ _dagger(escape) @ P
+    tau = P_prime / P_prime.trace(axis1=-2, axis2=-1).real[:, None, None]
+    # kept.matrix + outer(vec(tau), vec(W^T)), vec stacking columns
+    n = len(takes)
+    M = _kraus_matrix(kept, d, d) + tau.swapaxes(-1, -2).reshape(n, d * d, 1) * W.reshape(n, 1, d * d)
+    return [from_matrix(m, certificate=_TRUNCATION) for m in M]
 
 
 @functools.lru_cache(maxsize=64)
@@ -724,40 +809,73 @@ def _shared(build, *args) -> SuperOperator:
     return build(*args)
 
 
+def _take_nothing(rng, d: int) -> None:
+    """The take of a seedless family, which reads nothing from the stream."""
+    return None
+
+
 @dataclass(frozen=True, eq=False)
 class Family:
     """One entry of FAMILY_TABLE.
 
-    ``constructor`` builds the family's recipes (None when it takes operators)
-    and ``draw(rng, d, cfg)`` samples it for the suites whose ``roles`` it fills
-    (None when none does): the dpi modes, "support" (auxiliary's check (d))
-    and "contraction" (the contraction battery).
+    ``constructor`` builds the family's recipes (None when it takes
+    operators). A family that fills suite ``roles`` (the dpi modes, "support"
+    for auxiliary's check (d), "contraction" for the contraction battery) is
+    drawn in two steps, so that a suite builds each (family, d) group of a
+    chunk of trials at once:
+
+    - ``take(rng, d)`` reads from the trial's stream everything the draw
+      needs, in one fixed order, and returns it; it computes nothing that a
+      build can compute. The stream may be a reused Generator
+      (``sampling.trial_streams``), so a take must not keep it.
+    - ``build(takes, d, cfg)`` returns the maps of a list of takes, all drawn
+      at d, in their order. Each map must carry the bits, certificate and
+      descriptor it gets when built alone: a build stacks only operations
+      that give each matrix of a stack its own result (QR, eigh, matrix
+      products, elementwise arithmetic), never a reduction across the stack.
+
+    ``draw(rng, d, cfg)``, the take and build of one, is the one-trial draw.
+    ``dim`` is the input dimension of every draw when it is fixed (the 2x2
+    counterexample map), else None: the draw's maps act on d x d matrices.
+    A new family is its constructor, its take and its build, and a test
+    checks that builds of many takes equal their draws one at a time.
     """
 
     constructor: object
-    draw: object
+    take: object = None
+    build: object = None
     roles: tuple = ()
+    dim: int | None = None
+
+    def draw(self, rng, d: int, cfg: ToleranceConfig = DEFAULT_TOL) -> SuperOperator:
+        return self.build([self.take(rng, d)], d, cfg)[0]
+
+
+def _shared_maps(make):
+    """The build of a seedless family: every take gets the one shared make(d)."""
+    return lambda takes, d, cfg: [_shared(make, d)] * len(takes)
 
 
 # every map family; a suite picks by index among its role's families, so this order is in every report
 FAMILY_TABLE = {
-    "random_cptp": Family(random_cptp, lambda rng, d, cfg: random_cptp(d, rng=rng),
+    "random_cptp": Family(random_cptp, cptp_draw,
+                          lambda takes, d, cfg: _maps_of_kraus(_cptp_kraus(takes, d)),
                           ("tp", "tni", "support", "contraction")),
-    "random_positive_noncp": Family(random_positive_noncp, lambda rng, d, cfg: random_positive_noncp(d, rng=rng),
+    "random_positive_noncp": Family(random_positive_noncp, _take_noncp, _noncp_maps,
                                     ("tp", "tni", "support", "contraction")),
-    "reduction": Family(reduction_map, lambda rng, d, cfg: _shared(reduction_map, d), ("tp", "tni", "support")),
-    "pinching": Family(None, lambda rng, d, cfg: pinching_map(random_projector(rng, d, int(rng.integers(1, d))), cfg),
+    "reduction": Family(reduction_map, _take_nothing, _shared_maps(reduction_map), ("tp", "tni", "support")),
+    "pinching": Family(None, projector_take, lambda takes, d, cfg: _pinching_maps(np.stack(projectors(takes)), cfg),
                        ("tp", "tni")),
-    "depolarizing": Family(depolarizing_map, lambda rng, d, cfg: depolarizing_map(d, float(rng.uniform(0.0, 1.0))),
+    "depolarizing": Family(depolarizing_map, lambda rng, d: float(rng.uniform(0.0, 1.0)), _depolarizing_maps,
                            ("tp", "tni", "contraction")),
-    "halving": Family(halving_map, lambda rng, d, cfg: _shared(halving_map, d), ("tni",)),
-    "counterexample": Family(counterexample_map, lambda rng, d, cfg: _shared(counterexample_map),
-                             ("tni", "trace_match")),
-    "damped_cptp": Family(damped_cptp, lambda rng, d, cfg: damped_cptp(
-        d, int(rng.integers(1, d)), float(rng.uniform(0.2, 0.9)), rng=rng), ("trace_match",)),
-    "truncation": Family(None, _draw_truncation, ("trace_match",)),
-    "identity": Family(identity_map, None),
-    "transpose": Family(transpose_map, None),
+    "halving": Family(halving_map, _take_nothing, _shared_maps(halving_map), ("tni",)),
+    "counterexample": Family(counterexample_map, _take_nothing,
+                             lambda takes, d, cfg: [_shared(counterexample_map)] * len(takes),
+                             ("tni", "trace_match"), dim=2),
+    "damped_cptp": Family(damped_cptp, _take_damped, _damped_maps, ("trace_match",)),
+    "truncation": Family(None, _take_truncation, _truncation_maps, ("trace_match",)),
+    "identity": Family(identity_map),
+    "transpose": Family(transpose_map),
 }
 
 

@@ -26,6 +26,7 @@ from .linalg import (
     DEFAULT_TOL,
     DomainError,
     ToleranceConfig,
+    _as_operator,
     _psd_matrix,
     _solve,
     hermitian_part,
@@ -240,22 +241,25 @@ def gamma_inverse(sigma, X, cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
 def weighted_p_norm(X, sigma, p: float, cfg: ToleranceConfig = DEFAULT_TOL):
     """Weighted norm ||sigma^{1/2p} X sigma^{1/2p}||_p; plain operator norm at p=inf.
 
-    sigma must be full rank (the weights are invertible there); at p = inf the
-    weights drop out and the value is the largest singular value of X. The
-    weight is computed once per validated sigma and p. X is a matrix, or an
-    (n, d, d) stack weighted by the one sigma, which gives a list of norms
-    from one SVD.
+    sigma must be full rank and of X's dimension (the weights are invertible
+    there), at every p; at p = inf the weights drop out and the value is the
+    largest singular value of X. The weight is computed once
+    per validated sigma and p. X is a matrix, or an (n, d, d) stack weighted
+    by the one sigma, which gives a list of norms from one SVD.
     """
-    if p == np.inf or p == math.inf:
-        return operator_norm(X)
     p = float(p)
     if p < 1.0:
         raise DomainError(f"weighted norm requires p >= 1, got {p}")
     sigma = _psd_matrix(sigma, cfg)
     if not (sigma.w.size and sigma.on.all()):
         raise DomainError("sigma is rank-deficient; restrict to its support before taking weighted norms")
+    X = _as_operator(X)
+    if X.shape[-1] != sigma.w.size:
+        raise DomainError(f"X of dimension {X.shape[-1]} cannot be weighted by sigma of dimension {sigma.w.size}")
+    if p == math.inf:
+        return operator_norm(X)
     root = sigma.power(1.0 / (2.0 * p))
-    return schatten_norm(root @ np.asarray(X, dtype=np.complex128) @ root, p)
+    return schatten_norm(root @ X @ root, p)
 
 
 def renyi_via_norm(rho, sigma, alpha: float, cfg: ToleranceConfig = DEFAULT_TOL) -> float:

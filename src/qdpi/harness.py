@@ -4,8 +4,12 @@ Each suite turns an inequality into deterministic pass/fail trials with a
 structured, serializable report. Determinism contract: identical (seed,
 parameters) produce bit-identical reports modulo runtime_ms. The one trial
 source, ``_seeded_trials``, checks a suite's inputs and gives each trial its
-own stream ``rng_for_trial(seed, t)`` and dimension, so any single trial can
-be replayed without running the ones before it.
+own stream, equal to ``rng_for_trial(seed, t)`` and derived in batches
+(``sampling.trial_streams``), and its dimension, so any single trial can be
+replayed without running the ones before it. Suites take each trial's draws
+from its stream and build a chunk of trials at once (``_chunks``): maps per
+family and d (``channels.Family``), states per shape, each with the bits of
+its trial drawn alone.
 
 Witnesses: ``_parts`` writes every one, ``_divergence(alpha, cfg)`` picks every
 divergence, and ``replay_witness`` recomputes a witness from its own fields.
@@ -32,6 +36,7 @@ separates conditioning artifacts near rank deficiency from real violations.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -43,6 +48,7 @@ from .linalg import (
     DEFAULT_TOL,
     DomainError,
     ToleranceConfig,
+    _dagger,
     _psd_matrix,
     _solve,
     as_matrix,
@@ -82,15 +88,17 @@ from .channels import (
 from .sampling import (
     density_of_factor,
     gaussian_factor,
+    gram_of_factor,
     phase_fixed_q,
+    projector_take,
+    projectors,
     random_complex_gaussian,
     random_density,
-    random_hermitian,
-    random_projector,
-    random_psd,
-    random_rank_deficient_density,
-    random_unit_vector,
+    rank_deficient_of_factor,
+    resumed_streams,
     rng_for_trial,
+    trial_streams,
+    unit_vectors,
 )
 from . import serialize
 from .serialize import SCHEMA_VERSION, decode_extended, encode_extended
@@ -459,22 +467,62 @@ class _Tally:
 TRIAL_CHUNK = 256
 
 
-def _in_chunks(draws, draw, key, evaluate):
+def _grouped(items, key, fn) -> list:
+    """fn(group) of each group of items with one key(item), as one list of results in the order of items.
+
+    fn gets a group's items in their order and returns one result per item.
+    """
+    groups = {}  # key -> places in items
+    for i, item in enumerate(items):
+        groups.setdefault(key(item), []).append(i)
+    results = [None] * len(items)
+    for places in groups.values():
+        for i, result in zip(places, fn([items[i] for i in places])):
+            results[i] = result
+    return results
+
+
+def _chunks(draws, take, build):
+    """Yield the built trials of each chunk of TRIAL_CHUNK trials of ``draws``, in trial order.
+
+    ``take(rng, d)`` reads each trial's draws from its stream, for each (rng, d)
+    of draws, and is done with rng before the next stream is taken;
+    ``build(taken)`` then builds the chunk's trials from their takes.
+    """
+    while taken := [take(rng, d) for rng, d in islice(draws, TRIAL_CHUNK)]:
+        yield build(taken)
+
+
+def _in_chunks(draws, take, build, key, evaluate):
     """Yield the result of each trial of ``draws``, in trial order, evaluated in groups.
 
-    Each chunk of TRIAL_CHUNK trials is drawn first, ``draw(rng, d)`` for each
-    (rng, d) of draws, then grouped by ``key(trial)``; ``evaluate(group)``
-    gives the results of a group's trials, in its order.
+    Each chunk of trials is taken and built (``_chunks``), then grouped by
+    ``key(trial)``; ``evaluate(group)`` gives the results of a group's trials,
+    in its order.
     """
-    while chunk := [draw(rng, d) for rng, d in islice(draws, TRIAL_CHUNK)]:
-        groups = {}  # key -> places in chunk
-        for i, trial in enumerate(chunk):
-            groups.setdefault(key(trial), []).append(i)
-        results = [None] * len(chunk)
-        for places in groups.values():
-            for i, result in zip(places, evaluate([chunk[i] for i in places])):
-                results[i] = result
-        yield from results
+    for trials in _chunks(draws, take, build):
+        yield from _grouped(trials, key, evaluate)
+
+
+def _build_maps(draws, cfg: ToleranceConfig) -> list:
+    """The map of each (family name, d, take) of draws: one ``Family.build`` per family and d."""
+    return _grouped(draws, lambda draw: draw[:2],
+                    lambda group: FAMILY_TABLE[group[0][0]].build([take for _, _, take in group], group[0][1], cfg))
+
+
+def _take_map(rng, d: int, name: str) -> tuple:
+    """(name, d, take) of a map of family name drawn at d, and the dimension its maps act on."""
+    family = FAMILY_TABLE[name]
+    return (name, d, family.take(rng, d)), family.dim or d
+
+
+def _densities(factors) -> list:
+    """The state of each (deficient, G) of factors: the unit-trace Wishart state of the Gaussian G, with its
+    smallest eigenvalue zeroed out exactly when deficient (``rank_deficient_of_factor``); one stacked
+    build per kind and shape of G."""
+    return _grouped(factors, lambda f: (f[0], f[1].shape),
+                    lambda group: (rank_deficient_of_factor if group[0][0] else density_of_factor)(
+                        np.stack([G for _, G in group])))
 
 
 def _pick(rng, options):
@@ -486,7 +534,9 @@ def _seeded_trials(seed: int, count: int, dims, first: int = 0):
     """(dims, draws) of a seeded suite, its inputs checked before any draw.
 
     draws yields (rng, d) for trial t = first, ..., first + count - 1: its own
-    stream rng = ``rng_for_trial(seed, t)`` and its dimension d, rng's first pick.
+    stream rng, whose draws equal ``rng_for_trial(seed, t)``'s
+    (``trial_streams``), and its dimension d, rng's first pick. rng is valid
+    until the next trial is taken.
     """
     dims = tuple(int(d) for d in dims)
     if not dims:
@@ -495,31 +545,29 @@ def _seeded_trials(seed: int, count: int, dims, first: int = 0):
         raise DomainError("suite dimensions must be >= 2")
     if count < 0 or seed < 0:
         raise DomainError(f"trial count and seed must be nonnegative, got {count} and {seed}")
-    streams = (rng_for_trial(seed, t) for t in range(first, first + count))
+    streams = trial_streams(seed, range(first, first + count))
     return dims, ((rng, _pick(rng, dims)) for rng in streams)
 
 
-def _sample_state_pair(rng, d: int):
+def _take_state_pair(rng, d: int) -> tuple:
+    """The (deficient, factor) of rho, then of sigma, of a random d x d state pair (``_densities``).
+
+    After a uniform u, two Gaussian factors are drawn: with u < 0.15 the
+    first is a rank-deficient sigma, with u < 0.30 a rank-deficient rho,
+    and otherwise both states are full rank, rho's drawn first.
+    """
     u = float(rng.random())
+    first, second = gaussian_factor(rng, d), gaussian_factor(rng, d)
     if u < 0.15:
-        sigma = random_rank_deficient_density(rng, d)
-        rho = random_density(rng, d)
-    elif u < 0.30:
-        rho = random_rank_deficient_density(rng, d)
-        sigma = random_density(rng, d)
-    else:
-        rho = random_density(rng, d)
-        sigma = random_density(rng, d)
-    return rho, sigma
+        return (False, second), (True, first)
+    return (u < 0.30, first), (False, second)
 
 
-def _sector_state(rng, B: np.ndarray) -> np.ndarray:
-    """Random density supported on the span of the orthonormal columns of B."""
-    r = B.shape[1]
-    G = random_complex_gaussian(rng, (r, r))
-    W = G @ G.conj().T
-    state = B @ W @ B.conj().T
-    return state / float(np.trace(state).real)
+def _sector_states(B: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """B (G G^dagger) B^dagger / its trace: of each (B, G) of a stack of orthonormal columns B and r x r
+    Gaussians G, a random density supported on the span of B."""
+    state = B @ gram_of_factor(G) @ _dagger(B)
+    return state / state.trace(axis1=-2, axis2=-1).real[..., None, None]
 
 
 # ---------------------------------------------------------------------------
@@ -564,19 +612,38 @@ def counterexample_suite(cfg: ToleranceConfig = DEFAULT_TOL) -> CheckReport:
     return tally.report()
 
 
-def _draw_dpi_trial(rng, d: int, mode: str, names, alphas, cfg: ToleranceConfig):
-    """(phi, rho, sigma, alpha) of one dpi trial, drawn from its stream rng after its dimension d."""
-    phi = FAMILY_TABLE[_pick(rng, names)].draw(rng, d, cfg)
-    d = phi.dim_in  # the counterexample map is 2x2 whatever d was drawn
+def _take_dpi_trial(rng, d: int, mode: str, names, alphas) -> tuple:
+    """(map, states, alpha) of what one dpi trial reads from its stream rng after its dimension d.
+
+    map is (family name, d, take) of the map's family pick and take. In tp
+    and tni mode, states is the state pair's take (``_take_state_pair``) at
+    the map's input dimension, and in tni mode alpha is the pick that
+    follows. In trace_match mode the states depend on the built map, so
+    states is the stream's state after the map's take (``_sector_trials``).
+    """
+    map_draw, d = _take_map(rng, d, _pick(rng, names))  # the counterexample map is 2x2 whatever d was drawn
     if mode == "trace_match":
-        rho = _sector_state(rng, trace_behavior(phi).sector())
-        if float(rng.random()) < 0.15:
-            sigma = random_rank_deficient_density(rng, d)
-        else:
-            sigma = random_density(rng, d)
-        return phi, rho, sigma, None
-    rho, sigma = _sample_state_pair(rng, d)
-    return phi, rho, sigma, _pick(rng, alphas) if mode == "tni" else None
+        return map_draw, rng.bit_generator.state, None
+    return map_draw, _take_state_pair(rng, d), _pick(rng, alphas) if mode == "tni" else None
+
+
+def _sector_trials(maps, streams) -> list:
+    """The (rho, sigma) of each trace_match trial, from its built map and its stream as the map's take left it.
+
+    The maps' Phi*(1) are solved first, in one stacked ``trace_behavior``.
+    Then each trial's stream is resumed to take an r x r Gaussian for rho in
+    the map's rank-r unit sector, a uniform u, and sigma's factor, rank-
+    deficient when u < 0.15. rho is built per (d, r) and sigma per kind.
+    """
+    sectors, rho_factors, sigma_factors = [], [], []
+    for behavior, rng in zip(trace_behavior(maps), resumed_streams(streams)):
+        B = behavior.sector()
+        sectors.append(B)
+        rho_factors.append(random_complex_gaussian(rng, (B.shape[1],) * 2))
+        sigma_factors.append((float(rng.random()) < 0.15, gaussian_factor(rng, len(B))))
+    rho = _grouped(list(zip(sectors, rho_factors)), lambda trial: trial[0].shape,
+                   lambda group: _sector_states(*map(np.stack, zip(*group))))
+    return list(zip(rho, _densities(sigma_factors)))
 
 
 def randomized_dpi_suite(
@@ -597,12 +664,15 @@ def randomized_dpi_suite(
     alphas given in another mode are a DomainError.
 
     Trials are drawn TRIAL_CHUNK at a time, each from its own
-    ``rng_for_trial(seed, t)`` stream (``_draw_dpi_trial``), then evaluated
-    in groups of one map dimension and alpha (``_monotonicity_values``) and
-    tallied in trial order. Each value carries the bits of evaluating its
-    trial alone, so any trial, and any stored failure, replays alone. The
-    fixed families' trials share their maps (``channels.FAMILY_TABLE``), and
-    a group's unsolved Phi*(1) are solved in one stacked eigh.
+    ``rng_for_trial(seed, t)`` stream (``_take_dpi_trial``). A chunk's maps
+    are built per family and d (``Family.build``) and its states per kind and
+    shape, in trace_match mode after the maps (``_sector_trials``). The
+    trials are evaluated in groups of one map dimension and alpha
+    (``_monotonicity_values``) and tallied in trial order. Each map, state
+    and value carries the bits of drawing and evaluating its trial alone, so
+    any trial, and any stored failure, replays alone. The fixed families'
+    trials share their maps (``channels.FAMILY_TABLE``), and a group's
+    unsolved Phi*(1) are solved in one stacked eigh.
     """
     if mode not in ("tp", "tni", "trace_match"):
         raise DomainError(f"unknown mode {mode!r}")
@@ -624,11 +694,21 @@ def randomized_dpi_suite(
     }
     tally = _Tally(f"dpi-{mode}", seed, config, cfg)
 
+    def build(taken):
+        map_draws, states, picked = zip(*taken)
+        maps = _build_maps(map_draws, cfg)
+        if mode == "trace_match":
+            pairs = _sector_trials(maps, states)
+        else:
+            built = iter(_densities([factor for pair in states for factor in pair]))
+            pairs = zip(built, built)
+        return [(phi, rho, sigma, alpha) for phi, (rho, sigma), alpha in zip(maps, pairs, picked)]
+
     def evaluate(group):
         maps, rho, sigma, (alpha, *_) = zip(*group)
         return zip(*_monotonicity_values(maps, np.stack(rho), np.stack(sigma), alpha, cfg))
 
-    results = _in_chunks(draws, lambda rng, d: _draw_dpi_trial(rng, d, mode, names, alphas, cfg),
+    results = _in_chunks(draws, lambda rng, d: _take_dpi_trial(rng, d, mode, names, alphas), build,
                          lambda trial: (trial[0].dim_in, trial[0].dim_out, trial[3]), evaluate)
     for lhs, rhs, parts in results:
         tally.add_monotonicity(lhs, rhs, parts, cfg.monotonicity_slack)
@@ -640,15 +720,37 @@ UNIT_IMAGE_TOLERANCE = 1e-9
 ADJOINT_UNIT_BOUND = 1.0 + 1e-10
 
 
+def _contraction_probes(seed: int, count: int, trials: int, d: int) -> np.ndarray:
+    """The (count, d, d) stack of probes j = 0, ..., count - 1, probe j drawn from its own stream
+    ``rng_for_trial(seed, j)``: at an even j mod trials the Hermitian part of a Gaussian, else |u><v| of two
+    random unit vectors, u drawn first. Each kind is built as one stack."""
+    hermitian = [j % trials % 2 == 0 for j in range(count)]
+    gaussians, us, vs = [], [], []
+    for is_hermitian, rng in zip(hermitian, trial_streams(seed, range(count))):
+        if is_hermitian:
+            gaussians.append(random_complex_gaussian(rng, (d, d)))
+        else:
+            us.append(random_complex_gaussian(rng, d))
+            vs.append(random_complex_gaussian(rng, d))
+    X = np.empty((count, d, d), dtype=np.complex128)
+    if gaussians:
+        G = np.stack(gaussians)
+        X[hermitian] = (G + _dagger(G)) / 2
+    if us:
+        u, v = unit_vectors(np.stack(us)), unit_vectors(np.stack(vs))
+        X[np.logical_not(hermitian)] = u[:, :, None] * v.conj()[:, None, :]
+    return X
+
+
 def _contraction_checks(tally: _Tally, sigma, phi: SuperOperator, alphas, trials: int, seed: int,
                         cfg: ToleranceConfig) -> None:
     """Add the norm-contraction checks of one (sigma, Phi) instance to ``tally``: for ``trials`` probes X
     per alpha, ||Psi(X)||_{alpha,Phi(sigma)} <= RATIO_BOUND ||X||_{alpha,sigma} with Psi = Gamma^{-1}_{Phi(sigma)}
     o Phi o Gamma_sigma; then Psi(1) = 1 within UNIT_IMAGE_TOLERANCE and ||Phi*(1)||_inf <= ADJOINT_UNIT_BOUND.
 
-    Probe t of the alpha at index a is drawn from its own stream ``rng_for_trial(seed, a * trials + t)``. An
-    alpha's probes are evaluated as one stack (one apply of Psi, one stacked weighted norm per side), each
-    ratio with the bits of its probe evaluated alone."""
+    Probe t of the alpha at index a is drawn from its own stream ``rng_for_trial(seed, a * trials + t)``
+    (``_contraction_probes``). An alpha's probes are evaluated as one stack (one apply of Psi, one stacked
+    weighted norm per side), each ratio with the bits of its probe evaluated alone."""
     if not phi.certificate.is_positive:
         raise DomainError("norm contraction needs a certified positive map")
     if not trace_behavior(phi).is_nonincreasing:
@@ -666,14 +768,9 @@ def _contraction_checks(tally: _Tally, sigma, phi: SuperOperator, alphas, trials
 
     # sigma and Phi(sigma) are validated values, so each weight sigma^{1/2alpha}
     # is computed once per alpha, not once per probe
+    probes = _contraction_probes(seed, len(alphas) * trials, trials, d)
     for ai, alpha in enumerate(alphas):
-        X = np.empty((trials, d, d), dtype=np.complex128)
-        for t in range(trials):
-            rng = rng_for_trial(seed, ai * trials + t)
-            if t % 2 == 0:
-                X[t] = random_hermitian(rng, d)
-            else:
-                X[t] = np.outer(random_unit_vector(rng, d), random_unit_vector(rng, d).conj())
+        X = probes[ai * trials : (ai + 1) * trials]
         dens = weighted_p_norm(X, sigma, alpha, cfg)
         nums = weighted_p_norm(psi.apply(X), sigma_prime, alpha, cfg)
         for probe, den, num in zip(X, dens, nums):
@@ -707,9 +804,11 @@ def contraction_battery(
     Instance i draws its map from family i mod n of the n "contraction"
     families in table order (random CPTP, positive non-CP, depolarizing), so
     from n instances on the lemma is sampled on every one, beyond the CP
-    cone; then a full-rank sigma and the seed of its probes. Each alpha's
-    probes are evaluated as one stack (``_contraction_checks``), so an
-    instance costs a fixed number of solver calls at any probe count.
+    cone; then a full-rank sigma and the seed of its probes. The instances
+    of a chunk of TRIAL_CHUNK are built together: their maps per family and
+    d, their sigmas as one stack. Each alpha's probes are evaluated as one
+    stack (``_contraction_checks``), so an instance costs a fixed number of
+    solver calls at any probe count.
     """
     names = families("contraction")
     dims, draws = _seeded_trials(seed, instances, dims, first=1_000_000)
@@ -727,11 +826,19 @@ def contraction_battery(
         "seed": int(seed),
     }
     tally = _Tally("norm-contraction", seed, config, cfg)
-    for i, (rng, d) in enumerate(draws):
-        phi = FAMILY_TABLE[names[i % len(names)]].draw(rng, d, cfg)
-        sigma = random_density(rng, phi.dim_in)
-        sub_seed = int(rng.integers(0, 2**31))
-        _contraction_checks(tally, sigma, phi, alphas, trials, sub_seed, cfg)
+    picks = itertools.cycle(names)  # instance i draws from family i mod len(names)
+
+    def take(rng, d):
+        map_draw, d = _take_map(rng, d, next(picks))
+        return map_draw, (False, gaussian_factor(rng, d)), int(rng.integers(0, 2**31))
+
+    def build(taken):
+        map_draws, sigma_factors, sub_seeds = zip(*taken)
+        return zip(_build_maps(map_draws, cfg), _densities(sigma_factors), sub_seeds)
+
+    for instances in _chunks(draws, take, build):
+        for phi, sigma, sub_seed in instances:
+            _contraction_checks(tally, sigma, phi, alphas, trials, sub_seed, cfg)
     return tally.report()
 
 
@@ -788,27 +895,27 @@ def step2_suite(
     parts = _parts(phi, rho, sigma, None)
 
     image_w, image_V = _solve(np.linalg.eigh, hermitian_part(phi.apply(rho)))
-    projectors = []
+    truncations = []
     for n in n_sequence:
         P = _descending_projector(rho.w, rho.V, n, d)
         commutator = operator_norm(P @ rho.matrix - rho.matrix @ P)
         if commutator > 1e-9:
             raise DomainError(f"P_{n} does not commute with rho (defect {commutator:.3e})")
         P_prime = _descending_projector(image_w, image_V, n, d)
-        projectors.append((n, P, truncation_parts(phi, P, P_prime, cfg)))
+        truncations.append((n, P, truncation_parts(phi, P, P_prime, cfg)))
 
     # Phi_n(A) = kept(A) + tr[A W] tau is never formed as a map; witnesses stay probe-major
     for A in (rho.matrix, sigma.matrix, random_density(rng_for_trial(seed, 0), d)):
         image = phi.apply(A)
         residuals = [trace_norm(kept.apply(A) + np.sum(A * W.T) * tau - image)
-                     for _, _, (kept, W, tau) in projectors]
+                     for _, _, (kept, W, tau) in truncations]
         for k in range(len(residuals) - 1):
             bound = residuals[k] + STEP2_RESIDUAL_TOLERANCE
             tally.add(bound, residuals[k + 1], residuals[k + 1] <= bound, parts)
         tally.add(STEP2_RESIDUAL_TOLERANCE, residuals[-1], residuals[-1] <= STEP2_RESIDUAL_TOLERANCE, parts)
 
     base_divergence = relative_entropy(rho, sigma, cfg)
-    for n, P, _ in projectors:
+    for n, P, _ in truncations:
         P_perp = np.eye(d) - P
         rho_out = psd(hermitian_part(P_perp @ rho.matrix @ P_perp), cfg)
         sigma_out = psd(hermitian_part(P_perp @ sigma.matrix @ P_perp), cfg)
@@ -857,30 +964,36 @@ def step2_battery(
     return step2_suite(n_sequence, phi, rho, sigma, seed, cfg)
 
 
-def _draw_auxiliary_trial(rng, d: int, names, cfg: ToleranceConfig):
-    """(sigma, P, rho, A, B, sigma_small, inner, psi) of one auxiliary trial, drawn in that order from
-    its stream rng after its dimension d; psi is of one of the families names."""
-    sigma = random_density(rng, d)
-    P = random_projector(rng, d, int(rng.integers(1, d)))
-    rho = random_density(rng, d)
-    A = random_psd(rng, d)
-    B = random_psd(rng, d)
-    sigma_small = random_density(rng, d, rank=int(rng.integers(1, d + 1)))
-    inner = random_density(rng, d)
-    return sigma, P, rho, A, B, sigma_small, inner, FAMILY_TABLE[_pick(rng, names)].draw(rng, d, cfg)
+def _take_auxiliary_trial(rng, d: int, names) -> tuple:
+    """What one auxiliary trial reads from its stream rng after its dimension d, in order: the Gaussian
+    factors of sigma, P (after its rank in [1, d)), rho, A, B, sigma_small (after its rank in [1, d])
+    and inner, then the pick of its map's family among names and the map's take."""
+    sigma = gaussian_factor(rng, d)
+    P = projector_take(rng, d)
+    rho, A, B = gaussian_factor(rng, d), gaussian_factor(rng, d), gaussian_factor(rng, d)
+    sigma_small = gaussian_factor(rng, d, int(rng.integers(1, d + 1)))
+    inner = gaussian_factor(rng, d)
+    return sigma, P, rho, A, B, sigma_small, inner, _take_map(rng, d, _pick(rng, names))[0]
 
 
 def _auxiliary_values(group, cfg: ToleranceConfig, relaxed: ToleranceConfig):
-    """(margin, passed, rho, sigma) of each auxiliary trial of a group of one dimension, in its order.
+    """(margin, passed, rho, sigma) of each taken auxiliary trial of a group of one dimension, in its order.
 
-    Checks (a)-(c) are evaluated as stacks, the pinching as a two-Kraus
+    The group is built as stacks: its full-rank states by one Wishart
+    normalisation, sigma_small per rank, P by one stacked QR, A and B as
+    G G^dagger, and its maps per family (``_build_maps``). Checks (a)-(c)
+    are evaluated as stacks, the pinching as a two-Kraus
     ``apply_kraus_stack``; check (d) applies each trial's own map alone and
     tests the images' supports as one stack. Every value carries the bits of
-    its trial evaluated alone.
+    its trial drawn and evaluated alone.
     """
-    *drawn, maps = zip(*group)
-    sigma, P, rho, A, B, sigma_small, inner = map(np.stack, drawn)
-    P = require_projector(P, cfg)
+    sigma, P, rho, A, B, sigma_small, inner, map_draws = zip(*group)
+    sigma, rho, inner = np.split(density_of_factor(np.stack(sigma + rho + inner)), 3)
+    sigma_small = np.stack(_densities([(False, G) for G in sigma_small]))
+    A, B = np.split(gram_of_factor(np.stack(A + B)), 2)
+    P = require_projector(np.stack(projectors(P)), cfg)
+    maps = _build_maps(map_draws, cfg)
+
     pinch = [P, np.eye(P.shape[-1]) - P]
     pinched_sigma = psd(hermitian_part(apply_kraus_stack(pinch, sigma)), cfg)
     concavity = min_eigenvalue(
@@ -899,7 +1012,7 @@ def _auxiliary_values(group, cfg: ToleranceConfig, relaxed: ToleranceConfig):
     contained = support_contained(*images, relaxed)
 
     results = []
-    for trial, c, pe, e, g, ok_d in zip(group, concavity, pinched_entropy, entropy, gaps, contained):
+    for rho_k, sigma_k, c, pe, e, g, ok_d in zip(rho, sigma, concavity, pinched_entropy, entropy, gaps, contained):
         jump = pe - e
         margin = min(
             c + STEP2_INEQUALITY_TOLERANCE,
@@ -908,7 +1021,7 @@ def _auxiliary_values(group, cfg: ToleranceConfig, relaxed: ToleranceConfig):
             1.0 if ok_d else -1.0,
         )
         passed = c >= -STEP2_INEQUALITY_TOLERANCE and jump >= -1e-9 and g >= -1e-9 and ok_d
-        results.append((margin, passed, trial[2], trial[0]))  # the trial's rho and sigma
+        results.append((margin, passed, rho_k, sigma_k))
     return results
 
 
@@ -927,9 +1040,10 @@ def auxiliary_inequality_suite(
     to (c), the Klein gap; (d) allows SUPPORT_INCLUSION_TOLERANCE instead.
 
     Trials are drawn TRIAL_CHUNK at a time, each from its own
-    ``rng_for_trial(seed, t)`` stream (``_draw_auxiliary_trial``), then
-    evaluated in groups of one dimension (``_auxiliary_values``) and tallied
-    in trial order, each value with the bits of its trial evaluated alone.
+    ``rng_for_trial(seed, t)`` stream (``_take_auxiliary_trial``), then
+    built and evaluated as stacks in groups of one dimension
+    (``_auxiliary_values``) and tallied in trial order, each value with the
+    bits of its trial drawn and evaluated alone.
     """
     dims, draws = _seeded_trials(seed, trials, dims)
     relaxed = dataclasses.replace(cfg, containment_tolerance=SUPPORT_INCLUSION_TOLERANCE)
@@ -940,7 +1054,7 @@ def auxiliary_inequality_suite(
     }
     tally = _Tally("auxiliary", seed, config, cfg)
     names = families("support")
-    results = _in_chunks(draws, lambda rng, d: _draw_auxiliary_trial(rng, d, names, cfg),
+    results = _in_chunks(draws, lambda rng, d: _take_auxiliary_trial(rng, d, names), lambda taken: taken,
                          lambda trial: trial[0].shape[0], lambda group: _auxiliary_values(group, cfg, relaxed))
     for t, (margin, passed, rho, sigma) in enumerate(results):
         tally.add(margin, 0.0, passed,
@@ -1047,7 +1161,7 @@ def _violation_trials(alpha: float, draws, cfg: ToleranceConfig):
 
     # a trial is (d, isometry Gaussian, rho factor, sigma factor)
     return _in_chunks(draws, lambda rng, d: (d, cptp_draw(rng, d), gaussian_factor(rng, d), gaussian_factor(rng, d)),
-                      lambda trial: trial[0], evaluate)
+                      lambda taken: taken, lambda trial: trial[0], evaluate)
 
 
 def _climb(alpha: float, lhs, rhs, V: np.ndarray, rho, sigma, steps: int, rng, cfg: ToleranceConfig):

@@ -13,6 +13,7 @@ from qdpi.channels import (
     _INTEGER_PARAMS,
     _REAL_PARAMS,
     FAMILY_TABLE,
+    PositivityCertificate,
     SuperOperator,
     TraceBehavior,
     adjoint,
@@ -84,6 +85,16 @@ def test_transpose_choi_is_swap_with_negative_eigenvalue():
             swap[i * d + j, j * d + i] = 1.0
     assert np.allclose(C, swap, atol=1e-12)
     assert min_eigenvalue(C) == pytest.approx(-1.0, abs=1e-12)
+
+
+def test_transpose_map_matrix_is_the_swap_of_vec_entries():
+    # the one-entry-at-a-time fill, at dimensions where the transpose is not a symmetric relabelling
+    for d in (1, 3, 5):
+        M = np.zeros((d * d, d * d))
+        for i in range(d):
+            for j in range(d):
+                M[i + d * j, j + d * i] = 1.0
+        assert np.array_equal(transpose_map(d).matrix, M)
 
 
 def test_reduction_map_values_and_choi():
@@ -528,7 +539,7 @@ def test_every_suite_role_has_a_family(role):
     assert families(role)
 
 
-@pytest.mark.parametrize("family", [name for name, entry in FAMILY_TABLE.items() if entry.draw is not None])
+@pytest.mark.parametrize("family", [name for name, entry in FAMILY_TABLE.items() if entry.take is not None])
 def test_drawn_families_fill_their_roles(family):
     entry = FAMILY_TABLE[family]
     assert entry.roles
@@ -841,3 +852,58 @@ def test_apply_kraus_stack_equals_apply_of_each_map():
         apply_kraus_stack(kraus_blocks(V, d), bad)
     with pytest.raises(DomainError, match="input dimension"):
         apply_kraus_stack(kraus_blocks(V, d), X[:, :2, :2])
+
+
+def _draw_alone(name, rng, d, cfg=DEFAULT_TOL):
+    """The map of family name drawn from rng by one-map constructions, in the order the family's take reads:
+    the reference that each stacked build must match bit for bit."""
+    if name == "random_cptp":
+        return from_isometry(phase_fixed_q(cptp_draw(rng, d)), d)
+    if name == "random_positive_noncp":
+        transpose_first = bool(rng.integers(2))
+        cptp = from_isometry(phase_fixed_q(cptp_draw(rng, d)), d)
+        T = transpose_map(d)
+        cert = PositivityCertificate("positive_by_construction", reason="transpose composed with a CPTP map")
+        return from_matrix(compose(cptp, T).matrix if transpose_first else compose(T, cptp).matrix, certificate=cert)
+    if name == "pinching":
+        return pinching_map(random_projector(rng, d, int(rng.integers(1, d))), cfg)
+    if name == "depolarizing":
+        lam, v = float(rng.uniform(0.0, 1.0)), np.eye(d, dtype=complex).flatten(order="F")
+        cert = PositivityCertificate("completely_positive", reason=f"depolarizing, choi min eigenvalue {(1.0 - lam) / d:.3e}")
+        return from_matrix(lam * np.eye(d * d) + ((1.0 - lam) / d) * np.outer(v, v), certificate=cert,
+                           descriptor={"family": "depolarizing", "params": {"d": d, "lam": lam}})
+    if name == "damped_cptp":
+        rank, mu = int(rng.integers(1, d)), float(rng.uniform(0.2, 0.9))
+        Q = random_projector(rng, d, rank)
+        W = Q + np.sqrt(mu) * (np.eye(d) - Q)
+        return from_kraus([K @ W for K in from_isometry(phase_fixed_q(cptp_draw(rng, d)), d).kraus])
+    if name == "truncation":
+        base = from_isometry(phase_fixed_q(cptp_draw(rng, d)), d)
+        P, P_prime = (random_projector(rng, d, int(rng.integers(1, d + 1))) for _ in range(2))
+        return truncation_map(base, P, P_prime, cfg)
+    if name == "counterexample":
+        return counterexample_map()
+    return {"reduction": reduction_map, "halving": halving_map}[name](d)
+
+
+def _map_fields(phi):
+    kraus = None if phi.kraus is None else [K.tobytes() for K in phi.kraus]
+    cert = phi.certificate
+    return phi.matrix.tobytes(), kraus, (cert.tag, cert.reason), phi.descriptor
+
+
+@pytest.mark.parametrize("name", [name for name, entry in FAMILY_TABLE.items() if entry.take is not None])
+def test_family_builds_equal_one_trial_draws(name):
+    # a build of many takes gives each map the bits, certificate and descriptor of its draw alone
+    family = FAMILY_TABLE[name]
+    for d in (2, 3, 4, 5, 6):
+        streams = [rng_for_trial(216, 10 * d + t) for t in range(7)]
+        built = family.build([family.take(rng, d) for rng in streams], d, DEFAULT_TOL)
+        assert len(built) == len(streams)
+        for t, phi in enumerate(built):
+            drawn = family.draw(rng_for_trial(216, 10 * d + t), d, DEFAULT_TOL)
+            alone = rng_for_trial(216, 10 * d + t)
+            reference = _draw_alone(name, alone, d)
+            assert _map_fields(phi) == _map_fields(drawn) == _map_fields(reference), (d, t)
+            assert streams[t].bit_generator.state == alone.bit_generator.state  # the take read what the draw reads
+            assert phi.dim_in == (family.dim or d)

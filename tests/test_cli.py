@@ -366,9 +366,9 @@ def test_dpi_trial_domain_error_is_precondition_error(monkeypatch, tmp_path, cap
     # reduction maps drawn with no positivity certificate: at seed 5 the first
     # is trial 7 (tp) or 13 (tni) of the first chunk, and fails the preconditions of its group
     family = channels.FAMILY_TABLE["reduction"]
-    draw = family.draw
+    build = family.build
     monkeypatch.setitem(channels.FAMILY_TABLE, "reduction", dataclasses.replace(
-        family, draw=lambda rng, d, cfg: from_matrix(draw(rng, d, cfg).matrix)))
+        family, build=lambda takes, d, cfg: [from_matrix(phi.matrix) for phi in build(takes, d, cfg)]))
     out = tmp_path / "report.json"
     argv = ["suite", "dpi", "--mode", mode, "--dims", "2,3", "--trials", "40", "--seed", "5", "--out", str(out)]
     assert main(argv) == EXIT_PRECONDITION_ERROR
@@ -387,7 +387,7 @@ def test_contraction_map_outside_the_lemma_is_precondition_error(monkeypatch, tm
     # instance 0 draws the contraction role's first family
     name = channels.families("contraction")[0]
     monkeypatch.setitem(channels.FAMILY_TABLE, name, dataclasses.replace(
-        channels.FAMILY_TABLE[name], draw=lambda rng, d, cfg: draw(d)))
+        channels.FAMILY_TABLE[name], build=lambda takes, d, cfg: [draw(d) for _ in takes]))
     out = tmp_path / "report.json"
     argv = ["suite", "contraction", "--instances", "3", "--trials", "2", "--out", str(out)]
     assert main(argv) == EXIT_PRECONDITION_ERROR

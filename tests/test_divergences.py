@@ -291,6 +291,18 @@ def test_weighted_norm_requires_full_rank_sigma():
         weighted_p_norm(np.eye(2), np.diag([1.0, 0.0]), 2.0)
 
 
+@pytest.mark.parametrize("p", [2.0, math.inf])
+@pytest.mark.parametrize("sigma, message", [
+    (np.diag([1.0, -5.0]), "not PSD"),
+    (np.zeros((3, 3)), "rank-deficient"),
+    (np.eye(3) / 3.0, "dimension 2 cannot be weighted by sigma of dimension 3"),
+], ids=["not-psd", "zero", "other-dimension"])
+def test_weighted_norm_validates_sigma_at_every_p(sigma, message, p):
+    # p = inf drops the weights from the value, not sigma's checks
+    with pytest.raises(DomainError, match=message):
+        weighted_p_norm(np.eye(2), sigma, p)
+
+
 def test_weighted_norm_rejects_non_finite_input():
     X = np.array([[np.nan, 0.0], [0.0, 1.0]])
     for p in (2.0, math.inf):

@@ -58,8 +58,6 @@ from qdpi.divergences import (
 )
 from qdpi.harness import (
     _gap_of,
-    _sample_state_pair,
-    _sector_state,
     _seeded_trials,
     _violation_trials,
 )
@@ -469,6 +467,31 @@ def test_pick_draws_what_choice_draws(options):
         assert a.bit_generator.state == b.bit_generator.state
 
 
+def _sample_state_pair(rng, d):
+    """A tp or tni trial's state pair drawn alone, the reference for the suite's stacked build: after a
+    uniform u, a rank-deficient sigma (u < 0.15) or rho (u < 0.30) first, else rho first."""
+    u = float(rng.random())
+    if u < 0.15:
+        sigma = random_rank_deficient_density(rng, d)
+        rho = random_density(rng, d)
+    elif u < 0.30:
+        rho = random_rank_deficient_density(rng, d)
+        sigma = random_density(rng, d)
+    else:
+        rho = random_density(rng, d)
+        sigma = random_density(rng, d)
+    return rho, sigma
+
+
+def _sector_state(rng, B):
+    """A trace_match trial's rho drawn alone, the reference for the suite's stacked build: the Wishart
+    state of an r x r Gaussian carried onto the span of B's r orthonormal columns."""
+    r = B.shape[1]
+    G = random_complex_gaussian(rng, (r, r))
+    state = B @ (G @ G.conj().T) @ B.conj().T
+    return state / float(np.trace(state).real)
+
+
 def test_state_sampler_hits_rank_deficient_branches():
     deficient = 0
     total = 400
@@ -501,8 +524,11 @@ def test_norm_contraction_suite_requires_full_rank_sigma():
 def test_norm_contraction_suite_requires_tni_map(monkeypatch):
     # instance 0 draws the contraction role's first family; this one is certified CP, with Phi*(1) = 2
     name = channels.families("contraction")[0]
-    monkeypatch.setitem(channels.FAMILY_TABLE, name, dataclasses.replace(
-        channels.FAMILY_TABLE[name], draw=lambda rng, d, cfg: from_kraus([np.eye(d) * math.sqrt(2.0)])))
+
+    def doubling(takes, d, cfg):
+        return [from_kraus([np.eye(d) * math.sqrt(2.0)]) for _ in takes]
+
+    monkeypatch.setitem(channels.FAMILY_TABLE, name, dataclasses.replace(channels.FAMILY_TABLE[name], build=doubling))
     with pytest.raises(DomainError, match="trace-nonincreasing"):
         contraction_battery(instances=1, trials=2)
 
@@ -513,11 +539,11 @@ def test_contraction_battery_draws_its_role_families_in_table_order(monkeypatch)
     for name in names:
         family = channels.FAMILY_TABLE[name]
 
-        def draw(rng, d, cfg, name=name, family=family):
+        def take(rng, d, name=name, family=family):
             drawn.append(name)
-            return family.draw(rng, d, cfg)
+            return family.take(rng, d)
 
-        monkeypatch.setitem(channels.FAMILY_TABLE, name, dataclasses.replace(family, draw=draw))
+        monkeypatch.setitem(channels.FAMILY_TABLE, name, dataclasses.replace(family, take=take))
     r = contraction_battery(instances=3, dims=(3,), trials=4)
     assert drawn == list(names)
     assert r.config["families"] == list(names)
@@ -1081,7 +1107,7 @@ def test_a_dpi_group_sharing_a_seedless_map_solves_its_adjoint_unit_once(solver_
 # one round of the battery workload's suites at seed 0 (d = 2..6 one at a time),
 # with the solver calls (eigh + eigvalsh + svd) each may make in it
 BATTERY_ROUND = {
-    "dpi": (974, lambda d: [randomized_dpi_suite("tp", dims=(d,), trials=60),
+    "dpi": (430, lambda d: [randomized_dpi_suite("tp", dims=(d,), trials=60),
                             randomized_dpi_suite("tni", dims=(d,), trials=60),
                             randomized_dpi_suite("trace_match", dims=(d,), trials=30)]),
     "contraction": (150, lambda d: [contraction_battery(instances=3, dims=(d,), trials=20)]),
@@ -1095,3 +1121,17 @@ def test_battery_round_solver_calls(solver_calls, suite):
     for d in (2, 3, 4, 5, 6):
         assert all(report.passed for report in run(d))
     assert len(solver_calls) <= budget
+
+
+def test_battery_round_draw_counts(monkeypatch):
+    # a round's draws take their streams in batches and build in stacks: its QRs and default_rng
+    # constructions are counted, which no machine changes
+    calls = []
+    for name, module in (("qr", np.linalg), ("default_rng", np.random)):
+        original = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, _name=name, _original=original, **kwargs:
+                            calls.append(_name) or _original(*args, **kwargs))
+    for _, run in BATTERY_ROUND.values():
+        for d in (2, 3, 4, 5, 6):
+            run(d)
+    assert (calls.count("qr"), calls.count("default_rng")) == (75, 0)
