@@ -15,7 +15,7 @@ alpha = 2. For each command it prints one line: the exit code, the sha256
 of the canonical report with `runtime_ms` set to 0 ("-" when the command
 wrote no report), and the command, `check-map <map name>` or
 `compute <pair name> <family> [alpha]`. Each suite report is read back
-through `qdpi.harness.report_from_dict` before it is digested; a report
+through `qdpi.serialize.report_from_dict` before it is digested; a report
 that the reader rejects stops the script with one line on stderr that
 names the command, and exit code 2.
 Two checkouts whose reports agree byte for byte, apart from `runtime_ms`,
@@ -37,7 +37,7 @@ import tempfile
 
 import numpy as np
 
-from qdpi import cli, harness, serialize
+from qdpi import cli, serialize
 from qdpi.channels import (
     damped_cptp,
     depolarizing_map,
@@ -173,7 +173,7 @@ def digest(argv: list, out: pathlib.Path) -> tuple[int, str]:
         return code, "-"
     report = serialize.load_json(out)
     if argv[0] == "suite":
-        harness.report_from_dict(report)
+        serialize.report_from_dict(report)
     if "runtime_ms" in report:
         report["runtime_ms"] = 0
     return code, hashlib.sha256(serialize.canonical_json(report).encode("ascii")).hexdigest()

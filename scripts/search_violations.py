@@ -6,7 +6,7 @@ plus hill climb), which prints its summary line and writes its report to
 ``<out-dir>/violation_alpha_<alpha>.json``. For each witness found, the
 script also prints the gap the witness has at alpha = 2, where the sandwiched
 divergence is monotone. A report's ``best_witness`` loads with
-`qdpi.harness.report_from_dict` and re-evaluates with
+`qdpi.serialize.report_from_dict` and re-evaluates with
 `qdpi.harness.replay_witness`, which reads only the witness: the alpha = 2
 gap is the replay of ``dataclasses.replace(w, alpha=2.0)``.
 
@@ -46,7 +46,7 @@ def main() -> int:
                          "--seed", str(args.seed), "--out", str(path)])
         if code not in (cli.EXIT_PASS, cli.EXIT_SUITE_FAILURE):
             return code
-        w = harness.report_from_dict(serialize.load_json(path)).best_witness
+        w = serialize.report_from_dict(serialize.load_json(path)).best_witness
         if w is not None:
             found_any = True
             check = harness.replay_witness(dataclasses.replace(w, alpha=2.0))

@@ -2,7 +2,7 @@
 
 Layers: linalg (validated primitives), divergences (relative entropy and
 Renyi families), channels (superoperators with positivity certificates),
-serialize (canonical JSON), harness (seeded verification suites), cli.
+serialize (every file format), harness (seeded verification suites), cli.
 """
 
 from .linalg import (
@@ -55,19 +55,23 @@ from .channels import (
     truncation_map,
 )
 from .serialize import (
+    CheckReport,
     FormatError,
     SCHEMA_VERSION,
+    Witness,
     canonical_json,
     channel_from_dict,
     channel_to_dict,
     load_json,
     matrix_from_dict,
     matrix_to_dict,
+    report_from_dict,
+    report_to_dict,
     save_json,
+    witness_from_dict,
+    witness_to_dict,
 )
 from .harness import (
-    CheckReport,
-    Witness,
     alpha_limit_battery,
     alpha_limit_suite,
     auxiliary_inequality_suite,
@@ -76,14 +80,10 @@ from .harness import (
     monotonicity_check,
     randomized_dpi_suite,
     replay_witness,
-    report_from_dict,
-    report_to_dict,
     sample_state_pairs,
     step2_battery,
     step2_suite,
     violation_search,
-    witness_from_dict,
-    witness_to_dict,
 )
 from .sampling import rng_for_trial
 

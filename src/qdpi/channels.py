@@ -886,6 +886,8 @@ def families(role: str) -> tuple:
 
 _INTEGER_PARAMS = ("d", "d_out", "kraus_rank", "rank")
 _REAL_PARAMS = ("lam", "mu")
+# the largest d whose d^2 x d^2 complex128 matrix numpy can index: 16 d^4 bytes within intp
+MAX_DIM = math.isqrt(math.isqrt(np.iinfo(np.intp).max // 16))
 
 
 def _is_number(value, types) -> bool:
@@ -898,10 +900,11 @@ def construct(family: str, params: dict | None = None, seed=None) -> SuperOperat
     The family is a ``FAMILY_TABLE`` entry with a recipe constructor; pinching
     and truncation take operators, so a recipe naming them, like a name
     outside the table, is an unknown family. Recipes come from files, so each
-    parameter and the seed are type-checked, then bound to the constructor's
-    keyword arguments: a parameter the family lacks, a missing one, or a seed
-    for a seedless family is an error. A new family is two edits: its table
-    entry, and each new parameter name in ``_INTEGER_PARAMS`` or ``_REAL_PARAMS``.
+    parameter (a size at most MAX_DIM) and the seed are checked, then bound to
+    the constructor's keyword arguments: a parameter the family lacks, a missing
+    one, or a seed for a seedless family is an error. A new family is two edits:
+    its table entry, and each new parameter name in ``_INTEGER_PARAMS`` or
+    ``_REAL_PARAMS``.
     """
     fn = FAMILY_TABLE[family].constructor if isinstance(family, str) and family in FAMILY_TABLE else None
     if fn is None:
@@ -914,6 +917,8 @@ def construct(family: str, params: dict | None = None, seed=None) -> SuperOperat
             raise DomainError(f"unknown map parameter {key!r}")
         if key in _INTEGER_PARAMS and not (_is_number(value, (int, np.integer)) and value >= 1):
             raise DomainError(f"{key} must be a positive integer, got {value!r}")
+        if key in _INTEGER_PARAMS and value > MAX_DIM:
+            raise DomainError(f"{key} must be at most {MAX_DIM}, got {value!r}")
         if key in _REAL_PARAMS and not _is_number(value, (int, float, np.integer, np.floating)):
             raise DomainError(f"{key} must be a real number, got {value!r}")
     if seed is not None and not (_is_number(seed, (int, np.integer)) and seed >= 0):

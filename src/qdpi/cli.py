@@ -1,11 +1,11 @@
 """Command line front end: divergence evaluation, map vetting, suite runs.
 
 Exit codes: 0 success (or suite pass), 1 suite failure, 2 input or format
-error, 3 precondition (domain) error, 4 internal numerical error (an
-eigensolver that did not converge, or a witness that did not replay to its
-stored gap). Each error prints one line on stderr. Reports are canonical
-JSON, so a rerun with the same seed and parameters is byte-identical modulo
-runtime_ms.
+error (or an input too large for memory), 3 precondition (domain) error, 4
+internal numerical error (an eigensolver that did not converge, or a witness
+that did not replay to its stored gap). Each error prints one line on stderr.
+Reports are canonical JSON; the file formats are serialize's, and a rerun
+with the same seed and parameters is byte-identical modulo runtime_ms.
 """
 
 from __future__ import annotations
@@ -92,31 +92,16 @@ def _single(values: tuple, flag: str, name: str):
     return values[0]
 
 
-def _load_json(path: str):
-    try:
-        return serialize.load_json(path)
-    except OSError as exc:
-        raise FormatError(f"cannot read {path}: {exc}") from exc
-
-
 def _load_matrix(path: str, cfg: ToleranceConfig):
     # the validated value, so each operator is diagonalized once
-    _, value = serialize.matrix_from_dict(_load_json(path), cfg)
+    _, value = serialize.matrix_from_dict(serialize.load_json(path), cfg)
     return value
 
 
-def _save(path: str, payload: dict) -> None:
-    try:
-        serialize.save_json(path, payload)
-    except OSError as exc:
-        raise FormatError(f"cannot write {path}: {exc}") from exc
-
-
 def _emit(payload: dict, out: str | None) -> None:
-    text = serialize.canonical_json(payload)
-    print(text)
+    print(serialize.canonical_json(payload))
     if out:
-        _save(out, payload)
+        serialize.save_json(out, payload)
 
 
 def _cmd_compute(args) -> int:
@@ -133,44 +118,25 @@ def _cmd_compute(args) -> int:
             raise DomainError(f"the {family} family requires --alpha")
         fn = sandwiched_renyi if family == "sandwiched" else old_renyi
         value = fn(rho, sigma, float(args.alpha), cfg)
-    payload = {
-        "schema_version": serialize.SCHEMA_VERSION,
-        "family": family,
-        "alpha": None if args.alpha is None else float(args.alpha),
-        "value": serialize.encode_extended(value),
-    }
-    _emit(payload, args.out)
+    _emit(serialize.divergence_to_dict(family, args.alpha, value), args.out)
     return EXIT_PASS
 
 
 def _cmd_check_map(args) -> int:
     _require_nonnegative(args, "samples", "seed")
     cfg = _config_from_args(args)
-    phi = serialize.channel_from_dict(_load_json(args.map), cfg)
+    phi = serialize.channel_from_dict(serialize.load_json(args.map), cfg)
     cert = classify(phi, cfg, sample_count=args.samples, seed=args.seed)
     behavior = trace_behavior(phi)
     if cert.choi_min is None:
         raise DomainError("the Choi matrix is not Hermitian")
-    # the spectrum of Phi*(1) gives both the listing and, for a map classify
-    # certified positive, the 1->1 norm ||Phi*(1)||_inf
-    report = {
-        "schema_version": serialize.SCHEMA_VERSION,
-        "dim_in": phi.dim_in,
-        "dim_out": phi.dim_out,
-        "certificate": cert.tag,
-        "certificate_reason": cert.reason,
-        "trace_behavior": behavior.tag,
-        "choi_min_eigenvalue": serialize.encode_extended(cert.choi_min),
-        "adjoint_unit_spectrum": [serialize.encode_extended(float(v)) for v in behavior.w],
-        "one_to_one_norm": serialize.encode_extended(float(behavior.w[-1])) if cert.is_positive else None,
-    }
-    _emit(report, args.out)
+    _emit(serialize.classification_to_dict(phi, cert, behavior), args.out)
     return EXIT_PASS
 
 
 def _summary_line(report, ok: bool) -> str:
     status = "PASS" if ok else "FAIL"
-    gap = "both-infinite" if report.min_gap is None else serialize.encode_extended(report.min_gap)
+    gap = serialize.encode_min_gap(report.min_gap)
     extra = f", outcome {report.outcome}" if report.outcome else ""
     return (
         f"{report.suite_name}: {status} ({report.passes}/{report.trials} trials, "
@@ -212,7 +178,7 @@ def _cmd_suite(args) -> int:
 
     ok = report.passed or (name == "violation" and args.allow_inconclusive)
     if args.out:
-        _save(args.out, harness.report_to_dict(report))
+        serialize.save_json(args.out, serialize.report_to_dict(report))
     print(_summary_line(report, ok))
     return EXIT_PASS if ok else EXIT_SUITE_FAILURE
 
@@ -271,6 +237,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except FormatError as exc:
         print(f"input error: {exc}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
+    except MemoryError:
+        print("input error: not enough memory for this input", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except DomainError as exc:
         print(f"precondition error: {exc}", file=sys.stderr)

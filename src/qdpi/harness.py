@@ -11,22 +11,9 @@ from its stream and build a chunk of trials at once (``_chunks``): maps per
 family and d (``channels.Family``), states per shape, each with the bits of
 its trial drawn alone.
 
-Witnesses: ``_parts`` writes every one, ``_divergence(alpha, cfg)`` picks every
-divergence, and ``replay_witness`` recomputes a witness from its own fields.
-Derived facts are computed, never stored: a witness's gap is lhs - rhs (0 when
-both are infinite) and a report's passes is trials - len(failures). The
-writers still write both, and the readers reject a payload whose stored gap,
-counts, min_gap, outcome or best witness contradict one another. Gap
-semantics: monotonicity witnesses hold the two divergence values; the
-inequality asserts lhs >= rhs, and a pair with both sides infinite is a
-vacuous pass with gap 0. Threshold
-witnesses (norm contraction, step-2, limit checks) store the allowed bound
-as lhs and the observed value as rhs, so gap >= 0 is again a pass, except
-where a check names its own rule: step-2's Klein gap passes at gap >=
--STEP2_RESIDUAL_TOLERANCE, its pinching and concavity checks at gap >=
--STEP2_INEQUALITY_TOLERANCE, its block sum and the counterexample's
-closed-form values pass on |gap| within their tolerance, and the
-counterexample's violation check passes when its gap is negative.
+Witnesses: ``serialize._parts`` writes every one, ``_divergence(alpha, cfg)``
+picks every divergence, and ``replay_witness`` recomputes a witness from its
+own fields; the witness and report formats and their gap rules are serialize's.
 
 Failure policy: a trial whose gap breaches the slack is re-judged once at
 ten times the slack before being recorded as a failure ("escalation"); this
@@ -39,7 +26,6 @@ import dataclasses
 import itertools
 import math
 import time
-from dataclasses import dataclass
 from itertools import islice
 
 import numpy as np
@@ -69,8 +55,8 @@ from .divergences import (
 )
 from .channels import (
     FAMILY_TABLE,
+    MAX_DIM,
     SuperOperator,
-    _is_number,
     apply_kraus_stack,
     compose,
     counterexample_map,
@@ -101,18 +87,15 @@ from .sampling import (
     unit_vectors,
 )
 from . import serialize
-from .serialize import SCHEMA_VERSION, decode_extended, encode_extended
+# the witness and report formats are serialize's; perfbench/workloads.py, and callers of this
+# module, still read them as harness.Witness, harness.report_from_dict and so on
+from .serialize import (CheckReport, Witness, _gap_of, _parts, report_from_dict, report_to_dict,
+                        witness_from_dict, witness_to_dict)
 
 __all__ = [
     "TRACE_MATCH_TOLERANCE",
     "VIOLATION_MARGIN",
-    "Witness",
-    "CheckReport",
     "ReplayMismatch",
-    "witness_to_dict",
-    "witness_from_dict",
-    "report_to_dict",
-    "report_from_dict",
     "monotonicity_check",
     "replay_witness",
     "counterexample_suite",
@@ -140,192 +123,11 @@ class ReplayMismatch(RuntimeError):
     """A stored witness did not replay to its identical gap."""
 
 
-@dataclass(frozen=True, eq=False)
-class Witness:
-    """One checked instance, fully serialized for exact replay."""
-
-    map_descriptor: dict
-    rho: dict
-    sigma: dict
-    alpha: float | None
-    lhs: float
-    rhs: float
-
-    @property
-    def gap(self) -> float:
-        return _gap_of(self.lhs, self.rhs)
-
-
-@dataclass(frozen=True, eq=False)
-class CheckReport:
-    """Aggregated outcome of one suite run; every trial not in failures passed."""
-
-    suite_name: str
-    seed: int
-    trials: int
-    failures: tuple
-    min_gap: float | None
-    runtime_ms: int
-    config: dict
-    escalations: int = 0
-    outcome: str | None = None
-    best_witness: Witness | None = None
-
-    @property
-    def passes(self) -> int:
-        return self.trials - len(self.failures)
-
-    @property
-    def passed(self) -> bool:
-        """Every trial passed, or, for a violation search (the suite that sets
-        ``outcome``), the search found a violation."""
-        if self.outcome is not None:
-            return self.outcome == "violation_found"
-        return self.passes == self.trials
-
-
-def witness_to_dict(w: Witness) -> dict:
-    return {
-        "map": w.map_descriptor,
-        "rho": w.rho,
-        "sigma": w.sigma,
-        "alpha": None if w.alpha is None else float(w.alpha),
-        "lhs": encode_extended(w.lhs),
-        "rhs": encode_extended(w.rhs),
-        "gap": encode_extended(w.gap),
-    }
-
-
-def _extended_field(d: dict, what: str, name: str) -> float:
-    """The extended real in field name of a what payload; a malformed one is a FormatError that names the field."""
-    try:
-        return decode_extended(d[name])
-    except serialize.FormatError as exc:
-        raise serialize.FormatError(f"{what} field {name!r}: {exc}") from exc
-
-
-def witness_from_dict(d: dict) -> Witness:
-    """Parse a witness payload; a malformed or self-contradicting one is a FormatError that names the field."""
-    serialize._checked_payload(d, "witness", ("map", "rho", "sigma", "lhs", "rhs", "gap"), versioned=False)
-    alpha = d.get("alpha")
-    if alpha is not None and not (_is_number(alpha, (int, float)) and abs(alpha) <= float(np.finfo(float).max)):
-        raise serialize.FormatError(f"witness field 'alpha' must be None or a finite real, got {alpha!r}")
-    w = Witness(
-        map_descriptor=d["map"],
-        rho=d["rho"],
-        sigma=d["sigma"],
-        alpha=None if alpha is None else float(alpha),
-        lhs=_extended_field(d, "witness", "lhs"),
-        rhs=_extended_field(d, "witness", "rhs"),
-    )
-    stored = _extended_field(d, "witness", "gap")
-    if (stored, math.copysign(1.0, stored)) != (w.gap, math.copysign(1.0, w.gap)):
-        raise serialize.FormatError(f"witness field 'gap' is {stored!r}, but lhs - rhs is {w.gap!r}")
-    return w
-
-
-def report_to_dict(r: CheckReport) -> dict:
-    """Canonical report payload; min_gap "both-infinite" means no trial recorded a gap."""
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "suite_name": r.suite_name,
-        "seed": int(r.seed),
-        "trials": int(r.trials),
-        "passes": int(r.passes),
-        "escalations": int(r.escalations),
-        "min_gap": "both-infinite" if r.min_gap is None else encode_extended(r.min_gap),
-        "outcome": r.outcome,
-        "best_witness": None if r.best_witness is None else witness_to_dict(r.best_witness),
-        "failures": [witness_to_dict(w) for w in r.failures],
-        "runtime_ms": int(r.runtime_ms),
-        "config": r.config,
-    }
-
-
-def report_from_dict(d: dict) -> CheckReport:
-    """Parse a report payload; a malformed or self-contradicting one is a FormatError that names the field.
-
-    Its counts are nonnegative, passes = trials - len(failures), escalations
-    <= passes (an escalated trial passes), min_gap is at most every failure's
-    gap ("both-infinite" only with no failures), and a best witness comes
-    with outcome "violation_found" and only with it.
-    """
-    serialize._checked_payload(
-        d, "report", ("suite_name", "seed", "trials", "passes", "failures", "min_gap", "runtime_ms", "config"))
-    if not isinstance(d["suite_name"], str):
-        raise serialize.FormatError(f"report field 'suite_name' must be a string, got {d['suite_name']!r}")
-    if not isinstance(d["config"], dict):
-        raise serialize.FormatError(f"report field 'config' must be an object, got {d['config']!r}")
-    counts = {name: d.get(name, 0) for name in ("seed", "trials", "passes", "escalations", "runtime_ms")}
-    for name, value in counts.items():
-        if not _is_number(value, int):
-            raise serialize.FormatError(f"report field {name!r} must be an integer, got {value!r}")
-        if value < 0:
-            raise serialize.FormatError(f"report field {name!r} must be nonnegative, got {value}")
-    if not isinstance(d["failures"], list):
-        raise serialize.FormatError("report field 'failures' must be a list")
-    failures = tuple(witness_from_dict(w) for w in d["failures"])
-    trials, passes = counts["trials"], counts["passes"]
-    if len(failures) > trials:
-        raise serialize.FormatError(f"report field 'failures' holds {len(failures)} witnesses of {trials} trials")
-    if passes != trials - len(failures):
-        raise serialize.FormatError(f"report field 'passes' is {passes}, not trials - len(failures)")
-    if counts["escalations"] > passes:
-        raise serialize.FormatError(f"report field 'escalations' is {counts['escalations']}, above passes")
-    min_gap = None if d["min_gap"] == "both-infinite" else _extended_field(d, "report", "min_gap")
-    if failures and (min_gap is None or min_gap > min(w.gap for w in failures)):
-        raise serialize.FormatError(f"report field 'min_gap' is {d['min_gap']!r}, above a failure's gap")
-    outcome, best = d.get("outcome"), d.get("best_witness")
-    if outcome not in (None, "violation_found", "inconclusive"):
-        raise serialize.FormatError(f"report field 'outcome' must be null, 'violation_found' or 'inconclusive', "
-                                    f"got {outcome!r}")
-    if (outcome == "violation_found") != (best is not None):
-        raise serialize.FormatError(f"report field 'best_witness' must be given exactly when a violation is found, "
-                                    f"got outcome {outcome!r}")
-    return CheckReport(
-        suite_name=d["suite_name"],
-        seed=counts["seed"],
-        trials=trials,
-        failures=failures,
-        min_gap=min_gap,
-        runtime_ms=counts["runtime_ms"],
-        config=d["config"],
-        escalations=counts["escalations"],
-        outcome=outcome,
-        best_witness=None if best is None else witness_from_dict(best),
-    )
-
-
-def _gap_of(lhs: float, rhs: float) -> float:
-    if math.isinf(lhs) and math.isinf(rhs):
-        return 0.0
-    if math.isinf(lhs):
-        return math.inf
-    if math.isinf(rhs):
-        return -math.inf
-    return lhs - rhs
-
-
 def _divergence(alpha: float | None, cfg: ToleranceConfig):
     """Relative entropy when alpha is None, else the sandwiched divergence of order alpha."""
     if alpha is None:
         return lambda a, b: relative_entropy(a, b, cfg)
     return lambda a, b: sandwiched_renyi(a, b, alpha, cfg)
-
-
-def _parts(map_or_descriptor, rho, sigma, alpha, kinds=("psd", "psd")):
-    """A thunk returning the witness fields (map_descriptor, rho, sigma, alpha).
-
-    A SuperOperator is serialized; a dict is stored as the map descriptor as it is. The states
-    are written under their kinds with no second eigensolve; reading them checks the kinds.
-    """
-    m = map_or_descriptor
-    return lambda: (
-        serialize.channel_to_dict(m) if isinstance(m, SuperOperator) else m,
-        serialize._checked_matrix_dict(as_matrix(rho), kinds[0]),
-        serialize._checked_matrix_dict(as_matrix(sigma), kinds[1]),
-        alpha,
-    )
 
 
 def _monotonicity_values(maps, rho, sigma, alpha, cfg):
@@ -543,6 +345,8 @@ def _seeded_trials(seed: int, count: int, dims, first: int = 0):
         raise DomainError("suite dimensions must not be empty")
     if any(d < 2 for d in dims):
         raise DomainError("suite dimensions must be >= 2")
+    if any(d > MAX_DIM for d in dims):
+        raise DomainError(f"suite dimensions must be at most {MAX_DIM}")
     if count < 0 or seed < 0:
         raise DomainError(f"trial count and seed must be nonnegative, got {count} and {seed}")
     streams = trial_streams(seed, range(first, first + count))

@@ -1,4 +1,6 @@
-"""Stable JSON file formats for operators and maps.
+"""Every file format of qdpi (operators, maps, witnesses, reports, command
+outputs), with its writer, its reader and the reader's rules; a file that
+cannot be read or written is a FormatError that names its path.
 
 The emitter is ``json.dumps`` and is canonical: fixed field order (insertion
 order of the writer), ", " and ": " separators, ASCII output, and each float
@@ -9,12 +11,29 @@ witness replay exact.
 
 Infinities never appear as raw JSON numbers; fields that can be infinite are
 encoded as the strings "+inf" / "-inf" by ``encode_extended``.
+
+Witnesses and reports: ``_parts`` writes every witness's fields. Derived
+facts are computed, never stored: a witness's gap is lhs - rhs (0 when both
+are infinite) and a report's passes is trials - len(failures). The writers
+still write both, and the readers reject a payload whose stored gap, counts,
+min_gap, outcome or best witness contradict one another. Gap semantics:
+monotonicity witnesses hold the two divergence values; the inequality
+asserts lhs >= rhs, and a pair with both sides infinite is a vacuous pass
+with gap 0. Threshold witnesses (norm contraction, step-2, limit checks)
+store the allowed bound as lhs and the observed value as rhs, so gap >= 0 is
+again a pass, except where a check names its own rule: step-2's Klein gap
+passes at gap >= -STEP2_RESIDUAL_TOLERANCE, its pinching and concavity
+checks at gap >= -STEP2_INEQUALITY_TOLERANCE, its block sum and the
+counterexample's closed-form values pass on |gap| within their tolerance,
+and the counterexample's violation check passes when its gap is negative
+(the tolerances are ``harness``'s).
 """
 
 from __future__ import annotations
 
 import json
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,6 +62,15 @@ __all__ = [
     "channel_to_dict",
     "choi_to_dict",
     "channel_from_dict",
+    "Witness",
+    "CheckReport",
+    "witness_to_dict",
+    "witness_from_dict",
+    "encode_min_gap",
+    "report_to_dict",
+    "report_from_dict",
+    "divergence_to_dict",
+    "classification_to_dict",
 ]
 
 SCHEMA_VERSION = "1"
@@ -83,9 +111,11 @@ def canonical_json(obj) -> str:
 
 
 def save_json(path, obj) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(canonical_json(obj))
-        fh.write("\n")
+    try:
+        with open(path, "w", encoding="ascii") as fh:
+            fh.write(canonical_json(obj) + "\n")
+    except OSError as exc:
+        raise FormatError(f"cannot write {path}: {exc}") from exc
 
 
 def _reject_constant(name: str):
@@ -93,13 +123,15 @@ def _reject_constant(name: str):
 
 
 def load_json(path):
-    with open(path, "r", encoding="ascii") as fh:
-        try:
+    try:
+        with open(path, "r", encoding="ascii") as fh:
             return json.load(fh, parse_constant=_reject_constant)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"not valid JSON: {exc}") from exc
-        except UnicodeDecodeError as exc:
-            raise FormatError(f"not an ASCII file: {exc}") from exc
+    except OSError as exc:
+        raise FormatError(f"cannot read {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"not valid JSON: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"not an ASCII file: {exc}") from exc
 
 
 def encode_extended(x: float):
@@ -127,12 +159,8 @@ def decode_extended(v) -> float:
     raise FormatError(f"not an extended-real encoding: {v!r}")
 
 
-def _real_rows(A: np.ndarray) -> list:
-    return [[float(x) for x in row] for row in A]
-
-
 def _matrix_payload(M: np.ndarray) -> dict:
-    return {"re": _real_rows(M.real), "im": _real_rows(M.imag)}
+    return {"re": M.real.tolist(), "im": M.imag.tolist()}
 
 
 def _matrix_from_payload(payload: dict, rows: int, cols: int, what: str) -> np.ndarray:
@@ -193,15 +221,21 @@ def _checked_matrix_dict(A: np.ndarray, kind: str) -> dict:
     return out
 
 
+def _positive_int(d: dict, name: str) -> int:
+    """Field name of d, which must be a positive integer."""
+    value = d.get(name)
+    if not _is_number(value, int) or value < 1:
+        raise FormatError(f"{name} must be a positive integer, got {value!r}")
+    return value
+
+
 def matrix_from_dict(d: dict, cfg: ToleranceConfig = DEFAULT_TOL):
     """Parse and re-validate a matrix payload: (the stored matrix unmodified, its validated value)."""
     _checked_payload(d, "matrix")
     kind = d.get("kind")
     if kind not in MATRIX_KINDS:
         raise FormatError(f"unknown matrix kind {kind!r}")
-    dim = d.get("dim")
-    if not _is_number(dim, int) or dim < 1:
-        raise FormatError(f"dim must be a positive integer, got {dim!r}")
+    dim = _positive_int(d, "dim")
     M = _matrix_from_payload(d, dim, dim, "matrix file")
     return M, _validate_kind(M, kind, cfg)
 
@@ -239,10 +273,7 @@ def choi_to_dict(phi: SuperOperator) -> dict:
 def channel_from_dict(d: dict, cfg: ToleranceConfig = DEFAULT_TOL) -> SuperOperator:
     rep = d.get("representation") if isinstance(d, dict) else None
     _checked_payload(d, "channel", ("family",) if rep == "family" else ())
-    dim_in, dim_out = d.get("dim_in"), d.get("dim_out")
-    for name, value in (("dim_in", dim_in), ("dim_out", dim_out)):
-        if not _is_number(value, int) or value < 1:
-            raise FormatError(f"{name} must be a positive integer, got {value!r}")
+    dim_in, dim_out = _positive_int(d, "dim_in"), _positive_int(d, "dim_out")
     try:
         if rep == "family":
             phi = channels.construct(d["family"], d.get("params"), d.get("seed"))
@@ -271,3 +302,192 @@ def channel_from_dict(d: dict, cfg: ToleranceConfig = DEFAULT_TOL) -> SuperOpera
             f"constructed map ({phi.dim_in}, {phi.dim_out})"
         )
     return phi
+
+
+def _gap_of(lhs: float, rhs: float) -> float:
+    if math.isinf(lhs) and math.isinf(rhs):
+        return 0.0
+    if math.isinf(lhs):
+        return math.inf
+    if math.isinf(rhs):
+        return -math.inf
+    return lhs - rhs
+
+
+@dataclass(frozen=True, eq=False)
+class Witness:
+    """One checked instance, fully serialized for exact replay."""
+
+    map_descriptor: dict
+    rho: dict
+    sigma: dict
+    alpha: float | None
+    lhs: float
+    rhs: float
+
+    @property
+    def gap(self) -> float:
+        return _gap_of(self.lhs, self.rhs)
+
+
+@dataclass(frozen=True, eq=False)
+class CheckReport:
+    """Aggregated outcome of one suite run; every trial not in failures passed."""
+
+    suite_name: str
+    seed: int
+    trials: int
+    failures: tuple
+    min_gap: float | None
+    runtime_ms: int
+    config: dict
+    escalations: int = 0
+    outcome: str | None = None
+    best_witness: Witness | None = None
+
+    @property
+    def passes(self) -> int:
+        return self.trials - len(self.failures)
+
+    @property
+    def passed(self) -> bool:
+        """Every trial passed, or, for a violation search (the suite that sets
+        ``outcome``), the search found a violation."""
+        if self.outcome is not None:
+            return self.outcome == "violation_found"
+        return self.passes == self.trials
+
+
+def _parts(map_or_descriptor, rho, sigma, alpha, kinds=("psd", "psd")):
+    """A thunk returning the witness fields (map_descriptor, rho, sigma, alpha).
+
+    A SuperOperator is serialized; a dict is stored as the map descriptor as it is. The states
+    are written under their kinds with no second eigensolve; reading them checks the kinds.
+    """
+    m = map_or_descriptor
+    return lambda: (
+        channel_to_dict(m) if isinstance(m, SuperOperator) else m,
+        _checked_matrix_dict(as_matrix(rho), kinds[0]),
+        _checked_matrix_dict(as_matrix(sigma), kinds[1]),
+        alpha,
+    )
+
+
+def witness_to_dict(w: Witness) -> dict:
+    return {
+        "map": w.map_descriptor,
+        "rho": w.rho,
+        "sigma": w.sigma,
+        "alpha": None if w.alpha is None else float(w.alpha),
+        "lhs": encode_extended(w.lhs),
+        "rhs": encode_extended(w.rhs),
+        "gap": encode_extended(w.gap),
+    }
+
+
+def _extended_field(d: dict, what: str, name: str) -> float:
+    """The extended real in field name of a what payload; a malformed one is a FormatError that names the field."""
+    try:
+        return decode_extended(d[name])
+    except FormatError as exc:
+        raise FormatError(f"{what} field {name!r}: {exc}") from exc
+
+
+def witness_from_dict(d: dict) -> Witness:
+    """Parse a witness payload; a malformed or self-contradicting one is a FormatError that names the field."""
+    _checked_payload(d, "witness", ("map", "rho", "sigma", "lhs", "rhs", "gap"), versioned=False)
+    alpha = d.get("alpha")
+    if alpha is not None and not (_is_number(alpha, (int, float)) and abs(alpha) <= float(np.finfo(float).max)):
+        raise FormatError(f"witness field 'alpha' must be None or a finite real, got {alpha!r}")
+    w = Witness(d["map"], d["rho"], d["sigma"], None if alpha is None else float(alpha),
+                _extended_field(d, "witness", "lhs"), _extended_field(d, "witness", "rhs"))
+    stored = _extended_field(d, "witness", "gap")
+    if (stored, math.copysign(1.0, stored)) != (w.gap, math.copysign(1.0, w.gap)):
+        raise FormatError(f"witness field 'gap' is {stored!r}, but lhs - rhs is {w.gap!r}")
+    return w
+
+
+def encode_min_gap(min_gap: float | None):
+    """A report's min_gap as written: "both-infinite" when no trial recorded a gap (None)."""
+    return "both-infinite" if min_gap is None else encode_extended(min_gap)
+
+
+def report_to_dict(r: CheckReport) -> dict:
+    """Canonical report payload; min_gap "both-infinite" means no trial recorded a gap."""
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "suite_name": r.suite_name,
+        "seed": int(r.seed),
+        "trials": int(r.trials),
+        "passes": int(r.passes),
+        "escalations": int(r.escalations),
+        "min_gap": encode_min_gap(r.min_gap),
+        "outcome": r.outcome,
+        "best_witness": None if r.best_witness is None else witness_to_dict(r.best_witness),
+        "failures": [witness_to_dict(w) for w in r.failures],
+        "runtime_ms": int(r.runtime_ms),
+        "config": r.config,
+    }
+
+
+def report_from_dict(d: dict) -> CheckReport:
+    """Parse a report payload; a malformed or self-contradicting one is a FormatError that names the field.
+
+    Its counts are nonnegative, passes = trials - len(failures), escalations
+    <= passes (an escalated trial passes), min_gap is at most every failure's
+    gap ("both-infinite" only with no failures), and a best witness comes
+    with outcome "violation_found" and only with it.
+    """
+    _checked_payload(
+        d, "report", ("suite_name", "seed", "trials", "passes", "failures", "min_gap", "runtime_ms", "config"))
+    for name, kind, word in (("suite_name", str, "a string"), ("config", dict, "an object")):
+        if not isinstance(d[name], kind):
+            raise FormatError(f"report field {name!r} must be {word}, got {d[name]!r}")
+    counts = {name: d.get(name, 0) for name in ("seed", "trials", "passes", "escalations", "runtime_ms")}
+    for name, value in counts.items():
+        if not _is_number(value, int):
+            raise FormatError(f"report field {name!r} must be an integer, got {value!r}")
+        if value < 0:
+            raise FormatError(f"report field {name!r} must be nonnegative, got {value}")
+    if not isinstance(d["failures"], list):
+        raise FormatError("report field 'failures' must be a list")
+    failures = tuple(witness_from_dict(w) for w in d["failures"])
+    trials, passes = counts["trials"], counts.pop("passes")
+    if len(failures) > trials:
+        raise FormatError(f"report field 'failures' holds {len(failures)} witnesses of {trials} trials")
+    if passes != trials - len(failures):
+        raise FormatError(f"report field 'passes' is {passes}, not trials - len(failures)")
+    if counts["escalations"] > passes:
+        raise FormatError(f"report field 'escalations' is {counts['escalations']}, above passes")
+    min_gap = None if d["min_gap"] == "both-infinite" else _extended_field(d, "report", "min_gap")
+    if failures and (min_gap is None or min_gap > min(w.gap for w in failures)):
+        raise FormatError(f"report field 'min_gap' is {d['min_gap']!r}, above a failure's gap")
+    outcome, best = d.get("outcome"), d.get("best_witness")
+    if outcome not in (None, "violation_found", "inconclusive"):
+        raise FormatError(f"report field 'outcome' must be null, 'violation_found' or 'inconclusive', got {outcome!r}")
+    if (outcome == "violation_found") != (best is not None):
+        raise FormatError(f"report field 'best_witness' must be given exactly when a violation is found, "
+                          f"got outcome {outcome!r}")
+    return CheckReport(suite_name=d["suite_name"], failures=failures, min_gap=min_gap, config=d["config"],
+                       outcome=outcome, best_witness=None if best is None else witness_from_dict(best), **counts)
+
+
+def divergence_to_dict(family: str, alpha: float | None, value: float) -> dict:
+    """The payload of ``qdpi compute``: a divergence family, its alpha (None for relative entropy) and its value."""
+    return {"schema_version": SCHEMA_VERSION, "family": family, "alpha": None if alpha is None else float(alpha),
+            "value": encode_extended(value)}
+
+
+def classification_to_dict(phi: SuperOperator, cert, behavior) -> dict:
+    """The payload of ``qdpi check-map``: a map's positivity certificate and its trace behavior.
+
+    The spectrum of Phi*(1) gives both the listing and, for a map the
+    certificate calls positive, the 1->1 norm ||Phi*(1)||_inf.
+    """
+    return {
+        "schema_version": SCHEMA_VERSION, "dim_in": phi.dim_in, "dim_out": phi.dim_out,
+        "certificate": cert.tag, "certificate_reason": cert.reason, "trace_behavior": behavior.tag,
+        "choi_min_eigenvalue": encode_extended(cert.choi_min),
+        "adjoint_unit_spectrum": [encode_extended(v) for v in behavior.w],
+        "one_to_one_norm": encode_extended(behavior.w[-1]) if cert.is_positive else None,
+    }

@@ -13,6 +13,7 @@ from qdpi.channels import (
     _INTEGER_PARAMS,
     _REAL_PARAMS,
     FAMILY_TABLE,
+    MAX_DIM,
     PositivityCertificate,
     SuperOperator,
     TraceBehavior,
@@ -185,16 +186,7 @@ def test_truncation_matrix_matches_dense_formula():
         assert np.allclose(kept.apply(A) + np.trace(A @ W) * tau, expected, atol=1e-13)
 
 
-def test_kraus_constructors_make_no_eigensolver_call(monkeypatch):
-    calls = []
-    for name in ("eigh", "eigvalsh"):
-        original = getattr(np.linalg, name)
-
-        def counted(a, *args, _original=original, **kwargs):
-            calls.append(np.shape(a))
-            return _original(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, name, counted)
+def test_kraus_constructors_make_no_eigensolver_call(eig_sizes):
     rng = rng_for_trial(217, 0)
     maps = [
         from_kraus([np.eye(3) / np.sqrt(2.0), np.diag([1.0, 1.0, 0.0]) / np.sqrt(2.0)]),
@@ -203,7 +195,7 @@ def test_kraus_constructors_make_no_eigensolver_call(monkeypatch):
         pinching_map(random_projector(rng, 6, 2)),
         depolarizing_map(6, 0.3),
     ]
-    assert calls == []
+    assert eig_sizes == []
     for phi in maps:
         assert phi.certificate.tag == "completely_positive"
         # the theorem agrees with the exact Choi test
@@ -521,6 +513,22 @@ def test_random_positive_noncp_is_positive_but_not_cp():
 def test_construct_rejects_unknown_family():
     with pytest.raises(DomainError):
         construct("teleporter", {}, 0)
+
+
+def test_max_dim_is_the_largest_size_numpy_can_index():
+    # a d^2 x d^2 complex128 matrix holds 16 d^4 bytes
+    assert 16 * MAX_DIM**4 <= np.iinfo(np.intp).max < 16 * (MAX_DIM + 1) ** 4
+
+
+@pytest.mark.parametrize("family, params", [
+    ("identity", {"d": 10**9}),
+    ("depolarizing", {"d": 10**20, "lam": 0.5}),
+    ("random_cptp", {"d": 2, "kraus_rank": 10**9}),
+])
+def test_construct_rejects_sizes_above_max_dim(family, params):
+    # each is rejected before any allocation
+    with pytest.raises(DomainError, match=f"must be at most {MAX_DIM}, got"):
+        construct(family, params, 0 if family == "random_cptp" else None)
 
 
 def test_family_roles_keep_their_order():

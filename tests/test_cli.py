@@ -2,6 +2,9 @@ import dataclasses
 import inspect
 import json
 import math
+import os
+import pathlib
+import subprocess
 import sys
 import warnings
 
@@ -754,3 +757,43 @@ def test_malformed_input_file_is_input_error(tmp_path, state_files, capsys, comm
     assert captured.out == ""
     assert captured.err.startswith("input error:") and message in captured.err
     assert captured.err.count("\n") == 1
+
+
+def _run_qdpi(*argv):
+    """Run qdpi in a child process: (exit code, stdout, stderr)."""
+    root = pathlib.Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run([sys.executable, "-m", "qdpi.cli", *argv], env=env, capture_output=True, text=True,
+                          timeout=120)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+# every size is above channels.MAX_DIM, so each is rejected before any allocation
+@pytest.mark.parametrize("family, d", [("identity", 10**9), ("reduction", 10**10), ("reduction", 10**20)])
+def test_check_map_of_a_size_no_array_can_hold_is_input_error(tmp_path, family, d):
+    path = tmp_path / "map.json"
+    serialize.save_json(path, {"schema_version": serialize.SCHEMA_VERSION, "dim_in": d, "dim_out": d,
+                               "representation": "family", "family": family, "params": {"d": d}, "seed": None})
+    code, out, err = _run_qdpi("check-map", "--map", str(path))
+    assert (code, out) == (EXIT_INPUT_ERROR, "")
+    assert err == f"input error: channel payload invalid: d must be at most {channels.MAX_DIM}, got {d}\n"
+
+
+@pytest.mark.parametrize("argv", ["dpi --dims 1000000000 --trials 1", "step2 --dims 1000000000",
+                                  "auxiliary --dims 3,1000000000 --trials 1"])
+def test_suite_of_a_size_no_array_can_hold_is_precondition_error(argv):
+    code, out, err = _run_qdpi("suite", *argv.split())
+    assert (code, out) == (EXIT_PRECONDITION_ERROR, "")
+    assert err == f"precondition error: suite dimensions must be at most {channels.MAX_DIM}\n"
+
+
+def test_memory_error_is_input_error(monkeypatch, capsys):
+    def out_of_memory(**options):
+        raise MemoryError("Unable to allocate 6.94 EiB for an array")
+
+    monkeypatch.setattr(harness, "counterexample_suite", out_of_memory)
+    assert main(["suite", "counterexample"]) == EXIT_INPUT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error:") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err

@@ -1123,14 +1123,12 @@ def test_battery_round_solver_calls(solver_calls, suite):
     assert len(solver_calls) <= budget
 
 
-def test_battery_round_draw_counts(monkeypatch):
+def test_battery_round_draw_counts(record_calls):
     # a round's draws take their streams in batches and build in stacks: its QRs and default_rng
     # constructions are counted, which no machine changes
     calls = []
     for name, module in (("qr", np.linalg), ("default_rng", np.random)):
-        original = getattr(module, name)
-        monkeypatch.setattr(module, name, lambda *args, _name=name, _original=original, **kwargs:
-                            calls.append(_name) or _original(*args, **kwargs))
+        record_calls(module, (name,), lambda called, *_: calls.append(called))
     for _, run in BATTERY_ROUND.values():
         for d in (2, 3, 4, 5, 6):
             run(d)

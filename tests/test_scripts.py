@@ -6,9 +6,10 @@ import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from qdpi import harness
+from qdpi import serialize
 from qdpi.harness import replay_witness, report_from_dict
 from qdpi.serialize import FormatError, load_json
 
@@ -70,6 +71,18 @@ def test_violation_search_bad_alpha_is_one_line_error(tmp_path):
     assert not list(tmp_path.glob("*.json"))
 
 
+def test_report_digests_match_the_recorded_digests():
+    # every report, exit code, check-map and compute output is byte-identical to the recorded
+    # one; the first line names the numpy version that wrote them
+    version, *recorded = (ROOT / "tests" / "data" / "report_digests.txt").read_text().splitlines()
+    version = version.removeprefix("numpy ")
+    if version != np.__version__:
+        pytest.skip(f"digests recorded with numpy {version}, running numpy {np.__version__}")
+    proc = run_script("report_digests.py")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == recorded
+
+
 def test_report_digests_are_stable_across_runs():
     commands = ("counterexample", "dpi --trials 5 --dims 2,3 --seed 2", "auxiliary --dims 1 --trials 2")
     runs = [run_script("report_digests.py", *commands) for _ in range(2)]
@@ -103,8 +116,8 @@ def test_check_map_digests_are_stable_across_runs(tmp_path):
 
 def test_report_digests_reject_a_report_that_contradicts_itself(tmp_path, monkeypatch, capsys):
     script = import_script("report_digests")
-    write = harness.report_to_dict
-    monkeypatch.setattr(harness, "report_to_dict", lambda report: {**write(report), "passes": report.passes + 1})
+    write = serialize.report_to_dict
+    monkeypatch.setattr(serialize, "report_to_dict", lambda report: {**write(report), "passes": report.passes + 1})
     with pytest.raises(FormatError, match="'passes'"):
         script.digest(["suite", "counterexample"], tmp_path / "report.json")
     # main stops at the first rejected report with one line that names its command

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qdpi import harness, serialize
 from qdpi.channels import (
     choi,
     counterexample_map,
@@ -253,3 +254,10 @@ def test_matrix_to_dict_of_validated_value_runs_no_eigensolve(eig_sizes):
     payload = matrix_to_dict(v, "density")
     assert eig_sizes == []
     assert payload == matrix_to_dict(v.matrix, "density")
+
+
+def test_harness_keeps_the_names_the_benchmark_calls():
+    # perfbench/workloads.py reads reports and witnesses, replays witnesses and samples state pairs through harness
+    for name in ("report_from_dict", "witness_from_dict", "Witness", "CheckReport"):
+        assert getattr(harness, name) is getattr(serialize, name)
+    assert callable(harness.replay_witness) and callable(harness.sample_state_pairs)
